@@ -71,12 +71,8 @@ def main():
     streamed = np.concatenate(chunks, axis=0)
     rates = streamed.sum(axis=0)
     predicted = int(rates.argmax())
-    # Reference: the same sample in ONE chunk.  (A plain `run` is only
-    # bitwise-comparable when its sparse probe picks CSR at every layer —
-    # true at serving scale, but this demo's hidden layers sit below the
-    # probe threshold; the streaming engine's chunk-invariance guarantee
-    # is unconditional.)
-    offline, _ = server.network.run_stream(sample[None])
+    # Reference: the same sample in one whole-sequence pass.
+    offline, _ = server.network.run(sample[None])
     match = np.array_equal(offline[0], streamed)
     print(f"\nrate-code prediction: {SHD_CLASS_NAMES[predicted]!r} "
           f"(target {SHD_CLASS_NAMES[target]!r}; untrained demo weights)")

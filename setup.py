@@ -1,11 +1,16 @@
-"""Legacy setuptools entry point.
+"""Setuptools entry point: the ``repro`` package under ``src/``.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 660 editable installs (which need ``bdist_wheel``) are unavailable;
-this stub lets ``pip install -e .`` fall back to ``setup.py develop``.
-All project metadata lives in ``pyproject.toml``.
+A plain ``setup.py`` (no ``pyproject.toml``) keeps ``pip install -e .``
+working where setuptools lacks the ``wheel`` package: pip then falls back
+to ``setup.py develop`` instead of building a PEP 660 editable wheel.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

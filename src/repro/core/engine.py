@@ -20,19 +20,31 @@ work then splits into
   over a preallocated ``(batch, T, n)`` buffer (:func:`exp_scan`,
   :func:`exp_scan_reverse`); each step is a fused elementwise update on a
   buffer slice, with no per-step allocation;
-* **one batched matmul** — the crossbar product ``g = k W^T`` (eq. 7) for
-  *all* time steps at once: ``(batch*T, n_in) @ (n_in, n_out)``, which is
-  where BLAS actually wins;
+* **one sparse matmul** — the crossbar product ``g = k W^T`` (eq. 7) for
+  *all* time steps at once, contracted over the spike events of the
+  ``(batch*T, n_in)`` input only;
 * **a thin nonlinear scan** — the spike/threshold recurrence (eqs. 6, 8,
   10) is inherently sequential (the spike at ``t`` feeds the reset filter
   at ``t+1``) but involves only elementwise work on ``(batch, n_out)``
   slices, again over preallocated buffers.
 
+One kernel per neuron kind: :func:`_adaptive_forward` and
+:func:`_hard_reset_forward` advance a carried per-layer state (the
+:class:`StreamState` layout) over one chunk.  A one-shot run
+(:func:`fused_run`) is a stream from a zero state followed by the write-back
+of the final state to the layer; a streaming run (:func:`run_streaming`)
+carries the state between chunks.  Every crossbar product goes through the
+same event path (:func:`_spike_csr`): a CSR product computes each output
+row as an independent sum over that row's spike events in index order, so
+a sample's spikes and membrane values are bitwise the same whether it runs
+alone, inside a batch, or split into chunks.  (A dense GEMM has no such
+guarantee: BLAS picks different kernels for different row counts.)
+
 The backward pass (:func:`fused_backward`) applies the same split to the
 BPTT adjoints of :mod:`repro.core.backprop`: the sequential part is the
 elementwise ``delta_v`` recurrence; the weight gradient collapses to a
-single ``tensordot`` over ``(batch, T)`` and the input gradient to one
-batched matmul followed by a reverse scan.
+single sparse contraction over ``(batch, T)`` and the input gradient to
+one batched matmul followed by a reverse scan.
 
 Precision: every entry point accepts ``precision="float32"|"float64"``
 (:func:`resolve_precision`); float32 halves memory traffic and is
@@ -57,13 +69,9 @@ speedup is measured by ``benchmarks/bench_throughput.py`` and recorded in
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..common.errors import ShapeError
-
-try:  # scipy is optional; the engine falls back to dense BLAS without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sparse = None
 
 __all__ = [
     "PRECISIONS",
@@ -79,11 +87,6 @@ __all__ = [
 
 #: Supported precision names and their dtypes.
 PRECISIONS = {"float32": np.float32, "float64": np.float64}
-
-#: Use the CSR product when the spike density is below this and the input
-#: is large enough for the conversion to pay off.
-SPARSE_DENSITY_THRESHOLD = 0.2
-_SPARSE_MIN_SIZE = 1 << 14
 
 
 def resolve_precision(precision) -> np.dtype | None:
@@ -159,100 +162,51 @@ def _ws_release(ws, *arrays) -> None:
         ws.release(*arrays)
 
 
-def _as_csr(flat: np.ndarray, ws=None):
-    """Cheap CSR view of a sparse ``(m, n)`` spike matrix, or ``None``.
+def _spike_csr(flat: np.ndarray, ws=None):
+    """CSR of an ``(m, n)`` spike matrix, whatever its size or density.
 
     ``scipy.sparse.csr_matrix(dense)`` costs as much as the GEMM it is
     meant to replace, so the index structure is built directly: one
     ``flatnonzero`` scan (indices come out sorted, i.e. canonical CSR
-    order) plus a ``searchsorted`` for the row pointers.  Returns ``None``
-    when scipy is missing, the matrix is small, or the density is too high
-    for the sparse product to win.  ``ws`` serves the constant
-    row-boundary scratch from its cache.
+    order) plus a ``searchsorted`` for the row pointers.  ``ws`` serves
+    the constant row-boundary scratch from its cache.
     """
-    if _sparse is None or flat.size < _SPARSE_MIN_SIZE:
-        return None
+    m, n = flat.shape
     # Explicit bool compare first: flatnonzero on a float array pays an
     # extra full-size temporary and runs ~3x slower.
     raveled = np.ascontiguousarray(flat).reshape(-1)
     idx = np.flatnonzero(raveled != 0)
-    if idx.size > SPARSE_DENSITY_THRESHOLD * flat.size:
-        return None
-    return _build_csr(flat, raveled, idx, ws)
-
-
-def _build_csr(flat: np.ndarray, raveled: np.ndarray, idx: np.ndarray, ws):
-    """Assemble the canonical CSR from a precomputed nonzero index scan."""
-    m, n = flat.shape
     bounds = (ws.row_bounds(m, n) if ws is not None
               else np.arange(0, (m + 1) * n, n))
     indptr = np.searchsorted(idx, bounds)
-    return _sparse.csr_matrix(
-        (raveled[idx], idx % n, indptr), shape=(m, n)
-    )
+    return sparse.csr_matrix((raveled[idx], idx % n, indptr), shape=(m, n))
 
 
-def _as_csr_always(flat: np.ndarray, ws=None):
-    """CSR of a spike matrix regardless of size or density (or ``None``
-    without scipy).
-
-    The streaming path (:func:`run_streaming`) uses this instead of the
-    :func:`_as_csr` probe: the CSR product computes every output row as an
-    independent sum over that row's nonzeros in index order, so the result
-    for one sample/step is bitwise-independent of which other rows share
-    the matrix — the property that makes arbitrary chunking and the
-    serving micro-batcher's session gathering exact.  The dense GEMM has
-    no such guarantee (BLAS picks different kernels for different row
-    counts), which is why the probe's economics do not apply here.
-    """
-    if _sparse is None:
-        return None
-    raveled = np.ascontiguousarray(flat).reshape(-1)
-    idx = np.flatnonzero(raveled != 0)
-    return _build_csr(flat, raveled, idx, ws)
-
-
-#: Default for ``spike_matmul``'s ``csr``: "not computed yet, decide here".
-_AUTO_CSR = object()
-
-
-def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray, csr=_AUTO_CSR,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """``flat_x @ w_t`` exploiting spike sparsity when profitable.
+def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray,
+                 csr=None) -> np.ndarray:
+    """``flat_x @ w_t`` contracted over the spike events only.
 
     ``flat_x`` is a ``(batch*T, n_in)`` spike matrix (typically a few
     percent nonzero), ``w_t`` a dense ``(n_in, n_out)`` weight transpose.
-    Falls back to the dense BLAS product when the input is dense or small.
-    ``csr`` short-circuits the conversion: pass a CSR the caller already
-    holds for ``flat_x``, or ``None`` to assert the input is known dense
-    (skipping the conversion probe entirely).  ``out`` receives the dense
-    product in place (the sparse product allocates its own result and
-    ignores ``out``).
+    ``csr`` is a conversion of ``flat_x`` the caller already holds, or
+    ``None`` to build it here.
     """
-    if csr is _AUTO_CSR:
-        csr = _as_csr(flat_x)
     if csr is None:
-        if out is not None:
-            return np.matmul(flat_x, w_t, out=out)
-        return flat_x @ w_t
+        csr = _spike_csr(flat_x)
     return csr @ w_t
 
 
 def spike_outer(flat_dv: np.ndarray, flat_x: np.ndarray,
-                csr=_AUTO_CSR) -> np.ndarray:
+                csr=None) -> np.ndarray:
     """``flat_dv.T @ flat_x`` — the BPTT weight gradient contraction.
 
     ``flat_dv`` is the dense ``(batch*T, n_out)`` membrane adjoint and
-    ``flat_x`` the ``(batch*T, n_in)`` presynaptic spikes; when the spikes
-    are sparse the contraction runs as a CSC-dense product over the
-    nonzeros only.  ``csr`` follows the :func:`spike_matmul` convention:
-    a conversion the forward pass already paid for, ``None`` for "probed
-    and dense" (no re-probe), or the default to probe here.
+    ``flat_x`` the ``(batch*T, n_in)`` presynaptic spikes; the contraction
+    runs as a CSC-dense product over the spike events only.  ``csr``
+    follows the :func:`spike_matmul` convention.
     """
-    if csr is _AUTO_CSR:
-        csr = _as_csr(flat_x)
     if csr is None:
-        return flat_dv.T @ flat_x
+        csr = _spike_csr(flat_x)
     return np.ascontiguousarray((csr.T @ flat_dv).T)
 
 
@@ -286,10 +240,11 @@ def exp_scan_reverse(xs: np.ndarray, decay: float,
 
 # -- forward ----------------------------------------------------------------
 
-def _resolve_weight_override(layer, weight):
-    """Validate a per-layer weight override (``None`` = layer's own)."""
+def _resolve_weight_override(layer, weight) -> np.ndarray:
+    """The crossbar weight matrix of ``layer``: its own (``weight=None``)
+    or a shape-checked ``(n_out, n_in)`` override."""
     if weight is None:
-        return None
+        return layer.weight
     weight = np.asarray(weight)
     if weight.shape != layer.weight.shape:
         raise ShapeError(
@@ -298,10 +253,37 @@ def _resolve_weight_override(layer, weight):
     return weight
 
 
+def _per_layer_weights(network, weights) -> list:
+    """One weight override per layer (``None`` = the layer's own)."""
+    if weights is None:
+        return [None] * len(network.layers)
+    if len(weights) != len(network.layers):
+        raise ShapeError(
+            f"expected {len(network.layers)} weight overrides, "
+            f"got {len(weights)}")
+    return list(weights)
+
+
+def _zero_layer_state(layer, batch: int, dtype,
+                      zeros=np.zeros) -> dict[str, np.ndarray]:
+    """The fused engine's all-zero carried state for one layer.
+
+    Adaptive layers carry ``{"g", "h", "o"}``: the scanned crossbar drive
+    ``g[t]`` (eq. 9 applied after the matmul), the reset filter ``h[t]``
+    (eq. 8) and the last output spikes ``O[t]``.  Hard-reset layers carry
+    ``{"v"}``, the post-reset membrane.  All ``(batch, n_out)``.
+    """
+    keys = ("g", "h", "o") if layer.neuron_kind == "adaptive" else ("v",)
+    return {key: zeros((batch, layer.n_out), dtype) for key in keys}
+
+
 def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
-                        _csr=_AUTO_CSR, ws=None, weight=None
+                        _csr=None, ws=None, weight=None
                         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
+
+    The layer's kernel runs from a zero state; the final state is then
+    written back to the layer and its neuron.
 
     Parameters
     ----------
@@ -341,132 +323,159 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
     if xs.shape[2] != layer.n_in:
         raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
                          f"got {xs.shape[2]}")
-    weight = _resolve_weight_override(layer, weight)
-    if layer.neuron_kind == "adaptive":
-        return _fused_adaptive_forward(layer, xs, need_k, _csr, ws, weight)
-    return _fused_hard_reset_forward(layer, xs, _csr, ws, weight)
+    dtype = xs.dtype
+    batch, steps, n_in = xs.shape
+    if steps == 0:
+        layer.reset_state(batch, dtype=dtype)
+        empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
+        k = (np.zeros((batch, 0, n_in), dtype=dtype)
+             if need_k and layer.neuron_kind == "adaptive" else None)
+        return empty, k, empty.copy()
+
+    st = _zero_layer_state(layer, batch, dtype)
+    if layer.neuron_kind != "adaptive":
+        spikes, v = _hard_reset_forward(layer, xs, st, _csr, ws, weight)
+        # State parity with the step-wise path (whose reset_state zeroes
+        # the unused synapse-filter buffer for hard-reset layers).
+        layer.k = np.zeros((batch, n_in), dtype=dtype)
+        layer.neuron.v = st["v"]
+        return spikes, None, v
+
+    spikes, v = _adaptive_forward(layer, xs, st, _csr, ws, weight)
+    # Leave incremental state at the final step, like the step-wise path.
+    if need_k:
+        k = exp_scan(xs, layer.alpha, out=_ws_empty(ws, xs.shape, dtype))
+        layer.k = k[:, -1].copy()
+    else:
+        k = None
+        # Final filter state without the full trace: k[T-1] is the
+        # alpha^(T-1-t)-weighted sum of the inputs.
+        decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
+                                                dtype=np.float64)
+        layer.k = np.matmul(decay_powers.astype(dtype), xs)
+    layer.neuron.h = st["h"]
+    layer.neuron.last_output = st["o"]
+    return spikes, k, v
 
 
-def _layer_gv(layer_weight, xs, dtype, csr, ws, gain: float = 1.0):
+def _layer_gv(layer, xs, csr, ws, weight, gain: float = 1.0):
     """The crossbar product for every step at once: ``(batch, T, n_out)``.
 
-    Dense inputs multiply straight into a workspace buffer; sparse inputs
-    go through the CSR product (which allocates its own result — foreign
-    to the workspace, which release() tolerates).  ``csr`` follows the
-    :func:`spike_matmul` convention: a ready conversion, ``None`` for
-    "probed and dense" (no re-probe), or ``_AUTO_CSR`` to probe here.
+    ``csr`` is a ready conversion of the flattened input, or ``None`` to
+    build it here.  The CSR product allocates its own result — foreign to
+    the workspace, which ``release()`` tolerates.
     """
     batch, steps, n_in = xs.shape
-    n_out = layer_weight.shape[0]
-    w_t = _ws_empty(ws, (n_in, n_out), dtype)
-    np.copyto(w_t, layer_weight.T)
+    weight = _resolve_weight_override(layer, weight)
+    w_t = _ws_empty(ws, (n_in, weight.shape[0]), xs.dtype)
+    np.copyto(w_t, weight.T)
     if gain != 1.0:
-        w_t *= dtype.type(gain)
+        w_t *= xs.dtype.type(gain)
     flat_x = xs.reshape(batch * steps, n_in)
-    if csr is _AUTO_CSR:
-        csr = _as_csr(flat_x, ws)
     if csr is None:
-        gv = _ws_empty(ws, (batch, steps, n_out), dtype)
-        spike_matmul(flat_x, w_t, csr=None,
-                     out=gv.reshape(batch * steps, n_out))
-    else:
-        gv = np.ascontiguousarray(
-            spike_matmul(flat_x, w_t, csr=csr)
-        ).reshape(batch, steps, n_out)
+        csr = _spike_csr(flat_x, ws)
+    gv = np.ascontiguousarray(
+        spike_matmul(flat_x, w_t, csr=csr)).reshape(batch, steps, -1)
     _ws_release(ws, w_t)
     return gv
 
 
-def _fused_adaptive_forward(layer, xs, need_k, csr=_AUTO_CSR, ws=None,
-                            weight=None):
-    """Adaptive-threshold layer: sparse matmul -> scan -> threshold scan.
+def _adaptive_forward(layer, xs, st, csr=None, ws=None, weight=None,
+                      lengths=None, ends=None):
+    """One chunk of an adaptive-threshold layer, advancing ``st`` in place.
 
-    The synapse filter (eq. 9) and the crossbar product (eq. 7) are both
-    linear, so ``filter(x) @ W^T == filter(x @ W^T)``.  Evaluating the
-    matmul first keeps its input the *raw spikes* — a few-percent-dense
-    0/1 matrix that :func:`spike_matmul` contracts over nonzeros only —
-    and moves the scan from the wide ``n_in`` axis to the narrow ``n_out``
-    axis.
+    Sparse matmul -> drive scan -> threshold scan.  The synapse filter
+    (eq. 9) and the crossbar product (eq. 7) are both linear, so
+    ``filter(x) @ W^T == filter(x @ W^T)``.  Evaluating the matmul first
+    keeps its input the *raw spikes* — a few-percent-dense 0/1 matrix that
+    :func:`spike_matmul` contracts over events only — and moves the scan
+    from the wide ``n_in`` axis to the narrow ``n_out`` axis.
+
+    The drive scan is seeded with the carried ``g`` (see :func:`exp_scan`)
+    and the threshold loop with the carried ``h``/``o``; a zero state is
+    the fresh start of a one-shot run.  ``lengths``/``ends`` (from
+    :func:`_resolve_lengths`) capture each row's state at its own final
+    valid step.  Returns ``(spikes, v)``, both ``(batch, T, n_out)``.
     """
     dtype = xs.dtype
-    batch, steps, n_in = xs.shape
+    batch, steps, _ = xs.shape
     n_out = layer.n_out
     neuron = layer.neuron
-    alpha = layer.alpha
     theta = neuron.params.theta
     v_th = neuron.params.v_th
     beta = neuron.beta_r
-    if steps == 0:
-        layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((batch, 0, n_out), dtype=dtype)
-        k = np.zeros((batch, 0, n_in), dtype=dtype) if need_k else None
-        return empty, k, empty.copy()
 
-    # Crossbar product of the raw spikes for every step at once, then the
-    # synapse filter as an in-place scan over (batch, T, n_out).  ``gv``
-    # starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
-    gv = _layer_gv(layer.weight if weight is None else weight,
-                   xs, dtype, csr, ws)
-    exp_scan(gv, alpha, out=gv)
-
-    if need_k:
-        k = exp_scan(xs, alpha, out=_ws_empty(ws, xs.shape, dtype))
+    # ``gv`` starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
+    gv = _layer_gv(layer, xs, csr, ws, weight)
+    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
+    # The carry for the next chunk is the *scanned drive* at each row's
+    # final valid step — captured before the threshold loop rewrites
+    # ``gv`` into membrane values in place.
+    if lengths is None:
+        np.copyto(st["g"], gv[:, -1])
     else:
-        k = None
+        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
 
     spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    h = np.zeros((batch, n_out), dtype=dtype)
+    h = st["h"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
-    o_prev = None
+    h_final = o_final = None
+    if ends is not None:
+        h_final = _ws_empty(ws, (batch, n_out), dtype)
+        o_final = _ws_empty(ws, (batch, n_out), dtype)
+    o_prev = st["o"]
     for t in range(steps):
         # h[t] = beta*h[t-1] + O[t-1]   (eq. 8)
         h *= beta
-        if o_prev is not None:
-            h += o_prev
+        h += o_prev
         v_t = gv[:, t]
         np.multiply(h, theta, out=scratch)
         v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
         o_t = spikes[:, t]
         o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
         o_prev = o_t
-
-    # Leave incremental state at the final step, like the step-wise path.
-    if k is not None:
-        layer.k = k[:, -1].copy()
+        if ends is not None:
+            rows = ends.get(t)
+            if rows is not None:
+                h_final[rows] = h[rows]
+                o_final[rows] = o_t[rows]
+    if ends is None:
+        np.copyto(st["o"], spikes[:, -1])
     else:
-        # Final filter state without the full trace: k[T-1] is the
-        # alpha^(T-1-t)-weighted sum of the inputs.
-        decay_powers = alpha ** np.arange(steps - 1, -1, -1, dtype=np.float64)
-        layer.k = np.matmul(decay_powers.astype(dtype), xs)
-    neuron.h = h
-    neuron.last_output = spikes[:, -1].copy()
+        # Padded rows kept evolving the shared working ``h`` past their
+        # end; restore every row from its own captured snapshot.
+        np.copyto(st["h"], h_final)
+        np.copyto(st["o"], o_final)
+        _ws_release(ws, h_final, o_final)
     _ws_release(ws, scratch)
-    return spikes, k, gv
+    return spikes, gv
 
 
-def _fused_hard_reset_forward(layer, xs, csr=_AUTO_CSR, ws=None,
-                              weight=None):
-    """Hard-reset layer: batched matmul -> leaky-integrate/reset scan."""
+def _hard_reset_forward(layer, xs, st, csr=None, ws=None, weight=None,
+                        lengths=None, ends=None):
+    """One chunk of a hard-reset layer, advancing ``st`` (``{v}``) in place.
+
+    Sparse matmul -> leaky-integrate/reset scan; the discretisation gain
+    is folded into the weight so the scan is pure elementwise work.
+    ``lengths`` is unused (the carried ``v`` is captured per row through
+    ``ends``); it is accepted so both kernels share one signature.
+    Returns ``(spikes, v)`` with ``v`` the pre-reset membrane.
+    """
     dtype = xs.dtype
-    batch, steps, n_in = xs.shape
+    batch, steps, _ = xs.shape
     n_out = layer.n_out
     neuron = layer.neuron
     alpha = neuron.alpha
     v_th = neuron.params.v_th
-    if steps == 0:
-        layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((batch, 0, n_out), dtype=dtype)
-        return empty, None, empty.copy()
 
-    # Weighted input for every step at once (sparse over the raw spikes);
-    # fold the discretisation gain into the weight so the scan below is
-    # pure elementwise work.
-    gv = _layer_gv(layer.weight if weight is None else weight,
-                   xs, dtype, csr, ws, gain=float(neuron.input_gain))
-
+    gv = _layer_gv(layer, xs, csr, ws, weight,
+                   gain=float(neuron.input_gain))
     spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    v_post = np.zeros((batch, n_out), dtype=dtype)
+    v_post = st["v"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
+    v_final = None
+    if ends is not None:
+        v_final = _ws_empty(ws, (batch, n_out), dtype)
     for t in range(steps):
         v_t = gv[:, t]
         np.multiply(v_post, alpha, out=scratch)
@@ -475,13 +484,15 @@ def _fused_hard_reset_forward(layer, xs, csr=_AUTO_CSR, ws=None,
         o_t[...] = v_t >= v_th
         np.subtract(1.0, o_t, out=scratch)
         np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
-
-    # State parity with the step-wise path (whose reset_state zeroes the
-    # unused synapse-filter buffer for hard-reset layers).
-    layer.k = np.zeros((batch, n_in), dtype=dtype)
-    neuron.v = v_post
+        if ends is not None:
+            rows = ends.get(t)
+            if rows is not None:
+                v_final[rows] = v_post[rows]
+    if ends is not None:
+        np.copyto(st["v"], v_final)
+        _ws_release(ws, v_final)
     _ws_release(ws, scratch)
-    return spikes, None, gv
+    return spikes, gv
 
 
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
@@ -497,6 +508,10 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     layers' tensors are recycled as soon as the next layer has consumed
     them (the returned outputs stay checked out for the caller).
 
+    Each layer runs its kernel from a zero state
+    (:func:`fused_layer_forward`), so the outputs equal a stream of the
+    whole sequence as one chunk.
+
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
     the network's parameters — the batch-mode twin of
@@ -508,20 +523,16 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     from .layers import LayerStepRecord   # local import: avoids a cycle
     from .network import RunRecord
 
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    weights = _per_layer_weights(network, weights)
     x = inputs
     layer_records: list[LayerStepRecord] = []
     input_csrs = []
     spikes = inputs
-    for index, layer in enumerate(network.layers):
-        csr = _as_csr(x.reshape(-1, layer.n_in), ws)
+    for layer, weight in zip(network.layers, weights):
+        csr = _spike_csr(x.reshape(-1, layer.n_in), ws)
         input_csrs.append(csr)
-        spikes, k, v = fused_layer_forward(
-            layer, x, need_k=record, _csr=csr, ws=ws,
-            weight=None if weights is None else weights[index])
+        spikes, k, v = fused_layer_forward(layer, x, need_k=record,
+                                           _csr=csr, ws=ws, weight=weight)
         if record:
             layer_records.append(LayerStepRecord(k=k, v=v, spikes=spikes))
         elif ws is not None:
@@ -557,11 +568,9 @@ class StreamState:
     are not interchangeable, and :meth:`~repro.core.network.SpikingNetwork.
     run_stream` rejects a mismatch):
 
-    * ``engine="fused"`` — per adaptive layer ``{"g", "h", "o"}``: the
-      scanned crossbar drive ``g[t]`` (eq. 9 applied after the matmul),
-      the reset filter ``h[t]`` (eq. 8) and the last output spikes
-      ``O[t]``; per hard-reset layer ``{"v"}``: the post-reset membrane.
-      All in the stream's dtype.
+    * ``engine="fused"`` — the layout a one-shot fused run starts from
+      (:func:`_zero_layer_state`): per adaptive layer ``{"g", "h", "o"}``,
+      per hard-reset layer ``{"v"}``, all in the stream's dtype.
     * ``engine="step"`` — per adaptive layer ``{"k", "h", "o"}`` with
       ``k`` the *presynaptic* filter state the step path holds on the
       layer (the fused path's ``g = k W^T`` is algebraically equal but not
@@ -607,27 +616,19 @@ class StreamState:
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
         resolved = resolve_precision(precision) or np.dtype(dtype)
-        state_f64 = np.dtype(np.float64)
-        zeros = (np.zeros if ws is None
-                 else (lambda shape, dtype: ws.zeros(shape, dtype)))
+        zeros = np.zeros if ws is None else ws.zeros
         layers = []
         for layer in network.layers:
-            if layer.neuron_kind == "adaptive":
+            if engine == "fused":
+                arrays = _zero_layer_state(layer, batch, resolved, zeros)
+            elif layer.neuron_kind == "adaptive":
                 arrays = {
-                    ("g" if engine == "fused" else "k"): zeros(
-                        (batch, layer.n_out if engine == "fused"
-                         else layer.n_in), dtype=resolved),
-                    "h": zeros((batch, layer.n_out),
-                               dtype=resolved if engine == "fused"
-                               else state_f64),
-                    "o": zeros((batch, layer.n_out),
-                               dtype=resolved if engine == "fused"
-                               else state_f64),
+                    "k": zeros((batch, layer.n_in), resolved),
+                    "h": zeros((batch, layer.n_out), np.float64),
+                    "o": zeros((batch, layer.n_out), np.float64),
                 }
             else:
-                arrays = {"v": zeros((batch, layer.n_out),
-                                     dtype=resolved if engine == "fused"
-                                     else state_f64)}
+                arrays = {"v": zeros((batch, layer.n_out), np.float64)}
             layers.append(arrays)
         return cls(engine, resolved, batch, network.sizes,
                    tuple(layer.neuron_kind for layer in network.layers),
@@ -712,7 +713,9 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
 
     ``chunk`` is a validated ``(batch, T_chunk, n_in)`` array in the
     state's dtype (:meth:`~repro.core.network.SpikingNetwork.run_stream`
-    handles coercion).  ``state`` is advanced in place.  ``lengths``
+    handles coercion).  ``state`` is advanced in place by the same
+    per-layer kernels a one-shot :func:`fused_run` starts from a zero
+    state, so chunked and one-shot outputs are bitwise equal.  ``lengths``
     (optional, ``(batch,)`` ints in ``[1, T_chunk]``) marks each row's
     valid prefix in a padded chunk: rows still compute the padded tail
     (rejecting cross-row work would cost more than it saves) but their
@@ -728,33 +731,20 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     (quantized + noisy) weights — only the weight values differ, the
     dynamics are byte-for-byte the same code path.
 
-    Every crossbar product uses the CSR spike product unconditionally
-    (:func:`_as_csr_always`): CSR output rows are computed independently
-    in fixed index order, which makes the chunked/batched results
-    bitwise-equal to a one-shot fused run whose probe also picked CSR.
-    Without scipy the dense fallback keeps results correct to ulp-level
-    accumulation differences, but the bitwise guarantee lapses.
-
     Unlike :func:`fused_run`, the network's layer/neuron scratch state is
     left untouched — many concurrent streams share one resident network.
     """
     batch, steps, _ = chunk.shape
     lengths, ends = _resolve_lengths(lengths, batch, steps)
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    weights = _per_layer_weights(network, weights)
     if steps == 0:
         return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
     x = chunk
-    for index, (layer, st) in enumerate(zip(network.layers, state.layers)):
-        weight = None if weights is None else weights[index]
-        if layer.neuron_kind == "adaptive":
-            spikes = _stream_adaptive_forward(layer, x, st, lengths, ends,
-                                              ws, weight)
-        else:
-            spikes = _stream_hard_reset_forward(layer, x, st, lengths,
-                                                ends, ws, weight)
+    for layer, st, weight in zip(network.layers, state.layers, weights):
+        kernel = (_adaptive_forward if layer.neuron_kind == "adaptive"
+                  else _hard_reset_forward)
+        spikes, v = kernel(layer, x, st, None, ws, weight, lengths, ends)
+        _ws_release(ws, v)
         if ws is not None and x is not chunk:
             ws.release(x)
         x = spikes
@@ -763,123 +753,6 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     else:
         state.steps += lengths
     return x
-
-
-def _stream_gv(layer, xs, ws, gain: float = 1.0,
-               weight: np.ndarray | None = None) -> np.ndarray:
-    """The chunk's crossbar drive via the always-CSR product.
-
-    ``weight`` substitutes the layer's weight matrix (the hardware
-    override of :func:`run_streaming`); shape must match.
-    """
-    if weight is None:
-        weight = layer.weight
-    elif weight.shape != layer.weight.shape:
-        raise ShapeError(
-            f"{layer.name}: weight override shape {weight.shape} != "
-            f"{layer.weight.shape}")
-    batch, steps, n_in = xs.shape
-    flat_x = xs.reshape(batch * steps, n_in)
-    return _layer_gv(weight, xs, xs.dtype,
-                     _as_csr_always(flat_x, ws), ws, gain=gain)
-
-
-def _stream_adaptive_forward(layer, xs, st, lengths, ends, ws, weight=None):
-    """One chunk of an adaptive layer, carrying ``{g, h, o}`` across calls.
-
-    Op-for-op the same sequence as :func:`_fused_adaptive_forward` — the
-    drive scan seeded with the carried ``g`` (see :func:`exp_scan`) and
-    the threshold loop seeded with the carried ``h``/``o`` (zero carries
-    reproduce the one-shot first step exactly, because ``0*beta`` and
-    ``+= 0`` are bitwise no-ops on the all-positive-zero fresh state).
-    """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
-    neuron = layer.neuron
-    theta = neuron.params.theta
-    v_th = neuron.params.v_th
-    beta = neuron.beta_r
-
-    gv = _stream_gv(layer, xs, ws, weight=weight)
-    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
-    # The carry for the next chunk is the *scanned drive* at each row's
-    # final valid step — captured before the threshold loop rewrites
-    # ``gv`` into membrane values in place.
-    if lengths is None:
-        np.copyto(st["g"], gv[:, -1])
-    else:
-        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
-
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    h = st["h"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
-    h_final = o_final = None
-    if ends is not None:
-        h_final = _ws_empty(ws, (batch, n_out), dtype)
-        o_final = _ws_empty(ws, (batch, n_out), dtype)
-    o_prev = st["o"]
-    for t in range(steps):
-        h *= beta
-        h += o_prev
-        v_t = gv[:, t]
-        np.multiply(h, theta, out=scratch)
-        v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
-        o_t = spikes[:, t]
-        o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
-        o_prev = o_t
-        if ends is not None:
-            rows = ends.get(t)
-            if rows is not None:
-                h_final[rows] = h[rows]
-                o_final[rows] = o_t[rows]
-    if ends is None:
-        np.copyto(st["o"], spikes[:, -1])
-    else:
-        # Padded rows kept evolving the shared working ``h`` past their
-        # end; restore every row from its own captured snapshot.
-        np.copyto(st["h"], h_final)
-        np.copyto(st["o"], o_final)
-        _ws_release(ws, h_final, o_final)
-    _ws_release(ws, scratch, gv)
-    return spikes
-
-
-def _stream_hard_reset_forward(layer, xs, st, lengths, ends, ws,
-                               weight=None):
-    """One chunk of a hard-reset layer, carrying ``{v}`` across calls."""
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
-    neuron = layer.neuron
-    alpha = neuron.alpha
-    v_th = neuron.params.v_th
-
-    gv = _stream_gv(layer, xs, ws, gain=float(neuron.input_gain),
-                    weight=weight)
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    v_post = st["v"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
-    v_final = None
-    if ends is not None:
-        v_final = _ws_empty(ws, (batch, n_out), dtype)
-    for t in range(steps):
-        v_t = gv[:, t]
-        np.multiply(v_post, alpha, out=scratch)
-        v_t += scratch                    # v_pre[t] = alpha*v_post[t-1] + j[t]
-        o_t = spikes[:, t]
-        o_t[...] = v_t >= v_th
-        np.subtract(1.0, o_t, out=scratch)
-        np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
-        if ends is not None:
-            rows = ends.get(t)
-            if rows is not None:
-                v_final[rows] = v_post[rows]
-    if ends is not None:
-        np.copyto(st["v"], v_final)
-        _ws_release(ws, v_final)
-    _ws_release(ws, scratch, gv)
-    return spikes
 
 
 # -- backward ---------------------------------------------------------------
@@ -924,10 +797,7 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
             f"grad_outputs shape {grad_outputs.shape} != outputs {outputs.shape}"
         )
     dtype = resolve_precision(precision) or outputs.dtype
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    weights = _per_layer_weights(network, weights)
 
     grad_spikes = np.asarray(grad_outputs, dtype=dtype)
     cached_csrs = getattr(record, "_input_csrs", None)
@@ -936,26 +806,22 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
     for index in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[index]
         layer_record = record.layers[index]
-        override = _resolve_weight_override(
-            layer, None if weights is None else weights[index])
-        # Forward-pass conversions are authoritative: a cached CSR is
-        # reused, a cached None means the input was probed dense (skip
-        # re-probing).  Only a missing/incompatible cache re-probes.
-        csr = _AUTO_CSR
-        if cached_csrs is not None:
+        weight = _resolve_weight_override(layer, weights[index])
+        # Reuse the forward pass's conversion unless the backward runs at
+        # another precision (then the contraction rebuilds it).
+        csr = None
+        if cached_csrs is not None and cached_csrs[index].dtype == dtype:
             csr = cached_csrs[index]
-            if csr is not None and csr.dtype != dtype:
-                csr = _AUTO_CSR
         defer = index == 0 and need_input_grad
         if layer.neuron_kind == "adaptive":
             w_grad, grad_inputs_fn, retained = _fused_backward_adaptive(
                 layer, layer_record, record.layer_input(index),
-                grad_spikes, mode, dtype, csr, defer, ws, override,
+                grad_spikes, mode, dtype, csr, defer, ws, weight,
             )
         else:
             w_grad, grad_inputs_fn, retained = _fused_backward_hard_reset(
                 layer, layer_record, record.layer_input(index),
-                grad_spikes, dtype, csr, defer, ws, override,
+                grad_spikes, dtype, csr, defer, ws, weight,
             )
         weight_grads[index] = w_grad
         if index == 0:
@@ -982,8 +848,8 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
 
 
 def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
-                             mode, dtype, csr=_AUTO_CSR, defer=False,
-                             ws=None, override=None):
+                             mode, dtype, csr=None, defer=False,
+                             ws=None, weight=None):
     """Adaptive-layer adjoints with the matmuls hoisted out of the time loop.
 
     Sequential part (elementwise, reverse time)::
@@ -1052,8 +918,7 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
 
     # The adjoint matmuls traverse the weights the forward pass used: the
     # layer's own, or the caller's override (hardware-aware training).
-    weight = np.asarray(layer.weight if override is None else override,
-                        dtype=dtype)
+    weight = np.asarray(weight, dtype=dtype)
     if defer and weight is layer.weight:
         # The closure may be called after an in-place optimizer step;
         # snapshot the weights the forward pass actually used.
@@ -1081,8 +946,8 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
 
 
 def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
-                               grad_spikes, dtype, csr=_AUTO_CSR,
-                               defer=False, ws=None, override=None):
+                               grad_spikes, dtype, csr=None,
+                               defer=False, ws=None, weight=None):
     """Hard-reset adjoints with the matmuls hoisted (reset gate detached)."""
     params = layer.params
     alpha = layer.neuron.alpha
@@ -1113,8 +978,7 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
         dv_t += scratch
     _ws_release(ws, scratch)
 
-    weight = np.asarray(layer.weight if override is None else override,
-                        dtype=dtype)
+    weight = np.asarray(weight, dtype=dtype)
     if defer and weight is layer.weight:
         # Snapshot: the closure may run after an in-place optimizer step.
         weight = weight.copy()

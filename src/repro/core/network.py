@@ -261,8 +261,7 @@ class SpikingNetwork:
 
         Feeding a T-step sequence in chunks of any sizes produces
         bitwise-identical output spikes to the one-shot :meth:`run` of the
-        same engine (pinned in ``tests/unit/test_streaming.py``; for the
-        fused engine the guarantee needs scipy — see
+        same engine (pinned in ``tests/unit/test_streaming.py``; see
         :func:`~repro.core.engine.run_streaming`).  The stream's memory
         lives entirely in the returned state, never in the network — the
         fused engine leaves the layer/neuron scratch untouched, the step

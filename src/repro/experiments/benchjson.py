@@ -107,10 +107,13 @@ def _worker_sections(table: RunTable, kind: str) -> dict:
 
 
 def _aware_rows(table: RunTable) -> dict:
-    """ideal / hardware_aware / hardware_aware_noise + overhead ratios."""
-    ideal = _require(
-        _one(table, "train_step", workers=0, hardware="ideal"),
-        "an ideal serial train_step cell")
+    """ideal / hardware_aware / hardware_aware_noise + overhead ratios.
+
+    The ideal baseline is the serial ideal row of the scenario that holds
+    the aware rows, so all three ran under the same conditions.  The
+    overheads are ratios of ``min_ms``: one slow round drags a mean but
+    not a minimum.
+    """
     aware = noise = None
     for row in _rows(table, "train_step", workers=0):
         if row["hardware"] == "ideal":
@@ -119,16 +122,20 @@ def _aware_rows(table: RunTable) -> dict:
             aware = row
         elif row["hw_variation"] and noise is None:
             noise = row
+    aware = _require(aware, "a hardware-aware (variation 0) train_step cell")
+    ideal = _require(
+        _one(table, "train_step", workers=0, hardware="ideal",
+             scenario=aware["scenario"]),
+        f"an ideal serial train_step cell in scenario {aware['scenario']!r}")
     rows = {
         "ideal": _timing(ideal),
-        "hardware_aware": _timing(_require(
-            aware, "a hardware-aware (variation 0) train_step cell")),
+        "hardware_aware": _timing(aware),
         "hardware_aware_noise": _timing(_require(
             noise, "a hardware-aware-noise train_step cell")),
     }
-    base = rows["ideal"]["mean_ms"]
+    base = rows["ideal"]["min_ms"]
     for key in ("hardware_aware", "hardware_aware_noise"):
-        rows[f"overhead_{key}"] = round(rows[key]["mean_ms"] / base, 3)
+        rows[f"overhead_{key}"] = round(rows[key]["min_ms"] / base, 3)
     return rows
 
 

@@ -101,7 +101,7 @@ class ModelServer:
         The model to serve (weights are read at every tick, so hot-swapping
         weights in place between ticks is safe).
     engine:
-        ``"fused"`` (default; bitwise batching-transparency with scipy) or
+        ``"fused"`` (default; bitwise batching-transparency) or
         ``"step"`` (reference loop; correct but slower, and batching
         transparency only to BLAS rounding).
     precision:

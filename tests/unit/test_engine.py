@@ -78,7 +78,7 @@ def test_exp_scan_reverse_matches_filter_adjoint():
 
 def test_spike_matmul_matches_dense():
     rng = RandomState(3)
-    # Large enough to trigger the sparse path; includes event counts > 1.
+    # Includes event counts > 1.
     x = (rng.random((300, 80)) < 0.04).astype(np.float64)
     x[0, 0] = 3.0
     w_t = rng.normal(0, 1, (80, 16))

@@ -28,12 +28,7 @@ import pytest
 from repro.common import faults
 from repro.common.errors import CapacityError, StateError
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.serve import Fleet, ModelRegistry, ModelServer, TenantQuota
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="the fused engine requires scipy's CSR product")
 
 SIZES = (24, 20, 12)
 
@@ -89,8 +84,7 @@ def no_leaked_plan():
 
 
 class TestSingleReplicaEquivalence:
-    @pytest.mark.parametrize("engine", [
-        "step", pytest.param("fused", marks=needs_scipy)])
+    @pytest.mark.parametrize("engine", ["step", "fused"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_one_replica_fleet_is_bitwise_a_bare_server(
             self, engine, precision):
@@ -275,7 +269,6 @@ class TestCanaryRollout:
         finally:
             fleet.close()
 
-    @needs_scipy
     def test_divergent_shadow_canary_rolls_back_fenced(self):
         # The divergence-signal deployment: the canary serves the same
         # weights through a noisy hardware realization in shadow mode

@@ -24,7 +24,6 @@ import pytest
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.experiments import benchjson
 from repro.experiments.harness import (
     PRESETS,
@@ -40,10 +39,6 @@ from repro.experiments.scenario import (
     expand,
 )
 from repro.runtime import PoolCache
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="serving scenarios stream through the CSR fused path")
 
 
 class FakeTimer:
@@ -124,7 +119,6 @@ class TestRunTable:
             RunTable.from_csv_text(text)
 
 
-@needs_scipy
 class TestDeterminism:
     def test_same_seed_identical_table(self):
         a = run_scenarios(tiny_scenarios(seed=3), timer=FakeTimer())
@@ -218,7 +212,6 @@ class TestEnergyModel:
         assert modeled_energy_j(10, 7) == pytest.approx(70 * one)
 
 
-@needs_scipy
 class TestBenchJsonRoundTrip:
     """table -> CSV -> table -> BENCH_*.json matches in-memory conversion
     and the key structure the docs/CI consume."""
@@ -237,7 +230,7 @@ class TestBenchJsonRoundTrip:
             Scenario(name="train-step", kind="train_step",
                      sizes=(32, 16, 8), rounds=2, warmup=0),
             Scenario(name="train-step-aware", kind="train_step",
-                     hardware=(HardwareSpec(4, 0.0, 13),
+                     hardware=(None, HardwareSpec(4, 0.0, 13),
                                HardwareSpec(4, 0.1, 13)),
                      sizes=(32, 16, 8), rounds=2, warmup=0),
             Scenario(name="inference", kind="inference", sizes=(32, 16, 8),
@@ -326,6 +319,27 @@ class TestBenchJsonRoundTrip:
         assert set(report["train_step"]) == {
             "ideal", "hardware_aware", "hardware_aware_noise",
             "overhead_hardware_aware", "overhead_hardware_aware_noise"}
+
+    def test_aware_overhead_is_a_min_ratio_within_its_scenario(self):
+        """One outlier round moves neither overhead, and the baseline is
+        the aware scenario's own ideal row, not an earlier scenario's."""
+        table = RunTable()
+        cells = [("train-step", "ideal", None, 100.0, 101.0, 103.0),
+                 ("train-step-aware", "ideal", None, 110.0, 112.0, 115.0),
+                 ("train-step-aware", "hw4b0", 0.0, 113.0, 300.0, 1300.0),
+                 ("train-step-aware", "hw4b10", 0.1, 112.2, 114.0, 117.0)]
+        for scenario, hardware, variation, low, mean, high in cells:
+            table.append(run_id=f"{scenario}/{hardware}", scenario=scenario,
+                         kind="train_step", engine="fused",
+                         precision="float64", workers=0, hardware=hardware,
+                         hw_bits=None if variation is None else 4,
+                         hw_variation=variation, repetition=0, min_ms=low,
+                         mean_ms=mean, max_ms=high, rounds=10)
+        report = benchjson.aware_report(table, meta={})["train_step"]
+        assert report["ideal"]["min_ms"] == 110.0
+        assert report["overhead_hardware_aware"] == round(113.0 / 110.0, 3)
+        assert report["overhead_hardware_aware_noise"] == round(
+            112.2 / 110.0, 3)
 
     def test_missing_rows_fail_loudly(self):
         table = RunTable()
@@ -420,7 +434,6 @@ class TestChaosValidation:
         assert len({spec.run_id for spec in specs}) == 2
 
 
-@needs_scipy
 class TestChaosRuns:
     @staticmethod
     def scenario(seed=3):

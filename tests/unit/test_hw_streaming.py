@@ -11,10 +11,6 @@ plus the always-CSR crossbar product (the weight override changes weight
 *values* only, never the code path), and on the stream's weight
 realization being pinned once at open (``weight_list``'s generation-keyed
 cache / the ``read_noise_rng`` snapshot).
-
-The shapes sit above the one-shot fused engine's sparse-probe threshold
-so the bitwise claim is a theorem, not luck (asserted below, as in the
-software tests).
 """
 
 import numpy as np
@@ -22,7 +18,6 @@ import pytest
 
 from repro.common.errors import ConfigError, ShapeError, StateError
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.hardware import (
     HardwareMappedNetwork,
     HardwareProfile,
@@ -30,12 +25,6 @@ from repro.hardware import (
     accuracy_under_variation,
 )
 
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="fused bitwise streaming guarantee requires scipy's CSR product")
-
-#: Above the one-shot sparse-probe threshold at every layer (see
-#: tests/unit/test_streaming.py for the arithmetic).
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
 DENSITY = 0.08
@@ -71,23 +60,6 @@ def stream_in_chunks(mapped, x, chunk, precision=None, read_noise_rng=None):
 
 
 class TestChunkedHardwareEquivalence:
-    @needs_scipy
-    def test_shapes_exercise_the_sparse_path(self):
-        """The one-shot probe must pick CSR at every layer under the
-        *hardware* weights too (spike densities shift with the mapped
-        values) for the bitwise guarantee to hold."""
-        mapped = make_mapped()
-        x = make_inputs()
-        _, record = mapped.run(x, record=True)
-        layer_inputs = [x] + [rec.spikes for rec in record.layers[:-1]]
-        for index, arr in enumerate(layer_inputs):
-            flat = arr.reshape(-1, arr.shape[2])
-            assert flat.size >= engine_mod._SPARSE_MIN_SIZE, index
-            density = np.count_nonzero(flat) / flat.size
-            assert 0 < density <= engine_mod.SPARSE_DENSITY_THRESHOLD, (
-                index, density)
-
-    @needs_scipy
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("chunk", [1, 7, STEPS])
     def test_chunked_equals_one_shot(self, precision, chunk):
@@ -99,7 +71,6 @@ class TestChunkedHardwareEquivalence:
         assert np.array_equal(full, got)
         assert state.steps.tolist() == [STEPS] * BATCH
 
-    @needs_scipy
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("chunk", [1, 7, STEPS])
     def test_chunked_equals_one_shot_under_pinned_read_noise(
@@ -114,7 +85,6 @@ class TestChunkedHardwareEquivalence:
                                   read_noise_rng=7)
         assert np.array_equal(full, got)
 
-    @needs_scipy
     def test_hardware_differs_from_ideal(self):
         """Sanity: the mapped realization actually moves the outputs
         (otherwise every equivalence above would be vacuous)."""
@@ -196,7 +166,6 @@ class TestWeightProvider:
         with pytest.raises(ValueError):
             net.run_stream(x, engine="step", weights=list(net.weights))
 
-    @needs_scipy
     def test_override_with_own_weights_is_identity(self):
         """weights= with the network's own arrays must change nothing —
         the override substitutes values, not code paths."""

@@ -25,15 +25,10 @@ from repro import obs
 from repro.common import faults
 from repro.common.errors import StateError
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.experiments.harness import run_scenarios
 from repro.experiments.scenario import LoadSpec, Scenario
 from repro.serve import ModelServer
 from repro.serve.loadgen import open_loop
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="serving ticks stream through the CSR fused path")
 
 SIZES = (24, 20, 12)
 
@@ -73,7 +68,6 @@ def serve_some(telemetry, requests=3, **server_kwargs):
     return server, tickets
 
 
-@needs_scipy
 class TestServerLifecycleEvents:
     def test_ticket_chain_and_tick_span(self):
         telemetry = obs.Telemetry(clock=FakeClock())
@@ -137,7 +131,6 @@ class TestServerLifecycleEvents:
                                  for t in (2.0, 1.0, 0.0)]
 
 
-@needs_scipy
 class TestLoadgenReport:
     def test_report_carries_profiling_percentiles(self):
         telemetry = obs.Telemetry(clock=FakeClock())
@@ -173,7 +166,6 @@ class TestLoadgenReport:
         server.check_invariants()
 
 
-@needs_scipy
 class TestHarnessTraceDeterminism:
     @staticmethod
     def scenario(seed=0):

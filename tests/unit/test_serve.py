@@ -14,7 +14,6 @@ import pytest
 
 from repro.common.errors import CapacityError, SerializationError, StateError
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.core.trainer import run_in_batches
 from repro.serve import (
     MicroBatcher,
@@ -24,10 +23,6 @@ from repro.serve import (
     Ticket,
 )
 from repro.serve.loadgen import open_loop
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="bitwise batching transparency requires scipy's CSR product")
 
 SIZES = (24, 20, 12)
 
@@ -132,7 +127,6 @@ class TestMicroBatcher:
 
 
 class TestModelServer:
-    @needs_scipy
     def test_coalesced_sessions_match_solo_streams(self):
         net = make_net()
         server = ModelServer(net, max_batch=4, max_wait_ms=1.0)
@@ -153,7 +147,6 @@ class TestModelServer:
         assert server.stats["completed"] == 15
         assert server.stats["max_tick_batch"] <= 4
 
-    @needs_scipy
     def test_heterogeneous_chunk_lengths_in_one_tick(self):
         net = make_net()
         server = ModelServer(net, max_batch=8, max_wait_ms=1e6)
@@ -248,7 +241,6 @@ class TestHardwareServing:
         device = RRAMDeviceConfig(levels=16, variation=variation)
         return HardwareMappedNetwork(net, device, rng=seed)
 
-    @needs_scipy
     def test_hardware_ticks_match_solo_hardware_streams(self):
         net = make_net()
         mapped = self.make_mapped(net)
@@ -268,7 +260,6 @@ class TestHardwareServing:
             assert np.array_equal(solo[0],
                                   np.concatenate(got[sid], axis=0))
 
-    @needs_scipy
     def test_shadow_serves_ideal_and_reports_divergence(self):
         net = make_net()
         mapped = self.make_mapped(net, variation=0.4)
@@ -287,7 +278,6 @@ class TestHardwareServing:
         assert server.stats["shadow_chunks"] == 1
         assert server.session(sid).divergence_sum == pytest.approx(expected)
 
-    @needs_scipy
     def test_shadow_stream_carries_across_chunks(self):
         """The shadow state is a real stream: chunked shadow outputs must
         equal the solo hardware stream, chunk after chunk."""
@@ -453,7 +443,6 @@ class TestModelRegistry:
         assert registry.versions("m") == ["v0001"]
         assert [e["version"] for e in registry.list("m")] == ["v0001"]
 
-    @needs_scipy
     def test_from_registry_with_hardware_profile(self, tmp_path):
         from repro.hardware import HardwareProfile
 

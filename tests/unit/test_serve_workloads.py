@@ -20,7 +20,6 @@ import pytest
 from repro.common.errors import ExperimentError, ShapeError
 from repro.common.rng import RandomState
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.serve import ModelServer
 from repro.serve.loadgen import open_loop
 from repro.serve.workloads import (
@@ -31,10 +30,6 @@ from repro.serve.workloads import (
     WorkloadMix,
     make_workload,
 )
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="bitwise batching transparency requires scipy's CSR product")
 
 #: Small pools keep the sensor simulations fast; steps stay real-sized.
 POOL = dict(pool_size=2, pool_steps=40)
@@ -75,7 +70,6 @@ class TestWorkloads:
     @pytest.mark.parametrize("workload", workload_cases(),
                              ids=lambda w: w.name)
     def test_samples_are_spiking_and_shaped(self, workload):
-        pytest.importorskip("scipy")
         chunk = workload.sample(12, rng=RandomState(0))
         assert chunk.shape == (12, workload.channels)
         assert chunk.dtype == np.float64
@@ -88,7 +82,6 @@ class TestWorkloads:
     @pytest.mark.parametrize("workload_cls", [SpeechWorkload, DVSWorkload],
                              ids=["speech", "dvs"])
     def test_pool_deterministic_per_seed(self, workload_cls):
-        pytest.importorskip("scipy")
         a = workload_cls(seed=7, **POOL)
         b = workload_cls(seed=7, **POOL)
         assert all(np.array_equal(x, y) for x, y in zip(a.pool, b.pool))
@@ -97,7 +90,6 @@ class TestWorkloads:
                               b.sample(9, rng=RandomState(5)))
 
     def test_long_chunks_tile_the_pool(self):
-        pytest.importorskip("scipy")
         workload = DVSWorkload(seed=1, **POOL)
         steps = POOL["pool_steps"] * 2 + 5
         chunk = workload.sample(steps, rng=RandomState(2))
@@ -109,7 +101,6 @@ class TestWorkloads:
                          SyntheticWorkload(channels=784)])
 
     def test_mix_adapts_synthetic_to_fixed_component(self):
-        pytest.importorskip("scipy")
         mix = make_workload("glyph+synthetic", seed=0)
         assert mix.channels == 784
         chunk = mix.sample(8, rng=RandomState(3))
@@ -135,7 +126,6 @@ class TestWorkloads:
 class TestServingPaths:
     """Streamed == offline for each real workload — the tentpole checks."""
 
-    @needs_scipy
     @pytest.mark.parametrize("workload", workload_cases(),
                              ids=lambda w: w.name)
     def test_streamed_equals_offline(self, workload):
@@ -152,7 +142,6 @@ class TestServingPaths:
         assert np.array_equal(np.concatenate(streamed), offline)
         server.close()
 
-    @needs_scipy
     def test_coalesced_mixed_workloads_match_solo(self):
         """Chunks of different workloads coalesced into one tick equal
         each stream running alone — batching transparency holds for
@@ -175,7 +164,6 @@ class TestServingPaths:
 
 
 class TestOpenLoopWorkloads:
-    @needs_scipy
     @pytest.mark.parametrize("name", ["glyph", "glyph+synthetic"])
     def test_open_loop_with_real_workload(self, name):
         workload = make_workload(name, seed=0)
@@ -193,7 +181,6 @@ class TestOpenLoopWorkloads:
             with pytest.raises(ShapeError, match="2312.*24|channels"):
                 open_loop(server, requests=4, workload="dvs")
 
-    @needs_scipy
     def test_workload_none_keeps_legacy_chunks(self):
         """The default path is bitwise-unchanged: same rng, same report."""
         net = make_net(24)

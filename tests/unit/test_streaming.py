@@ -8,10 +8,9 @@ ended.
 
 For the fused engine the guarantee rests on the CSR spike product
 computing output rows independently (dense GEMM does not: BLAS picks
-different summation splits for different row counts).  The streaming path
-forces CSR; the one-shot probe picks it when the input is large and
-sparse enough — the equivalence shapes here sit above that threshold and
-``test_shapes_exercise_the_sparse_path`` pins the fact.
+different summation splits for different row counts).  Every fused run,
+one-shot or chunked, takes that product whatever the input's size or
+density, so a sample also gets the same bits alone as inside a batch.
 """
 
 import numpy as np
@@ -19,29 +18,23 @@ import pytest
 
 from repro.common.errors import ShapeError
 from repro.core import SpikingNetwork, StreamState, exp_scan
-from repro.core import engine as engine_mod
 
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="fused bitwise streaming guarantee requires scipy's CSR product")
-
-#: Above the one-shot sparse-probe threshold at every layer:
-#: 8*48*48 = 18432 and 8*48*44 = 16896, both >= _SPARSE_MIN_SIZE.
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
 DENSITY = 0.08
 
 
-def make_net(kind="adaptive", seed=1):
-    net = SpikingNetwork(SIZES, neuron_kind=kind, rng=seed)
+def make_net(kind="adaptive", seed=1, sizes=SIZES):
+    net = SpikingNetwork(sizes, neuron_kind=kind, rng=seed)
     for layer in net.layers:
         layer.weight *= 5.0
     return net
 
 
-def make_inputs(batch=BATCH, steps=STEPS, seed=0):
+def make_inputs(batch=BATCH, steps=STEPS, seed=0, density=DENSITY,
+                channels=SIZES[0]):
     rng = np.random.default_rng(seed)
-    return (rng.random((batch, steps, SIZES[0])) < DENSITY).astype(np.float64)
+    return (rng.random((batch, steps, channels)) < density).astype(np.float64)
 
 
 def stream_in_chunks(net, x, chunk, engine, precision):
@@ -55,36 +48,25 @@ def stream_in_chunks(net, x, chunk, engine, precision):
 
 
 class TestChunkedEquivalence:
-    @needs_scipy
-    def test_shapes_exercise_the_sparse_path(self):
-        """The one-shot fused probe must pick CSR at every layer for the
-        bitwise guarantee to be a theorem rather than luck."""
-        net = make_net()
-        x = make_inputs()
-        _, record = net.run(x, record=True)
-        layer_inputs = [x] + [rec.spikes for rec in record.layers[:-1]]
-        for index, arr in enumerate(layer_inputs):
-            flat = arr.reshape(-1, arr.shape[2])
-            assert flat.size >= engine_mod._SPARSE_MIN_SIZE, index
-            density = np.count_nonzero(flat) / flat.size
-            assert 0 < density <= engine_mod.SPARSE_DENSITY_THRESHOLD, (
-                index, density)
-
-    @needs_scipy
     @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
     @pytest.mark.parametrize("engine", ["fused", "step"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    @pytest.mark.parametrize("chunk", [1, 7, STEPS])
-    def test_chunked_equals_one_shot(self, kind, engine, precision, chunk):
+    @pytest.mark.parametrize("chunk, batch, density", [
+        pytest.param(chunk, batch, density, id=f"{chunk}{suffix}")
+        for batch, density, suffix in [(BATCH, DENSITY, ""),
+                                       (1, DENSITY, "-batch1"),
+                                       (BATCH, 0.5, "-dense")]
+        for chunk in (1, 7, STEPS)])
+    def test_chunked_equals_one_shot(self, kind, engine, precision, chunk,
+                                     batch, density):
         net = make_net(kind)
-        x = make_inputs()
+        x = make_inputs(batch=batch, density=density)
         full, _ = net.run(x, engine=engine, precision=precision)
         got, state = stream_in_chunks(net, x, chunk, engine, precision)
         assert got.dtype == full.dtype
         assert np.array_equal(full, got)
-        assert state.steps.tolist() == [STEPS] * BATCH
+        assert state.steps.tolist() == [STEPS] * batch
 
-    @needs_scipy
     @pytest.mark.parametrize("engine", ["fused", "step"])
     def test_irregular_chunk_boundaries(self, engine):
         net = make_net()
@@ -121,10 +103,33 @@ class TestChunkedEquivalence:
         assert np.array_equal(full, got)
 
 
+class TestBatchRowIndependence:
+    """A one-shot fused run gives a sample the same spikes and membrane
+    values alone as inside a batch: each CSR output row is a sum over that
+    row's own spike events, whatever the batch size."""
+
+    @pytest.mark.parametrize("sizes", [SIZES, (128, 64, 10),
+                                       (700, 128, 128, 20)],
+                             ids=lambda sizes: "-".join(map(str, sizes)))
+    @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_sample_alone_equals_sample_in_batch(self, precision, kind,
+                                                 sizes):
+        net = make_net(kind, sizes=sizes)
+        x = make_inputs(channels=sizes[0])
+        _, batched = net.run(x, record=True, precision=precision)
+        for i in range(BATCH):
+            _, alone = net.run(x[i:i + 1], record=True, precision=precision)
+            for index, (solo, rec) in enumerate(zip(alone.layers,
+                                                    batched.layers)):
+                assert np.array_equal(solo.spikes[0], rec.spikes[i]), (
+                    i, index)
+                assert np.array_equal(solo.v[0], rec.v[i]), (i, index)
+
+
 class TestPaddedHeterogeneousBatch:
     """The micro-batcher primitive: gathered rows + per-row lengths."""
 
-    @needs_scipy
     def test_padded_batch_matches_solo_streams(self):
         net = make_net()
         rng = np.random.default_rng(3)

@@ -36,7 +36,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 
 from repro.core import SpikingNetwork  # noqa: E402
-from repro.core import engine as engine_mod  # noqa: E402
 
 AVAILABILITY_FLOOR = 0.95
 
@@ -60,20 +59,13 @@ def make_chunk(steps: int = 6, seed: int = 0,
     return (rng.random((steps, SIZES[0])) < density).astype(np.float64)
 
 
-def _engines() -> list[str]:
-    engines = ["step"]
-    if engine_mod._sparse is not None:
-        engines.append("fused")
-    return engines
-
-
 def equivalence_gate() -> list[str]:
     """1-replica fleet outputs bitwise == bare server, per engine."""
     from repro.serve import Fleet, ModelServer
 
     errors = []
     chunks = [make_chunk(seed=i) for i in range(4)]
-    for engine in _engines():
+    for engine in ("step", "fused"):
         server = ModelServer(make_net(), engine=engine, max_batch=4,
                              max_wait_ms=0.0)
         try:
