@@ -58,7 +58,7 @@ chaos-smoke:
 obs-smoke:
 	$(PYTHON) tools/obs_smoke.py --trace-dir traces
 
-## fleet gates: 1-replica equivalence, tenant isolation, canary rollout
+## fleet gates: tenant isolation, canary rollout, per-tenant table rows
 fleet-smoke:
 	$(PYTHON) tools/fleet_smoke.py --table run_table.csv --trace-dir traces/fleet
 

@@ -564,21 +564,9 @@ class StreamState:
     one-shot :meth:`~repro.core.network.SpikingNetwork.run` in
     ``tests/unit/test_streaming.py``).
 
-    The representation is engine-specific (states from different engines
-    are not interchangeable, and :meth:`~repro.core.network.SpikingNetwork.
-    run_stream` rejects a mismatch):
-
-    * ``engine="fused"`` — the layout a one-shot fused run starts from
-      (:func:`_zero_layer_state`): per adaptive layer ``{"g", "h", "o"}``,
-      per hard-reset layer ``{"v"}``, all in the stream's dtype.
-    * ``engine="step"`` — per adaptive layer ``{"k", "h", "o"}`` with
-      ``k`` the *presynaptic* filter state the step path holds on the
-      layer (the fused path's ``g = k W^T`` is algebraically equal but not
-      bitwise, hence the split representation); per hard-reset layer
-      ``{"v"}``.  ``h``/``o``/``v`` are kept float64 regardless of the
-      stream dtype because the step path's membrane math runs against the
-      float64 weights (zero-initialised state makes the first-step values
-      identical either way).
+    Per adaptive layer the state holds ``{"g", "h", "o"}`` and per
+    hard-reset layer ``{"v"}`` — the layout a one-shot fused run starts
+    from (:func:`_zero_layer_state`) — all in the stream's dtype.
 
     Instances are plain data: they never reference the network (a server
     holds thousands of them per resident model) and the network's own
@@ -587,10 +575,8 @@ class StreamState:
     single-session states into one batched state via :meth:`copy_row`.
     """
 
-    def __init__(self, engine: str, dtype, batch: int,
-                 sizes: tuple, kinds: tuple,
+    def __init__(self, dtype, batch: int, sizes: tuple, kinds: tuple,
                  layers: list[dict[str, np.ndarray]]):
-        self.engine = engine
         self.dtype = np.dtype(dtype)
         self.batch = int(batch)
         self.sizes = tuple(sizes)
@@ -600,8 +586,8 @@ class StreamState:
         self.steps = np.zeros(self.batch, dtype=np.int64)
 
     @classmethod
-    def for_network(cls, network, batch: int, engine: str = "fused",
-                    precision=None, dtype=np.float64, ws=None) -> "StreamState":
+    def for_network(cls, network, batch: int, precision=None,
+                    dtype=np.float64, ws=None) -> "StreamState":
         """A fresh (all-zero) state for ``batch`` independent streams.
 
         ``ws`` optionally serves the state arrays from a
@@ -610,27 +596,13 @@ class StreamState:
         serving tick's gather state); session-lived states use plain
         allocation.
         """
-        if engine not in ("fused", "step"):
-            raise ValueError(
-                f"engine must be 'fused' or 'step', got {engine!r}")
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
         resolved = resolve_precision(precision) or np.dtype(dtype)
         zeros = np.zeros if ws is None else ws.zeros
-        layers = []
-        for layer in network.layers:
-            if engine == "fused":
-                arrays = _zero_layer_state(layer, batch, resolved, zeros)
-            elif layer.neuron_kind == "adaptive":
-                arrays = {
-                    "k": zeros((batch, layer.n_in), resolved),
-                    "h": zeros((batch, layer.n_out), np.float64),
-                    "o": zeros((batch, layer.n_out), np.float64),
-                }
-            else:
-                arrays = {"v": zeros((batch, layer.n_out), np.float64)}
-            layers.append(arrays)
-        return cls(engine, resolved, batch, network.sizes,
+        layers = [_zero_layer_state(layer, batch, resolved, zeros)
+                  for layer in network.layers]
+        return cls(resolved, batch, network.sizes,
                    tuple(layer.neuron_kind for layer in network.layers),
                    layers)
 
@@ -656,9 +628,10 @@ class StreamState:
                  source_row: int) -> None:
         """Copy one stream's state from ``source[source_row]`` into
         ``self[row]`` — the serving gather/scatter primitive."""
-        if (source.engine != self.engine or source.sizes != self.sizes
+        if (source.dtype != self.dtype or source.sizes != self.sizes
                 or source.kinds != self.kinds):
-            raise ValueError("cannot copy state rows across stream kinds")
+            raise ValueError("cannot copy state rows across dtypes, "
+                             "architectures or neuron kinds")
         for mine, theirs in zip(self.layers, source.layers):
             for key, arr in mine.items():
                 arr[row] = theirs[key][source_row]
@@ -667,7 +640,7 @@ class StreamState:
     def clone(self) -> "StreamState":
         """An independent deep copy (e.g. for forking a stream)."""
         twin = StreamState(
-            self.engine, self.dtype, self.batch, self.sizes, self.kinds,
+            self.dtype, self.batch, self.sizes, self.kinds,
             [{key: arr.copy() for key, arr in layer.items()}
              for layer in self.layers])
         twin.steps = self.steps.copy()
@@ -675,7 +648,7 @@ class StreamState:
 
     def __repr__(self) -> str:
         arch = "-".join(str(s) for s in self.sizes)
-        return (f"StreamState({arch}, engine={self.engine!r}, "
+        return (f"StreamState({arch}, "
                 f"batch={self.batch}, dtype={self.dtype.name}, "
                 f"steps={self.steps.tolist()})")
 

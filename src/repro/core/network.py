@@ -244,29 +244,29 @@ class SpikingNetwork:
         return outputs, run_record
 
     # -- streaming -----------------------------------------------------------
-    def new_stream_state(self, batch_size: int, engine: str = "fused",
-                         precision: str | None = None,
+    def new_stream_state(self, batch_size: int, precision: str | None = None,
                          dtype=np.float64) -> StreamState:
         """A fresh :class:`~repro.core.engine.StreamState` for ``batch_size``
         independent streams (see :meth:`run_stream`)."""
-        return StreamState.for_network(self, batch_size, engine=engine,
-                                       precision=precision, dtype=dtype)
+        return StreamState.for_network(self, batch_size, precision=precision,
+                                       dtype=dtype)
 
     def run_stream(self, chunk: np.ndarray, state: StreamState | None = None,
-                   engine: str | None = None, precision: str | None = None,
-                   workspace=None, lengths=None, weights=None
+                   precision: str | None = None, workspace=None,
+                   lengths=None, weights=None
                    ) -> tuple[np.ndarray, StreamState]:
         """Consume one chunk of a live spike stream; returns
         ``(outputs, state)``.
 
         Feeding a T-step sequence in chunks of any sizes produces
-        bitwise-identical output spikes to the one-shot :meth:`run` of the
-        same engine (pinned in ``tests/unit/test_streaming.py``; see
-        :func:`~repro.core.engine.run_streaming`).  The stream's memory
-        lives entirely in the returned state, never in the network — the
-        fused engine leaves the layer/neuron scratch untouched, the step
-        engine borrows it during the call and captures the result back —
-        so any number of concurrent streams share one resident network.
+        bitwise-identical output spikes to the one-shot fused :meth:`run`
+        (pinned in ``tests/unit/test_streaming.py``; see
+        :func:`~repro.core.engine.run_streaming`).  Every stream runs the
+        fused engine's kernels; the step-wise reference is one-shot only
+        (``run(engine="step")``).  The stream's memory lives entirely in
+        the returned state, never in the network — the layer/neuron
+        scratch is left untouched — so any number of concurrent streams
+        share one resident network.
 
         Parameters
         ----------
@@ -277,14 +277,13 @@ class SpikingNetwork:
             The :class:`~repro.core.engine.StreamState` returned by the
             previous call (advanced in place and returned), or ``None`` to
             open a new stream.
-        engine, precision:
-            Fix the stream's engine (``"fused"`` default / ``"step"``) and
-            dtype when opening it; on an existing state they must match
-            (the state representation is engine- and dtype-specific).
+        precision:
+            Fix the stream's dtype when opening it; on an existing state it
+            must match the state's dtype.
         workspace:
-            Optional :class:`~repro.runtime.workspace.Workspace` the fused
-            engine checks chunk buffers out of; the returned outputs then
-            belong to the workspace's owner.  Ignored by ``engine="step"``.
+            Optional :class:`~repro.runtime.workspace.Workspace` the engine
+            checks chunk buffers out of; the returned outputs then belong
+            to the workspace's owner.
         lengths:
             Optional ``(batch,)`` ints marking each row's valid prefix of
             a padded chunk (the serving micro-batcher's gather format):
@@ -297,26 +296,17 @@ class SpikingNetwork:
             untouched.  Hardware-in-the-loop serving streams the resident
             software network with the crossbars' achieved weights this
             way (see :class:`~repro.hardware.mapped_network.
-            HardwareMappedNetwork.run_stream`).  Fused engine only.
+            HardwareMappedNetwork.run_stream`).
         """
         if state is None:
-            if engine is None:
-                engine = "fused"
             resolved = resolve_precision(precision) or np.dtype(np.float64)
         else:
-            if engine is not None and engine != state.engine:
-                raise ValueError(
-                    f"stream state carries engine={state.engine!r}, "
-                    f"cannot continue it with engine={engine!r}")
-            engine = state.engine
             resolved = state.dtype
             requested = resolve_precision(precision)
             if requested is not None and requested != resolved:
                 raise ValueError(
                     f"stream state carries dtype {resolved.name}, "
                     f"cannot continue it with precision={precision!r}")
-        if engine not in ("fused", "step"):
-            raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
         chunk = np.asarray(chunk, dtype=resolved)
         if chunk.ndim != 3:
             raise ShapeError(f"expected (batch, T, n_in), got {chunk.shape}")
@@ -326,7 +316,7 @@ class SpikingNetwork:
             )
         batch = chunk.shape[0]
         if state is None:
-            state = self.new_stream_state(batch, engine=engine, dtype=resolved)
+            state = self.new_stream_state(batch, dtype=resolved)
         else:
             if not state.compatible_with(self):
                 raise ShapeError(
@@ -336,70 +326,13 @@ class SpikingNetwork:
                 raise ShapeError(
                     f"stream state carries {state.batch} streams, "
                     f"got a chunk of {batch}")
-        if engine == "fused":
-            with _obs.timed_span("engine.run_stream",
-                                 metric="engine.run_stream_ms",
-                                 engine=engine, batch=batch,
-                                 steps=int(chunk.shape[1])):
-                outputs = run_streaming(self, chunk, state, lengths=lengths,
-                                        ws=workspace, weights=weights)
-            return outputs, state
-        if weights is not None:
-            raise ValueError(
-                "weight overrides are a fused-engine feature (the step "
-                "path reads layer.weight directly)")
         with _obs.timed_span("engine.run_stream",
                              metric="engine.run_stream_ms",
-                             engine=engine, batch=batch,
+                             engine="fused", batch=batch,
                              steps=int(chunk.shape[1])):
-            outputs = self._run_stream_step(chunk, state, lengths)
+            outputs = run_streaming(self, chunk, state, lengths=lengths,
+                                    ws=workspace, weights=weights)
         return outputs, state
-
-    def _run_stream_step(self, chunk: np.ndarray,
-                         state: StreamState, lengths) -> np.ndarray:
-        """Step-engine streaming: install the carried state, advance the
-        per-step reference loop without resetting, capture it back."""
-        from .engine import _resolve_lengths
-
-        batch, steps, _ = chunk.shape
-        dtype = state.dtype
-        lengths, ends = _resolve_lengths(lengths, batch, steps)
-        outputs = np.zeros((batch, steps, self.sizes[-1]), dtype=dtype)
-        if steps == 0:
-            return outputs
-        # Install: ``step`` rebinds (never mutates) these arrays, so the
-        # state's own buffers are safe to hand over directly.
-        for layer, st in zip(self.layers, state.layers):
-            if layer.neuron_kind == "adaptive":
-                layer.k = st["k"]
-            else:
-                layer.k = np.zeros((batch, layer.n_in), dtype=dtype)
-            layer.neuron.load_stream_state(st)
-
-        for t in range(steps):
-            spikes = chunk[:, t, :]
-            for layer in self.layers:
-                spikes, _ = layer.step(spikes)
-            outputs[:, t, :] = spikes
-            if ends is not None:
-                rows = ends.get(t)
-                if rows is not None:
-                    for layer, st in zip(self.layers, state.layers):
-                        if layer.neuron_kind == "adaptive":
-                            st["k"][rows] = layer.k[rows]
-                        for key, live in layer.neuron.stream_state().items():
-                            st[key][rows] = live[rows]
-        if ends is None:
-            for layer, st in zip(self.layers, state.layers):
-                if layer.neuron_kind == "adaptive":
-                    np.copyto(st["k"], layer.k)
-                for key, live in layer.neuron.stream_state().items():
-                    np.copyto(st[key], live)
-        if lengths is None:
-            state.steps += steps
-        else:
-            state.steps += lengths
-        return outputs
 
     # -- parameters ------------------------------------------------------------
     @property

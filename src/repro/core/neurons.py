@@ -134,29 +134,6 @@ class AdaptiveLIFNeuron:
         self.last_output = spikes
         return spikes, v
 
-    def stream_state(self) -> dict:
-        """The live carry arrays under their stream-state keys.
-
-        Used by the step-engine streaming path
-        (:meth:`~repro.core.network.SpikingNetwork.run_stream`) to capture
-        neuron state into an external
-        :class:`~repro.core.engine.StreamState` after a chunk; the
-        returned dict holds the *live* arrays, not copies.
-        """
-        if self.h is None or self.last_output is None:
-            raise StateError("neuron state not initialised")
-        return {"h": self.h, "o": self.last_output}
-
-    def load_stream_state(self, arrays: dict) -> None:
-        """Install carry arrays saved by :meth:`stream_state`.
-
-        The arrays are adopted by reference — safe because :meth:`step`
-        rebinds (never mutates) them.  Extra keys (e.g. the layer-level
-        ``"k"``) are ignored.
-        """
-        self.h = arrays["h"]
-        self.last_output = arrays["o"]
-
     def adaptive_threshold(self) -> np.ndarray:
         """Current effective threshold ``Vth + theta*h[t]`` (eq. 12 view)."""
         if self.h is None:
@@ -251,18 +228,6 @@ class HardResetLIFNeuron:
         # Hard reset to v_rest = 0 (paper eq. 1b): history is destroyed.
         self.v = v_pre * (1.0 - spikes)
         return spikes, v_pre
-
-    def stream_state(self) -> dict:
-        """The live membrane carry under its stream-state key (see
-        :meth:`AdaptiveLIFNeuron.stream_state`)."""
-        if self.v is None:
-            raise StateError("neuron state not initialised")
-        return {"v": self.v}
-
-    def load_stream_state(self, arrays: dict) -> None:
-        """Install a membrane carry saved by :meth:`stream_state` (adopted
-        by reference; :meth:`step` rebinds, never mutates)."""
-        self.v = arrays["v"]
 
     def __repr__(self) -> str:
         return (f"HardResetLIFNeuron(n={self.n}, params={self.params}, "

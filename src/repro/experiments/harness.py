@@ -261,7 +261,7 @@ def _run_serving(spec: RunSpec, ctx: _HarnessContext) -> dict:
             bits=spec.hardware.bits, variation=spec.hardware.variation,
             seed=spec.hardware.seed).build(net)
     server = ModelServer(
-        net, engine=spec.engine, precision=spec.precision,
+        net, precision=spec.precision,
         max_batch=scenario.max_batch, max_wait_ms=scenario.max_wait_ms,
         queue_limit=scenario.queue_limit, hardware=hardware,
         shadow=spec.hardware.shadow if spec.hardware else False,
@@ -348,7 +348,7 @@ def _run_fleet(spec: RunSpec, ctx: _HarnessContext) -> dict:
             bits=spec.hardware.bits, variation=spec.hardware.variation,
             seed=spec.hardware.seed).build(net)
     fleet = Fleet(
-        net, replicas=scenario.replicas, engine=spec.engine,
+        net, replicas=scenario.replicas,
         precision=spec.precision, max_batch=scenario.max_batch,
         max_wait_ms=scenario.max_wait_ms,
         queue_limit=scenario.queue_limit, hardware=hardware,
@@ -612,14 +612,14 @@ def serving_scenarios(loads: tuple = SERVING_LOADS) -> list:
 def smoke_scenarios() -> list:
     """The CI seconds-scale grid: every kind touched, tiny shapes.
 
-    The serving block is the acceptance grid — 2 engines x 2 workloads
-    (synthetic + a real sensor workload, DVS) x 1 repetition — plus a
-    speech+synthetic mix cell so a mixed arrival stream stays exercised.
+    The serving block is the acceptance grid — the fused engine x 2
+    workloads (synthetic + a real sensor workload, DVS) x 1 repetition —
+    plus a speech+synthetic mix cell so a mixed arrival stream stays
+    exercised.
     """
     smoke_load = (LoadSpec("smoke", 500.0, 40),)
     return [
         Scenario(name="smoke-serving", kind="serving",
-                 engines=("fused", "step"),
                  workloads=("synthetic", "dvs"), loads=smoke_load,
                  sizes=(700, 32, 16), sessions=8, chunk_steps=8),
         Scenario(name="smoke-serving-mix", kind="serving",

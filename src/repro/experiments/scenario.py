@@ -310,13 +310,11 @@ class Scenario:
                 f"scenario {self.name!r}: kind {self.kind!r} has no "
                 "hardware factor; sweep hardware via train_step, "
                 "variation, or serving scenarios")
-        if self.kind in SERVING_KINDS \
-                and any(spec is not None for spec in self.hardware) \
-                and "step" in self.engines:
+        if self.kind in SERVING_KINDS and "step" in self.engines:
             raise ExperimentError(
-                f"scenario {self.name!r}: hardware serving rides the fused "
-                "engine's weight override; drop 'step' from engines or "
-                "split the scenario")
+                f"scenario {self.name!r}: every stream runs the fused "
+                "engine; the step engine is a one-shot oracle (forward/"
+                "backward kinds), so drop 'step' from engines")
         if self.kind == "variation" \
                 and any(spec is None for spec in self.hardware):
             raise ExperimentError(
@@ -371,12 +369,6 @@ class Scenario:
                     f"scenario {self.name!r}: canary_hardware without a "
                     "canary_weight would deploy a generation that gets "
                     "no traffic")
-            if self.canary_hardware is not None \
-                    and "step" in self.engines:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: a hardware canary rides the "
-                    "fused engine's weight override; drop 'step' from "
-                    "engines or split the scenario")
             tenant_ids = [tenant.id for tenant in self.tenants]
             if len(set(tenant_ids)) != len(tenant_ids):
                 raise ExperimentError(

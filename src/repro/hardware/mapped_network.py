@@ -187,8 +187,8 @@ class HardwareMappedNetwork:
         :meth:`run` under the same seed.
         """
         weights = self.weight_list(read_noise_rng)
-        state = self.hardware_network.new_stream_state(
-            batch, engine="fused", precision=precision)
+        state = self.hardware_network.new_stream_state(batch,
+                                                       precision=precision)
         return HardwareStreamState(state, weights, self.generation())
 
     def run_stream(self, chunk: np.ndarray,

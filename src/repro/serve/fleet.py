@@ -208,9 +208,10 @@ class Fleet:
     """N ``ModelServer`` replicas behind one routed, quota'd front door.
 
     Parameters mirror :class:`~repro.serve.server.ModelServer` where they
-    configure the replicas (``engine``, ``precision``, ``max_batch``,
-    ``max_wait_ms``, ``queue_limit``, ``hardware``, ``shadow``,
-    ``request_ttl_ms``, ``shadow_threshold``); the rest are fleet-level:
+    configure the replicas (``precision``, ``max_batch``, ``max_wait_ms``,
+    ``queue_limit``, ``hardware``, ``shadow``, ``request_ttl_ms``,
+    ``shadow_threshold``); the rest are fleet-level.  Every replica
+    streams on the fused engine.
 
     ``replicas``
         Primary-generation replica count (>= 1).  All replicas of a
@@ -235,7 +236,7 @@ class Fleet:
         promote/rollback decision reads.
     """
 
-    def __init__(self, network, *, replicas: int = 2, engine: str = "fused",
+    def __init__(self, network, *, replicas: int = 2,
                  precision: str = "float64", max_batch: int = 8,
                  max_wait_ms: float = 2.0, queue_limit: int = 64,
                  hardware=None, shadow: bool = False,
@@ -263,7 +264,7 @@ class Fleet:
         self._event = (self.telemetry.tracer.event
                        if self.telemetry is not None else _noop_event)
         self._server_kwargs = dict(
-            engine=engine, precision=precision, max_batch=max_batch,
+            precision=precision, max_batch=max_batch,
             max_wait_ms=max_wait_ms, queue_limit=queue_limit,
             request_ttl_ms=request_ttl_ms, session_ttl_s=None,
             shadow_threshold=shadow_threshold)

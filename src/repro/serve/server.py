@@ -17,8 +17,9 @@ micro-batcher says one is due:
 4. **scatter** — copy each advanced state row back to its session and
    complete its ticket with the row's valid output slice.
 
-With the fused engine the gather/scatter is bitwise-transparent: a session
-receives exactly the spikes it would have received streaming alone,
+Every stream runs the fused engine, so the gather/scatter is
+bitwise-transparent: a session receives exactly the spikes it would have
+received streaming alone,
 regardless of which other sessions shared its ticks (the CSR product
 computes rows independently — see ``docs/serving.md``).
 
@@ -101,9 +102,10 @@ class ModelServer:
         The model to serve (weights are read at every tick, so hot-swapping
         weights in place between ticks is safe).
     engine:
-        ``"fused"`` (default; bitwise batching-transparency) or
-        ``"step"`` (reference loop; correct but slower, and batching
-        transparency only to BLAS rounding).
+        Only ``"fused"`` (the default): every stream runs the fused
+        engine, whose batching is bitwise-transparent.  Any other value
+        raises ``ValueError``; the step-wise reference is one-shot only,
+        ``network.run(x, engine="step")``.
     precision:
         ``"float64"`` (default) or ``"float32"`` for stream state and
         outputs.
@@ -118,8 +120,7 @@ class ModelServer:
         weights into the crossbar products (re-read through the mapped
         network's generation-keyed cache, so a ``reprogram()`` between
         ticks hot-swaps the served realization exactly like swapping
-        ideal weights does).  Requires ``engine="fused"`` — the override
-        is a fused-engine hook.
+        ideal weights does).
     shadow:
         Serve the *ideal* model but also advance a hardware shadow stream
         per session on the same chunks, recording per-chunk output
@@ -171,21 +172,19 @@ class ModelServer:
                  shadow_threshold: int = 3, clock=time.monotonic,
                  instance: str | None = None,
                  telemetry: _obs.Telemetry | None = None):
-        if engine not in ("fused", "step"):
-            raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
+        if engine != "fused":
+            raise ValueError(
+                f"ModelServer streams on the fused engine only, got "
+                f"engine={engine!r}; the step-wise reference is one-shot: "
+                f"network.run(x, engine=\"step\")")
         if shadow and hardware is None:
             raise ValueError("shadow mode needs a hardware-mapped network "
                              "to shadow (pass hardware=)")
-        if hardware is not None:
-            if engine != "fused":
-                raise ValueError(
-                    "hardware serving rides the fused engine's weight "
-                    "override; engine='step' cannot host it")
-            if hardware.software_network is not network:
-                raise ValueError(
-                    "hardware was mapped from a different network object; "
-                    "map it from the served network so the realization "
-                    "matches the model")
+        if hardware is not None and hardware.software_network is not network:
+            raise ValueError(
+                "hardware was mapped from a different network object; "
+                "map it from the served network so the realization "
+                "matches the model")
         if request_ttl_ms is not None and request_ttl_ms <= 0:
             raise ValueError(
                 f"request_ttl_ms must be > 0, got {request_ttl_ms}")
@@ -196,7 +195,6 @@ class ModelServer:
             raise ValueError(
                 f"shadow_threshold must be >= 1, got {shadow_threshold}")
         self.network = network
-        self.engine = engine
         self.hardware = hardware
         self.shadow = bool(shadow)
         self.request_ttl = (None if request_ttl_ms is None
@@ -368,14 +366,13 @@ class ModelServer:
         now = self.clock() if now is None else now
         self._session_seq += 1
         session_id = f"s{self._session_seq:06d}"
-        state = StreamState.for_network(self.network, 1, engine=self.engine,
-                                        dtype=self.dtype)
+        state = StreamState.for_network(self.network, 1, dtype=self.dtype)
         shadow_state = None
         if self.shadow:
             # Same architecture, same dtype — only the weights differ at
             # tick time, so the shadow state is an ordinary stream state.
-            shadow_state = StreamState.for_network(
-                self.network, 1, engine=self.engine, dtype=self.dtype)
+            shadow_state = StreamState.for_network(self.network, 1,
+                                                   dtype=self.dtype)
         self._sessions[session_id] = Session(session_id, state, now,
                                              shadow_state=shadow_state)
         return session_id
@@ -648,7 +645,6 @@ class ModelServer:
         # (and return to) the workspace: steady-state serving with
         # repeating tick shapes allocates nothing here.
         batched = StreamState.for_network(self.network, count,
-                                          engine=self.engine,
                                           dtype=self.dtype, ws=ws)
         for row, request in enumerate(requests):
             batched.copy_row(row, request.session.state, 0)
@@ -756,7 +752,6 @@ class ModelServer:
         count = len(requests)
         with self._span("serve.shadow", batch=count) as shadow_span:
             shadow_batched = StreamState.for_network(self.network, count,
-                                                     engine=self.engine,
                                                      dtype=self.dtype, ws=ws)
             for row, request in enumerate(requests):
                 shadow_batched.copy_row(row, request.session.shadow_state, 0)
@@ -805,7 +800,7 @@ class ModelServer:
             self.hardware.weight_list()   # re-sync after any reprogram
             network = self.hardware.hardware_network
         return run_in_batches(network, inputs, batch_size,
-                              engine=self.engine, precision=self.dtype,
+                              precision=self.dtype,
                               workers=workers, pool=pool,
                               workspace=None if (workers or pool) else
                               self._workspace)
@@ -885,6 +880,6 @@ class ModelServer:
         mode = ""
         if self.hardware is not None:
             mode = ", shadow" if self.shadow else ", hardware"
-        return (f"ModelServer({arch}, engine={self.engine!r}, "
+        return (f"ModelServer({arch}, "
                 f"sessions={len(self._sessions)}, "
                 f"pending={self.batcher.pending}{mode}{model})")

@@ -6,8 +6,8 @@ client's live spike stream, carried by a batch-1
 by a :class:`~repro.serve.server.ModelServer`; the micro-batcher gathers
 many sessions' states into one batched state per tick and scatters the
 advanced rows back, so a session never notices whose chunks shared its
-batch (the gather/scatter is bitwise-transparent for the fused engine —
-see ``docs/serving.md``).
+batch (every stream runs the fused engine, whose gather/scatter is
+bitwise-transparent — see ``docs/serving.md``).
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ def make_net(seed=1):
 
 
 def make_fleet(**kwargs):
-    kwargs.setdefault("engine", "step")
     kwargs.setdefault("max_batch", 4)
     kwargs.setdefault("max_wait_ms", 0.0)
     kwargs.setdefault("queue_limit", 8)

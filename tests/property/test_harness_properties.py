@@ -150,6 +150,8 @@ def test_invalid_scalar_factors_rejected(kwargs, match):
      "shadow"),
     (dict(kind="inference", hardware=(HardwareSpec(),)),
      "no\\s+hardware factor"),
+    (dict(kind="serving", engines=("step",),
+          loads=(LoadSpec("l", 1.0, 1),)), "fused\\s+engine"),
 ])
 def test_invalid_factor_combinations_rejected(kwargs, match):
     base = dict(name="v", kind="serving")

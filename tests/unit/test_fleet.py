@@ -4,7 +4,7 @@ The fleet promises pinned here (``repro/serve/fleet.py``,
 ``docs/fleet.md``):
 
 * **Transparency** — a 1-replica fleet is bitwise-identical to a bare
-  :class:`~repro.serve.ModelServer` for every engine x precision, and
+  :class:`~repro.serve.ModelServer` at either precision, and
   on an N-replica fleet every session's outputs are bitwise-identical
   to streaming alone: the router may coalesce sessions however it
   likes, but never perturbs a computed spike.
@@ -53,14 +53,13 @@ def make_mapped(net, variation=0.2, seed=3):
 
 
 def make_fleet(net=None, **kwargs):
-    kwargs.setdefault("engine", "step")
     kwargs.setdefault("max_batch", 4)
     kwargs.setdefault("max_wait_ms", 0.0)
     kwargs.setdefault("queue_limit", 32)
     return Fleet(net if net is not None else make_net(), **kwargs)
 
 
-def solo_outputs(chunks, engine="step", precision="float64"):
+def solo_outputs(chunks, engine="fused", precision="float64"):
     """The reference: one session streamed alone on a bare server."""
     server = ModelServer(make_net(), engine=engine, precision=precision,
                          max_batch=4, max_wait_ms=0.0)
@@ -84,13 +83,13 @@ def no_leaked_plan():
 
 
 class TestSingleReplicaEquivalence:
-    @pytest.mark.parametrize("engine", ["step", "fused"])
+    @pytest.mark.parametrize("engine", ["fused"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_one_replica_fleet_is_bitwise_a_bare_server(
             self, engine, precision):
         chunks = [make_chunk(seed=i) for i in range(4)]
         expected = solo_outputs(chunks, engine=engine, precision=precision)
-        fleet = make_fleet(replicas=1, engine=engine, precision=precision)
+        fleet = make_fleet(replicas=1, precision=precision)
         try:
             sid = fleet.open_session("t0", now=0.0)
             for i, chunk in enumerate(chunks):
@@ -232,8 +231,7 @@ class TestCanaryRollout:
         registry = ModelRegistry(tmp_path)
         registry.save("snn", make_net(seed=1), meta={"rev": 1})
         fleet = Fleet.from_registry(registry, "snn", replicas=2,
-                                    engine="step", max_wait_ms=0.0,
-                                    seed=11)
+                                    max_wait_ms=0.0, seed=11)
         try:
             v2 = registry.save("snn", make_net(seed=2), meta={"rev": 2})
             gen = fleet.deploy_canary(registry=registry, version=v2,
@@ -271,14 +269,12 @@ class TestCanaryRollout:
 
     def test_divergent_shadow_canary_rolls_back_fenced(self):
         # The divergence-signal deployment: the canary serves the same
-        # weights through a noisy hardware realization in shadow mode
-        # (fused engine — hardware serving rides its weight override),
+        # weights through a noisy hardware realization in shadow mode,
         # so every canary chunk reports an ideal-vs-hardware divergence
         # into the rolling window; a realization this bad must cross
         # the rollback threshold.
         net = make_net()
-        fleet = make_fleet(net=net, replicas=2, engine="fused",
-                           shadow_threshold=10_000)
+        fleet = make_fleet(net=net, replicas=2, shadow_threshold=10_000)
         try:
             gen = fleet.deploy_canary(
                 hardware=make_mapped(net, variation=2.5, seed=3),

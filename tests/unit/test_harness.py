@@ -379,13 +379,13 @@ class TestPresets:
             assert len(ids) == len(set(ids)), f"{name}: duplicate run ids"
 
     def test_smoke_grid_is_the_ci_acceptance_grid(self):
-        """2 engines x 2 workloads x 1 rep, incl. a non-SHD workload."""
+        """Fused engine x 2 workloads x 1 rep, incl. a non-SHD workload."""
         serving = [spec for scenario in smoke_scenarios()
                    for spec in expand(scenario)
                    if spec.kind == "serving"]
         engines = {spec.engine for spec in serving}
         workloads = {spec.workload for spec in serving}
-        assert engines == {"fused", "step"}
+        assert engines == {"fused"}
         assert "dvs" in workloads          # a non-SHD sensor workload
         assert any("+" in w for w in workloads)  # and a mixed stream
         assert all(spec.repetition == 0 for spec in serving)

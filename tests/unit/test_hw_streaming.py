@@ -163,8 +163,6 @@ class TestWeightProvider:
             net.run_stream(x, weights=[net.layers[0].weight])  # wrong count
         with pytest.raises(ShapeError):
             net.run_stream(x, weights=[w.T for w in net.weights])
-        with pytest.raises(ValueError):
-            net.run_stream(x, engine="step", weights=list(net.weights))
 
     def test_override_with_own_weights_is_identity(self):
         """weights= with the network's own arrays must change nothing —

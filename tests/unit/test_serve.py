@@ -220,12 +220,18 @@ class TestModelServer:
         assert np.array_equal(expect, got)
 
     def test_step_engine_server(self):
+        """Sessions stream on the fused engine only: a step-engine server
+        is refused with a pointer to the one-shot reference, and a fused
+        session reproduces that reference's spikes."""
         net = make_net()
-        server = ModelServer(net, engine="step")
+        reference = r'network\.run\(x, engine="step"\)'
+        with pytest.raises(ValueError, match=reference):
+            ModelServer(net, engine="step")
+        server = ModelServer(net)
         sid = server.open_session()
         chunk = make_chunk(steps=8, seed=3)
         out = server.infer(sid, chunk)
-        solo, _ = net.run_stream(chunk[None], engine="step")
+        solo, _ = net.run(chunk[None], engine="step")
         assert np.array_equal(solo[0], out)
 
 
@@ -304,8 +310,6 @@ class TestHardwareServing:
         with pytest.raises(ValueError):
             ModelServer(net, shadow=True)                 # no hardware
         mapped = self.make_mapped(net)
-        with pytest.raises(ValueError):
-            ModelServer(net, hardware=mapped, engine="step")
         other = make_net(seed=9)
         with pytest.raises(ValueError):
             ModelServer(other, hardware=mapped)           # foreign mapping

@@ -263,7 +263,6 @@ class TestFleetReplicaKill:
     def _fleet(self, **kwargs):
         from repro.serve import Fleet
 
-        kwargs.setdefault("engine", "step")
         kwargs.setdefault("max_batch", 8)
         kwargs.setdefault("max_wait_ms", 0.5)
         kwargs.setdefault("queue_limit", 64)

@@ -1,13 +1,14 @@
 """Streaming equivalence: chunked ``run_stream`` == one-shot ``run``.
 
 The load-bearing guarantee of the serving layer: a T-step sequence fed in
-chunks of any sizes — through either engine, at either precision —
-produces *bitwise-identical* output spikes to the one-shot run, and a
-padded heterogeneous batch leaves every stream exactly where its own data
-ended.
+chunks of any sizes, at either precision, produces *bitwise-identical*
+output spikes to the one-shot fused run, and a padded heterogeneous batch
+leaves every stream exactly where its own data ended.  Every stream runs
+the fused engine; the step engine is a one-shot reference only, and the
+chunked stream is held to its bits as well.
 
-For the fused engine the guarantee rests on the CSR spike product
-computing output rows independently (dense GEMM does not: BLAS picks
+The guarantee rests on the CSR spike product computing output rows
+independently (dense GEMM does not: BLAS picks
 different summation splits for different row counts).  Every fused run,
 one-shot or chunked, takes that product whatever the input's size or
 density, so a sample also gets the same bits alone as inside a batch.
@@ -37,17 +38,20 @@ def make_inputs(batch=BATCH, steps=STEPS, seed=0, density=DENSITY,
     return (rng.random((batch, steps, channels)) < density).astype(np.float64)
 
 
-def stream_in_chunks(net, x, chunk, engine, precision):
+def stream_in_chunks(net, x, chunk, precision):
     state = None
     outs = []
     for start in range(0, x.shape[1], chunk):
         out, state = net.run_stream(x[:, start:start + chunk], state,
-                                    engine=engine, precision=precision)
+                                    precision=precision)
         outs.append(out)
     return np.concatenate(outs, axis=1), state
 
 
 class TestChunkedEquivalence:
+    """``engine`` names the one-shot run the stream is held to: the fused
+    kernel the stream itself runs, or the independent step-wise oracle."""
+
     @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
     @pytest.mark.parametrize("engine", ["fused", "step"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
@@ -62,7 +66,7 @@ class TestChunkedEquivalence:
         net = make_net(kind)
         x = make_inputs(batch=batch, density=density)
         full, _ = net.run(x, engine=engine, precision=precision)
-        got, state = stream_in_chunks(net, x, chunk, engine, precision)
+        got, state = stream_in_chunks(net, x, chunk, precision)
         assert got.dtype == full.dtype
         assert np.array_equal(full, got)
         assert state.steps.tolist() == [STEPS] * batch
@@ -76,7 +80,7 @@ class TestChunkedEquivalence:
         outs = []
         bounds = [0, 1, 6, 7, 20, 43, STEPS]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            out, state = net.run_stream(x[:, a:b], state, engine=engine)
+            out, state = net.run_stream(x[:, a:b], state)
             outs.append(out)
         assert np.array_equal(full, np.concatenate(outs, axis=1))
 
@@ -92,15 +96,6 @@ class TestChunkedEquivalence:
             for key in a:
                 assert np.array_equal(a[key], b[key])
         assert state.steps.tolist() == before.steps.tolist()
-
-    def test_step_engine_streaming_needs_no_scipy(self):
-        """The step-engine guarantee is pure per-step arithmetic identity
-        (same matmul shapes either way) — scipy irrelevant."""
-        net = make_net()
-        x = make_inputs(batch=3, steps=12)
-        full, _ = net.run(x, engine="step")
-        got, _ = stream_in_chunks(net, x, 5, "step", None)
-        assert np.array_equal(full, got)
 
 
 class TestBatchRowIndependence:
@@ -167,16 +162,14 @@ class TestPaddedHeterogeneousBatch:
 
 
 class TestStateContract:
-    def test_engine_and_precision_are_sticky(self):
+    def test_precision_is_sticky(self):
         net = make_net()
         x = make_inputs(batch=2, steps=4)
-        _, state = net.run_stream(x, engine="fused", precision="float32")
-        with pytest.raises(ValueError):
-            net.run_stream(x, state, engine="step")
+        _, state = net.run_stream(x, precision="float32")
         with pytest.raises(ValueError):
             net.run_stream(x, state, precision="float64")
-        # matching values pass
-        net.run_stream(x, state, engine="fused", precision="float32")
+        # a matching value passes
+        net.run_stream(x, state, precision="float32")
 
     def test_batch_and_architecture_mismatch(self):
         net = make_net()
@@ -193,10 +186,14 @@ class TestStateContract:
 
     def test_copy_row_rejects_foreign_states(self):
         net = make_net()
-        fused = StreamState.for_network(net, 1, engine="fused")
-        step = StreamState.for_network(net, 1, engine="step")
-        with pytest.raises(ValueError):
-            fused.copy_row(0, step, 0)
+        state = StreamState.for_network(net, 1)
+        # A float32 row would be cast silently, breaking the bitwise
+        # contract; a hard-reset state has another layout.
+        single = StreamState.for_network(net, 1, precision="float32")
+        hard_reset = StreamState.for_network(make_net("hard_reset"), 1)
+        for foreign in (single, hard_reset):
+            with pytest.raises(ValueError):
+                state.copy_row(0, foreign, 0)
 
     def test_clone_is_independent(self):
         net = make_net()

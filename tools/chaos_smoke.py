@@ -138,7 +138,7 @@ def fleet_gate() -> list[str]:
         (faults.FaultRule("fleet.replica.down", probability=1.0,
                           where={"replica": 0}, times=1),),
         seed=7)
-    fleet = Fleet(net, replicas=2, engine="step", max_batch=8,
+    fleet = Fleet(net, replicas=2, max_batch=8,
                   max_wait_ms=0.5, queue_limit=64, seed=9)
     try:
         with faults.active(plan):
