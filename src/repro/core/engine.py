@@ -57,8 +57,12 @@ which the large ``(batch, T, n)`` buffers are checked out instead of
 allocated.  The arithmetic is identical either way (buffers are
 ``np.empty`` equivalents); the caller (the :class:`~repro.core.trainer.
 Trainer`, or a pool worker) recycles the recorded tensors once the step is
-done, so steady-state training reallocates nothing.  ``ws=None`` (the
-default) keeps the original allocate-per-call behavior.
+done.  A training step checks out only what BPTT reads: a record holds
+``v`` and ``spikes`` per layer but no ``(batch, T, n_in)`` synapse-filter
+trace (derived on demand, see :class:`~repro.core.layers.
+LayerStepRecord`), and the surrogate derivative runs in place over one
+float64 buffer per layer.  ``ws=None`` (the default) keeps the
+allocate-per-call behavior.
 
 Equivalence with the step-wise reference (same spikes, membrane traces and
 gradients to tolerance) is tested in ``tests/unit/test_engine.py``; the
@@ -277,9 +281,8 @@ def _zero_layer_state(layer, batch: int, dtype,
     return {key: zeros((batch, layer.n_out), dtype) for key in keys}
 
 
-def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
-                        _csr=None, ws=None, weight=None
-                        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def fused_layer_forward(layer, xs: np.ndarray, _csr=None, ws=None,
+                        weight=None) -> tuple[np.ndarray, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
 
     The layer's kernel runs from a zero state; the final state is then
@@ -291,11 +294,6 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
         The layer to run (state is reinitialised, as in ``layer.run``).
     xs:
         Input spikes, shape ``(batch, T, n_in)``; dtype selects precision.
-    need_k:
-        Materialise the full synapse-filter trace ``k`` for recording.
-        The fused math never needs it (the filter is applied *after* the
-        crossbar product — the two commute), so pure inference skips the
-        ``(batch, T, n_in)`` buffer entirely.
     ws:
         Optional :class:`~repro.runtime.workspace.Workspace` serving the
         large buffers (identical results; the caller recycles them).
@@ -307,14 +305,13 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
 
     Returns
     -------
-    (spikes, k, v):
-        ``spikes`` and ``v`` have shape ``(batch, T, n_out)``; ``k`` is the
-        synapse-filter trace ``(batch, T, n_in)`` for adaptive layers when
-        ``need_k`` (else ``None``), and always ``None`` for hard-reset
-        layers.  These are exactly the tensors a
-        :class:`~repro.core.layers.LayerStepRecord` holds, so recording is
-        free.  The layer/neuron incremental state is left at the final
-        step's values, matching the step-wise path.
+    (spikes, v):
+        Both ``(batch, T, n_out)`` — with the layer's input, everything a
+        :class:`~repro.core.layers.LayerStepRecord` holds.  The synapse
+        filter is applied after the crossbar product (the two commute),
+        so the ``(batch, T, n_in)`` trace ``k`` is never built; a record
+        derives it on demand.  The layer/neuron incremental state is left
+        at the final step's values, matching the step-wise path.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3:
@@ -328,9 +325,7 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
     if steps == 0:
         layer.reset_state(batch, dtype=dtype)
         empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
-        k = (np.zeros((batch, 0, n_in), dtype=dtype)
-             if need_k and layer.neuron_kind == "adaptive" else None)
-        return empty, k, empty.copy()
+        return empty, empty.copy()
 
     st = _zero_layer_state(layer, batch, dtype)
     if layer.neuron_kind != "adaptive":
@@ -339,23 +334,18 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
         # the unused synapse-filter buffer for hard-reset layers).
         layer.k = np.zeros((batch, n_in), dtype=dtype)
         layer.neuron.v = st["v"]
-        return spikes, None, v
+        return spikes, v
 
     spikes, v = _adaptive_forward(layer, xs, st, _csr, ws, weight)
     # Leave incremental state at the final step, like the step-wise path.
-    if need_k:
-        k = exp_scan(xs, layer.alpha, out=_ws_empty(ws, xs.shape, dtype))
-        layer.k = k[:, -1].copy()
-    else:
-        k = None
-        # Final filter state without the full trace: k[T-1] is the
-        # alpha^(T-1-t)-weighted sum of the inputs.
-        decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
-                                                dtype=np.float64)
-        layer.k = np.matmul(decay_powers.astype(dtype), xs)
+    # Final filter state without the full trace: k[T-1] is the
+    # alpha^(T-1-t)-weighted sum of the inputs.
+    decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
+                                            dtype=np.float64)
+    layer.k = np.matmul(decay_powers.astype(dtype), xs)
     layer.neuron.h = st["h"]
     layer.neuron.last_output = st["o"]
-    return spikes, k, v
+    return spikes, v
 
 
 def _layer_gv(layer, xs, csr, ws, weight, gain: float = 1.0):
@@ -502,11 +492,13 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     ``inputs`` must already be a validated ``(batch, T, n_input)`` array of
     the desired precision (``SpikingNetwork.run`` handles coercion).
     Returns ``(outputs, RunRecord | None)`` identical in structure to the
-    step-wise path; the per-layer ``k``/``v``/``spikes`` tensors come for
-    free because the engine materialises them anyway for the batched
-    matmuls.  With a workspace and ``record=False`` the intermediate
-    layers' tensors are recycled as soon as the next layer has consumed
-    them (the returned outputs stay checked out for the caller).
+    step-wise path.  A record holds the per-layer ``v``/``spikes`` tensors
+    the kernels materialise anyway; the synapse-filter trace ``k`` is
+    never computed here (BPTT does not read it) and is derived from the
+    layer's input on first read.  With a workspace and ``record=False``
+    the intermediate layers' tensors are recycled as soon as the next
+    layer has consumed them (the returned outputs stay checked out for
+    the caller).
 
     Each layer runs its kernel from a zero state
     (:func:`fused_layer_forward`), so the outputs equal a stream of the
@@ -531,10 +523,11 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     for layer, weight in zip(network.layers, weights):
         csr = _spike_csr(x.reshape(-1, layer.n_in), ws)
         input_csrs.append(csr)
-        spikes, k, v = fused_layer_forward(layer, x, need_k=record,
-                                           _csr=csr, ws=ws, weight=weight)
+        spikes, v = fused_layer_forward(layer, x, _csr=csr, ws=ws,
+                                        weight=weight)
         if record:
-            layer_records.append(LayerStepRecord(k=k, v=v, spikes=spikes))
+            layer_records.append(LayerStepRecord.for_layer(layer, x, v,
+                                                           spikes))
         elif ws is not None:
             ws.release(v)
             if x is not inputs:
@@ -820,6 +813,25 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
                           input_grad_fn=input_grad_fn)
 
 
+def _surrogate_eps(layer, v: np.ndarray, dtype, ws=None) -> np.ndarray:
+    """``eps = U'(v - v_th)`` (eq. 14) as a ``dtype`` array from ``ws``.
+
+    The derivative runs in place over one float64 workspace buffer holding
+    ``v - v_th`` (so float32 runs keep their float64-evaluated surrogate),
+    which is then cast to ``dtype`` and released.  The caller releases the
+    returned array.
+    """
+    centred = _ws_empty(ws, v.shape, np.float64)
+    np.subtract(v, layer.params.v_th, out=centred)
+    layer.surrogate.derivative(centred, out=centred)
+    if dtype == np.float64:
+        return centred
+    eps = _ws_empty(ws, v.shape, dtype)
+    np.copyto(eps, centred)
+    _ws_release(ws, centred)
+    return eps
+
+
 def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
                              mode, dtype, csr=None, defer=False,
                              ws=None, weight=None):
@@ -843,16 +855,15 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
 
     Working from the raw presynaptic spikes ``x`` instead of ``k`` lets
     :func:`spike_outer` contract over the spike nonzeros only, and is why
-    the record's ``k`` tensor is never touched here.
+    a record carries no ``k`` trace (it derives one only when read).
     """
-    params = layer.params
-    theta = params.theta
+    theta = layer.params.theta
     beta = layer.neuron.beta_r
 
     v = np.asarray(layer_record.v, dtype=dtype)
     batch, steps, n_out = v.shape
 
-    eps = np.asarray(layer.surrogate.derivative(v - params.v_th), dtype=dtype)
+    eps = _surrogate_eps(layer, v, dtype, ws)
 
     # The buffer the deferred (layer-0) closure captures must outlive this
     # call indefinitely, so it is never taken from the workspace.
@@ -877,7 +888,7 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
             np.multiply(dv[:, t + 1], theta, out=scratch)
             np.subtract(grad_spikes[:, t], scratch, out=dv[:, t])
             dv[:, t] *= eps[:, t]
-    _ws_release(ws, scratch)
+    _ws_release(ws, scratch, eps)
 
     if defer and mode == "exact":
         e = exp_scan_reverse(dv, layer.alpha)          # captured: plain
@@ -922,7 +933,6 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
                                grad_spikes, dtype, csr=None,
                                defer=False, ws=None, weight=None):
     """Hard-reset adjoints with the matmuls hoisted (reset gate detached)."""
-    params = layer.params
     alpha = layer.neuron.alpha
     input_gain = getattr(layer.neuron, "input_gain", 1.0)
 
@@ -931,8 +941,7 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
     layer_inputs = np.asarray(layer_inputs, dtype=dtype)
     batch, steps, n_out = v_pre.shape
 
-    eps = np.asarray(layer.surrogate.derivative(v_pre - params.v_th),
-                     dtype=dtype)
+    eps = _surrogate_eps(layer, v_pre, dtype, ws)
 
     # delta_v[t] = dE/dO[t]*eps[t] + alpha*(1 - O[t])*delta_v[t+1]
     # (``dv`` is what a deferred closure captures, so plain-allocated then).
@@ -949,7 +958,7 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
         scratch *= alpha
         np.multiply(grad_spikes[:, t], eps[:, t], out=dv_t)
         dv_t += scratch
-    _ws_release(ws, scratch)
+    _ws_release(ws, scratch, eps)
 
     weight = np.asarray(weight, dtype=dtype)
     if defer and weight is layer.weight:

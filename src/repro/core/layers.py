@@ -36,19 +36,44 @@ class LayerStepRecord:
 
     Attributes
     ----------
-    k:
-        Synapse-filter states, shape (batch, T, n_in).  ``None`` for
-        hard-reset layers (which have no separate synapse filter).
     v:
         Membrane values (pre-reset for HR), shape (batch, T, n_out).
     spikes:
         Output spikes, shape (batch, T, n_out).
+    k:
+        Synapse-filter states, shape (batch, T, n_in); ``None`` for
+        hard-reset layers (which have no separate synapse filter).  Not
+        recorded: BPTT moves the filter onto the adjoint and never reads
+        it, so the trace is derived on first read as
+        ``exp_scan(inputs, alpha)`` from the layer's input spikes (the
+        same ``alpha*k + x`` ops as the step loop) and cached.
+
+    ``inputs`` is the layer's input spike array (held by reference, like
+    :meth:`~repro.core.network.RunRecord.layer_input`) and ``alpha`` the
+    synapse-filter decay; ``alpha=None`` marks a layer without a filter.
     """
 
-    def __init__(self, k: np.ndarray | None, v: np.ndarray, spikes: np.ndarray):
-        self.k = k
+    def __init__(self, v: np.ndarray, spikes: np.ndarray,
+                 inputs: np.ndarray, alpha: float | None):
         self.v = v
         self.spikes = spikes
+        self._inputs = inputs
+        self._alpha = alpha
+        self._k: np.ndarray | None = None
+
+    @property
+    def k(self) -> np.ndarray | None:
+        if self._k is None and self._alpha is not None:
+            from .engine import exp_scan   # local import: avoids a cycle
+            self._k = exp_scan(self._inputs, self._alpha)
+        return self._k
+
+    @classmethod
+    def for_layer(cls, layer: "SpikingLinear", inputs: np.ndarray,
+                  v: np.ndarray, spikes: np.ndarray) -> "LayerStepRecord":
+        """The record of ``layer`` run over ``inputs``."""
+        alpha = layer.alpha if layer.neuron_kind == "adaptive" else None
+        return cls(v=v, spikes=spikes, inputs=inputs, alpha=alpha)
 
 
 class SpikingLinear:
@@ -148,32 +173,15 @@ class SpikingLinear:
                              f"got {xs.shape}")
         if engine == "fused":
             from .engine import fused_layer_forward
-            spikes, ks, vs = fused_layer_forward(self, xs, need_k=record)
-            rec = None
-            if record:
-                rec = LayerStepRecord(
-                    k=ks if self.neuron_kind == "adaptive" else None,
-                    v=vs, spikes=spikes,
-                )
-            return spikes, rec
-        batch, steps, _ = xs.shape
-        self.reset_state(batch, dtype=dtype)
-        out = np.zeros((batch, steps, self.n_out), dtype=dtype)
-        ks = np.zeros((batch, steps, self.n_in), dtype=dtype) if record else None
-        vs = np.zeros((batch, steps, self.n_out), dtype=dtype) if record else None
-        for t in range(steps):
-            spikes, v = self.step(xs[:, t, :])
-            out[:, t, :] = spikes
-            if record:
-                vs[:, t, :] = v
-                if self.neuron_kind == "adaptive":
-                    ks[:, t, :] = self.k
-        rec = None
-        if record:
-            rec = LayerStepRecord(
-                k=ks if self.neuron_kind == "adaptive" else None,
-                v=vs, spikes=out,
-            )
+            out, vs = fused_layer_forward(self, xs)
+        else:
+            batch, steps, _ = xs.shape
+            self.reset_state(batch, dtype=dtype)
+            out = np.zeros((batch, steps, self.n_out), dtype=dtype)
+            vs = np.zeros((batch, steps, self.n_out), dtype=dtype)
+            for t in range(steps):
+                out[:, t, :], vs[:, t, :] = self.step(xs[:, t, :])
+        rec = LayerStepRecord.for_layer(self, xs, vs, out) if record else None
         return out, rec
 
     # -- utilities ----------------------------------------------------------

@@ -22,9 +22,10 @@ layers.  Two execution engines produce identical dynamics:
 
 Both engines support ``precision="float32"|"float64"``.
 
-A recorded run (:class:`RunRecord`) captures, per layer, the synapse-filter
-traces ``k``, membrane values ``v`` and output spikes — everything backward
-passes and the analysis/plotting code need.
+A recorded run (:class:`RunRecord`) captures, per layer, the membrane
+values ``v`` and output spikes — everything BPTT needs.  The synapse-filter
+traces ``k`` that the reference backward and the analysis code read are
+derived from the layer inputs on first access.
 """
 
 from __future__ import annotations
@@ -50,12 +51,16 @@ class RunRecord:
     single time step ``tensor[:, t, :]`` is a strided ``(batch, n)`` slice
     (what the step-wise loops touch) while a whole trace flattens to
     ``(batch*T, n)`` without a copy (what the fused engine's batched
-    matmuls consume).  Per layer the record holds ``k`` (synapse-filter
-    trace, ``(batch, T, n_in)``, ``None`` for hard-reset layers), ``v``
-    (membrane values, pre-reset for HR) and ``spikes`` (both
-    ``(batch, T, n_out)``).  The dtype is whatever precision the run used;
-    both engines produce the same layout, so BPTT and the analysis code
-    never need to know which engine recorded it.
+    matmuls consume).  Per layer the record holds ``v`` (membrane values,
+    pre-reset for HR) and ``spikes`` (both ``(batch, T, n_out)``).  Its
+    ``k`` (synapse-filter trace, ``(batch, T, n_in)``, ``None`` for
+    hard-reset layers) is not recorded: it is derived on first read as
+    ``exp_scan(layer_input(i), alpha)`` — the ops of the step loop's
+    ``alpha*k + x`` — and cached, so the fused backward, which never reads
+    it, never pays for it.  The dtype is whatever precision the run used;
+    both engines produce the same layout and the same derived ``k``, so
+    BPTT and the analysis code never need to know which engine recorded
+    it.
 
     Attributes
     ----------
@@ -210,15 +215,9 @@ class SpikingNetwork:
             for layer in self.layers
         ]
         v_buffers = None
-        k_buffers = None
         if record:
             v_buffers = [np.zeros((batch, steps, layer.n_out), dtype=dtype)
                          for layer in self.layers]
-            k_buffers = [
-                np.zeros((batch, steps, layer.n_in), dtype=dtype)
-                if layer.neuron_kind == "adaptive" else None
-                for layer in self.layers
-            ]
 
         with _obs.timed_span("engine.run", metric="engine.run_ms",
                              engine=engine, batch=batch, steps=steps):
@@ -229,16 +228,15 @@ class SpikingNetwork:
                     spike_buffers[index][:, t, :] = spikes
                     if record:
                         v_buffers[index][:, t, :] = v
-                        if k_buffers[index] is not None:
-                            k_buffers[index][:, t, :] = layer.k
 
         outputs = spike_buffers[-1]
         run_record = None
         if record:
+            layer_inputs = [inputs] + spike_buffers[:-1]
             layer_records = [
-                LayerStepRecord(k=k_buffers[i], v=v_buffers[i],
-                                spikes=spike_buffers[i])
-                for i in range(len(self.layers))
+                LayerStepRecord.for_layer(layer, layer_inputs[i],
+                                          v_buffers[i], spike_buffers[i])
+                for i, layer in enumerate(self.layers)
             ]
             run_record = RunRecord(inputs=inputs, layers=layer_records)
         return outputs, run_record

@@ -44,12 +44,33 @@ class SurrogateGradient:
     value ``x = v - Vth`` to the pseudo-derivative ``dO/dv`` used in BPTT.
     The forward spike decision always remains the exact Heaviside — the
     surrogate only affects gradients.
+
+    ``derivative(x, out=None)`` always computes in float64, as a sequence
+    of ufuncs evaluated in place over one buffer: ``out`` when given (a
+    float64 array of ``x``'s shape; it may be ``x`` itself), else a single
+    fresh array.  The fused backward passes a workspace buffer holding
+    ``v - Vth`` as both ``x`` and ``out``.
     """
 
     name = "base"
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
+
+    @staticmethod
+    def _start(x, out: np.ndarray | None) -> np.ndarray:
+        """``x`` as float64 in ``out`` (or in one new array): the buffer
+        the in-place ufunc sequence of :meth:`derivative` runs over."""
+        if out is None:
+            return np.array(x, dtype=np.float64)
+        if out.dtype != np.float64 or out.shape != np.shape(x):
+            raise ValueError(
+                f"out must be a float64 array of shape {np.shape(x)}, "
+                f"got {out.dtype} {out.shape}")
+        if out is not x:
+            np.copyto(out, x)
+        return out
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         """A smooth approximation of ``U(x)`` (used only for inspection)."""
@@ -73,11 +94,16 @@ class ErfcSurrogate(SurrogateGradient):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-(x * x) / (2.0 * self.sigma ** 2)) / (
-            np.sqrt(2.0 * np.pi) * self.sigma
-        )
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        # exp(-(x*x) / (2 sigma^2)) / (sqrt(2 pi) sigma)
+        out = self._start(x, out)
+        np.multiply(out, out, out=out)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * self.sigma ** 2, out=out)
+        np.exp(out, out=out)
+        np.divide(out, np.sqrt(2.0 * np.pi) * self.sigma, out=out)
+        return out
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -94,9 +120,15 @@ class SigmoidSurrogate(SurrogateGradient):
             raise ValueError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return 1.0 / (1.0 + self.beta * np.abs(x)) ** 2
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        out = self._start(x, out)
+        np.abs(out, out=out)
+        np.multiply(out, self.beta, out=out)
+        np.add(out, 1.0, out=out)
+        np.square(out, out=out)
+        np.divide(1.0, out, out=out)
+        return out
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -114,9 +146,15 @@ class TriangleSurrogate(SurrogateGradient):
             raise ValueError(f"width must be positive, got {width}")
         self.width = float(width)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.maximum(0.0, 1.0 - np.abs(x) / self.width) / self.width
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        out = self._start(x, out)
+        np.abs(out, out=out)
+        np.divide(out, self.width, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(0.0, out, out=out)
+        np.divide(out, self.width, out=out)
+        return out
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -134,10 +172,13 @@ class RectangularSurrogate(SurrogateGradient):
             raise ValueError(f"half_width must be positive, got {half_width}")
         self.half_width = float(half_width)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.abs(x) <= self.half_width
-        return inside / (2.0 * self.half_width)
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        out = self._start(x, out)
+        np.abs(out, out=out)
+        np.less_equal(out, self.half_width, out=out)
+        np.divide(out, 2.0 * self.half_width, out=out)
+        return out
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -111,8 +111,10 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
                       engine=backward_engine, precision=precision,
                       workspace=ws, need_input_grad=False, weights=weights)
     if ws is not None:
+        # Never ``layer_record.k``: reading it would derive the trace only
+        # to drop it.
         for layer_record in record.layers:
-            ws.release(layer_record.k, layer_record.v, layer_record.spikes)
+            ws.release(layer_record.v, layer_record.spikes)
     return float(loss_value), int(inputs.shape[0]), result.weight_grads
 
 

@@ -24,6 +24,7 @@ import pytest
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
+from repro.core.layers import LayerStepRecord
 from repro.experiments import benchjson
 from repro.experiments.harness import (
     PRESETS,
@@ -147,6 +148,28 @@ class TestDeterminism:
         before = [spec.run_id for spec in expand(scenario)]
         run_scenario(scenario, timer=FakeTimer())
         assert [spec.run_id for spec in expand(scenario)] == before
+
+
+class TestTimedCells:
+    def test_reference_backward_times_only_the_backward(self, monkeypatch):
+        """The reference adjoints read each record's derived ``k``; the
+        cell builds those traces before its clock starts, so even a
+        ``warmup=0`` cell does not charge them to its first round."""
+        timer = FakeTimer()
+        derived_at = []
+        derive = LayerStepRecord.k.fget
+
+        def k(record):
+            if record._k is None and record._alpha is not None:
+                derived_at.append(timer.now)
+            return derive(record)
+
+        monkeypatch.setattr(LayerStepRecord, "k", property(k))
+        run_scenario(Scenario(name="backward", kind="backward",
+                              engines=("step",), sizes=(32, 16, 8),
+                              rounds=2, warmup=0), timer=timer)
+        assert len(derived_at) == 2             # one trace per layer
+        assert derived_at == [0.0, 0.0]         # before the first reading
 
 
 class TestServingDensity:
