@@ -1,72 +1,68 @@
 """Fused, vectorized simulation engine for the core forward/backward loop.
 
-The step-wise reference path (:meth:`SpikingNetwork.run` with
-``engine="step"``) advances the whole stack one time step at a time,
-dispatching through ``SpikingLinear.step`` -> ``neuron.step`` Python calls
-and performing one small ``(batch, n_in) @ (n_in, n_out)`` matmul per layer
-per step.  For the typical benchmark shapes (batch 32, T 100) that is
-hundreds of tiny BLAS calls plus thousands of Python-level dispatches —
-the dominant cost of every experiment in the repo.
-
-This module removes that overhead by restructuring the loop nest.  The
-network is feedforward and layer ``l`` at step ``t`` depends only on layer
-``l-1`` at steps ``<= t`` (eq. 9 couples same-step outputs, never future
-ones), so the time-major loop can be legally reordered layer-major: run
-layer 0 over the entire sequence, then layer 1, and so on.  Per layer the
-work then splits into
+The step-wise reference path (``SpikingNetwork.run(engine="step")``) pays
+one small matmul and several Python dispatches per layer per step.  This
+module reorders the loop nest instead: the network is feedforward and
+layer ``l`` at step ``t`` depends only on layer ``l-1`` at steps ``<= t``
+(eq. 9 couples same-step outputs, never future ones), so it runs layer 0
+over the entire sequence, then layer 1, and so on.  Per layer the work
+splits into
 
 * **linear scans** — the synapse filter ``k[t] = alpha k[t-1] + x[t]``
-  (eq. 9) and its adjoint are first-order recurrences evaluated in place
-  over a preallocated ``(batch, T, n)`` buffer (:func:`exp_scan`,
-  :func:`exp_scan_reverse`); each step is a fused elementwise update on a
-  buffer slice, with no per-step allocation;
+  (eq. 9) and its adjoint, evaluated in place over a preallocated buffer
+  (:func:`_scan`, :func:`_scan_reverse`) with no per-step allocation;
 * **one sparse matmul** — the crossbar product ``g = k W^T`` (eq. 7) for
-  *all* time steps at once, contracted over the spike events of the
-  ``(batch*T, n_in)`` input only;
+  *all* time steps at once, contracted over the input's spike events;
 * **a thin nonlinear scan** — the spike/threshold recurrence (eqs. 6, 8,
-  10) is inherently sequential (the spike at ``t`` feeds the reset filter
-  at ``t+1``) but involves only elementwise work on ``(batch, n_out)``
-  slices, again over preallocated buffers.
+  10), inherently sequential (the spike at ``t`` feeds the reset filter
+  at ``t+1``) but elementwise on ``(batch, n_out)`` slices.
+
+Memory layout: every engine buffer is **time-major**, ``(T, batch, n)``,
+so each step of the threshold loop, the BPTT ``delta_v`` loop and the
+scans touches one contiguous ``(batch, n)`` slice.  Public shapes stay
+``(batch, T, n)``: outputs and record tensors are ``swapaxes`` views of
+the buffers.  The caller's batch-major input is never transposed: its
+events are read in their own ``(b, t)`` row order (:func:`_spike_events`)
+and only the narrow crossbar product is copied into a time-major buffer;
+the backward transposes the output gradient in once and layer 0's
+adjoint back out once, so each weight gradient contracts over its
+input's events in their memory order.
 
 One kernel per neuron kind: :func:`_adaptive_forward` and
 :func:`_hard_reset_forward` advance a carried per-layer state (the
 :class:`StreamState` layout) over one chunk.  A one-shot run
-(:func:`fused_run`) is a stream from a zero state followed by the write-back
-of the final state to the layer; a streaming run (:func:`run_streaming`)
-carries the state between chunks.  Every crossbar product goes through the
-same event path (:func:`_spike_csr`): a CSR product computes each output
-row as an independent sum over that row's spike events in index order, so
-a sample's spikes and membrane values are bitwise the same whether it runs
-alone, inside a batch, or split into chunks.  (A dense GEMM has no such
-guarantee: BLAS picks different kernels for different row counts.)
-
-The backward pass (:func:`fused_backward`) applies the same split to the
-BPTT adjoints of :mod:`repro.core.backprop`: the sequential part is the
-elementwise ``delta_v`` recurrence; the weight gradient collapses to a
-single sparse contraction over ``(batch, T)`` and the input gradient to
-one batched matmul followed by a reverse scan.
+(:func:`fused_run`) is a stream from a zero state followed by the
+write-back of the final state to the layer; :func:`run_streaming` carries
+the state between chunks.  Every crossbar product goes through one event
+path (:func:`_spike_csr`): a CSR product computes each output row as an
+independent sum over that row's events in index order, so a sample's
+spikes and membrane values are bitwise the same alone, inside a batch,
+split into chunks, or with the rows in either order.  (A dense GEMM has
+no such guarantee: BLAS picks different kernels for different row
+counts.)  The backward (:func:`fused_backward`) applies the same split to
+the BPTT adjoints of :mod:`repro.core.backprop`: an elementwise
+``delta_v`` recurrence, one sparse weight-gradient contraction over
+``(T, batch)``, one batched input-gradient matmul.
 
 Precision: every entry point accepts ``precision="float32"|"float64"``
-(:func:`resolve_precision`); float32 halves memory traffic and is
-typically faster, at the cost of spike-level equivalence with the float64
-reference (near-threshold membrane values may round across ``v_th``).
+(:func:`resolve_precision`); float32 halves memory traffic, at the cost of
+spike-level equivalence with float64 (near-threshold membrane values may
+round across ``v_th``).
 
 Workspace reuse: every entry point also accepts an optional
-``ws``/``workspace`` — a :class:`repro.runtime.workspace.Workspace` — from
-which the large ``(batch, T, n)`` buffers are checked out instead of
-allocated.  The arithmetic is identical either way (buffers are
-``np.empty`` equivalents); the caller (the :class:`~repro.core.trainer.
-Trainer`, or a pool worker) recycles the recorded tensors once the step is
-done.  A training step checks out only what BPTT reads: a record holds
-``v`` and ``spikes`` per layer but no ``(batch, T, n_in)`` synapse-filter
-trace (derived on demand, see :class:`~repro.core.layers.
-LayerStepRecord`), and the surrogate derivative runs in place over one
-float64 buffer per layer.  ``ws=None`` (the default) keeps the
-allocate-per-call behavior.
+``ws``/``workspace`` (:class:`repro.runtime.workspace.Workspace`) serving
+the large buffers; results are identical either way.  The caller (the
+:class:`~repro.core.trainer.Trainer`, a pool worker, a server) recycles
+the returned tensors — releasing a ``swapaxes`` view returns the buffer
+behind it.  A training step checks out only what BPTT reads: no
+``(batch, T, n_in)`` synapse-filter trace (a record derives it on demand,
+see :class:`~repro.core.layers.LayerStepRecord`), and the surrogate
+derivative runs in place over one float64 buffer per layer.
 
-Equivalence with the step-wise reference (same spikes, membrane traces and
-gradients to tolerance) is tested in ``tests/unit/test_engine.py``; the
-speedup is measured by ``benchmarks/bench_throughput.py`` and recorded in
+Equivalence with the step-wise reference is tested in
+``tests/unit/test_engine.py`` and, over generated architectures, in
+``tests/property/test_engine_properties.py``; the speed is measured by
+the repository benchmark (``perfbench/run.py``) and recorded in
 ``docs/performance.md``.
 """
 
@@ -112,13 +108,40 @@ def resolve_precision(precision) -> np.dtype | None:
 
 # -- scan kernels -----------------------------------------------------------
 
+def _scan(buf: np.ndarray, decay: float,
+          carry: np.ndarray | None = None) -> np.ndarray:
+    """In-place causal scan ``y[t] = decay*y[t-1] + x[t]`` along axis 0 of
+    a time-major ``(T, batch, n)`` buffer: two elementwise ops on one
+    contiguous ``(batch, n)`` slice per step.  ``carry`` seeds the step
+    before ``buf[0]`` (see :func:`exp_scan`)."""
+    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
+    if carry is not None and len(buf):
+        np.multiply(carry, decay, out=scratch)
+        buf[0] += scratch
+    for t in range(1, len(buf)):
+        np.multiply(buf[t - 1], decay, out=scratch)
+        buf[t] += scratch
+    return buf
+
+
+def _scan_reverse(buf: np.ndarray, decay: float) -> np.ndarray:
+    """In-place anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along
+    axis 0 of a time-major buffer — the adjoint of :func:`_scan`."""
+    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
+    for t in range(len(buf) - 2, -1, -1):
+        np.multiply(buf[t + 1], decay, out=scratch)
+        buf[t] += scratch
+    return buf
+
+
 def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
              carry: np.ndarray | None = None) -> np.ndarray:
     """Causal first-order scan ``y[t] = decay*y[t-1] + x[t]`` along axis 1.
 
-    ``xs`` has shape ``(batch, T, n)``.  The scan is evaluated in place
-    over ``out`` (allocated once when omitted); each step is two fused
-    elementwise ops on a ``(batch, n)`` slice.  ``out`` may alias ``xs``.
+    ``xs`` has shape ``(batch, T, n)``; the engine's time-major kernel
+    (:func:`_scan`) runs over a ``swapaxes`` view of ``out`` (allocated
+    when omitted; it may alias ``xs``), so the values are bitwise those
+    of the engine's own scans.
 
     ``carry`` is the scan value *preceding* ``xs[:, 0]`` — the final
     scanned value of the previous chunk of a split sequence.  With it the
@@ -130,27 +153,25 @@ def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
     xs = np.asarray(xs)
     if out is None:
         out = np.empty_like(xs)
-    steps = xs.shape[1]
-    if steps == 0:
-        return out
-    if out is xs:
-        scratch = np.empty(xs.shape[::2], dtype=xs.dtype)  # (batch, n)
-        if carry is not None:
-            np.multiply(carry, decay, out=scratch)
-            out[:, 0] += scratch
-        for t in range(1, steps):
-            np.multiply(out[:, t - 1], decay, out=scratch)
-            out[:, t] += scratch
-    else:
-        out[:, 0] = xs[:, 0]
-        if carry is not None:
-            scratch = np.empty(xs.shape[::2], dtype=xs.dtype)
-            np.multiply(carry, decay, out=scratch)
-            out[:, 0] += scratch
-        for t in range(1, steps):
-            cur = out[:, t]
-            np.multiply(out[:, t - 1], decay, out=cur)
-            cur += xs[:, t]
+    if out is not xs:
+        np.copyto(out, xs)
+    _scan(out.swapaxes(0, 1), decay, carry)
+    return out
+
+
+def exp_scan_reverse(xs: np.ndarray, decay: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along axis 1.
+
+    The adjoint of :func:`exp_scan`, with the same ``(batch, T, n)``
+    contract, kernel (:func:`_scan_reverse`) and ``out`` aliasing.
+    """
+    xs = np.asarray(xs)
+    if out is None:
+        out = np.empty_like(xs)
+    if out is not xs:
+        np.copyto(out, xs)
+    _scan_reverse(out.swapaxes(0, 1), decay)
     return out
 
 
@@ -186,6 +207,22 @@ def _spike_csr(flat: np.ndarray, ws=None):
     return sparse.csr_matrix((raveled[idx], idx % n, indptr), shape=(m, n))
 
 
+def _spike_events(xs: np.ndarray, ws=None, dtype=None):
+    """CSR of a time-major ``(T, batch, n)`` spike view, rows in memory order.
+
+    Returns ``(csr, batch_major)``: an engine buffer's rows run
+    ``(t, b)``; a caller's batch-major array (seen through ``swapaxes``)
+    keeps its own ``(b, t)`` order, so the wide input is never transposed.
+    ``dtype`` casts the events (a backward at another precision).
+    """
+    batch_major = not xs.flags.c_contiguous
+    rows = xs.swapaxes(0, 1) if batch_major else xs
+    flat = rows.reshape(-1, xs.shape[2])
+    if dtype is not None:
+        flat = np.asarray(flat, dtype=dtype)
+    return _spike_csr(flat, ws), batch_major
+
+
 def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray,
                  csr=None) -> np.ndarray:
     """``flat_x @ w_t`` contracted over the spike events only.
@@ -212,34 +249,6 @@ def spike_outer(flat_dv: np.ndarray, flat_x: np.ndarray,
     if csr is None:
         csr = _spike_csr(flat_x)
     return np.ascontiguousarray((csr.T @ flat_dv).T)
-
-
-def exp_scan_reverse(xs: np.ndarray, decay: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along axis 1.
-
-    The adjoint of :func:`exp_scan`.  Supports ``out is xs`` (in-place)
-    for callers that want the adjoint without a second buffer;
-    :func:`fused_backward` itself writes into a distinct buffer (the
-    truncated mode still needs the pre-scan ``delta_v`` afterwards, and
-    workspace reuse makes the second buffer free in steady state).
-    """
-    xs = np.asarray(xs)
-    if out is None:
-        out = np.empty_like(xs)
-    steps = xs.shape[1]
-    if steps == 0:
-        return out
-    if out is not xs:
-        out[:, steps - 1] = xs[:, steps - 1]
-    scratch = np.empty(xs.shape[::2], dtype=xs.dtype)  # (batch, n)
-    for t in range(steps - 2, -1, -1):
-        np.multiply(out[:, t + 1], decay, out=scratch)
-        if out is xs:
-            out[:, t] += scratch
-        else:
-            np.add(xs[:, t], scratch, out=out[:, t])
-    return out
 
 
 # -- forward ----------------------------------------------------------------
@@ -281,37 +290,22 @@ def _zero_layer_state(layer, batch: int, dtype,
     return {key: zeros((batch, layer.n_out), dtype) for key in keys}
 
 
-def fused_layer_forward(layer, xs: np.ndarray, _csr=None, ws=None,
+def fused_layer_forward(layer, xs: np.ndarray, ws=None,
                         weight=None) -> tuple[np.ndarray, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
 
-    The layer's kernel runs from a zero state; the final state is then
-    written back to the layer and its neuron.
+    ``xs`` is ``(batch, T, n_in)`` (its dtype selects precision).  The
+    layer's kernel runs from a zero state and the final state is written
+    back to the layer and its neuron, matching the step-wise path.
+    ``ws`` optionally serves the large buffers (identical results; the
+    caller recycles them) and ``weight`` substitutes a ``(n_out, n_in)``
+    override for the layer's weight matrix in the crossbar product.
 
-    Parameters
-    ----------
-    layer:
-        The layer to run (state is reinitialised, as in ``layer.run``).
-    xs:
-        Input spikes, shape ``(batch, T, n_in)``; dtype selects precision.
-    ws:
-        Optional :class:`~repro.runtime.workspace.Workspace` serving the
-        large buffers (identical results; the caller recycles them).
-    weight:
-        Optional ``(n_out, n_in)`` array substituting the layer's weight
-        matrix in the crossbar product (the layer's own parameters are
-        untouched) — the weight-override hook hardware-aware training and
-        hardware-in-the-loop inference ride.
-
-    Returns
-    -------
-    (spikes, v):
-        Both ``(batch, T, n_out)`` — with the layer's input, everything a
-        :class:`~repro.core.layers.LayerStepRecord` holds.  The synapse
-        filter is applied after the crossbar product (the two commute),
-        so the ``(batch, T, n_in)`` trace ``k`` is never built; a record
-        derives it on demand.  The layer/neuron incremental state is left
-        at the final step's values, matching the step-wise path.
+    Returns ``(spikes, v)``, both ``(batch, T, n_out)`` views of
+    time-major buffers — with the layer's input, everything a
+    :class:`~repro.core.layers.LayerStepRecord` holds.  The synapse filter
+    is applied after the crossbar product (the two commute), so the
+    ``(batch, T, n_in)`` trace ``k`` is never built.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3:
@@ -320,93 +314,110 @@ def fused_layer_forward(layer, xs: np.ndarray, _csr=None, ws=None,
     if xs.shape[2] != layer.n_in:
         raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
                          f"got {xs.shape[2]}")
+    xs = xs.swapaxes(0, 1)
+    spikes, v = _run_layer(layer, xs, _spike_events(xs, ws), ws, weight)
+    return spikes.swapaxes(0, 1), v.swapaxes(0, 1)
+
+
+def _run_layer(layer, xs, events, ws, weight):
+    """One-shot run of ``layer`` over time-major ``xs`` from a zero state,
+    writing the final state back; returns time-major ``(spikes, v)``."""
     dtype = xs.dtype
-    batch, steps, n_in = xs.shape
+    steps, batch, n_in = xs.shape
     if steps == 0:
         layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
+        empty = np.zeros((0, batch, layer.n_out), dtype=dtype)
         return empty, empty.copy()
 
     st = _zero_layer_state(layer, batch, dtype)
+    spikes, v = _layer_chunk(layer, xs, st, events, ws, weight)
     if layer.neuron_kind != "adaptive":
-        spikes, v = _hard_reset_forward(layer, xs, st, _csr, ws, weight)
         # State parity with the step-wise path (whose reset_state zeroes
         # the unused synapse-filter buffer for hard-reset layers).
         layer.k = np.zeros((batch, n_in), dtype=dtype)
         layer.neuron.v = st["v"]
         return spikes, v
 
-    spikes, v = _adaptive_forward(layer, xs, st, _csr, ws, weight)
-    # Leave incremental state at the final step, like the step-wise path.
     # Final filter state without the full trace: k[T-1] is the
-    # alpha^(T-1-t)-weighted sum of the inputs.
-    decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
-                                            dtype=np.float64)
-    layer.k = np.matmul(decay_powers.astype(dtype), xs)
+    # alpha^(T-1-t)-weighted sum of the inputs, contracted over whichever
+    # axis of the input's memory is time.
+    decay_powers = (layer.alpha ** np.arange(steps - 1, -1, -1,
+                                             dtype=np.float64)).astype(dtype)
+    if events[1]:   # batch-major input memory
+        layer.k = np.matmul(decay_powers, xs.swapaxes(0, 1))
+    else:
+        layer.k = (decay_powers @ xs.reshape(steps, -1)).reshape(batch, n_in)
     layer.neuron.h = st["h"]
     layer.neuron.last_output = st["o"]
     return spikes, v
 
 
-def _layer_gv(layer, xs, csr, ws, weight, gain: float = 1.0):
-    """The crossbar product for every step at once: ``(batch, T, n_out)``.
+def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
+                 lengths=None, ends=None):
+    """Advance ``st`` over one time-major chunk ``xs`` of ``layer``'s input.
 
-    ``csr`` is a ready conversion of the flattened input, or ``None`` to
-    build it here.  The CSR product allocates its own result — foreign to
-    the workspace, which ``release()`` tolerates.
+    The crossbar product of ``events`` (:func:`_spike_events` of ``xs``)
+    for every step lands in a time-major buffer — through one copy of the
+    narrow product for batch-major input — which the neuron kind's kernel
+    scans in place.  Returns time-major ``(spikes, v)``.
     """
-    batch, steps, n_in = xs.shape
+    csr, batch_major = events
+    steps, batch, n_in = xs.shape
     weight = _resolve_weight_override(layer, weight)
+    adaptive = layer.neuron_kind == "adaptive"
     w_t = _ws_empty(ws, (n_in, weight.shape[0]), xs.dtype)
     np.copyto(w_t, weight.T)
+    # The hard-reset discretisation gain is folded into the weight so its
+    # scan is pure elementwise work.
+    gain = 1.0 if adaptive else float(layer.neuron.input_gain)
     if gain != 1.0:
         w_t *= xs.dtype.type(gain)
-    flat_x = xs.reshape(batch * steps, n_in)
-    if csr is None:
-        csr = _spike_csr(flat_x, ws)
-    gv = np.ascontiguousarray(
-        spike_matmul(flat_x, w_t, csr=csr)).reshape(batch, steps, -1)
+    # The CSR product allocates its own result — foreign to the
+    # workspace, which ``release()`` tolerates.
+    product = np.ascontiguousarray(csr @ w_t)
     _ws_release(ws, w_t)
-    return gv
+    if batch_major:
+        gv = _ws_empty(ws, (steps, batch, product.shape[1]), xs.dtype)
+        np.copyto(gv, product.reshape(batch, steps, -1).swapaxes(0, 1))
+    else:
+        gv = product.reshape(steps, batch, -1)
+    kernel = _adaptive_forward if adaptive else _hard_reset_forward
+    return kernel(layer, gv, st, ws, lengths, ends)
 
 
-def _adaptive_forward(layer, xs, st, csr=None, ws=None, weight=None,
-                      lengths=None, ends=None):
+def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     """One chunk of an adaptive-threshold layer, advancing ``st`` in place.
 
-    Sparse matmul -> drive scan -> threshold scan.  The synapse filter
-    (eq. 9) and the crossbar product (eq. 7) are both linear, so
-    ``filter(x) @ W^T == filter(x @ W^T)``.  Evaluating the matmul first
-    keeps its input the *raw spikes* — a few-percent-dense 0/1 matrix that
-    :func:`spike_matmul` contracts over events only — and moves the scan
-    from the wide ``n_in`` axis to the narrow ``n_out`` axis.
+    ``gv`` is the time-major crossbar product of the raw input spikes:
+    the synapse filter (eq. 9) and the product (eq. 7) are both linear, so
+    ``filter(x) @ W^T == filter(x @ W^T)``, which keeps the product over
+    events only and moves the scan to the narrow ``n_out`` axis.  Drive
+    scan -> threshold scan, both in place.
 
-    The drive scan is seeded with the carried ``g`` (see :func:`exp_scan`)
+    The drive scan is seeded with the carried ``g`` (see :func:`_scan`)
     and the threshold loop with the carried ``h``/``o``; a zero state is
     the fresh start of a one-shot run.  ``lengths``/``ends`` (from
     :func:`_resolve_lengths`) capture each row's state at its own final
-    valid step.  Returns ``(spikes, v)``, both ``(batch, T, n_out)``.
+    valid step.  Returns ``(spikes, v)``, both ``(T, batch, n_out)``.
     """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
+    dtype = gv.dtype
+    steps, batch, n_out = gv.shape
     neuron = layer.neuron
     theta = neuron.params.theta
     v_th = neuron.params.v_th
     beta = neuron.beta_r
 
     # ``gv`` starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
-    gv = _layer_gv(layer, xs, csr, ws, weight)
-    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
+    _scan(gv, layer.alpha, carry=st["g"])
     # The carry for the next chunk is the *scanned drive* at each row's
     # final valid step — captured before the threshold loop rewrites
     # ``gv`` into membrane values in place.
     if lengths is None:
-        np.copyto(st["g"], gv[:, -1])
+        np.copyto(st["g"], gv[-1])
     else:
-        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
+        np.copyto(st["g"], gv[lengths - 1, np.arange(batch)])
 
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
+    spikes = _ws_empty(ws, gv.shape, dtype)
     h = st["h"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
     h_final = o_final = None
@@ -418,10 +429,10 @@ def _adaptive_forward(layer, xs, st, csr=None, ws=None, weight=None,
         # h[t] = beta*h[t-1] + O[t-1]   (eq. 8)
         h *= beta
         h += o_prev
-        v_t = gv[:, t]
+        v_t = gv[t]
         np.multiply(h, theta, out=scratch)
         v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
-        o_t = spikes[:, t]
+        o_t = spikes[t]
         o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
         o_prev = o_t
         if ends is not None:
@@ -430,7 +441,7 @@ def _adaptive_forward(layer, xs, st, csr=None, ws=None, weight=None,
                 h_final[rows] = h[rows]
                 o_final[rows] = o_t[rows]
     if ends is None:
-        np.copyto(st["o"], spikes[:, -1])
+        np.copyto(st["o"], spikes[-1])
     else:
         # Padded rows kept evolving the shared working ``h`` past their
         # end; restore every row from its own captured snapshot.
@@ -441,36 +452,30 @@ def _adaptive_forward(layer, xs, st, csr=None, ws=None, weight=None,
     return spikes, gv
 
 
-def _hard_reset_forward(layer, xs, st, csr=None, ws=None, weight=None,
-                        lengths=None, ends=None):
+def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     """One chunk of a hard-reset layer, advancing ``st`` (``{v}``) in place.
 
-    Sparse matmul -> leaky-integrate/reset scan; the discretisation gain
-    is folded into the weight so the scan is pure elementwise work.
-    ``lengths`` is unused (the carried ``v`` is captured per row through
-    ``ends``); it is accepted so both kernels share one signature.
-    Returns ``(spikes, v)`` with ``v`` the pre-reset membrane.
+    The leaky-integrate/reset scan rewrites ``gv`` (the time-major product
+    with the input gain folded in) in place; ``lengths`` is unused (rows
+    are captured through ``ends``).  ``v`` is the pre-reset membrane.
     """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
+    dtype = gv.dtype
+    steps, batch, n_out = gv.shape
     neuron = layer.neuron
     alpha = neuron.alpha
     v_th = neuron.params.v_th
 
-    gv = _layer_gv(layer, xs, csr, ws, weight,
-                   gain=float(neuron.input_gain))
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
+    spikes = _ws_empty(ws, gv.shape, dtype)
     v_post = st["v"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
     v_final = None
     if ends is not None:
         v_final = _ws_empty(ws, (batch, n_out), dtype)
     for t in range(steps):
-        v_t = gv[:, t]
+        v_t = gv[t]
         np.multiply(v_post, alpha, out=scratch)
         v_t += scratch                    # v_pre[t] = alpha*v_post[t-1] + j[t]
-        o_t = spikes[:, t]
+        o_t = spikes[t]
         o_t[...] = v_t >= v_th
         np.subtract(1.0, o_t, out=scratch)
         np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
@@ -492,17 +497,13 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     ``inputs`` must already be a validated ``(batch, T, n_input)`` array of
     the desired precision (``SpikingNetwork.run`` handles coercion).
     Returns ``(outputs, RunRecord | None)`` identical in structure to the
-    step-wise path.  A record holds the per-layer ``v``/``spikes`` tensors
-    the kernels materialise anyway; the synapse-filter trace ``k`` is
-    never computed here (BPTT does not read it) and is derived from the
-    layer's input on first read.  With a workspace and ``record=False``
-    the intermediate layers' tensors are recycled as soon as the next
-    layer has consumed them (the returned outputs stay checked out for
-    the caller).
-
-    Each layer runs its kernel from a zero state
-    (:func:`fused_layer_forward`), so the outputs equal a stream of the
-    whole sequence as one chunk.
+    step-wise path; ``outputs`` and the record's tensors are
+    ``(batch, T, n)`` views of time-major buffers.  A record holds the
+    per-layer ``v``/``spikes`` the kernels materialise anyway, never the
+    ``k`` trace (derived on first read).  With a workspace and
+    ``record=False`` each intermediate tensor is recycled once the next
+    layer has consumed it.  Each layer runs its kernel from a zero state,
+    so the outputs equal a stream of the whole sequence as one chunk.
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
@@ -516,30 +517,30 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     from .network import RunRecord
 
     weights = _per_layer_weights(network, weights)
-    x = inputs
+    x = inputs.swapaxes(0, 1)
     layer_records: list[LayerStepRecord] = []
-    input_csrs = []
-    spikes = inputs
-    for layer, weight in zip(network.layers, weights):
-        csr = _spike_csr(x.reshape(-1, layer.n_in), ws)
-        input_csrs.append(csr)
-        spikes, v = fused_layer_forward(layer, x, _csr=csr, ws=ws,
-                                        weight=weight)
+    input_events = []
+    for index, (layer, weight) in enumerate(zip(network.layers, weights)):
+        events = _spike_events(x, ws)
+        input_events.append(events)
+        spikes, v = _run_layer(layer, x, events, ws, weight)
         if record:
-            layer_records.append(LayerStepRecord.for_layer(layer, x, v,
-                                                           spikes))
+            layer_input = inputs if index == 0 else layer_records[-1].spikes
+            layer_records.append(LayerStepRecord.for_layer(
+                layer, layer_input, v.swapaxes(0, 1), spikes.swapaxes(0, 1)))
         elif ws is not None:
             ws.release(v)
-            if x is not inputs:
+            if index > 0:
                 ws.release(x)
         x = spikes
+    outputs = x.swapaxes(0, 1)
     if not record:
-        return spikes, None
+        return outputs, None
     run_record = RunRecord(inputs=inputs, layers=layer_records)
     # Stash the CSR conversions so a following fused_backward on this
     # record reuses them for its weight-gradient contractions.
-    run_record._input_csrs = input_csrs
-    return spikes, run_record
+    run_record._input_events = input_events
+    return outputs, run_record
 
 
 # -- streaming --------------------------------------------------------------
@@ -687,38 +688,36 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     (rejecting cross-row work would cost more than it saves) but their
     state is captured at their own final valid step, so a padded batched
     run leaves every stream exactly where its own data ended.  Output
-    values beyond a row's length are unspecified.
+    values beyond a row's length are unspecified.  The outputs are a
+    ``(batch, T_chunk, n_out)`` view of a time-major buffer.
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
-    the network's own parameters.  This is the hardware-in-the-loop hook:
+    the network's own parameters — the hardware-in-the-loop hook of
     :meth:`~repro.hardware.mapped_network.HardwareMappedNetwork.run_stream`
-    streams the resident *software* network with the crossbars' achieved
-    (quantized + noisy) weights — only the weight values differ, the
-    dynamics are byte-for-byte the same code path.
-
-    Unlike :func:`fused_run`, the network's layer/neuron scratch state is
-    left untouched — many concurrent streams share one resident network.
+    (same code path, the crossbars' achieved weight values).  Unlike
+    :func:`fused_run`, the network's layer/neuron scratch state is left
+    untouched: many concurrent streams share one resident network.
     """
     batch, steps, _ = chunk.shape
     lengths, ends = _resolve_lengths(lengths, batch, steps)
     weights = _per_layer_weights(network, weights)
     if steps == 0:
         return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
-    x = chunk
-    for layer, st, weight in zip(network.layers, state.layers, weights):
-        kernel = (_adaptive_forward if layer.neuron_kind == "adaptive"
-                  else _hard_reset_forward)
-        spikes, v = kernel(layer, x, st, None, ws, weight, lengths, ends)
+    x = chunk.swapaxes(0, 1)
+    for index, (layer, st, weight) in enumerate(
+            zip(network.layers, state.layers, weights)):
+        spikes, v = _layer_chunk(layer, x, st, _spike_events(x, ws), ws,
+                                 weight, lengths, ends)
         _ws_release(ws, v)
-        if ws is not None and x is not chunk:
-            ws.release(x)
+        if index > 0:
+            _ws_release(ws, x)
         x = spikes
     if lengths is None:
         state.steps += steps
     else:
         state.steps += lengths
-    return x
+    return x.swapaxes(0, 1)
 
 
 # -- backward ---------------------------------------------------------------
@@ -731,19 +730,19 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
 
     The adjoint recursions of the reference implementation are split the
     same way as the forward pass: the ``delta_v`` recurrence stays a
-    sequential elementwise scan over preallocated ``(batch, T, n)``
-    buffers, while the weight gradient becomes one ``tensordot`` over
-    ``(batch, T)`` and the input gradient one batched matmul plus a
-    reverse exponential scan (exact mode's ``alpha``-carry).
+    sequential elementwise scan over time-major ``(T, batch, n)`` buffers
+    (``grad_outputs`` is transposed in once), the weight gradient becomes
+    one sparse contraction over ``(T, batch)`` (:func:`_weight_grad`) and
+    the input gradient one batched matmul plus a reverse exponential scan
+    (exact mode's ``alpha``-carry).
 
     ``precision`` defaults to the record's dtype (so a float32 forward run
     gets a float32 backward); pass ``"float64"`` to upcast.  ``ws`` serves
-    and recycles the adjoint buffers; the only buffer that survives the
-    call is the one captured by the deferred input-gradient closure, and
-    that one is deliberately allocated outside the workspace.  Training
-    never reads ``GradientResult.input_grad``, so the trainer/pool path
-    passes ``need_input_grad=False`` — the closure (and its captured
-    plain buffer + weight snapshot) is then skipped entirely and every
+    and recycles the adjoint buffers; only the buffer captured by the
+    deferred input-gradient closure survives the call, and it is
+    allocated outside the workspace.  Training never reads
+    ``GradientResult.input_grad``, so the trainer/pool path passes
+    ``need_input_grad=False``: the closure is then skipped and every
     adjoint buffer returns to the workspace.
 
     ``weights`` substitutes the per-layer weight matrices of the adjoint
@@ -765,31 +764,27 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
     dtype = resolve_precision(precision) or outputs.dtype
     weights = _per_layer_weights(network, weights)
 
-    grad_spikes = np.asarray(grad_outputs, dtype=dtype)
-    cached_csrs = getattr(record, "_input_csrs", None)
+    grad_spikes = _swap_time_batch(grad_outputs, dtype, ws)
+    cached_events = getattr(record, "_input_events", None)
     weight_grads: list[np.ndarray] = [None] * len(network.layers)
     input_grad_fn = None
     for index in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[index]
-        layer_record = record.layers[index]
-        weight = _resolve_weight_override(layer, weights[index])
         # Reuse the forward pass's conversion unless the backward runs at
         # another precision (then the contraction rebuilds it).
-        csr = None
-        if cached_csrs is not None and cached_csrs[index].dtype == dtype:
-            csr = cached_csrs[index]
+        events = cached_events[index] if cached_events else None
+        if events is None or events[0].dtype != dtype:
+            events = _spike_events(record.layer_input(index).swapaxes(0, 1),
+                                   dtype=dtype)
         defer = index == 0 and need_input_grad
-        if layer.neuron_kind == "adaptive":
-            w_grad, grad_inputs_fn, retained = _fused_backward_adaptive(
-                layer, layer_record, record.layer_input(index),
-                grad_spikes, mode, dtype, csr, defer, ws, weight,
-            )
-        else:
-            w_grad, grad_inputs_fn, retained = _fused_backward_hard_reset(
-                layer, layer_record, record.layer_input(index),
-                grad_spikes, dtype, csr, defer, ws, weight,
-            )
+        kernel = (_fused_backward_adaptive if layer.neuron_kind == "adaptive"
+                  else _fused_backward_hard_reset)
+        w_grad, upstream, gain, retained = kernel(
+            layer, record.layers[index], events, grad_spikes, mode, dtype,
+            defer, ws)
         weight_grads[index] = w_grad
+        grad_inputs_fn = _input_grad_fn(layer, upstream, weights[index],
+                                        gain, dtype, ws, defer)
         if index == 0:
             if need_input_grad:
                 # The network-input gradient is only consumed by
@@ -804,13 +799,73 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
             # captures its own plain-allocated buffers, never this one).
             _ws_release(ws, grad_spikes)
         else:
-            upstream = grad_spikes
+            consumed = grad_spikes
             grad_spikes = grad_inputs_fn()
             # The consumed adjoint and this layer's scan buffers are dead
             # once the next upstream gradient exists.
-            _ws_release(ws, upstream, *retained)
+            _ws_release(ws, consumed, *retained)
     return GradientResult(weight_grads=weight_grads, input_grad=None,
                           input_grad_fn=input_grad_fn)
+
+
+def _swap_time_batch(tensor: np.ndarray, dtype, ws=None) -> np.ndarray:
+    """``tensor`` with its ``(batch, T)`` axes swapped, as a contiguous
+    array of ``dtype`` — between the public and the time-major layout.
+    Without ``ws``, a view when the memory already has that layout (the
+    buffer behind a fused record's view), else a copy; with ``ws``,
+    always a fresh workspace copy the caller releases."""
+    if ws is None:
+        return np.ascontiguousarray(tensor.swapaxes(0, 1), dtype=dtype)
+    out = ws.empty(tensor.shape[1::-1] + tensor.shape[2:], dtype)
+    np.copyto(out, tensor.swapaxes(0, 1))
+    return out
+
+
+def _weight_grad(adjoint: np.ndarray, events, ws=None) -> np.ndarray:
+    """``sum_{t,b} adjoint[t,b]^T x[t,b]`` over the layer input's events.
+
+    ``adjoint`` is time-major; ``events`` is :func:`_spike_events` of the
+    layer input.  A batch-major input (the network input) is contracted
+    in its own ``(b, t)`` row order, so the adjoint is copied out to that
+    order once rather than transposing the wide input.
+    """
+    csr, batch_major = events
+    n_out = adjoint.shape[2]
+    if not batch_major:
+        return spike_outer(adjoint.reshape(-1, n_out), None, csr=csr)
+    rows = _swap_time_batch(adjoint, adjoint.dtype, ws)   # (batch, T, n_out)
+    grad = spike_outer(rows.reshape(-1, n_out), None, csr=csr)
+    _ws_release(ws, rows)
+    return grad
+
+
+def _input_grad_fn(layer, upstream, weight, gain, dtype, ws, defer):
+    """The input-gradient closure ``gain * upstream @ W`` of one layer.
+
+    ``upstream`` is the time-major adjoint the input gradient is read
+    from.  The matmul traverses the weights the forward pass used: the
+    layer's own or the caller's override.  The closure returns a
+    time-major ``ws`` buffer for the next layer's backward.  A ``defer``
+    closure (layer 0's, behind ``GradientResult.input_grad``) may run
+    after an in-place optimizer step, so it reads a weight snapshot and
+    returns the public ``(batch, T, n_in)`` view of a plain array.
+    """
+    weight = np.asarray(_resolve_weight_override(layer, weight), dtype=dtype)
+    if defer:
+        ws = None
+        if weight is layer.weight:
+            weight = weight.copy()
+    steps, batch, n_out = upstream.shape
+
+    def grad_inputs_fn() -> np.ndarray:
+        out = _ws_empty(ws, (steps, batch, layer.n_in), dtype)
+        np.matmul(upstream.reshape(steps * batch, n_out), weight,
+                  out=out.reshape(steps * batch, layer.n_in))
+        if gain != 1.0:
+            out *= gain
+        return out.swapaxes(0, 1) if defer else out
+
+    return grad_inputs_fn
 
 
 def _surrogate_eps(layer, v: np.ndarray, dtype, ws=None) -> np.ndarray:
@@ -832,9 +887,8 @@ def _surrogate_eps(layer, v: np.ndarray, dtype, ws=None) -> np.ndarray:
     return eps
 
 
-def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
-                             mode, dtype, csr=None, defer=False,
-                             ws=None, weight=None):
+def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
+                             mode, dtype, defer=False, ws=None):
     """Adaptive-layer adjoints with the matmuls hoisted out of the time loop.
 
     Sequential part (elementwise, reverse time)::
@@ -845,146 +899,89 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
 
     Hoisted part — with ``e = exp_scan_reverse(delta_v, alpha)``, the
     synapse filter's adjoint.  The filter is linear, so it moves off the
-    recorded trace ``k`` and onto the adjoint
-    (``sum_t delta_v[t]^T k[t] == sum_s e[s]^T x[s]``), and it commutes
-    with the weight product (``revscan(delta_v @ W) == e @ W``)::
+    recorded trace ``k`` onto the adjoint
+    (``sum_t delta_v[t]^T k[t] == sum_s e[s]^T x[s]``) and commutes with
+    the weight product (``revscan(delta_v @ W) == e @ W``)::
 
-        dE/dW    = sum_{b,s} e[b,s]^T x[b,s]    (sparse-aware contraction)
+        dE/dW    = sum_{s,b} e[s,b]^T x[s,b]    (over the spike events)
         dE/dx[t] = e @ W          (exact)
                  = delta_v @ W    (truncated; eq. 13 drops the alpha-carry)
 
-    Working from the raw presynaptic spikes ``x`` instead of ``k`` lets
-    :func:`spike_outer` contract over the spike nonzeros only, and is why
-    a record carries no ``k`` trace (it derives one only when read).
+    which is why a record carries no ``k`` trace.  Returns
+    ``(w_grad, upstream, gain, retained)``: the input gradient's adjoint
+    and gain, and the workspace buffers to release after it is read.
     """
     theta = layer.params.theta
     beta = layer.neuron.beta_r
 
-    v = np.asarray(layer_record.v, dtype=dtype)
-    batch, steps, n_out = v.shape
-
+    v = _swap_time_batch(layer_record.v, dtype)
+    steps, batch, n_out = v.shape
     eps = _surrogate_eps(layer, v, dtype, ws)
-
-    # The buffer the deferred (layer-0) closure captures must outlive this
+    # The buffer a deferred (layer-0) closure captures must outlive this
     # call indefinitely, so it is never taken from the workspace.
-    capture_dv = defer and mode == "truncated"
-    if capture_dv:
-        dv = np.empty((batch, steps, n_out), dtype=dtype)
-    else:
-        dv = _ws_empty(ws, (batch, steps, n_out), dtype)
+    dv = np.empty(v.shape, dtype) if defer else _ws_empty(ws, v.shape, dtype)
     scratch = _ws_empty(ws, (batch, n_out), dtype)
     if mode == "exact":
         a_h = np.zeros((batch, n_out), dtype=dtype)
         for t in range(steps - 1, -1, -1):
-            dv_t = dv[:, t]
-            np.add(grad_spikes[:, t], a_h, out=dv_t)
-            dv_t *= eps[:, t]
+            dv_t = dv[t]
+            np.add(grad_spikes[t], a_h, out=dv_t)
+            dv_t *= eps[t]
             a_h *= beta
             np.multiply(dv_t, theta, out=scratch)
             a_h -= scratch
     else:
-        np.multiply(grad_spikes[:, -1], eps[:, -1], out=dv[:, -1])
+        np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
         for t in range(steps - 2, -1, -1):
-            np.multiply(dv[:, t + 1], theta, out=scratch)
-            np.subtract(grad_spikes[:, t], scratch, out=dv[:, t])
-            dv[:, t] *= eps[:, t]
+            np.multiply(dv[t + 1], theta, out=scratch)
+            np.subtract(grad_spikes[t], scratch, out=dv[t])
+            dv[t] *= eps[t]
     _ws_release(ws, scratch, eps)
 
-    if defer and mode == "exact":
-        e = exp_scan_reverse(dv, layer.alpha)          # captured: plain
-    else:
-        e = exp_scan_reverse(dv, layer.alpha,
-                             out=_ws_empty(ws, dv.shape, dtype))
-    flat_x = np.asarray(layer_inputs, dtype=dtype).reshape(
-        batch * steps, layer.n_in
-    )
-    w_grad = spike_outer(e.reshape(batch * steps, n_out), flat_x, csr=csr)
-
-    # The adjoint matmuls traverse the weights the forward pass used: the
-    # layer's own, or the caller's override (hardware-aware training).
-    weight = np.asarray(weight, dtype=dtype)
-    if defer and weight is layer.weight:
-        # The closure may be called after an in-place optimizer step;
-        # snapshot the weights the forward pass actually used.
-        weight = weight.copy()
-    upstream = e if mode == "exact" else dv
-
+    if mode == "exact":
+        # Only the scanned adjoint is read from here on: scan in place.
+        e = _scan_reverse(dv, layer.alpha)
+        w_grad = _weight_grad(e, events, ws)
+        return w_grad, e, 1.0, () if defer else (dv,)
+    # Truncated mode still reads the pre-scan ``delta_v`` upstream.
+    e = _ws_empty(ws, dv.shape, dtype)
+    np.copyto(e, dv)
+    w_grad = _weight_grad(_scan_reverse(e, layer.alpha), events, ws)
     if defer:
-        # Recycle whichever scan buffer the closure does not capture.
-        _ws_release(ws, dv if mode == "exact" else e)
-
-        def grad_inputs_fn() -> np.ndarray:
-            return (upstream.reshape(batch * steps, n_out) @ weight).reshape(
-                batch, steps, layer.n_in
-            )
-
-        return w_grad, grad_inputs_fn, ()
-
-    def grad_inputs_fn() -> np.ndarray:
-        out = _ws_empty(ws, (batch, steps, layer.n_in), dtype)
-        np.matmul(upstream.reshape(batch * steps, n_out), weight,
-                  out=out.reshape(batch * steps, layer.n_in))
-        return out
-
-    return w_grad, grad_inputs_fn, (dv, e)
+        _ws_release(ws, e)
+        return w_grad, dv, 1.0, ()
+    return w_grad, dv, 1.0, (dv, e)
 
 
-def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
-                               grad_spikes, dtype, csr=None,
-                               defer=False, ws=None, weight=None):
-    """Hard-reset adjoints with the matmuls hoisted (reset gate detached)."""
+def _fused_backward_hard_reset(layer, layer_record, events, grad_spikes,
+                               mode, dtype, defer=False, ws=None):
+    """Hard-reset adjoints with the matmuls hoisted (reset gate detached);
+    ``mode`` is unused (one rule for both).  Returns what
+    :func:`_fused_backward_adaptive` returns."""
     alpha = layer.neuron.alpha
     input_gain = getattr(layer.neuron, "input_gain", 1.0)
 
-    v_pre = np.asarray(layer_record.v, dtype=dtype)
-    spikes = np.asarray(layer_record.spikes, dtype=dtype)
-    layer_inputs = np.asarray(layer_inputs, dtype=dtype)
-    batch, steps, n_out = v_pre.shape
-
+    v_pre = _swap_time_batch(layer_record.v, dtype)
+    spikes = _swap_time_batch(layer_record.spikes, dtype)
+    steps, batch, n_out = v_pre.shape
     eps = _surrogate_eps(layer, v_pre, dtype, ws)
 
     # delta_v[t] = dE/dO[t]*eps[t] + alpha*(1 - O[t])*delta_v[t+1]
     # (``dv`` is what a deferred closure captures, so plain-allocated then).
-    if defer:
-        dv = np.empty((batch, steps, n_out), dtype=dtype)
-    else:
-        dv = _ws_empty(ws, (batch, steps, n_out), dtype)
+    dv = (np.empty(v_pre.shape, dtype) if defer
+          else _ws_empty(ws, v_pre.shape, dtype))
     scratch = _ws_empty(ws, (batch, n_out), dtype)
-    np.multiply(grad_spikes[:, -1], eps[:, -1], out=dv[:, -1])
+    np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
     for t in range(steps - 2, -1, -1):
-        dv_t = dv[:, t]
-        np.subtract(1.0, spikes[:, t], out=scratch)
-        scratch *= dv[:, t + 1]
+        dv_t = dv[t]
+        np.subtract(1.0, spikes[t], out=scratch)
+        scratch *= dv[t + 1]
         scratch *= alpha
-        np.multiply(grad_spikes[:, t], eps[:, t], out=dv_t)
+        np.multiply(grad_spikes[t], eps[t], out=dv_t)
         dv_t += scratch
     _ws_release(ws, scratch, eps)
 
-    weight = np.asarray(weight, dtype=dtype)
-    if defer and weight is layer.weight:
-        # Snapshot: the closure may run after an in-place optimizer step.
-        weight = weight.copy()
-    flat_x = layer_inputs.reshape(batch * steps, layer.n_in)
-    w_grad = spike_outer(dv.reshape(batch * steps, n_out), flat_x, csr=csr)
+    w_grad = _weight_grad(dv, events, ws)
     if input_gain != 1.0:
         w_grad *= input_gain
-
-    if defer:
-        def grad_inputs_fn() -> np.ndarray:
-            grad_inputs = (dv.reshape(batch * steps, n_out) @ weight
-                           ).reshape(batch, steps, layer.n_in)
-            if input_gain != 1.0:
-                grad_inputs *= input_gain
-            return grad_inputs
-
-        return w_grad, grad_inputs_fn, ()
-
-    def grad_inputs_fn() -> np.ndarray:
-        out = _ws_empty(ws, (batch, steps, layer.n_in), dtype)
-        np.matmul(dv.reshape(batch * steps, n_out), weight,
-                  out=out.reshape(batch * steps, layer.n_in))
-        if input_gain != 1.0:
-            out *= input_gain
-        return out
-
-    return w_grad, grad_inputs_fn, (dv,)
+    return w_grad, dv, input_gain, () if defer else (dv,)

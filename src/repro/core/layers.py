@@ -34,6 +34,10 @@ __all__ = ["SpikingLinear", "LayerStepRecord"]
 class LayerStepRecord:
     """Per-layer time-stacked tensors captured during a recorded run.
 
+    The tensors are indexed ``[batch, t, neuron]``.  A fused-engine record
+    holds them as ``swapaxes`` views of the engine's time-major
+    ``(T, batch, n)`` buffers (see :class:`~repro.core.network.RunRecord`).
+
     Attributes
     ----------
     v:

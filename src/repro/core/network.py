@@ -14,11 +14,11 @@ layers.  Two execution engines produce identical dynamics:
 * ``engine="fused"`` (the default) — the vectorized engine in
   :mod:`repro.core.engine`: because the stack is feedforward and causal,
   the loop nest is reordered layer-major, the synapse filter becomes an
-  in-place exponential scan over ``(batch, T, n)`` buffers, and the
-  crossbar product collapses to one batched matmul per layer.  Spikes,
-  membrane traces and BPTT gradients match the reference to tolerance
-  (``tests/unit/test_engine.py``); throughput is several times higher
-  (``docs/performance.md``).
+  in-place exponential scan over time-major ``(T, batch, n)`` buffers,
+  and the crossbar product collapses to one batched matmul per layer.
+  Spikes, membrane traces and BPTT gradients match the reference to
+  tolerance (``tests/unit/test_engine.py``); throughput is several times
+  higher (``docs/performance.md``).
 
 Both engines support ``precision="float32"|"float64"``.
 
@@ -46,19 +46,25 @@ __all__ = ["SpikingNetwork", "RunRecord"]
 class RunRecord:
     """Everything captured from one recorded forward run.
 
-    Memory layout: every tensor is a C-contiguous array indexed
-    ``[batch, t, neuron]`` — batch-major, time second, channel last — so a
-    single time step ``tensor[:, t, :]`` is a strided ``(batch, n)`` slice
-    (what the step-wise loops touch) while a whole trace flattens to
-    ``(batch*T, n)`` without a copy (what the fused engine's batched
-    matmuls consume).  Per layer the record holds ``v`` (membrane values,
-    pre-reset for HR) and ``spikes`` (both ``(batch, T, n_out)``).  Its
-    ``k`` (synapse-filter trace, ``(batch, T, n_in)``, ``None`` for
-    hard-reset layers) is not recorded: it is derived on first read as
+    Memory layout: every tensor is indexed ``[batch, t, neuron]`` — the
+    public ``(batch, T, n)`` shape — but a fused-engine record holds the
+    engine's **time-major** ``(T, batch, n)`` buffers behind ``swapaxes``
+    views, so one time step ``tensor[:, t, :]`` is a contiguous
+    ``(batch, n)`` slice of the buffer (what the fused backward's
+    per-step loops walk) and ``tensor.swapaxes(0, 1)`` recovers the
+    buffer without a copy.  ``inputs`` is the caller's own
+    (batch-major) array.  A step-engine record holds plain batch-major
+    arrays of the same shapes; the fused backward accepts either.
+    Releasing a view to a workspace returns the buffer behind it.
+
+    Per layer the record holds ``v`` (membrane values, pre-reset for HR)
+    and ``spikes`` (both ``(batch, T, n_out)``).  Its ``k``
+    (synapse-filter trace, ``(batch, T, n_in)``, ``None`` for hard-reset
+    layers) is not recorded: it is derived on first read as
     ``exp_scan(layer_input(i), alpha)`` — the ops of the step loop's
     ``alpha*k + x`` — and cached, so the fused backward, which never reads
     it, never pays for it.  The dtype is whatever precision the run used;
-    both engines produce the same layout and the same derived ``k``, so
+    both engines produce the same values and the same derived ``k``, so
     BPTT and the analysis code never need to know which engine recorded
     it.
 

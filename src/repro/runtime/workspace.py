@@ -118,6 +118,9 @@ class Workspace:
 
         Arrays this workspace did not allocate (or ``None``) are ignored, so
         callers can release whole records without provenance bookkeeping.
+        A view of a lent buffer (a reshape, slice or ``swapaxes``, like the
+        ``(batch, T, n)`` views the engine hands out of its time-major
+        buffers) releases the buffer behind it.
         Releasing the same buffer twice in a row is also a no-op (the
         second call sees it as foreign) — but release a buffer **at most
         once per checkout**: the array object itself is the lease token,
@@ -131,8 +134,15 @@ class Workspace:
                 continue
             entry = self._lent.pop(id(arr), None)
             if entry is None:
-                continue
-            key = entry[0]
+                # NumPy points every view's ``base`` at the array owning
+                # the memory, which for a lent buffer is the buffer.
+                base = getattr(arr, "base", None)
+                if base is None:
+                    continue
+                entry = self._lent.pop(id(base), None)
+                if entry is None:
+                    continue
+            key, arr = entry
             self._free.setdefault(key, []).append(arr)
             self._fifo.append(key)
             self._free_bytes += arr.nbytes
