@@ -101,6 +101,11 @@ class SpikingLinear:
         initial PSPs sit near threshold.
     rng:
         Seed / :class:`~repro.common.rng.RandomState` for the weight init.
+    weight:
+        A ready ``(n_out, n_in)`` weight array the layer is built around,
+        held as given (no copy); the init is skipped, so ``weight_scale``
+        and ``rng`` are unused.  A clone passes the array it shares
+        (:meth:`copy_with_neuron`) or a private copy it owns.
     """
 
     def __init__(self, n_in: int, n_out: int,
@@ -109,7 +114,7 @@ class SpikingLinear:
                  surrogate: SurrogateGradient | None = None,
                  weight_scale: float | None = None,
                  rng: RandomState | int | None = None,
-                 name: str = ""):
+                 name: str = "", weight: np.ndarray | None = None):
         if n_in <= 0 or n_out <= 0:
             raise ValueError(f"layer sizes must be positive, got {n_in}x{n_out}")
         self.n_in = int(n_in)
@@ -121,14 +126,21 @@ class SpikingLinear:
         self.alpha = decay_from_tau(self.params.tau)
         self.name = name or f"spiking_linear_{n_in}x{n_out}"
 
-        if weight_scale is None:
-            # The filter's steady-state gain for a dense input is
-            # 1/(1-alpha); scale down so initial activity is moderate.
-            weight_scale = 2.0 * (1.0 - self.alpha)
-        generator = as_random_state(rng)
-        self.weight = generator.normal(
-            0.0, weight_scale / np.sqrt(self.n_in), (self.n_out, self.n_in)
-        )
+        if weight is not None:
+            if weight.shape != (self.n_out, self.n_in):
+                raise ShapeError(
+                    f"{self.name}: weight shape {weight.shape} != "
+                    f"{(self.n_out, self.n_in)}")
+            self.weight = weight
+        else:
+            if weight_scale is None:
+                # The filter's steady-state gain for a dense input is
+                # 1/(1-alpha); scale down so initial activity is moderate.
+                weight_scale = 2.0 * (1.0 - self.alpha)
+            generator = as_random_state(rng)
+            self.weight = generator.normal(
+                0.0, weight_scale / np.sqrt(self.n_in),
+                (self.n_out, self.n_in))
 
         self.k: np.ndarray | None = None  # synapse filter state (adaptive)
 
@@ -195,13 +207,11 @@ class SpikingLinear:
         This is the paper's Table II 'HR' experiment: keep structure and
         weights, swap the dynamics.
         """
-        clone = SpikingLinear(
+        return SpikingLinear(
             self.n_in, self.n_out, params=self.params,
             neuron_kind=neuron_kind, surrogate=self.surrogate,
-            rng=0, name=self.name + f"[{neuron_kind}]",
+            name=self.name + f"[{neuron_kind}]", weight=self.weight,
         )
-        clone.weight = self.weight  # intentional sharing
-        return clone
 
     def __repr__(self) -> str:
         return (f"SpikingLinear({self.n_in}->{self.n_out}, "

@@ -119,17 +119,44 @@ class SpikingNetwork:
         if len(sizes) < 2:
             raise ValueError("a network needs at least an input and one layer")
         root = as_random_state(rng)
-        self.sizes = sizes
-        self.params = params or NeuronParameters()
-        self.neuron_kind = neuron_kind
-        self.layers = [
+        params = params or NeuronParameters()
+        self._adopt([
             SpikingLinear(
-                sizes[i], sizes[i + 1], params=self.params,
+                sizes[i], sizes[i + 1], params=params,
                 neuron_kind=neuron_kind, surrogate=surrogate,
                 rng=root.child(f"layer{i}"), name=f"layer{i}",
             )
             for i in range(len(sizes) - 1)
-        ]
+        ])
+
+    @classmethod
+    def from_layers(cls, layers: list[SpikingLinear]) -> "SpikingNetwork":
+        """A network over ready-built layers, with no weight init.
+
+        The clone constructor: build each layer around its weight array
+        (``SpikingLinear(..., weight=)``) and stack them here, so no
+        random weights are drawn only to be overwritten.  The layers must
+        chain (each ``n_in`` the previous ``n_out``) and share one neuron
+        kind; the network's ``params`` are the first layer's.
+        """
+        network = cls.__new__(cls)
+        network._adopt(layers)
+        return network
+
+    def _adopt(self, layers: list[SpikingLinear]) -> None:
+        if not layers:
+            raise ValueError("a network needs at least an input and one layer")
+        for below, above in zip(layers, layers[1:]):
+            if above.n_in != below.n_out:
+                raise ShapeError(f"{above.name}: {above.n_in} inputs do not "
+                                 f"chain to {below.name}'s {below.n_out}")
+        kinds = {layer.neuron_kind for layer in layers}
+        if len(kinds) != 1:
+            raise ValueError(f"layers mix neuron kinds {sorted(kinds)}")
+        self.sizes = (layers[0].n_in, *(layer.n_out for layer in layers))
+        self.params = layers[0].params
+        self.neuron_kind = layers[0].neuron_kind
+        self.layers = list(layers)
 
     # -- forward -------------------------------------------------------------
     def reset_state(self, batch_size: int, dtype=np.float64) -> None:
@@ -377,14 +404,12 @@ class SpikingNetwork:
         """A new network with identical (shared) weights but other dynamics.
 
         Implements the paper's Table II 'HR' swap: evaluate the trained
-        weights under hard-reset neurons.
+        weights under hard-reset neurons.  Each layer is
+        :meth:`~repro.core.layers.SpikingLinear.copy_with_neuron` of ours,
+        so it keeps its surrogate gradient.
         """
-        clone = SpikingNetwork(
-            self.sizes, params=self.params, neuron_kind=neuron_kind, rng=0,
-        )
-        for ours, theirs in zip(self.layers, clone.layers):
-            theirs.weight = ours.weight  # intentional sharing
-        return clone
+        return SpikingNetwork.from_layers(
+            [layer.copy_with_neuron(neuron_kind) for layer in self.layers])
 
     def count_parameters(self) -> int:
         """Total number of trainable scalars."""

@@ -46,6 +46,7 @@ import numpy as np
 from ..common.config import BaseConfig
 from ..common.errors import ShapeError, StateError
 from ..common.rng import RandomState, as_random_state
+from ..core.layers import SpikingLinear
 from ..core.network import SpikingNetwork
 from ..core.trainer import run_in_batches
 from .crossbar import DifferentialCrossbar
@@ -82,16 +83,18 @@ class HardwareMappedNetwork:
                                  rng=root.child(f"crossbar{i}"))
             for i, layer in enumerate(network.layers)
         ]
-        self.hardware_network = SpikingNetwork(
-            network.sizes, params=network.params,
-            neuron_kind=network.neuron_kind, rng=0,
-        )
         # The mapped realization: one effective-weight array per layer,
         # cached against the crossbars' programming generations and kept
-        # installed on the hardware clone (see weight_list()).
-        self._weights: list[np.ndarray] | None = None
-        self._weights_generation: tuple | None = None
-        self.weight_list()
+        # installed on the hardware clone (see weight_list()), which is
+        # built around private copies of it.
+        self._weights = [xbar.effective_weights() for xbar in self.crossbars]
+        self._weights_generation = self.generation()
+        self.hardware_network = SpikingNetwork.from_layers([
+            SpikingLinear(layer.n_in, layer.n_out, params=network.params,
+                          neuron_kind=network.neuron_kind, name=f"layer{i}",
+                          weight=weight.copy())
+            for i, (layer, weight) in enumerate(zip(network.layers,
+                                                    self._weights))])
 
     # -- the weight provider ---------------------------------------------------
     def generation(self) -> tuple:

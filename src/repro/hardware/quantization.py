@@ -218,10 +218,18 @@ def weights_to_conductances(weights: np.ndarray,
     weights = np.asarray(weights, dtype=np.float64)
     scale = resolve_weight_scale(weights, scale)
     window = device.g_max - device.g_min
-    normalized = np.clip(weights / scale, -1.0, 1.0)
-    magnitude = np.abs(normalized) * window
-    g_plus = np.where(normalized >= 0, device.g_min + magnitude, device.g_min)
-    g_minus = np.where(normalized < 0, device.g_min + magnitude, device.g_min)
+    normalized = weights / scale
+    np.clip(normalized, -1.0, 1.0, out=normalized)
+    # g+ = g_min + max(w, 0)*window and g- = g_min - min(w, 0)*window are
+    # g_min + |w|*window on their own sign and g_min elsewhere, bitwise;
+    # fmax/fmin send a NaN to 0 (g_min on both devices) and, unlike a
+    # select on the weights' random signs, never branch.
+    g_plus = np.fmax(normalized, 0.0)
+    g_plus *= window
+    g_plus += device.g_min
+    g_minus = np.fmin(normalized, 0.0, out=normalized)
+    g_minus *= window
+    np.subtract(device.g_min, g_minus, out=g_minus)
     return g_plus, g_minus, float(scale)
 
 

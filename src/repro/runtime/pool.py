@@ -257,16 +257,18 @@ class _WorkerState:
         kind = neuron_kind or spec.neuron_kind
         net = self.networks.get(kind)
         if net is None:
+            from ..core.layers import SpikingLinear
             from ..core.network import SpikingNetwork
 
-            net = SpikingNetwork(spec.sizes, params=spec.params,
-                                 neuron_kind=kind, rng=0)
-            for layer, surrogate, offset, shape in zip(
-                    net.layers, spec.surrogates, spec.weight_offsets,
-                    spec.weight_shapes):
-                layer.weight = self.view(
-                    dict(spec.weight_ref, shape=shape, offset=offset))
-                layer.surrogate = surrogate
+            net = SpikingNetwork.from_layers([
+                SpikingLinear(
+                    shape[1], shape[0], params=spec.params,
+                    neuron_kind=kind, surrogate=surrogate,
+                    name=f"layer{i}", weight=self.view(
+                        dict(spec.weight_ref, shape=shape, offset=offset)))
+                for i, (surrogate, offset, shape) in enumerate(zip(
+                    spec.surrogates, spec.weight_offsets,
+                    spec.weight_shapes))])
             self.networks[kind] = net
         return net
 

@@ -117,3 +117,67 @@ def test_analyse_reads_directions_and_bounds_from_the_benchmark():
     text = ab.format_report(report, results, "train")
     assert "op_p50_ms" in text and "PASS" in text
     assert "failed 0 of 100 operations" in text
+
+
+def _runs(p50s, correct=True, attempted=10, failed=0):
+    return [{"correct": correct, "attempted": attempted, "failed": failed,
+             "metrics": {"op_p50_ms": {"value": value, "unit": "ms"}}}
+            for value in p50s]
+
+
+SPECS = {"op_p50_ms": ("lower", 0.25)}
+FAST = [110.0 + i % 3 for i in range(10)]
+SLOW = [130.0 + i % 3 for i in range(10)]
+
+
+def test_gain_needs_every_head_run_correct():
+    results = {"base": _runs(SLOW), "head": _runs(FAST)}
+    assert ab.analyse(results, SPECS)["op_p50_ms"]["gain"] is True
+    results["head"][3]["correct"] = False
+    report = ab.analyse(results, SPECS)
+    assert report["op_p50_ms"]["gain"] is False
+    text = ab.format_report(report, results, "sweep")
+    assert "PASS" not in text
+    assert "no gain counts: a head run is not correct" in text
+
+
+def test_gain_needs_no_larger_failed_share():
+    results = {"base": _runs(SLOW, failed=1), "head": _runs(FAST, failed=1)}
+    assert ab.analyse(results, SPECS)["op_p50_ms"]["gain"] is True
+    results["head"][0]["failed"] = 2          # 11/100 against 10/100
+    report = ab.analyse(results, SPECS)
+    assert report["op_p50_ms"]["gain"] is False
+    assert "larger share" in ab.format_report(report, results, "sweep")
+    # A share, not a count: more operations may fail in more attempts.
+    results = {"base": _runs(SLOW, attempted=10, failed=1),
+               "head": _runs(FAST, attempted=20, failed=2)}
+    assert ab.analyse(results, SPECS)["op_p50_ms"]["gain"] is True
+
+
+def test_ratio_interval_brackets_the_known_ratio():
+    base = [100.0 + 7.0 * ((i * 37) % 11) for i in range(12)]
+    head = [0.8 * b * (1.0 + 0.01 * ((i * 5) % 3 - 1))
+            for i, b in enumerate(base)]
+    low, high = ab.ratio_interval(base, head)
+    assert low < 0.8 < high
+    assert 0.75 < low and high < 0.85
+    assert ab.ratio_interval(base, head) == (low, high)   # fixed seed
+
+
+def test_ratio_interval_of_identical_sides_contains_one():
+    samples = [100.0, 104.0, 97.0, 110.0, 92.0, 101.0, 99.0, 108.0]
+    low, high = ab.ratio_interval(samples, list(samples))
+    assert low <= 1.0 <= high
+    noisy = [s * (1.0 + 0.02 * (-1) ** i) for i, s in enumerate(samples)]
+    low, high = ab.ratio_interval(samples, noisy)
+    assert low <= 1.0 <= high
+
+
+def test_report_prints_the_interval():
+    results = {"base": _runs(SLOW), "head": _runs(FAST)}
+    report = ab.analyse(results, SPECS)
+    low, high = report["op_p50_ms"]["ratio_ci"]
+    assert low < report["op_p50_ms"]["ratio"] < high
+    text = ab.format_report(report, results, "sweep")
+    assert "ratio 95% CI" in text
+    assert f"[{low:.3f}, {high:.3f}]" in text

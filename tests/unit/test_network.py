@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ShapeError
+from repro.core.layers import SpikingLinear
 from repro.core.network import SpikingNetwork
+from repro.core.surrogate import SigmoidSurrogate, TriangleSurrogate
 
 
 @pytest.fixture
@@ -99,3 +101,25 @@ class TestParameters:
         # Mutating the original is visible in the clone (shared memory).
         net.layers[0].weight[0, 0] = 123.0
         assert hr.layers[0].weight[0, 0] == 123.0
+
+    def test_with_neuron_kind_keeps_each_layers_surrogate(self):
+        net = SpikingNetwork((6, 5, 4), surrogate=SigmoidSurrogate(), rng=0)
+        net.layers[1].surrogate = TriangleSurrogate()
+        hr = net.with_neuron_kind("hard_reset")
+        assert [type(layer.surrogate).__name__ for layer in hr.layers] == [
+            "SigmoidSurrogate", "TriangleSurrogate"]
+        assert all(ours.surrogate is theirs.surrogate
+                   for ours, theirs in zip(net.layers, hr.layers))
+        assert hr.sizes == net.sizes and hr.params is net.params
+
+    def test_from_layers_checks_the_stack(self):
+        first = SpikingLinear(6, 5, rng=0)
+        with pytest.raises(ShapeError):
+            SpikingNetwork.from_layers([first, SpikingLinear(4, 3, rng=1)])
+        with pytest.raises(ValueError):
+            SpikingNetwork.from_layers(
+                [first, SpikingLinear(5, 3, neuron_kind="hard_reset", rng=1)])
+        with pytest.raises(ValueError):
+            SpikingNetwork.from_layers([])
+        net = SpikingNetwork.from_layers([first, SpikingLinear(5, 3, rng=1)])
+        assert net.sizes == (6, 5, 3) and net.layers[0] is first

@@ -25,10 +25,14 @@ benchmark's final JSON line; ``stdout.txt``, ``stderr.txt``,
   neither side), in the direction ``BENCHMARK.json`` declares;
 * each side's median and quartiles, the median ratio HEAD/BASE and the
   parent's quartile distance (IQR);
+* a 95% paired bootstrap interval for the median ratio: ``BOOTSTRAP``
+  resamples of the pairs, drawn with a fixed seed so a report is
+  reproducible;
 * ``gain``: the acceptance rule for a claimed gain — at least
   ``MIN_PAIRS`` pairs, the change winning at least nine tenths of them,
   and the medians differing, in the change's favour, by more than the
-  parent's IQR;
+  parent's IQR — granted only when every change run is correct and the
+  change fails no larger share of its operations than the parent;
 * ``bound`` (end-to-end metrics): ``ok`` when the change's median is no
   worse than the parent's by more than the metric's bound, ``worse``
   when it is, ``unresolved`` when either side's IQR exceeds the bound
@@ -48,6 +52,7 @@ import io
 import json
 import math
 import pathlib
+import random
 import subprocess
 import sys
 import tarfile
@@ -58,6 +63,9 @@ import time
 MIN_PAIRS = 10
 #: Share of the pairs the change must win for a gain.
 WIN_SHARE = 0.9
+#: Resamples of the pairs behind a median-ratio interval, and their seed.
+BOOTSTRAP = 2000
+BOOTSTRAP_SEED = 0
 SIDES = ("base", "head")
 
 
@@ -106,6 +114,7 @@ def compare(base, head, better: str, bound: float | None = None) -> dict:
         "base": base_q,
         "head": head_q,
         "ratio": head_q[1] / base_q[1] if base_q[1] else math.nan,
+        "ratio_ci": ratio_interval(base, head),
         "base_iqr": base_iqr,
         "gain": (pairs >= MIN_PAIRS
                  and wins >= math.ceil(WIN_SHARE * pairs)
@@ -115,6 +124,29 @@ def compare(base, head, better: str, bound: float | None = None) -> dict:
     if bound is not None:
         result["bound"] = bound_verdict(base, head, better, bound)
     return result
+
+
+def ratio_interval(base, head) -> tuple[float, float]:
+    """Paired bootstrap 95% percentile interval of the median ratio
+    HEAD/BASE.
+
+    Each of ``BOOTSTRAP`` resamples draws ``len(base)`` pair indices with
+    replacement, so a pair's two readings stay together; the fixed seed
+    makes a report reproducible.  A resample whose parent median is 0 has
+    no ratio and is dropped.
+    """
+    rng = random.Random(BOOTSTRAP_SEED)
+    pairs = range(len(base))
+    ratios = []
+    for _ in range(BOOTSTRAP):
+        picks = rng.choices(pairs, k=len(base))
+        base_median = quantile([base[i] for i in picks], 0.5)
+        if base_median:
+            ratios.append(quantile([head[i] for i in picks], 0.5)
+                          / base_median)
+    if not ratios:
+        return math.nan, math.nan
+    return quantile(ratios, 0.025), quantile(ratios, 0.975)
 
 
 def bound_verdict(base, head, better: str, bound: float) -> str:
@@ -147,19 +179,39 @@ def metric_specs(benchmark: dict) -> dict:
     return specs
 
 
+def failed_share(runs) -> float:
+    """Failed operations over attempted ones, across ``runs``."""
+    attempted = sum(run.get("attempted", 0) for run in runs)
+    return sum(run.get("failed", 0) for run in runs) / max(attempted, 1)
+
+
+def gain_blocker(results: dict) -> str | None:
+    """Why no metric may claim a gain on these runs, or ``None``: every
+    change run must be correct and fail no larger share of its
+    operations than the parent's runs do."""
+    if not all(run.get("correct", False) for run in results["head"]):
+        return "a head run is not correct"
+    if failed_share(results["head"]) > failed_share(results["base"]):
+        return "head fails a larger share of operations than base"
+    return None
+
+
 def analyse(results: dict, specs: dict) -> dict:
     """Per-metric :func:`compare` over ``results[side]`` (one benchmark
     JSON per pair); metrics missing from a run or from ``specs`` are
-    skipped."""
+    skipped.  A :func:`gain_blocker` voids every gain."""
     names = [name for name in specs
              if all(name in run["metrics"]
                     for side in SIDES for run in results[side])]
+    blocked = gain_blocker(results) is not None
     report = {}
     for name in names:
         better, bound = specs[name]
         base = [run["metrics"][name]["value"] for run in results["base"]]
         head = [run["metrics"][name]["value"] for run in results["head"]]
         report[name] = compare(base, head, better, bound)
+        if blocked:
+            report[name]["gain"] = False
     return report
 
 
@@ -173,15 +225,21 @@ def format_report(report: dict, results: dict, header: str) -> str:
         correct = all(run.get("correct", False) for run in runs)
         lines.append(f"{side}: {len(runs)} runs, correct={correct}, "
                      f"failed {failed} of {attempted} operations")
+    blocker = gain_blocker(results)
+    if blocker:
+        lines.append(f"no gain counts: {blocker}")
     lines.append("")
     lines.append(f"{'metric':<22} {'wins':>7} {'base median [q1, q3]':>30} "
                  f"{'head median [q1, q3]':>30} {'ratio':>7} "
-                 f"{'base IQR':>10} {'gain':>5} {'bound':>10}")
+                 f"{'ratio 95% CI':>17} {'base IQR':>10} {'gain':>5} "
+                 f"{'bound':>10}")
     for name, row in report.items():
         base_q, head_q = row["base"], row["head"]
+        low, high = row["ratio_ci"]
         lines.append(
             f"{name:<22} {row['wins']:>3}/{row['pairs']:<3} "
             f"{_fmt(base_q):>30} {_fmt(head_q):>30} {row['ratio']:>7.3f} "
+            f"{f'[{low:.3f}, {high:.3f}]':>17} "
             f"{row['base_iqr']:>10.4g} {'PASS' if row['gain'] else 'fail':>5} "
             f"{row['bound'] or '-':>10}")
     return "\n".join(lines) + "\n"
