@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-json bench-serving bench-aware bench-table bench-smoke bench-paper chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
+.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
 
 ## tier-1 verify: the full unit/property/integration suite
 test:
@@ -21,26 +21,17 @@ lint:
 lint-baseline:
 	$(PYTHON) -m repro.analysis --write-baseline
 
-## core-kernel throughput microbenchmarks (fused vs reference engines)
+## the repository benchmark (BENCHMARK.json): every perfbench workload
+## at its 20 s run length, one JSON line each; compare two commits with
+## tools/ab.py (docs/performance.md)
 bench:
-	$(PYTHON) -m pytest benchmarks/bench_throughput.py -q --benchmark-only \
-		--benchmark-min-rounds=15 --benchmark-warmup=on
+	for w in train serve sweep; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 || exit 1; \
+	done
 
-## machine-readable throughput numbers (serial vs parallel runtime)
-bench-json:
-	$(PYTHON) tools/bench_to_json.py --out BENCH_throughput.json
-
-## open-loop serving benchmark (throughput_rps, p50/p95/p99 latency)
-bench-serving:
-	$(PYTHON) tools/bench_to_json.py --serving --out BENCH_serving.json
-
-## hardware-aware train-step cost (ideal vs quantize vs quantize+noise)
-bench-aware:
-	$(PYTHON) tools/bench_to_json.py --aware --out BENCH_aware.json
-
-## full scenario grid -> run_table.csv + every BENCH_*.json view of it
+## serving/chaos/fleet SLO grid -> run_table.csv
 bench-table:
-	$(PYTHON) -m repro.experiments harness full --table run_table.csv --bench-json
+	$(PYTHON) -m repro.experiments harness full --table run_table.csv
 
 ## seconds-scale scenario grid (the CI harness-smoke job)
 bench-smoke:

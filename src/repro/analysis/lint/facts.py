@@ -75,10 +75,13 @@ DEFAULT_EXTERNAL_PER_PACKAGE = {
 #: where ``numpy.random`` legitimately lives.
 DEFAULT_DETERMINISM_EXEMPT = ("src/repro/common/rng.py",)
 
-#: Files whose run-table column references the schema rule checks.
+#: Files whose run-table column references the schema rule checks: the
+#: harness that writes the rows and the gates that read them.
 DEFAULT_RUNTABLE_FILES = (
     "src/repro/experiments/harness.py",
-    "src/repro/experiments/benchjson.py",
+    "tools/chaos_smoke.py",
+    "tools/fleet_smoke.py",
+    "tools/obs_smoke.py",
 )
 
 #: Wall-clock reads the determinism rule flags when *called* directly.
@@ -635,12 +638,7 @@ class _Collector(ast.NodeVisitor):
                             prefix=False))
 
     def _collect_runtable(self, node, func, last: str) -> None:
-        if last in ("_rows", "_one"):
-            for kw in node.keywords:
-                if kw.arg is not None:
-                    self.f.runtable_refs.append(Ref(
-                        name=kw.arg, line=node.lineno, col=node.col_offset))
-        elif (last == "append" and isinstance(func, ast.Attribute)
+        if (last == "append" and isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "table"):
             for kw in node.keywords:
@@ -676,7 +674,7 @@ class _Collector(ast.NodeVisitor):
                 name=f"{last}()", line=node.lineno, col=node.col_offset))
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        # ``row["min_ms"]`` / ``noise_row["hw_bits"]``: a run-table
+        # ``row["p95_ms"]`` / ``tenant_row["hw_bits"]``: a run-table
         # column reference whenever the subscripted name looks like a row.
         if (isinstance(node.value, ast.Name)
                 and _ROW_NAME_RE.match(node.value.id)):

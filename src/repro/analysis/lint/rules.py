@@ -296,9 +296,19 @@ def _check_runtable(rule: Rule, facts: ProjectFacts):
     columns = set(facts.run_table_columns)
     if not columns:
         return
+    # A tree that has the schema module must have every configured file:
+    # a renamed or deleted one would otherwise switch the check off.
+    schema_present = facts.config.runtable_module in facts.modules
     for path in facts.config.runtable_files:
         mod = facts.modules.get(path)
         if mod is None:
+            if schema_present:
+                yield rule.finding(
+                    path, 1, 0,
+                    "configured run-table file does not exist",
+                    hint="update LintConfig.runtable_files "
+                         "(DEFAULT_RUNTABLE_FILES) to the files that "
+                         "write or read run-table rows")
             continue
         for ref in mod.runtable_refs:
             if ref.name not in columns:
@@ -345,8 +355,9 @@ RULES = (
          hint="prefer `with lock:` and poll-guarded receive loops",
          check=_check_concurrency),
     Rule(id="runtable-schema", severity="error",
-         summary="column names in harness/benchjson match the fixed "
-                 "run-table schema",
+         summary="column names in the harness and the gates that read "
+                 "its rows match the fixed run-table schema, and every "
+                 "configured file exists",
          hint="use a column from repro.common.runtable.RUN_TABLE_COLUMNS "
               "or extend the schema there first",
          check=_check_runtable),

@@ -1,11 +1,9 @@
-"""Canonical benchmark shapes — one definition for every throughput bench.
+"""Canonical benchmark shapes — one definition for every measurement.
 
-``benchmarks/bench_throughput.py`` (the pytest-benchmark suite) and
-``tools/bench_to_json.py`` (the ``make bench-json`` trajectory writer)
-must measure the *same* workload for their numbers to be comparable with
-each other and with the tables in ``docs/performance.md``.  Both import
-their network/input construction from here instead of duplicating the
-magic constants.
+The repository benchmark (``perfbench/``), the scenario harness and the
+smoke gates import their network/input construction from here instead
+of duplicating the magic constants, so their numbers describe the same
+workload.
 
 The workload is the paper-scale MLP at the repo's standard bench point:
 700-128-128-20 adaptive network, T = 100, ~3 % input spike density,
@@ -21,7 +19,6 @@ from .rng import RandomState
 __all__ = [
     "BENCH_SIZES",
     "BENCH_STEPS",
-    "BENCH_FORWARD_BATCH",
     "BENCH_TRAIN_BATCH",
     "BENCH_SPIKE_DENSITY",
     "BENCH_WEIGHT_BOOST",
@@ -31,7 +28,6 @@ __all__ = [
 
 BENCH_SIZES = (700, 128, 128, 20)
 BENCH_STEPS = 100
-BENCH_FORWARD_BATCH = 32
 BENCH_TRAIN_BATCH = 64
 BENCH_SPIKE_DENSITY = 0.03
 BENCH_WEIGHT_BOOST = 6.0

@@ -1,11 +1,10 @@
-"""The single run-table artifact every benchmark row lands in.
+"""The single run-table artifact every service-level row lands in.
 
 One scenario-harness invocation (:mod:`repro.experiments.harness`)
 appends one row per executed run to a :class:`RunTable` and writes it as
 ``run_table.csv`` — the muBench replication shape: a factor grid,
-repetitions, and *one* table that every downstream artifact
-(``BENCH_throughput.json``, ``BENCH_serving.json``, ``BENCH_aware.json``)
-is regenerated from.  A reviewer diffs the table, not fourteen scripts.
+repetitions, and *one* table of serving, chaos and fleet SLO rows.  The
+CI gates read their rows from it; a reviewer diffs the table.
 
 The column set is fixed (:data:`RUN_TABLE_COLUMNS`) and documented in
 ``docs/experiments.md``.  Identity columns (which grid cell a row is)
@@ -28,43 +27,37 @@ __all__ = ["RUN_TABLE_COLUMNS", "RunTable"]
 ID_COLUMNS = (
     "run_id",        # unique slug: scenario/engine-precision-...-rN
     "scenario",      # scenario name the row was expanded from
-    "kind",          # forward | backward | train_step | inference |
-                     # variation | serving | chaos
-    "engine",        # fused | step
+    "kind",          # serving | chaos | fleet
+    "engine",        # fused
     "precision",     # float64 | float32
-    "workers",       # worker-pool size (0 = serial)
     "hardware",      # ideal | hw<bits>b<var%> | shadow<bits>b<var%>
     "hw_bits",       # crossbar weight resolution (empty when ideal)
     "hw_variation",  # programming-variation sigma (empty when ideal)
-    "workload",      # serving rows: synthetic | speech | dvs | glyph | a+b
-    "load",          # serving rows: load-point id (light/heavy/...)
+    "workload",      # synthetic | speech | dvs | glyph | a+b
+    "load",          # load-point id (light/heavy/...)
     "tenant",        # fleet rows: tenant id of a per-tenant SLO row
                      # (empty on the cell's fleet-wide aggregate row)
-    "rate_rps",      # serving rows: offered Poisson rate
+    "rate_rps",      # offered Poisson rate
     "repetition",    # 0-based repetition index
     "seed",          # per-run derived seed (int)
 )
 
 #: Measurement columns — filled per row kind, empty otherwise.
 MEASUREMENT_COLUMNS = (
-    "rounds",          # timed kinds: measurement repetitions
-    "requests",        # serving: chunks offered
-    "completed",       # serving: chunks answered
-    "rejected",        # serving: chunks refused by the bounded queue
-    "ticks",           # serving: server ticks executed
-    "duration_s",      # serving: virtual-clock run duration
-    "throughput_rps",  # serving: completed / duration
-    "mean_batch",      # serving: mean coalesced batch size
-    "steps_per_s",     # serving: simulated time steps per second
-    "min_ms",          # timed kinds: fastest call
-    "mean_ms",         # timed kinds: mean call; serving: mean latency
-    "max_ms",          # timed kinds: slowest call; serving: max latency
-    "p50_ms",          # serving: median arrival-to-answer latency
-    "p95_ms",          # serving: tail latency
-    "p99_ms",          # serving: extreme-tail latency
-    "accuracy",        # variation: mean accuracy over device seeds
-    "accuracy_std",    # variation: std over device seeds
-    "divergence",      # serving (shadow): mean ideal-vs-hardware diff
+    "requests",        # chunks offered
+    "completed",       # chunks answered
+    "rejected",        # chunks refused by the bounded queue
+    "ticks",           # server ticks executed
+    "duration_s",      # virtual-clock run duration
+    "throughput_rps",  # completed / duration
+    "mean_batch",      # mean coalesced batch size
+    "steps_per_s",     # simulated time steps per second
+    "mean_ms",         # mean arrival-to-answer latency
+    "max_ms",          # slowest arrival-to-answer latency
+    "p50_ms",          # median arrival-to-answer latency
+    "p95_ms",          # tail latency
+    "p99_ms",          # extreme-tail latency
+    "divergence",      # shadow: mean ideal-vs-hardware diff
     "energy_j",        # modeled crossbar+neuron energy of the work done
     # Robustness columns (serving/chaos rows; clean runs fill the
     # zero/1.0 defaults so the schema stays uniform):
@@ -110,9 +103,9 @@ def _render_cell(value) -> str:
 
 #: Columns whose non-empty cells must parse as numbers — a cell that
 #: comes back as a string here means the table is corrupted, and the
-#: read must fail loudly instead of quietly emitting wrong JSON.
+#: read must fail loudly instead of quietly handing a gate a string.
 _NUMERIC_COLUMNS = frozenset(MEASUREMENT_COLUMNS) | {
-    "workers", "hw_bits", "hw_variation", "rate_rps", "repetition", "seed",
+    "hw_bits", "hw_variation", "rate_rps", "repetition", "seed",
 }
 
 

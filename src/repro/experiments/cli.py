@@ -7,7 +7,6 @@ Usage::
     repro-exp run table2-shd --profile full
     repro-exp run-all              # run everything (CI profile)
     repro-exp harness smoke        # scenario grid -> run_table.csv
-    repro-exp harness full --bench-json   # + regenerate BENCH_*.json
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     harness.add_argument("--table", default="run_table.csv",
                          help="run-table CSV output path "
                               "(default: run_table.csv)")
-    harness.add_argument("--bench-json", action="store_true",
-                         help="also regenerate the BENCH_*.json views "
-                              "this table has rows for")
     harness.add_argument("--trace-dir", default=None,
                          help="switch telemetry on and export per-run "
                               "JSONL traces + Prometheus snapshots into "
@@ -103,25 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.table} ({len(table)} rows, {elapsed():.1f}s)")
         if args.trace_dir:
             print(f"wrote telemetry artifacts to {args.trace_dir}/")
-        if args.bench_json:
-            from ..common.errors import ExperimentError
-            from . import benchjson
-
-            for out_path, convert in (
-                    ("BENCH_throughput.json", benchjson.throughput_report),
-                    ("BENCH_serving.json", benchjson.serving_report),
-                    ("BENCH_aware.json", benchjson.aware_report)):
-                try:
-                    report = convert(table)
-                except ExperimentError as error:
-                    print(f"skip {out_path}: {error}")
-                    continue
-                import json
-
-                with open(out_path, "w") as handle:
-                    json.dump(report, handle, indent=2, sort_keys=False)
-                    handle.write("\n")
-                print(f"wrote {out_path}")
         return 0
     return 2
 

@@ -2,16 +2,15 @@
 
 This is the execution layer over :mod:`repro.experiments.scenario`:
 :func:`run_scenarios` expands every scenario deterministically
-(:func:`~repro.experiments.scenario.expand`), executes each grid cell
-with the right runner for its kind, and appends one row per run to a
-single :class:`~repro.common.runtable.RunTable` — the artifact all
-``BENCH_*.json`` files are regenerated from
-(:mod:`repro.experiments.benchjson`).
+(:func:`~repro.experiments.scenario.expand`), drives each grid cell's
+server or fleet with an open-loop arrival process, and appends one row
+per run to a single :class:`~repro.common.runtable.RunTable`: the
+serving, chaos and fleet SLO rows of ``run_table.csv``.  The harness
+measures service levels, not kernels; speed is measured by the
+repository benchmark (``perfbench/``, see ``docs/performance.md``).
 
 Cross-cell resources are shared, not rebuilt: networks are cached by
-(sizes, seed) and worker pools by (network, workers) through one
-:class:`~repro.runtime.pool.PoolCache`, so a 4-worker-count grid pays
-pool startup once per count instead of once per cell.
+(sizes, seed) and workloads by (name, seed, channels, density).
 
 Determinism contract (what ``tests/unit/test_harness.py`` pins down):
 
@@ -23,29 +22,21 @@ Determinism contract (what ``tests/unit/test_harness.py`` pins down):
   timer two identical invocations produce byte-identical CSV text.
 
 The canonical grids live here too (:data:`PRESETS`): ``smoke`` (the CI
-seconds-scale grid), ``throughput`` / ``serving`` / ``aware`` (the three
-``BENCH_*.json`` sources), ``chaos`` (serving under seeded fault
-schedules — the availability rows) and ``full`` (their union).
+seconds-scale grid), ``serving`` (the server configs x offered loads
+the ``perfbench`` ``serve`` workload takes its operating point from),
+``chaos`` (serving under seeded fault schedules — the availability
+rows), ``fleet`` (the multi-tenant fleet rows) and ``full`` (their
+union).
 """
 
 from __future__ import annotations
 
 import contextlib
-import statistics
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .. import obs as _obs
-from ..common.benchcfg import (
-    BENCH_FORWARD_BATCH,
-    BENCH_SIZES,
-    BENCH_STEPS,
-    BENCH_TRAIN_BATCH,
-    bench_inputs,
-    bench_network,
-)
+from ..common.benchcfg import bench_network
 from ..common.errors import ExperimentError
 from ..common.rng import RandomState
 from ..common.runtable import RunTable
@@ -81,10 +72,7 @@ class _HarnessContext:
     """Caches shared across the cells of one harness invocation."""
 
     def __init__(self, timer=None):
-        from ..runtime.pool import PoolCache
-
         self.timer = time.perf_counter if timer is None else timer
-        self.pools = PoolCache()
         self._networks: dict = {}
         self._workloads: dict = {}
 
@@ -108,32 +96,6 @@ class _HarnessContext:
                                                  seed=seed, density=density)
         return self._workloads[key]
 
-    def close(self) -> None:
-        self.pools.close()
-
-    def __enter__(self) -> "_HarnessContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _time(fn, rounds: int, timer, warmup: int = 2) -> dict:
-    """min/mean/max milliseconds over ``rounds`` calls of ``fn``."""
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(rounds):
-        start = timer()
-        fn()
-        samples.append((timer() - start) * 1e3)
-    return {
-        "min_ms": round(min(samples), 3),
-        "mean_ms": round(statistics.fmean(samples), 3),
-        "max_ms": round(max(samples), 3),
-        "rounds": rounds,
-    }
-
 
 def _run_seed(spec: RunSpec) -> int:
     """Per-run derived seed: a pure function of (scenario seed, run id)."""
@@ -141,110 +103,6 @@ def _run_seed(spec: RunSpec) -> int:
 
 
 # -- per-kind runners --------------------------------------------------------
-
-def _run_forward(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    scenario = spec.scenario
-    net = ctx.network(scenario.sizes, seed=0)
-    x = bench_inputs(BENCH_FORWARD_BATCH, n_in=scenario.sizes[0])
-    timing = _time(
-        lambda: net.run(x, engine=spec.engine, precision=spec.precision),
-        scenario.rounds, ctx.timer, warmup=scenario.warmup)
-    steps = BENCH_FORWARD_BATCH * BENCH_STEPS
-    timing["energy_j"] = modeled_energy_j(steps, sum(scenario.sizes[1:]))
-    return timing
-
-
-def _run_backward(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    from ..core import CrossEntropyRateLoss, backward
-
-    scenario = spec.scenario
-    net = ctx.network(scenario.sizes, seed=0)
-    x = bench_inputs(BENCH_FORWARD_BATCH, n_in=scenario.sizes[0])
-    labels = np.arange(BENCH_FORWARD_BATCH) % scenario.sizes[-1]
-    outputs, record = net.run(x, record=True, precision=spec.precision)
-    _, grad_out = CrossEntropyRateLoss().value_and_grad(outputs, labels)
-    engine = "fused" if spec.engine == "fused" else "reference"
-    if engine == "reference":
-        # The reference adjoints read the synapse-filter traces, which a
-        # record derives on first read: build them before the clock runs.
-        for layer_record in record.layers:
-            _ = layer_record.k
-    return _time(lambda: backward(net, record, grad_out, engine=engine),
-                 scenario.rounds, ctx.timer, warmup=scenario.warmup)
-
-
-def _run_train_step(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    from ..core import CrossEntropyRateLoss, Trainer, TrainerConfig
-
-    scenario = spec.scenario
-    net = ctx.network(scenario.sizes, seed=2)
-    x = bench_inputs(BENCH_TRAIN_BATCH, seed=3, n_in=scenario.sizes[0])
-    labels = np.arange(BENCH_TRAIN_BATCH) % scenario.sizes[-1]
-    hardware = None
-    if spec.hardware is not None:
-        from ..hardware import HardwareProfile
-
-        hardware = HardwareProfile.create(bits=spec.hardware.bits,
-                                          variation=spec.hardware.variation,
-                                          seed=spec.hardware.seed)
-    trainer = Trainer(net, CrossEntropyRateLoss(), TrainerConfig(
-        epochs=1, batch_size=BENCH_TRAIN_BATCH, learning_rate=1e-4,
-        optimizer="adamw", engine=spec.engine, precision=spec.precision,
-        workers=spec.workers, hardware=hardware))
-    try:
-        return _time(lambda: trainer.train_batch(x, labels),
-                     scenario.rounds, ctx.timer, warmup=scenario.warmup)
-    finally:
-        trainer.close()
-
-
-def _run_inference(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    from ..core.trainer import run_in_batches
-
-    scenario = spec.scenario
-    net = ctx.network(scenario.sizes, seed=4)
-    x = bench_inputs(4 * BENCH_FORWARD_BATCH, seed=5,
-                     n_in=scenario.sizes[0])
-    pool = (ctx.pools.get(net, spec.workers) if spec.workers else None)
-    timing = _time(
-        lambda: run_in_batches(net, x, BENCH_FORWARD_BATCH,
-                               engine=spec.engine,
-                               precision=spec.precision, pool=pool),
-        scenario.rounds, ctx.timer, warmup=scenario.warmup)
-    steps = 4 * BENCH_FORWARD_BATCH * BENCH_STEPS
-    timing["energy_j"] = modeled_energy_j(steps, sum(scenario.sizes[1:]))
-    return timing
-
-
-def _run_variation(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    from ..hardware import accuracy_under_variation
-
-    scenario = spec.scenario
-    net = ctx.network(scenario.sizes, seed=6)
-    rng = RandomState(_run_seed(spec))
-    x = (rng.random((scenario.samples, BENCH_STEPS, scenario.sizes[0]))
-         < scenario.spike_density).astype(np.float64)
-    labels = np.arange(scenario.samples) % scenario.sizes[-1]
-    sweep_rng = int(rng.child("sweep").integers(2 ** 31))
-    pool = None
-    if spec.workers:
-        pool = ctx.pools.get(net, min(spec.workers, scenario.n_seeds))
-    result = {}
-
-    def point():
-        result["accuracy"] = accuracy_under_variation(
-            net, x, labels, bits=spec.hardware.bits,
-            variation=spec.hardware.variation, n_seeds=scenario.n_seeds,
-            rng=sweep_rng, engine=spec.engine, precision=spec.precision,
-            pool=pool)
-
-    timing = _time(point, scenario.rounds, ctx.timer,
-                   warmup=min(scenario.warmup, 1))
-    mean, std = result["accuracy"]
-    timing["accuracy"] = round(float(mean), 6)
-    timing["accuracy_std"] = round(float(std), 6)
-    return timing
-
 
 def _run_serving(spec: RunSpec, ctx: _HarnessContext) -> dict:
     from ..common import faults as _faults
@@ -417,11 +275,6 @@ def _noop():
 
 
 _RUNNERS = {
-    "forward": _run_forward,
-    "backward": _run_backward,
-    "train_step": _run_train_step,
-    "inference": _run_inference,
-    "variation": _run_variation,
     "serving": _run_serving,
     "chaos": _run_serving,
     "fleet": _run_fleet,
@@ -451,57 +304,55 @@ def run_scenarios(scenarios, table: RunTable | None = None,
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    with _HarnessContext(timer=timer) as ctx:
-        for scenario in scenarios:
-            if not isinstance(scenario, Scenario):
-                raise ExperimentError(
-                    f"run_scenarios expects Scenario objects, "
-                    f"got {type(scenario).__name__}")
-            for spec in expand(scenario):
-                telemetry = (None if trace_dir is None
-                             else _obs.Telemetry(clock=ctx.timer))
-                with _obs.active(telemetry):
-                    measurement = _RUNNERS[spec.kind](spec, ctx)
-                if telemetry is not None:
-                    slug = spec.run_id.replace("/", "__")
-                    telemetry.tracer.write_jsonl(
-                        trace_dir / f"{slug}.trace.jsonl")
-                    (trace_dir / f"{slug}.prom").write_text(
-                        telemetry.metrics.render_prometheus(),
-                        encoding="utf-8")
-                # A fleet cell carries per-tenant SLO measurements in a
-                # side channel; they become their own rows below, with
-                # the same identity cells plus the tenant column.
-                tenant_rows = measurement.pop("__tenants__", ())
-                identity = dict(
-                    scenario=scenario.name,
-                    kind=spec.kind,
-                    engine=spec.engine,
-                    precision=spec.precision,
-                    workers=spec.workers,
-                    hardware=spec.hardware_label,
-                    hw_bits=(None if spec.hardware is None
-                             else spec.hardware.bits),
-                    hw_variation=(None if spec.hardware is None
-                                  else spec.hardware.variation),
-                    workload=spec.workload,
-                    load=(None if spec.load is None else spec.load.id),
-                    rate_rps=(None if spec.load is None
-                              else spec.load.rate_rps),
-                    repetition=spec.repetition,
-                    seed=_run_seed(spec),
-                )
-                row = table.append(run_id=spec.run_id, **identity,
-                                   **measurement)
+    ctx = _HarnessContext(timer=timer)
+    for scenario in scenarios:
+        if not isinstance(scenario, Scenario):
+            raise ExperimentError(
+                f"run_scenarios expects Scenario objects, "
+                f"got {type(scenario).__name__}")
+        for spec in expand(scenario):
+            telemetry = (None if trace_dir is None
+                         else _obs.Telemetry(clock=ctx.timer))
+            with _obs.active(telemetry):
+                measurement = _RUNNERS[spec.kind](spec, ctx)
+            if telemetry is not None:
+                slug = spec.run_id.replace("/", "__")
+                telemetry.tracer.write_jsonl(
+                    trace_dir / f"{slug}.trace.jsonl")
+                (trace_dir / f"{slug}.prom").write_text(
+                    telemetry.metrics.render_prometheus(),
+                    encoding="utf-8")
+            # A fleet cell carries per-tenant SLO measurements in a
+            # side channel; they become their own rows below, with
+            # the same identity cells plus the tenant column.
+            tenant_rows = measurement.pop("__tenants__", ())
+            identity = dict(
+                scenario=scenario.name,
+                kind=spec.kind,
+                engine=spec.engine,
+                precision=spec.precision,
+                hardware=spec.hardware_label,
+                hw_bits=(None if spec.hardware is None
+                         else spec.hardware.bits),
+                hw_variation=(None if spec.hardware is None
+                              else spec.hardware.variation),
+                workload=spec.workload,
+                load=spec.load.id,
+                rate_rps=spec.load.rate_rps,
+                repetition=spec.repetition,
+                seed=_run_seed(spec),
+            )
+            row = table.append(run_id=spec.run_id, **identity,
+                               **measurement)
+            if log is not None:
+                log(_render_row(row))
+            for tenant_id, tenant_measurement in tenant_rows:
+                tenant_row = table.append(
+                    run_id=f"{spec.run_id}+{tenant_id}",
+                    tenant=tenant_id, **identity,
+                    **tenant_measurement)
                 if log is not None:
-                    log(_render_row(row))
-                for tenant_id, tenant_measurement in tenant_rows:
-                    tenant_row = table.append(
-                        run_id=f"{spec.run_id}+{tenant_id}",
-                        tenant=tenant_id, **identity,
-                        **tenant_measurement)
-                    if log is not None:
-                        log(_render_row(tenant_row))
+                    log(_render_row(tenant_row))
     return table
 
 
@@ -526,78 +377,29 @@ def _render_row(row: dict) -> str:
                 f"faults {row['faults_injected']}  "
                 f"retried {row['requests_retried']}  "
                 f"expired {row['requests_expired']}")
-    if row["kind"] == "serving":
-        return (f"{row['run_id']:<56} {row['throughput_rps']:9.1f} rps  "
-                f"p95 {row['p95_ms'] if row['p95_ms'] is not None else 'n/a'}"
-                f" ms  rejected {row['rejected']}")
-    extra = ""
-    if row["accuracy"] is not None:
-        extra = f"  accuracy {row['accuracy']:.3f}"
-    return f"{row['run_id']:<56} {row['mean_ms']:9.3f} ms mean{extra}"
+    return (f"{row['run_id']:<56} {row['throughput_rps']:9.1f} rps  "
+            f"p95 {row['p95_ms'] if row['p95_ms'] is not None else 'n/a'}"
+            f" ms  rejected {row['rejected']}")
 
 
 # -- canonical scenario grids ------------------------------------------------
 
-#: The three offered-load points of the serving benchmark
-#: (``benchmarks/bench_serving.py`` rationale: latency floor, throughput
-#: plateau, backpressure).
+#: The three offered-load points of the serving grid: latency floor,
+#: throughput plateau, backpressure.  ``perfbench``'s ``serve`` workload
+#: offers the first.
 SERVING_LOADS = (
     LoadSpec("light", 300.0, 300),
     LoadSpec("heavy", 4000.0, 800),
     LoadSpec("overload", 20000.0, 1200),
 )
 
-#: The Fig. 8 operating point the hardware-aware rows are measured at.
-AWARE_BITS = 4
-AWARE_VARIATION = 0.1
-
-_SWEEP_SIZES = (700, 128, 20)
-_SWEEP_SAMPLES = 128
-_SWEEP_SEEDS = 4
-
-
-def throughput_scenarios(rounds: int = 10,
-                         worker_counts: tuple = (0, 1, 2, 4)) -> list:
-    """The ``BENCH_throughput.json`` grid as declarative scenarios."""
-    worker_counts = tuple(worker_counts)
-    return [
-        Scenario(name="forward", kind="forward",
-                 engines=("fused",), precisions=("float64", "float32"),
-                 rounds=rounds),
-        Scenario(name="forward-step", kind="forward", engines=("step",),
-                 rounds=max(rounds // 2, 3)),
-        Scenario(name="backward", kind="backward", engines=("fused",),
-                 rounds=rounds),
-        Scenario(name="backward-step", kind="backward", engines=("step",),
-                 rounds=max(rounds // 2, 3)),
-        Scenario(name="train-step", kind="train_step",
-                 workers=worker_counts, rounds=rounds),
-        Scenario(name="inference", kind="inference", workers=worker_counts,
-                 rounds=max(rounds // 2, 3)),
-        Scenario(name="variation-sweep", kind="variation",
-                 workers=worker_counts,
-                 hardware=(HardwareSpec(bits=4, variation=0.2, seed=13),),
-                 sizes=_SWEEP_SIZES, samples=_SWEEP_SAMPLES,
-                 n_seeds=_SWEEP_SEEDS, rounds=max(rounds // 3, 2), seed=7),
-    ]
-
-
-def aware_scenarios(rounds: int = 10) -> list:
-    """The ``BENCH_aware.json`` rows: ideal vs fake-quant vs quant+noise."""
-    return [
-        Scenario(name="train-step-aware", kind="train_step",
-                 hardware=(None,
-                           HardwareSpec(bits=AWARE_BITS, variation=0.0,
-                                        seed=13),
-                           HardwareSpec(bits=AWARE_BITS,
-                                        variation=AWARE_VARIATION,
-                                        seed=13)),
-                 rounds=rounds),
-    ]
-
 
 def serving_scenarios(loads: tuple = SERVING_LOADS) -> list:
-    """The ``BENCH_serving.json`` grid: 4 server configs x 3 loads."""
+    """The serving grid: 4 server configs x 3 loads.
+
+    The first scenario's first cell (fused float64, ideal weights) is
+    the ``perfbench`` ``serve`` operating point.
+    """
     common = dict(kind="serving", workloads=("synthetic",), loads=loads,
                   sessions=32, chunk_steps=10, max_batch=16,
                   max_wait_ms=5.0, queue_limit=128, seed=7)
@@ -615,12 +417,11 @@ def serving_scenarios(loads: tuple = SERVING_LOADS) -> list:
 
 
 def smoke_scenarios() -> list:
-    """The CI seconds-scale grid: every kind touched, tiny shapes.
+    """The CI seconds-scale grid, tiny shapes.
 
-    The serving block is the acceptance grid — the fused engine x 2
-    workloads (synthetic + a real sensor workload, DVS) x 1 repetition —
-    plus a speech+synthetic mix cell so a mixed arrival stream stays
-    exercised.
+    The fused engine x 2 workloads (synthetic + a real sensor workload,
+    DVS) x 1 repetition, plus a speech+synthetic mix cell so a mixed
+    arrival stream stays exercised.
     """
     smoke_load = (LoadSpec("smoke", 500.0, 40),)
     return [
@@ -630,15 +431,6 @@ def smoke_scenarios() -> list:
         Scenario(name="smoke-serving-mix", kind="serving",
                  workloads=("speech+synthetic",), loads=smoke_load,
                  sizes=(700, 32, 16), sessions=8, chunk_steps=8),
-        Scenario(name="smoke-forward", kind="forward",
-                 engines=("fused", "step"), sizes=(128, 32, 10), rounds=2,
-                 warmup=1),
-        Scenario(name="smoke-train-step", kind="train_step",
-                 sizes=(128, 32, 10), rounds=2, warmup=1),
-        Scenario(name="smoke-variation", kind="variation",
-                 hardware=(HardwareSpec(bits=3, variation=0.2, seed=5),),
-                 sizes=(64, 32, 10), samples=16, n_seeds=2, rounds=2,
-                 warmup=0),
     ]
 
 
@@ -704,17 +496,12 @@ def fleet_scenarios() -> list:
     ]
 
 
-def full_scenarios(rounds: int = 10,
-                   worker_counts: tuple = (0, 1, 2, 4)) -> list:
-    return (throughput_scenarios(rounds, worker_counts)
-            + aware_scenarios(rounds) + serving_scenarios()
-            + chaos_scenarios() + fleet_scenarios())
+def full_scenarios() -> list:
+    return serving_scenarios() + chaos_scenarios() + fleet_scenarios()
 
 
 PRESETS = {
     "smoke": smoke_scenarios,
-    "throughput": throughput_scenarios,
-    "aware": aware_scenarios,
     "serving": serving_scenarios,
     "chaos": chaos_scenarios,
     "fleet": fleet_scenarios,

@@ -1,9 +1,9 @@
 """Declarative scenario schema: a factor grid that expands into runs.
 
-A :class:`Scenario` names one *kind* of measurement (forward, backward,
-train_step, inference, variation, serving, chaos) and the factor levels to
-sweep — engine x precision x workers x hardware realization x workload x
-load point — plus repetitions and a seed.  :func:`expand` turns it into
+A :class:`Scenario` names one *kind* of service-level measurement
+(serving, chaos, fleet) and the factor levels to sweep — engine x
+precision x hardware realization x workload x load point — plus
+repetitions and a seed.  :func:`expand` turns it into
 a deterministic, ordered tuple of :class:`RunSpec` grid cells: the same
 scenario always expands to the same run ids in the same order,
 independent of measurement (so a changed seed changes measurement
@@ -36,7 +36,6 @@ __all__ = [
     "KINDS",
     "ENGINES",
     "PRECISIONS",
-    "SERVING_KINDS",
     "HardwareSpec",
     "LoadSpec",
     "RunSpec",
@@ -45,21 +44,16 @@ __all__ = [
     "expand",
 ]
 
-KINDS = ("forward", "backward", "train_step", "inference", "variation",
-         "serving", "chaos", "fleet")
-ENGINES = ("fused", "step")
-PRECISIONS = ("float64", "float32")
-
-#: Kinds whose cells accept a worker-pool factor.
-POOLED_KINDS = ("train_step", "inference", "variation")
-
-#: Kinds that drive a ModelServer with an open-loop arrival process.
+#: Every kind drives a ModelServer with an open-loop arrival process.
 #: ``chaos`` is serving under an injected fault schedule — same factors,
 #: same measurement columns, plus the robustness counters.  ``fleet``
 #: drives a multi-replica :class:`~repro.serve.fleet.Fleet` with a
 #: multi-tenant mix and additionally emits one per-tenant SLO row per
 #: cell (``run_id`` suffixed ``+<tenant>``).
-SERVING_KINDS = ("serving", "chaos", "fleet")
+KINDS = ("serving", "chaos", "fleet")
+#: Every stream runs the fused engine.
+ENGINES = ("fused",)
+PRECISIONS = ("float64", "float32")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,10 +156,9 @@ class RunSpec:
     kind: str
     engine: str
     precision: str
-    workers: int
     hardware: HardwareSpec | None
-    workload: str | None
-    load: LoadSpec | None
+    workload: str
+    load: LoadSpec
     repetition: int
     seed: int
 
@@ -204,26 +197,21 @@ class Scenario:
     # -- swept factors -------------------------------------------------------
     engines: tuple = ("fused",)
     precisions: tuple = ("float64",)
-    workers: tuple = (0,)
     hardware: tuple = (None,)
-    workloads: tuple = (None,)
+    workloads: tuple = ("synthetic",)
     loads: tuple = (None,)
     repetitions: int = 1
     seed: int = 0
     # -- fixed knobs ---------------------------------------------------------
-    rounds: int = 5            # timing repetitions per timed cell
-    warmup: int = 2            # untimed warmup calls per timed cell
-    sizes: tuple = BENCH_SIZES  # layer sizes; serving replaces sizes[0]
-                                # with the workload's channel width
-    samples: int = 64          # variation kind: evaluation-set size
-    n_seeds: int = 2           # variation kind: device-noise seeds
-    sessions: int = 16         # serving kind: concurrent client streams
-    chunk_steps: int = 10      # serving kind: time steps per chunk
-    max_batch: int = 16        # serving kind: coalescing cap
-    max_wait_ms: float = 5.0   # serving kind: coalescing window
-    queue_limit: int = 128     # serving kind: bounded-queue depth
+    sizes: tuple = BENCH_SIZES  # layer sizes; sizes[0] is replaced by
+                                # the workload's channel width
+    sessions: int = 16         # concurrent client streams
+    chunk_steps: int = 10      # time steps per chunk
+    max_batch: int = 16        # coalescing cap
+    max_wait_ms: float = 5.0   # coalescing window
+    queue_limit: int = 128     # bounded-queue depth
     spike_density: float = BENCH_SPIKE_DENSITY
-    # -- robustness knobs (serving kinds; required for kind="chaos") ---------
+    # -- robustness knobs (required for kind="chaos") ------------------------
     faults: tuple = ()              # FaultRule levels (or dicts) to inject
     request_ttl_ms: float | None = None   # per-request deadline (TTL shed)
     session_ttl_s: float | None = None    # idle-session reaping horizon
@@ -253,7 +241,6 @@ class Scenario:
                 f"must be one of {list(KINDS)}")
         for factor, values in (("engines", self.engines),
                                ("precisions", self.precisions),
-                               ("workers", self.workers),
                                ("hardware", self.hardware),
                                ("workloads", self.workloads),
                                ("loads", self.loads)):
@@ -276,20 +263,6 @@ class Scenario:
         if len(set(self.precisions)) != len(self.precisions):
             raise ExperimentError(
                 f"scenario {self.name!r}: duplicate precision levels")
-        for count in self.workers:
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 0:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: workers must be ints >= 0, "
-                    f"got {count!r}")
-        if len(set(self.workers)) != len(self.workers):
-            raise ExperimentError(
-                f"scenario {self.name!r}: duplicate worker counts")
-        if any(w != 0 for w in self.workers) \
-                and self.kind not in POOLED_KINDS:
-            raise ExperimentError(
-                f"scenario {self.name!r}: kind {self.kind!r} has no "
-                f"worker-pool path; only {list(POOLED_KINDS)} do")
         labels = [spec.label for spec in self.hardware if spec is not None]
         if len(set(labels)) != len(labels):
             raise ExperimentError(
@@ -297,48 +270,15 @@ class Scenario:
         if self.hardware.count(None) > 1:
             raise ExperimentError(
                 f"scenario {self.name!r}: duplicate ideal hardware level")
-        for spec in self.hardware:
-            if spec is None:
-                continue
-            if spec.shadow and self.kind not in SERVING_KINDS:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: shadow hardware is a serving "
-                    f"mode; kind {self.kind!r} cannot use it")
-        if self.kind in ("forward", "backward", "inference") \
-                and any(spec is not None for spec in self.hardware):
+        if any(w is None for w in self.workloads):
             raise ExperimentError(
-                f"scenario {self.name!r}: kind {self.kind!r} has no "
-                "hardware factor; sweep hardware via train_step, "
-                "variation, or serving scenarios")
-        if self.kind in SERVING_KINDS and "step" in self.engines:
+                f"scenario {self.name!r}: workloads must be named "
+                "(default: 'synthetic')")
+        if any(load is None for load in self.loads):
             raise ExperimentError(
-                f"scenario {self.name!r}: every stream runs the fused "
-                "engine; the step engine is a one-shot oracle (forward/"
-                "backward kinds), so drop 'step' from engines")
-        if self.kind == "variation" \
-                and any(spec is None for spec in self.hardware):
-            raise ExperimentError(
-                f"scenario {self.name!r}: a variation sweep needs concrete "
-                "HardwareSpec levels (bits/variation are what it measures)")
-        if self.kind in SERVING_KINDS:
-            if any(w is None for w in self.workloads):
-                raise ExperimentError(
-                    f"scenario {self.name!r}: serving workloads must be "
-                    "named (the default is filled in at construction)")
-            if any(load is None for load in self.loads):
-                raise ExperimentError(
-                    f"scenario {self.name!r}: a serving scenario needs "
-                    "at least one concrete load point "
-                    "({'id', 'rate_rps', 'requests'})")
-        else:
-            if any(w is not None for w in self.workloads):
-                raise ExperimentError(
-                    f"scenario {self.name!r}: workload is a serving "
-                    f"factor; kind {self.kind!r} does not stream chunks")
-            if any(load is not None for load in self.loads):
-                raise ExperimentError(
-                    f"scenario {self.name!r}: load points are a serving "
-                    f"factor; kind {self.kind!r} has no arrival process")
+                f"scenario {self.name!r}: a serving scenario needs "
+                "at least one concrete load point "
+                "({'id', 'rate_rps', 'requests'})")
         if self.kind == "chaos" and not self.faults:
             raise ExperimentError(
                 f"scenario {self.name!r}: a chaos scenario needs at least "
@@ -385,19 +325,12 @@ class Scenario:
                     f"kind='fleet', not {self.kind!r}")
         for knob, value in (("request_ttl_ms", self.request_ttl_ms),
                             ("session_ttl_s", self.session_ttl_s)):
-            if value is None:
-                continue
-            if self.kind not in SERVING_KINDS:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: {knob} is a serving knob; "
-                    f"kind {self.kind!r} has no request lifecycle")
-            if not value > 0:
+            if value is not None and not value > 0:
                 raise ExperimentError(
                     f"scenario {self.name!r}: {knob} must be > 0, "
                     f"got {value!r}")
         for workload in self.workloads:
-            if workload is not None:
-                _check_workload_name(workload)
+            _check_workload_name(workload)
         if len(set(self.workloads)) != len(self.workloads):
             raise ExperimentError(
                 f"scenario {self.name!r}: duplicate workload levels")
@@ -409,10 +342,6 @@ class Scenario:
             raise ExperimentError(
                 f"scenario {self.name!r}: repetitions must be an int >= 1, "
                 f"got {self.repetitions!r}")
-        if self.rounds < 1:
-            raise ExperimentError(
-                f"scenario {self.name!r}: rounds must be >= 1, "
-                f"got {self.rounds}")
         if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
             raise ExperimentError(
                 f"scenario {self.name!r}: sizes needs >= 2 positive "
@@ -422,14 +351,14 @@ class Scenario:
     def cells(self) -> int:
         """Grid cells per repetition."""
         return (len(self.engines) * len(self.precisions)
-                * len(self.workers) * len(self.hardware)
-                * len(self.workloads) * len(self.loads))
+                * len(self.hardware) * len(self.workloads)
+                * len(self.loads))
 
 
 def _normalize_factors(scenario: Scenario) -> dict:
     """Coerce list/dict factor levels to the frozen canonical forms."""
     out = {}
-    for field in ("engines", "precisions", "workers", "workloads", "sizes"):
+    for field in ("engines", "precisions", "workloads", "sizes"):
         value = getattr(scenario, field)
         if isinstance(value, (str, int)):
             value = (value,)
@@ -471,8 +400,6 @@ def _normalize_factors(scenario: Scenario) -> dict:
             raise ExperimentError(
                 f"scenario {scenario.name!r}: fault levels must be dicts "
                 f"or FaultRule, got {type(rule).__name__}")
-    if scenario.kind in SERVING_KINDS and out["workloads"] == (None,):
-        out["workloads"] = ("synthetic",)
     tenants = getattr(scenario, "tenants")
     if isinstance(tenants, (dict, TenantSpec)):
         tenants = (tenants,)
@@ -500,27 +427,23 @@ def _normalize_factors(scenario: Scenario) -> dict:
 def expand(scenario: Scenario) -> tuple:
     """Deterministic grid expansion: one :class:`RunSpec` per cell x rep.
 
-    The factor order is fixed (engine, precision, workers, hardware,
-    workload, load, repetition) so the run table's row order — and every
+    The factor order is fixed (engine, precision, hardware, workload,
+    load, repetition) so the run table's row order — and every
     run id — is a pure function of the scenario definition.
     """
     specs = []
-    for engine, precision, workers, hardware, workload, load in \
+    for engine, precision, hardware, workload, load in \
             itertools.product(scenario.engines, scenario.precisions,
-                              scenario.workers, scenario.hardware,
-                              scenario.workloads, scenario.loads):
+                              scenario.hardware, scenario.workloads,
+                              scenario.loads):
         for repetition in range(scenario.repetitions):
             hw_label = "ideal" if hardware is None else hardware.label
-            segments = [engine, precision, f"w{workers}", hw_label]
-            if workload is not None:
-                segments.append(workload)
-            if load is not None:
-                segments.append(load.id)
-            segments.append(f"r{repetition}")
+            segments = [engine, precision, hw_label, workload, load.id,
+                        f"r{repetition}"]
             specs.append(RunSpec(
                 run_id=f"{scenario.name}/" + "-".join(segments),
                 scenario=scenario, kind=scenario.kind, engine=engine,
-                precision=precision, workers=workers, hardware=hardware,
+                precision=precision, hardware=hardware,
                 workload=workload, load=load, repetition=repetition,
                 seed=scenario.seed,
             ))

@@ -1096,14 +1096,15 @@ class WorkerPool:
 
 
 class PoolCache:
-    """Worker pools shared across the grid cells of a scenario run.
+    """Worker pools shared by every caller that asks for the same pool.
 
-    A full harness grid touches the same (network, workers) pair dozens of
-    times — train-step cells, inference cells, variation-sweep seeds.
-    Spawning a fresh :class:`WorkerPool` per cell would pay process
-    startup and shared-memory setup over and over; the cache keys live
-    pools by ``(id(network), workers)`` and hands the same pool back for
-    every cell that asks, closing them all at context exit.
+    A :class:`~repro.serve.fleet.Fleet` shards each generation's offline
+    ``run_batch`` calls over a pool from one cache, which several fleets
+    may share.  Spawning a fresh :class:`WorkerPool` per request
+    would pay process startup and shared-memory setup over and over; the
+    cache keys live pools by ``(id(network), workers)`` and hands the
+    same pool back for every caller that asks, closing them all at
+    context exit.
 
     Keying by object identity is deliberate: a pool's workers hold
     replicas of one concrete network whose weights are synced through

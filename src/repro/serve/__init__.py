@@ -24,8 +24,8 @@ The pieces, bottom-up:
   :class:`ModelRegistry` of checkpoints *and hardware profiles* the
   server cold-starts from;
 * :mod:`repro.serve.loadgen` — a synthetic open-loop arrival process and
-  latency/throughput accounting (``benchmarks/bench_serving.py`` /
-  ``make bench-serving``), plus the multi-tenant mix
+  latency/throughput accounting (the scenario harness's serving rows),
+  plus the multi-tenant mix
   (:func:`open_loop_fleet`) that measures a fleet;
 * :mod:`repro.serve.fleet` — the :class:`Fleet` front door: N
   ``ModelServer`` replicas, session-sticky least-loaded routing,

@@ -15,8 +15,8 @@ machine the numbers match a realtime run; the virtual clock just removes
 sleep time and scheduler jitter from the measurement.
 
 The resulting :class:`ServingReport` carries the acceptance metrics of
-the serving layer: ``throughput_rps`` and p50/p95/p99 latency
-(``make bench-serving`` -> ``BENCH_serving.json``).
+the serving layer: ``throughput_rps`` and p50/p95/p99 latency (the
+serving rows of ``run_table.csv``, ``make bench-table``).
 
 :func:`open_loop_fleet` is the multi-tenant variant: one Poisson
 arrival process whose requests are split across named tenants

@@ -181,3 +181,36 @@ def test_report_prints_the_interval():
     text = ab.format_report(report, results, "sweep")
     assert "ratio 95% CI" in text
     assert f"[{low:.3f}, {high:.3f}]" in text
+
+
+def test_provenance_names_the_machine_and_library_stack():
+    import os
+
+    import numpy
+    import scipy
+
+    record = ab.provenance()
+    assert record["cpu_count"] == os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        assert record["cpu_affinity"] == len(os.sched_getaffinity(0))
+    assert record["numpy"] == numpy.__version__
+    assert record["scipy"] == scipy.__version__
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (record["blas"], record["blas_version"]) \
+        == (blas["name"], blas["version"])
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_report_header_carries_the_provenance_line():
+    record = {"cpu_count": 2, "cpu_affinity": 2,
+              "platform": "Linux-6.1-x86_64", "python": "3.11.7",
+              "numpy": "2.4.6", "scipy": "1.17.1",
+              "blas": "scipy-openblas", "blas_version": "0.3.31"}
+    line = ab.provenance_line(record)
+    assert line == ("machine: 2 cpus (2 usable), Linux-6.1-x86_64; "
+                    "python 3.11.7, numpy 2.4.6, scipy 1.17.1, "
+                    "blas scipy-openblas 0.3.31")
+    results = {"base": _runs(SLOW), "head": _runs(FAST)}
+    text = ab.format_report(ab.analyse(results, SPECS), results,
+                            f"sweep: 10 pairs\n{line}")
+    assert text.splitlines()[:2] == ["sweep: 10 pairs", line]

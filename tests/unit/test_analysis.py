@@ -236,6 +236,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.lint.engine import render_json, render_text
 from repro.analysis.lint.facts import (
+    DEFAULT_RUNTABLE_FILES,
     InstrumentCatalog,
     build_facts,
     parse_instrument_catalog,
@@ -458,6 +459,25 @@ class TestLintRules:
             runtable_files=("src/repro/experiments/good.py",))
         assert hits(result, "runtable-schema") == []
 
+    def test_runtable_missing_configured_file_is_a_finding(self):
+        """A renamed or deleted file must not switch the check off once
+        the tree has a schema module; trees without one stay quiet."""
+        schema = ('ID_COLUMNS = ("run_id",)\n'
+                  'MEASUREMENT_COLUMNS = ()\n')
+        good = "def f(row):\n    return row['run_id']\n"
+        files = ("src/repro/experiments/good.py",
+                 "src/repro/experiments/renamed.py")
+        result = lint({"src/repro/common/runtable.py": schema,
+                       "src/repro/experiments/good.py": good},
+                      runtable_files=files)
+        (finding,) = hits(result, "runtable-schema")
+        assert finding.path == "src/repro/experiments/renamed.py"
+        assert "does not exist" in finding.message
+        synthetic = lint({"src/repro/experiments/good.py": good},
+                         run_table_columns=("run_id",),
+                         runtable_files=files)
+        assert hits(synthetic, "runtable-schema") == []
+
     def test_parse_error_is_reported(self):
         result = lint({"src/repro/core/broken.py": "def f(:\n"})
         (finding,) = [f for f in result.findings
@@ -571,7 +591,7 @@ class TestLintFacts:
         columns = parse_string_tuple(
             (REPO / "src/repro/common/runtable.py").read_text(),
             "ID_COLUMNS", "MEASUREMENT_COLUMNS")
-        assert columns.index("run_id") == 0 and "min_ms" in columns
+        assert columns.index("run_id") == 0 and "p95_ms" in columns
 
     def test_parse_instrument_catalog(self):
         catalog = parse_instrument_catalog(
@@ -603,3 +623,13 @@ class TestLintSelfHost:
         assert len(facts.known_sites) >= 9
         assert "run_id" in facts.run_table_columns
         assert facts.instrument_catalog.covers("serve.ticks")
+
+    def test_runtable_rule_covers_every_row_reader(self):
+        """The harness writes rows and the smoke gates read them; each
+        configured file exists and is seen reading columns."""
+        facts = build_facts(root=REPO)
+        assert set(DEFAULT_RUNTABLE_FILES) >= {
+            "src/repro/experiments/harness.py", "tools/chaos_smoke.py",
+            "tools/fleet_smoke.py", "tools/obs_smoke.py"}
+        for path in DEFAULT_RUNTABLE_FILES:
+            assert facts.modules[path].runtable_refs, path

@@ -1,4 +1,5 @@
-"""Scenario-harness guarantees: determinism, pool reuse, JSON round-trip.
+"""Scenario-harness guarantees: determinism, pool reuse, CSV round-trip,
+and the contract ``perfbench`` holds with the code it imports.
 
 The contracts pinned here (see ``docs/experiments.md``):
 
@@ -6,16 +7,16 @@ The contracts pinned here (see ``docs/experiments.md``):
   byte-identical run table (row-for-row) once wall-clock is removed via
   the injectable timer; a changed seed changes only measurement columns,
   never the grid (run ids, order, factor columns).
-* **Pool reuse** — grid cells that need the same (network, workers) pool
+* **Pool reuse** — callers that need the same (network, workers) pool
   share one instance through :class:`repro.runtime.pool.PoolCache`.
-* **Round-trip** — ``table -> CSV -> table`` is lossless, and the
-  ``BENCH_*.json`` views regenerated from the re-read table match the
-  in-memory conversion (the ``tools/bench_to_json.py --from-table``
-  contract), with the key structure the docs and CI consume.
+* **Round-trip** — ``table -> CSV -> table`` is lossless.
+* **Benchmark contract** — every ``repro`` name ``perfbench/*.py``
+  imports exists, and the serving grid still holds the ``serve``
+  workload's operating point.
 """
 
-import importlib.util
-import json
+import ast
+import importlib
 import pathlib
 
 import numpy as np
@@ -24,16 +25,18 @@ import pytest
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
-from repro.core.layers import LayerStepRecord
-from repro.experiments import benchjson
 from repro.experiments.harness import (
     PRESETS,
+    SERVING_LOADS,
     modeled_energy_j,
+    preset_scenarios,
     run_scenario,
     run_scenarios,
+    serving_scenarios,
     smoke_scenarios,
 )
 from repro.experiments.scenario import (
+    KINDS,
     HardwareSpec,
     LoadSpec,
     Scenario,
@@ -55,19 +58,16 @@ class FakeTimer:
 
 
 def tiny_scenarios(seed=0):
-    """A fast grid touching timed, accuracy, and serving kinds."""
+    """A fast serving grid: ideal and crossbar-realized weights."""
     return [
-        Scenario(name="t-forward", kind="forward",
-                 engines=("fused", "step"), sizes=(32, 16, 8), rounds=2,
-                 warmup=0, seed=seed),
-        Scenario(name="t-variation", kind="variation",
-                 hardware=(HardwareSpec(bits=3, variation=0.2, seed=5),),
-                 sizes=(24, 16, 8), samples=8, n_seeds=2, rounds=1,
-                 warmup=0, seed=seed),
         Scenario(name="t-serving", kind="serving",
                  loads=(LoadSpec("smoke", 400.0, 12),),
                  sizes=(24, 16, 8), sessions=3, chunk_steps=4,
                  repetitions=2, seed=seed),
+        Scenario(name="t-serving-hw", kind="serving",
+                 hardware=(HardwareSpec(bits=3, variation=0.2, seed=5),),
+                 loads=(LoadSpec("smoke", 400.0, 12),),
+                 sizes=(24, 16, 8), sessions=3, chunk_steps=4, seed=seed),
     ]
 
 
@@ -79,13 +79,13 @@ class TestRunTable:
 
     def test_duplicate_run_id_rejected(self):
         table = RunTable()
-        table.append(run_id="x", kind="forward")
+        table.append(run_id="x", kind="serving")
         with pytest.raises(ExperimentError, match="duplicate run_id"):
-            table.append(run_id="x", kind="forward")
+            table.append(run_id="x", kind="serving")
 
     def test_csv_round_trip_preserves_types(self):
         table = RunTable()
-        table.append(run_id="a", kind="serving", workers=2,
+        table.append(run_id="a", kind="serving", hw_bits=4,
                      rate_rps=300.0, duration_s=0.123456789,
                      divergence=None, workload="speech+synthetic")
         text = table.render_csv()
@@ -144,32 +144,10 @@ class TestDeterminism:
                    for ra, rb in zip(serving_a, serving_b))
 
     def test_expansion_independent_of_execution(self):
-        scenario = tiny_scenarios(seed=3)[2]
+        scenario = tiny_scenarios(seed=3)[0]
         before = [spec.run_id for spec in expand(scenario)]
         run_scenario(scenario, timer=FakeTimer())
         assert [spec.run_id for spec in expand(scenario)] == before
-
-
-class TestTimedCells:
-    def test_reference_backward_times_only_the_backward(self, monkeypatch):
-        """The reference adjoints read each record's derived ``k``; the
-        cell builds those traces before its clock starts, so even a
-        ``warmup=0`` cell does not charge them to its first round."""
-        timer = FakeTimer()
-        derived_at = []
-        derive = LayerStepRecord.k.fget
-
-        def k(record):
-            if record._k is None and record._alpha is not None:
-                derived_at.append(timer.now)
-            return derive(record)
-
-        monkeypatch.setattr(LayerStepRecord, "k", property(k))
-        run_scenario(Scenario(name="backward", kind="backward",
-                              engines=("step",), sizes=(32, 16, 8),
-                              rounds=2, warmup=0), timer=timer)
-        assert len(derived_at) == 2             # one trace per layer
-        assert derived_at == [0.0, 0.0]         # before the first reading
 
 
 class TestServingDensity:
@@ -179,29 +157,28 @@ class TestServingDensity:
     def test_context_builds_synthetic_at_scenario_density(self):
         from repro.experiments.harness import _HarnessContext
 
-        with _HarnessContext() as ctx:
-            dense = ctx.workload("synthetic", 64, seed=0, density=0.25)
-            assert dense.density == 0.25
-            sparse = ctx.workload("synthetic", 64, seed=0, density=0.03)
-            assert sparse is not dense
-            assert sparse.density == 0.03
+        ctx = _HarnessContext()
+        dense = ctx.workload("synthetic", 64, seed=0, density=0.25)
+        assert dense.density == 0.25
+        sparse = ctx.workload("synthetic", 64, seed=0, density=0.03)
+        assert sparse is not dense
+        assert sparse.density == 0.03
 
     def test_density_reaches_synthetic_mix_components(self):
         from repro.experiments.harness import _HarnessContext
 
-        with _HarnessContext() as ctx:
-            mix = ctx.workload("speech+synthetic", 700, seed=0,
-                               density=0.25)
-            densities = [w.density for w in mix.workloads
-                         if w.name == "synthetic"]
-            assert densities == [0.25]
+        mix = _HarnessContext().workload("speech+synthetic", 700, seed=0,
+                                         density=0.25)
+        densities = [w.density for w in mix.workloads
+                     if w.name == "synthetic"]
+        assert densities == [0.25]
 
     def test_sensor_workloads_share_cache_across_densities(self):
         from repro.experiments.harness import _HarnessContext
 
-        with _HarnessContext() as ctx:
-            assert ctx.workload("dvs", 64, seed=0, density=0.25) \
-                is ctx.workload("dvs", 64, seed=0, density=0.03)
+        ctx = _HarnessContext()
+        assert ctx.workload("dvs", 64, seed=0, density=0.25) \
+            is ctx.workload("dvs", 64, seed=0, density=0.03)
 
 
 class TestPoolCache:
@@ -235,161 +212,31 @@ class TestEnergyModel:
         assert modeled_energy_j(10, 7) == pytest.approx(70 * one)
 
 
-class TestBenchJsonRoundTrip:
-    """table -> CSV -> table -> BENCH_*.json matches in-memory conversion
-    and the key structure the docs/CI consume."""
+class TestTableRoundTrip:
+    """table -> CSV -> table is lossless over every serving config."""
 
     @pytest.fixture(scope="class")
     def table(self):
+        common = dict(kind="serving", loads=(LoadSpec("light", 400.0, 10),),
+                      sizes=(24, 16, 8), sessions=3, chunk_steps=4)
         scenarios = [
-            Scenario(name="forward", kind="forward", engines=("fused",),
-                     precisions=("float64", "float32"), sizes=(32, 16, 8),
-                     rounds=2, warmup=0),
-            Scenario(name="forward-step", kind="forward", engines=("step",),
-                     sizes=(32, 16, 8), rounds=2, warmup=0),
-            Scenario(name="backward", kind="backward",
-                     engines=("fused", "step"), sizes=(32, 16, 8),
-                     rounds=2, warmup=0),
-            Scenario(name="train-step", kind="train_step",
-                     sizes=(32, 16, 8), rounds=2, warmup=0),
-            Scenario(name="train-step-aware", kind="train_step",
-                     hardware=(None, HardwareSpec(4, 0.0, 13),
-                               HardwareSpec(4, 0.1, 13)),
-                     sizes=(32, 16, 8), rounds=2, warmup=0),
-            Scenario(name="inference", kind="inference", sizes=(32, 16, 8),
-                     rounds=2, warmup=0),
-            Scenario(name="variation-sweep", kind="variation",
-                     hardware=(HardwareSpec(4, 0.2, 13),),
-                     sizes=(24, 16, 8), samples=8, n_seeds=2, rounds=1,
-                     warmup=0),
-            Scenario(name="serving", kind="serving", engines=("fused",),
-                     precisions=("float64", "float32"),
-                     loads=(LoadSpec("light", 400.0, 10),),
-                     sizes=(24, 16, 8), sessions=3, chunk_steps=4),
-            Scenario(name="serving-hardware", kind="serving",
-                     hardware=(HardwareSpec(4, 0.1, 7),),
-                     loads=(LoadSpec("light", 400.0, 10),),
-                     sizes=(24, 16, 8), sessions=3, chunk_steps=4),
-            Scenario(name="serving-shadow", kind="serving",
+            Scenario(name="serving", precisions=("float64", "float32"),
+                     **common),
+            Scenario(name="serving-hardware",
+                     hardware=(HardwareSpec(4, 0.1, 7),), **common),
+            Scenario(name="serving-shadow",
                      hardware=(HardwareSpec(4, 0.1, 7, shadow=True),),
-                     loads=(LoadSpec("light", 400.0, 10),),
-                     sizes=(24, 16, 8), sessions=3, chunk_steps=4),
+                     **common),
         ]
         return run_scenarios(scenarios, timer=FakeTimer())
 
     def test_csv_round_trip_lossless(self, table):
         back = RunTable.from_csv_text(table.render_csv())
         assert back.rows == table.rows
-
-    def test_throughput_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.throughput_report(table, meta=meta)
-        reread = benchjson.throughput_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert set(report) == {"meta", "forward", "backward", "train_step",
-                               "inference", "variation_sweep",
-                               "train_step_hardware_aware"}
-        assert set(report["forward"]) == {"fused", "fused_float32",
-                                          "step_reference"}
-        assert set(report["backward"]) == {"fused", "reference"}
-        assert "serial" in report["train_step"]
-        assert "serial" in report["inference"]
-        assert "serial" in report["variation_sweep"]
-        aware = report["train_step_hardware_aware"]
-        assert set(aware) == {"ideal", "hardware_aware",
-                              "hardware_aware_noise",
-                              "overhead_hardware_aware",
-                              "overhead_hardware_aware_noise"}
-        for row in (report["forward"]["fused"], aware["ideal"]):
-            assert set(row) == {"min_ms", "mean_ms", "max_ms", "rounds"}
-
-    def test_serving_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.serving_report(table, meta=meta)
-        reread = benchjson.serving_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert set(report["serving"]) == {"fused_float64", "fused_float32",
-                                          "hardware_float64",
-                                          "shadow_float64"}
-        row = report["serving"]["fused_float64"]["light"]
-        assert set(row) == {"offered_rps", "duration_s", "submitted",
-                            "completed", "rejected", "ticks",
-                            "throughput_rps", "mean_batch", "steps_per_s",
-                            "latency_ms", "divergence",
-                            "faults_injected", "requests_retried",
-                            "requests_expired", "requests_failed",
-                            "recovery_p99_ms", "availability",
-                            "queue_wait_p95_ms", "tick_compute_p95_ms",
-                            "pool_stats"}
-        assert row["availability"] == 1.0          # a clean serving run
-        assert row["queue_wait_p95_ms"] is not None
-        assert row["tick_compute_p95_ms"] is not None
-        assert set(row["latency_ms"]) == {"p50", "p95", "p99", "mean",
-                                          "max"}
-        assert report["serving"]["shadow_float64"]["light"]["divergence"] \
-            is not None
-
-    def test_aware_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.aware_report(table, meta=meta)
-        reread = benchjson.aware_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert report["meta"]["operating_point"] == {"bits": 4,
-                                                     "variation": 0.1}
-        assert set(report["train_step"]) == {
-            "ideal", "hardware_aware", "hardware_aware_noise",
-            "overhead_hardware_aware", "overhead_hardware_aware_noise"}
-
-    def test_aware_overhead_is_a_min_ratio_within_its_scenario(self):
-        """One outlier round moves neither overhead, and the baseline is
-        the aware scenario's own ideal row, not an earlier scenario's."""
-        table = RunTable()
-        cells = [("train-step", "ideal", None, 100.0, 101.0, 103.0),
-                 ("train-step-aware", "ideal", None, 110.0, 112.0, 115.0),
-                 ("train-step-aware", "hw4b0", 0.0, 113.0, 300.0, 1300.0),
-                 ("train-step-aware", "hw4b10", 0.1, 112.2, 114.0, 117.0)]
-        for scenario, hardware, variation, low, mean, high in cells:
-            table.append(run_id=f"{scenario}/{hardware}", scenario=scenario,
-                         kind="train_step", engine="fused",
-                         precision="float64", workers=0, hardware=hardware,
-                         hw_bits=None if variation is None else 4,
-                         hw_variation=variation, repetition=0, min_ms=low,
-                         mean_ms=mean, max_ms=high, rounds=10)
-        report = benchjson.aware_report(table, meta={})["train_step"]
-        assert report["ideal"]["min_ms"] == 110.0
-        assert report["overhead_hardware_aware"] == round(113.0 / 110.0, 3)
-        assert report["overhead_hardware_aware_noise"] == round(
-            112.2 / 110.0, 3)
-
-    def test_missing_rows_fail_loudly(self):
-        table = RunTable()
-        table.append(run_id="only", kind="forward", engine="fused",
-                     precision="float64", repetition=0, min_ms=1.0,
-                     mean_ms=1.0, max_ms=1.0, rounds=1)
-        with pytest.raises(ExperimentError, match="no row"):
-            benchjson.throughput_report(table, meta={})
-        with pytest.raises(ExperimentError, match="serving"):
-            benchjson.serving_report(table, meta={})
-
-    def test_from_table_cli(self, table, tmp_path, monkeypatch):
-        """``tools/bench_to_json.py --from-table`` regenerates all three
-        JSON artifacts from a table on disk."""
-        table_path = tmp_path / "run_table.csv"
-        table.write_csv(table_path)
-        tools = pathlib.Path(__file__).resolve().parents[2] / "tools"
-        spec = importlib.util.spec_from_file_location(
-            "bench_to_json_under_test", tools / "bench_to_json.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.chdir(tmp_path)
-        assert module.main(["--from-table", str(table_path)]) == 0
-        for name in ("BENCH_throughput.json", "BENCH_serving.json",
-                     "BENCH_aware.json"):
-            report = json.loads((tmp_path / name).read_text())
-            assert "meta" in report
+        assert len(back) == 4
+        (shadow,) = [row for row in back.rows
+                     if row["scenario"] == "serving-shadow"]
+        assert shadow["divergence"] is not None
 
 
 class TestPresets:
@@ -404,14 +251,36 @@ class TestPresets:
     def test_smoke_grid_is_the_ci_acceptance_grid(self):
         """Fused engine x 2 workloads x 1 rep, incl. a non-SHD workload."""
         serving = [spec for scenario in smoke_scenarios()
-                   for spec in expand(scenario)
-                   if spec.kind == "serving"]
+                   for spec in expand(scenario)]
+        assert {spec.kind for spec in serving} == {"serving"}
         engines = {spec.engine for spec in serving}
         workloads = {spec.workload for spec in serving}
         assert engines == {"fused"}
         assert "dvs" in workloads          # a non-SHD sensor workload
         assert any("+" in w for w in workloads)  # and a mixed stream
         assert all(spec.repetition == 0 for spec in serving)
+
+    def test_timing_presets_are_retired(self):
+        """Every preset measures service levels; kernel timing is the
+        repository benchmark's job."""
+        assert not {"throughput", "aware"} & set(PRESETS)
+        kinds = {scenario.kind for factory in PRESETS.values()
+                 for scenario in factory()}
+        assert kinds <= set(KINDS)
+        with pytest.raises(ExperimentError, match="unknown preset"):
+            preset_scenarios("throughput")
+
+    def test_committed_run_table_holds_service_level_rows_only(self):
+        """The checked-in table parses under the current schema and
+        carries only the kinds the harness still runs."""
+        path = pathlib.Path(__file__).resolve().parents[2] / "run_table.csv"
+        header = path.read_text("utf-8").splitlines()[0]
+        assert tuple(header.split(",")) == RUN_TABLE_COLUMNS
+        for dropped in ("workers", "rounds", "min_ms", "accuracy",
+                        "accuracy_std"):
+            assert dropped not in RUN_TABLE_COLUMNS
+        table = RunTable.read_csv(path)
+        assert {row["kind"] for row in table.rows} == set(KINDS)
 
 
 class TestChaosValidation:
@@ -440,10 +309,7 @@ class TestChaosValidation:
                      faults=({"site": "serve.tick.raise"},),  # never fires
                      **self.BASE)
 
-    def test_ttl_knobs_are_serving_only_and_positive(self):
-        with pytest.raises(ExperimentError, match="serving knob"):
-            Scenario(name="c", kind="forward", request_ttl_ms=10.0,
-                     sizes=(24, 16, 8))
+    def test_ttl_knobs_must_be_positive(self):
         with pytest.raises(ExperimentError, match="> 0"):
             Scenario(name="c", kind="chaos", faults=(self.RULE,),
                      request_ttl_ms=0.0, **self.BASE)
@@ -493,16 +359,58 @@ class TestChaosRuns:
         back = RunTable.from_csv_text(table.render_csv())
         assert back.rows == table.rows
 
-    def test_chaos_section_of_serving_report(self, table):
-        report = benchjson.serving_report(table, meta={"pinned": True})
-        assert report["serving"] == {}     # chaos-only table
-        row = report["chaos"]["t-chaos"]["smoke"]
-        for key in ("availability", "faults_injected", "requests_retried",
-                    "requests_expired", "requests_failed",
-                    "recovery_p99_ms"):
-            assert key in row
-        assert row["submitted"] == 16
-
     def test_same_seed_reproduces_the_fault_schedule(self, table):
         again = run_scenarios([self.scenario()], timer=FakeTimer())
         assert again.rows == table.rows
+
+
+class TestPerfbenchContract:
+    """``perfbench/`` is the repository benchmark and is never edited
+    with the code it measures, so the names and values it imports are
+    pinned here, where tier-1 sees a break before the benchmark does."""
+
+    PERFBENCH = pathlib.Path(__file__).resolve().parents[2] / "perfbench"
+
+    def imports(self):
+        for path in sorted(self.PERFBENCH.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module \
+                        and node.module.split(".")[0] == "repro":
+                    for alias in node.names:
+                        yield path.name, node.module, alias.name
+
+    @staticmethod
+    def resolves(module, name):
+        if hasattr(importlib.import_module(module), name):
+            return True
+        try:
+            importlib.import_module(f"{module}.{name}")  # a submodule
+        except ImportError:
+            return False
+        return True
+
+    def test_every_repro_import_resolves(self):
+        found = list(self.imports())
+        assert {module for _, module, _ in found} >= {
+            "repro.experiments.harness", "repro.common.benchcfg"}
+        broken = [f"{path}: from {module} import {name}"
+                  for path, module, name in found
+                  if not self.resolves(module, name)]
+        assert broken == []
+
+    def test_serving_grid_holds_the_serve_operating_point(self):
+        scenario = serving_scenarios()[0]
+        assert scenario.kind == "serving"
+        assert scenario.sessions == 32
+        assert scenario.chunk_steps == 10
+        assert scenario.max_batch == 16
+        assert scenario.max_wait_ms == 5.0
+        assert scenario.queue_limit == 128
+        assert scenario.engines[0] == "fused"
+        assert scenario.precisions[0] == "float64"
+        assert scenario.hardware[0] is None
+        assert scenario.workloads[0] == "synthetic"
+        assert tuple(scenario.sizes) == (700, 128, 128, 20)
+        assert scenario.spike_density == 0.03
+        assert SERVING_LOADS[0].rate_rps == 300.0
+        assert scenario.loads[0] == SERVING_LOADS[0]

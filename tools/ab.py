@@ -18,7 +18,10 @@ Every run keeps its raw output in a folder of its own,
 ``OUT/raw_runs/run_<side>_repetition_<pair>/`` (``result.json``: the
 benchmark's final JSON line; ``stdout.txt``, ``stderr.txt``,
 ``meta.json``: revision, commit, order and timing), and
-``OUT/run_table.csv`` holds one row per run.  The report (also saved as
+``OUT/run_table.csv`` holds one row per run.  ``OUT/provenance.json``
+records the machine and library stack the runs measured (core counts,
+OS, Python, numpy, scipy and the BLAS numpy was built against); the
+report's second line repeats it.  The report (also saved as
 ``OUT/report.txt``) gives, per metric:
 
 * the change's wins over the parent, pair by pair (ties count for
@@ -51,7 +54,9 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import platform
 import random
 import subprocess
 import sys
@@ -249,6 +254,37 @@ def _fmt(q) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
+# -- provenance ---------------------------------------------------------------
+
+def provenance() -> dict:
+    """The machine and library stack of this interpreter, which is the
+    one every ``perfbench`` run is started with."""
+    import numpy
+    import scipy
+
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": len(affinity(0)) if affinity else None,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+    }
+
+
+def provenance_line(record: dict) -> str:
+    """One report line naming the machine a report was measured on."""
+    return (f"machine: {record['cpu_count']} cpus "
+            f"({record['cpu_affinity']} usable), {record['platform']}; "
+            f"python {record['python']}, numpy {record['numpy']}, "
+            f"scipy {record['scipy']}, blas {record['blas']} "
+            f"{record['blas_version']}")
+
+
 # -- running ------------------------------------------------------------------
 
 def _git(repo: pathlib.Path, *args: str) -> bytes:
@@ -356,10 +392,13 @@ def main(argv=None) -> int:
                                               meta))
                 print(f"pair {pair} {side}: done", file=sys.stderr)
     write_run_table(out / "run_table.csv", results, order)
+    machine = provenance()
+    (out / "provenance.json").write_text(
+        json.dumps(machine, indent=2) + "\n")
     header = (f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
               f"{args.seconds:g} s, trace {args.trace}; base "
               f"{args.base} ({commits['base'][:12]}), head {args.head} "
-              f"({commits['head'][:12]})")
+              f"({commits['head'][:12]})\n{provenance_line(machine)}")
     text = format_report(analyse(results, metric_specs(benchmark)), results,
                          header)
     (out / "report.txt").write_text(text)

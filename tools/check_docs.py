@@ -15,6 +15,10 @@ Walks README.md and docs/*.md and fails if
   table must match ``repro.common.faults.KNOWN_SITES`` exactly, and
   the ``docs/experiments.md`` column reference must match the fixed
   run-table schema in both directions.
+* any ``make X`` command (an inline code span, or a line of a fenced
+  code block) names a target the Makefile does not define.  README.md,
+  docs/*.md and the verify skill notes (``.claude/skills/verify``) are
+  scanned for these.
 
 This is the `make docs` target and runs in CI — it keeps the README's
 promise that every paper artifact is reachable from it, and that every
@@ -32,6 +36,9 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 MODULE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 BACKTICK = re.compile(r"`([^`]+)`")
 COLUMN_TOKEN = re.compile(r"^[a-z][a-z0-9_]*$")
+MAKE_TARGET = re.compile(r"^([A-Za-z][\w.-]*):", re.M)
+INLINE_MAKE = re.compile(r"`make ([A-Za-z][\w.-]*)")
+FENCED_MAKE = re.compile(r"\bmake ([A-Za-z][\w.-]*)")
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -85,6 +92,28 @@ def check_module_refs(markdown: Path, cache: dict[str, bool]) -> list[str]:
         f"{markdown.relative_to(REPO)}: unresolvable module reference {ref}"
         for ref in sorted(set(MODULE.findall(text)))
         if not _reference_resolves(ref, cache)
+    ]
+
+
+def make_references(text: str) -> set[str]:
+    """Targets named by ``make X`` in inline code spans and in the lines
+    of fenced code blocks."""
+    targets = set(INLINE_MAKE.findall(text))
+    fenced = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            targets.update(FENCED_MAKE.findall(line))
+    return targets
+
+
+def check_make_targets(markdown: Path, defined: set[str]) -> list[str]:
+    return [
+        f"{markdown.relative_to(REPO)}: `make {target}` names no "
+        f"Makefile target"
+        for target in sorted(make_references(
+            markdown.read_text(encoding="utf-8")) - defined)
     ]
 
 
@@ -186,6 +215,11 @@ def main() -> int:
         for error in (*check_links(source),
                       *check_module_refs(source, cache))
     ]
+    defined = set(MAKE_TARGET.findall(
+        (REPO / "Makefile").read_text(encoding="utf-8")))
+    skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+    for source in [*sources, *([skill] if skill.exists() else [])]:
+        errors.extend(check_make_targets(source, defined))
     errors.extend(check_catalogs())
     for error in errors:
         print(error)
@@ -195,8 +229,8 @@ def main() -> int:
         print(f"FAIL: {len(errors)} problem(s) across {checked} files")
         return 1
     print(f"OK: all local links resolve, all {refs} repro.* references "
-          f"import, and all catalog tables match the code across "
-          f"{checked} documentation files")
+          f"import, every `make` target exists, and all catalog tables "
+          f"match the code across {checked} documentation files")
     return 0
 
 
