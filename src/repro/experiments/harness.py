@@ -102,54 +102,109 @@ def _run_seed(spec: RunSpec) -> int:
     return int(RandomState(spec.seed).child(spec.run_id).integers(2 ** 31))
 
 
-# -- per-kind runners --------------------------------------------------------
+# -- the runner --------------------------------------------------------------
 
-def _run_serving(spec: RunSpec, ctx: _HarnessContext) -> dict:
+def _realize(hardware: HardwareSpec, net):
+    """The crossbar realization of ``net`` under one hardware spec."""
+    from ..hardware import HardwareProfile
+
+    return HardwareProfile.create(
+        bits=hardware.bits, variation=hardware.variation,
+        seed=hardware.seed).build(net)
+
+
+def _run_load(spec: RunSpec, ctx: _HarnessContext) -> dict:
+    """One open-loop cell: a :class:`~repro.serve.server.ModelServer`
+    for the ``serving`` and ``chaos`` kinds, a
+    :class:`~repro.serve.fleet.Fleet` (optionally with a canary
+    generation deployed at the scenario's ``canary_weight``) for
+    ``fleet``.
+
+    A chaos cell is the serving run under an installed fault plan seeded
+    from the run seed — the injected schedule is as reproducible as the
+    arrival process.  A fleet cell returns the fleet-wide aggregate
+    measurement, with the per-tenant SLO measurements under the
+    ``"__tenants__"`` key — :func:`run_scenarios` appends those as their
+    own rows (``run_id`` suffixed ``+<tenant>``, tenant identity column
+    filled).
+    """
     from ..common import faults as _faults
-    from ..serve import ModelServer
-    from ..serve.loadgen import open_loop
+    from ..serve import Fleet, ModelServer, TenantQuota
+    from ..serve.loadgen import TenantLoad, open_loop
 
     scenario = spec.scenario
     run_seed = _run_seed(spec)
+    # spike_density reaches the run through the workload itself:
+    # ctx.workload builds synthetic components at the scenario's density.
     workload = ctx.workload(spec.workload, scenario.sizes[0],
                             seed=spec.seed,
                             density=scenario.spike_density)
     sizes = (workload.channels,) + tuple(scenario.sizes[1:])
     net = ctx.network(sizes, seed=0)
-    hardware = None
-    if spec.hardware is not None:
-        from ..hardware import HardwareProfile
-
-        hardware = HardwareProfile.create(
-            bits=spec.hardware.bits, variation=spec.hardware.variation,
-            seed=spec.hardware.seed).build(net)
-    server = ModelServer(
-        net, precision=spec.precision,
-        max_batch=scenario.max_batch, max_wait_ms=scenario.max_wait_ms,
-        queue_limit=scenario.queue_limit, hardware=hardware,
+    settings = dict(
+        precision=spec.precision, max_batch=scenario.max_batch,
+        max_wait_ms=scenario.max_wait_ms,
+        queue_limit=scenario.queue_limit,
+        hardware=(None if spec.hardware is None
+                  else _realize(spec.hardware, net)),
         shadow=spec.hardware.shadow if spec.hardware else False,
         request_ttl_ms=scenario.request_ttl_ms,
         session_ttl_s=scenario.session_ttl_s)
-    # A chaos cell is the same open-loop run under an installed fault
-    # plan seeded from the run seed — the injected schedule is as
-    # reproducible as the arrival process.
+    fleet = spec.kind == "fleet"
+    mix = None
+    if fleet:
+        target = Fleet(net, replicas=scenario.replicas, seed=run_seed,
+                       **settings)
+        mix = tuple(
+            TenantLoad(
+                tenant.id, share=tenant.share, sessions=tenant.sessions,
+                quota=(TenantQuota(rate_rps=tenant.quota_rps,
+                                   burst=tenant.burst,
+                                   max_pending=tenant.max_pending)
+                       if (tenant.quota_rps is not None
+                           or tenant.max_pending is not None) else None))
+            for tenant in scenario.tenants)
+    else:
+        target = ModelServer(net, **settings)
     plan = (_faults.FaultPlan(scenario.faults, seed=run_seed)
             if spec.kind == "chaos" else None)
     try:
-        # spike_density reaches the run through the workload itself
-        # (ctx.workload builds synthetic components at the scenario's
-        # density); open_loop ignores its spike_density arg when a
-        # workload is passed.
-        with _faults.active(plan) if plan is not None else _noop():
+        if fleet and scenario.canary_weight:
+            canary = scenario.canary_hardware
+            target.deploy_canary(
+                weight=scenario.canary_weight,
+                hardware=None if canary is None else _realize(canary, net),
+                shadow=canary is not None and canary.shadow)
+        with (_faults.active(plan) if plan is not None
+              else contextlib.nullcontext()):
             report = open_loop(
-                server, sessions=scenario.sessions,
+                target, tenants=mix, sessions=scenario.sessions,
                 requests=spec.load.requests,
                 chunk_steps=scenario.chunk_steps,
                 rate_rps=spec.load.rate_rps, rng=run_seed,
                 workload=workload, timer=ctx.timer)
     finally:
-        server.close()
-    return _serving_measurement(report, spec.load.requests, sizes)
+        target.close()
+    if not fleet:
+        return _serving_measurement(report, spec.load.requests, sizes)
+    measurement = _serving_measurement(report.aggregate,
+                                       spec.load.requests, sizes)
+    measurement.update(
+        replicas=scenario.replicas,
+        canary_weight=scenario.canary_weight,
+        canary_share=report.canary_share,
+        quota_rejected=sum(report.quota_rejected.values()),
+        misroutes=report.misroutes)
+    tenant_rows = []
+    for tenant in scenario.tenants:
+        tenant_report = report.tenants[tenant.id]
+        tenant_measurement = _serving_measurement(
+            tenant_report, tenant_report.submitted, sizes)
+        tenant_measurement["quota_rejected"] = \
+            report.quota_rejected.get(tenant.id, 0)
+        tenant_rows.append((tenant.id, tenant_measurement))
+    measurement["__tenants__"] = tenant_rows
+    return measurement
 
 
 def _serving_measurement(report, requests: int, sizes) -> dict:
@@ -181,104 +236,6 @@ def _serving_measurement(report, requests: int, sizes) -> dict:
         "queue_wait_p95_ms": report.queue_wait_p95_ms,
         "tick_compute_p95_ms": report.tick_compute_p95_ms,
     }
-
-
-def _run_fleet(spec: RunSpec, ctx: _HarnessContext) -> dict:
-    """One fleet cell: a multi-tenant open-loop run against a
-    :class:`~repro.serve.fleet.Fleet` (optionally with a canary
-    generation deployed at the scenario's ``canary_weight``).
-
-    Returns the fleet-wide aggregate measurement, with the per-tenant
-    SLO measurements under the ``"__tenants__"`` key —
-    :func:`run_scenarios` appends those as their own rows (``run_id``
-    suffixed ``+<tenant>``, tenant identity column filled).
-    """
-    from ..serve import Fleet, TenantQuota
-    from ..serve.loadgen import TenantLoad, open_loop_fleet
-
-    scenario = spec.scenario
-    run_seed = _run_seed(spec)
-    workload = ctx.workload(spec.workload, scenario.sizes[0],
-                            seed=spec.seed,
-                            density=scenario.spike_density)
-    sizes = (workload.channels,) + tuple(scenario.sizes[1:])
-    net = ctx.network(sizes, seed=0)
-    hardware = None
-    if spec.hardware is not None:
-        from ..hardware import HardwareProfile
-
-        hardware = HardwareProfile.create(
-            bits=spec.hardware.bits, variation=spec.hardware.variation,
-            seed=spec.hardware.seed).build(net)
-    fleet = Fleet(
-        net, replicas=scenario.replicas,
-        precision=spec.precision, max_batch=scenario.max_batch,
-        max_wait_ms=scenario.max_wait_ms,
-        queue_limit=scenario.queue_limit, hardware=hardware,
-        shadow=spec.hardware.shadow if spec.hardware else False,
-        request_ttl_ms=scenario.request_ttl_ms,
-        session_ttl_s=scenario.session_ttl_s, seed=run_seed)
-    try:
-        if scenario.canary_weight:
-            canary_hardware = None
-            canary_shadow = False
-            if scenario.canary_hardware is not None:
-                from ..hardware import HardwareProfile
-
-                canary_hardware = HardwareProfile.create(
-                    bits=scenario.canary_hardware.bits,
-                    variation=scenario.canary_hardware.variation,
-                    seed=scenario.canary_hardware.seed).build(net)
-                canary_shadow = scenario.canary_hardware.shadow
-            fleet.deploy_canary(weight=scenario.canary_weight,
-                                hardware=canary_hardware,
-                                shadow=canary_shadow)
-        mix = tuple(
-            TenantLoad(
-                tenant.id, share=tenant.share, sessions=tenant.sessions,
-                quota=(TenantQuota(rate_rps=tenant.quota_rps,
-                                   burst=tenant.burst,
-                                   max_pending=tenant.max_pending)
-                       if (tenant.quota_rps is not None
-                           or tenant.max_pending is not None) else None))
-            for tenant in scenario.tenants)
-        report = open_loop_fleet(
-            fleet, tenants=mix, requests=spec.load.requests,
-            chunk_steps=scenario.chunk_steps,
-            rate_rps=spec.load.rate_rps, rng=run_seed,
-            workload=workload, timer=ctx.timer)
-    finally:
-        fleet.close()
-    measurement = _serving_measurement(report.aggregate,
-                                       spec.load.requests, sizes)
-    measurement.update(
-        replicas=scenario.replicas,
-        canary_weight=scenario.canary_weight,
-        canary_share=report.canary_share,
-        quota_rejected=sum(report.quota_rejected.values()),
-        misroutes=report.misroutes)
-    tenant_rows = []
-    for tenant in scenario.tenants:
-        tenant_report = report.tenants[tenant.id]
-        tenant_measurement = _serving_measurement(
-            tenant_report, tenant_report.submitted, sizes)
-        tenant_measurement["quota_rejected"] = \
-            report.quota_rejected.get(tenant.id, 0)
-        tenant_rows.append((tenant.id, tenant_measurement))
-    measurement["__tenants__"] = tenant_rows
-    return measurement
-
-
-@contextlib.contextmanager
-def _noop():
-    yield
-
-
-_RUNNERS = {
-    "serving": _run_serving,
-    "chaos": _run_serving,
-    "fleet": _run_fleet,
-}
 
 
 # -- the harness -------------------------------------------------------------
@@ -314,7 +271,7 @@ def run_scenarios(scenarios, table: RunTable | None = None,
             telemetry = (None if trace_dir is None
                          else _obs.Telemetry(clock=ctx.timer))
             with _obs.active(telemetry):
-                measurement = _RUNNERS[spec.kind](spec, ctx)
+                measurement = _run_load(spec, ctx)
             if telemetry is not None:
                 slug = spec.run_id.replace("/", "__")
                 telemetry.tracer.write_jsonl(

@@ -15,8 +15,9 @@ Installation mirrors :mod:`repro.common.faults`: a process-global slot
 consults through no-op-fast module helpers —
 
 >>> with obs.active(obs.Telemetry(clock=timer)) as tel:
-...     report = open_loop(server, ...)      # hooks record into tel
-... tel.tracer.write_jsonl("run.trace.jsonl")
+...     report = open_loop(target, ...)   # a server or a fleet; hooks
+...                                       # record into tel
+>>> tel.tracer.write_jsonl("run.trace.jsonl")
 
 With nothing installed, :func:`span` returns a shared null context and
 :func:`event` returns immediately — the production path pays one global

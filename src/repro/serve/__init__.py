@@ -24,9 +24,8 @@ The pieces, bottom-up:
   :class:`ModelRegistry` of checkpoints *and hardware profiles* the
   server cold-starts from;
 * :mod:`repro.serve.loadgen` — a synthetic open-loop arrival process and
-  latency/throughput accounting (the scenario harness's serving rows),
-  plus the multi-tenant mix
-  (:func:`open_loop_fleet`) that measures a fleet;
+  latency/throughput accounting (the scenario harness's serving rows);
+  :func:`open_loop` drives a server or, with a multi-tenant mix, a fleet;
 * :mod:`repro.serve.fleet` — the :class:`Fleet` front door: N
   ``ModelServer`` replicas, session-sticky least-loaded routing,
   per-tenant token-bucket quotas (:class:`TenantQuota`), and weighted
@@ -52,7 +51,6 @@ from .loadgen import (
     ServingReport,
     TenantLoad,
     open_loop,
-    open_loop_fleet,
 )
 from .registry import ModelRegistry
 from .server import ModelServer
@@ -80,7 +78,6 @@ __all__ = [
     "TenantQuota",
     "Ticket",
     "open_loop",
-    "open_loop_fleet",
     "Workload",
     "SyntheticWorkload",
     "SpeechWorkload",

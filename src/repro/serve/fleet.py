@@ -44,7 +44,8 @@ clients reconnect onto a live replica, and the fleet-wide books still
 balance (``tools/chaos_smoke.py`` gates availability under this).
 
 See ``docs/fleet.md`` for the full lifecycle and
-:func:`repro.serve.loadgen.open_loop_fleet` for the multi-tenant load
+:func:`repro.serve.loadgen.open_loop` (given a
+:class:`~repro.serve.loadgen.TenantLoad` mix) for the multi-tenant load
 generator that measures it.
 """
 
@@ -939,10 +940,10 @@ class Fleet:
 
     def _queue_wait_window(self) -> list[tuple]:
         """(histogram, start-count) pairs for every replica's queue-wait
-        histogram — :func:`~repro.serve.loadgen.open_loop_fleet` windows
-        the fleet-wide p95 across them."""
-        return [(r.server._queue_wait, r.server._queue_wait.count)
-                for r in self._replicas]
+        histogram — :func:`~repro.serve.loadgen.open_loop` windows the
+        fleet-wide p95 across them."""
+        return [pair for r in self._replicas
+                for pair in r.server._queue_wait_window()]
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

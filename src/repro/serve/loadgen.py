@@ -1,10 +1,11 @@
 """Synthetic open-loop load generation and serving metrics.
 
-:func:`open_loop` drives a :class:`~repro.serve.server.ModelServer` the
-way a fleet of independent clients would: request arrival times are drawn
-from a Poisson process at a configured offered rate and do **not** wait
-for earlier responses (open loop — the honest way to measure a server,
-cf. closed-loop generators that self-throttle and hide queueing).
+:func:`open_loop` drives a :class:`~repro.serve.server.ModelServer` or a
+:class:`~repro.serve.fleet.Fleet` the way independent clients would:
+request arrival times are drawn from a Poisson process at a configured
+offered rate and do **not** wait for earlier responses (open loop — the
+honest way to measure a server, cf. closed-loop generators that
+self-throttle and hide queueing).
 
 Time is hybrid: arrivals advance a virtual clock along the precomputed
 schedule, while each tick advances it by the tick's *measured* wall-clock
@@ -14,17 +15,14 @@ stays exactly reproducible for a given seed.  On an otherwise idle
 machine the numbers match a realtime run; the virtual clock just removes
 sleep time and scheduler jitter from the measurement.
 
-The resulting :class:`ServingReport` carries the acceptance metrics of
-the serving layer: ``throughput_rps`` and p50/p95/p99 latency (the
-serving rows of ``run_table.csv``, ``make bench-table``).
-
-:func:`open_loop_fleet` is the multi-tenant variant: one Poisson
-arrival process whose requests are split across named tenants
-(:class:`TenantLoad` shares), driving a
-:class:`~repro.serve.fleet.Fleet` through its per-tenant admission
-control.  The :class:`FleetReport` carries the aggregate
-:class:`ServingReport` plus one per tenant — the per-tenant SLO rows
-the ``fleet`` scenario kind lands in ``run_table.csv``.
+A fleet's load is a mix of named tenants (:class:`TenantLoad` shares)
+splitting the one arrival process; a bare server is one implicit
+tenant.  Both run the same event loop, so a 1-replica, 1-tenant fleet
+and a bare server with the same settings report the same numbers.  A
+server run returns a :class:`ServingReport` (``throughput_rps``,
+p50/p95/p99 latency: the serving rows of ``run_table.csv``); a fleet
+run returns a :class:`FleetReport`, that report fleet-wide plus one per
+tenant (the per-tenant SLO rows of the ``fleet`` scenario kind).
 """
 
 from __future__ import annotations
@@ -32,16 +30,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
 from ..common import faults as _faults
 from ..common.errors import CapacityError, ShapeError, StateError
 from ..common.rng import RandomState, as_random_state
+from .fleet import Fleet
+from .workloads import SyntheticWorkload, make_workload
 
-__all__ = ["FleetReport", "ServingReport", "TenantLoad", "open_loop",
-           "open_loop_fleet"]
+__all__ = ["FleetReport", "ServingReport", "TenantLoad", "open_loop"]
 
 
 @dataclasses.dataclass
@@ -77,16 +75,12 @@ class ServingReport:
     #: excluded (reported separately as ``rejected``).
     availability: float = 1.0
     #: p95 of per-chunk queue wait (submit to serving tick, virtual
-    #: clock, ms) — from the server's ``serve.queue_wait_ms`` histogram,
-    #: windowed to this run.  ``None`` when nothing was batched.
+    #: clock, ms) — from the ``serve.queue_wait_ms`` histograms, windowed
+    #: to this run.  ``None`` when nothing was batched.
     queue_wait_p95_ms: float | None = None
     #: p95 of measured per-tick compute (the load generator's ``timer``,
     #: ms).  ``None`` when no tick completed anything.
     tick_compute_p95_ms: float | None = None
-    #: ``WorkerPool.stats`` snapshot of the deployment's pool (restarts,
-    #: retries, dispatches, timeouts, per-worker respawns); ``None``
-    #: when the served path ran without one.
-    pool_stats: dict | None = None
 
     @classmethod
     def from_run(cls, offered_rps: float, duration_s: float,
@@ -97,8 +91,8 @@ class ServingReport:
                  retried_latencies_s: list[float] | None = None,
                  faults_injected: int = 0,
                  queue_wait_p95_ms: float | None = None,
-                 tick_compute_p95_ms: float | None = None,
-                 pool_stats: dict | None = None) -> "ServingReport":
+                 tick_compute_p95_ms: float | None = None
+                 ) -> "ServingReport":
         completed = len(latencies_s)
         # The virtual clock runs on numpy scalars (np.cumsum arrivals);
         # coerce to builtin floats so downstream renderers (the run
@@ -149,7 +143,6 @@ class ServingReport:
                                else round(float(queue_wait_p95_ms), 3)),
             tick_compute_p95_ms=(None if tick_compute_p95_ms is None
                                  else round(float(tick_compute_p95_ms), 3)),
-            pool_stats=pool_stats,
         )
 
     def to_dict(self) -> dict:
@@ -168,213 +161,6 @@ class ServingReport:
             f"batch {self.mean_batch:5.2f} | latency ms "
             f"p50 {ms('p50')}  p95 {ms('p95')}  p99 {ms('p99')}"
         )
-
-
-def open_loop(server, *, sessions: int = 16, requests: int = 200,
-              chunk_steps: int = 10, rate_rps: float = 200.0,
-              spike_density: float = 0.03,
-              rng: RandomState | int | None = 0,
-              workload=None,
-              timer=time.perf_counter, pool=None,
-              export_dir=None) -> ServingReport:
-    """Drive ``server`` with a Poisson open-loop arrival process.
-
-    Parameters
-    ----------
-    server:
-        A :class:`~repro.serve.server.ModelServer` (fresh stats are not
-        required; the report uses only this run's tickets).
-    sessions:
-        Concurrent client streams; arrivals are assigned round-robin so
-        every session receives an in-order subsequence of chunks.
-    requests:
-        Total chunks offered (pregenerated outside the timed loop).
-    chunk_steps:
-        Time steps per chunk.
-    rate_rps:
-        Offered arrival rate (chunks/second) of the Poisson process.
-    spike_density:
-        Bernoulli spike probability of the synthetic chunks (ignored
-        when ``workload`` is given).
-    workload:
-        What the request streams carry: ``None`` keeps the legacy
-        synthetic Bernoulli chunks; otherwise a
-        :class:`~repro.serve.workloads.Workload` instance or name
-        (``"speech"``, ``"dvs"``, ``"glyph"``, ``"speech+synthetic"``,
-        ...) whose channel width must match the served network's input
-        layer.
-    timer:
-        Clock used to measure per-tick compute (seconds, monotonic).
-        The default is real wall time; the scenario harness injects a
-        deterministic fake in its reproducibility tests.  Each completed
-        tick's measurement is also observed into the server's
-        ``serve.tick_compute_ms`` histogram, and the run's p95 lands in
-        the report.
-    pool:
-        Optional :class:`~repro.runtime.pool.WorkerPool` backing the
-        deployment; its ``stats`` snapshot is attached to the report
-        (``pool_stats``) after the run.
-    export_dir:
-        Optional directory to export telemetry artifacts into after the
-        run: ``serving.prom`` (the server registry's Prometheus text
-        snapshot) always, plus ``serving.trace.jsonl`` when the server
-        carries a telemetry bundle (see :mod:`repro.obs`).
-    """
-    rng = as_random_state(rng)
-    n_in = server.network.sizes[0]
-    if workload is not None:
-        from .workloads import make_workload
-
-        workload = make_workload(workload, channels=None)
-        if workload.channels != n_in:
-            raise ShapeError(
-                f"workload {workload.name!r} emits {workload.channels} "
-                f"channels but the served network expects {n_in}")
-    session_ids = [server.open_session(now=0.0) for _ in range(sessions)]
-    gaps = -np.log(np.clip(rng.random(requests), 1e-12, None)) / rate_rps
-    arrivals = np.cumsum(gaps)
-    if workload is None:
-        chunks = [
-            (rng.random((chunk_steps, n_in))
-             < spike_density).astype(np.float64)
-            for _ in range(requests)
-        ]
-    else:
-        chunks = [workload.sample(chunk_steps, rng)
-                  for _ in range(requests)]
-
-    outstanding: list = []
-    latencies: list[float] = []
-    retried_latencies: list[float] = []
-    rejected = 0
-    expired = 0
-    failed = 0
-    ticks = 0
-    steps_served = 0
-    now = 0.0
-    index = 0
-    plan = _faults.active_plan()
-    injected_before = sum(plan.injected.values()) if plan else 0
-    # Window the shared histograms to this run: the server instruments
-    # outlive a single open_loop call (and a PoolCache'd server may host
-    # several), so percentiles read only the samples added from here on.
-    queue_wait = server.metrics.histogram("serve.queue_wait_ms")
-    tick_compute = server.metrics.histogram(
-        "serve.tick_compute_ms",
-        help="measured wall-clock compute per completed tick (ms)")
-    queue_wait_start = queue_wait.count
-    tick_compute_start = tick_compute.count
-
-    def settle(after: float, completed: int) -> None:
-        """Resolve finished tickets against the post-compute time."""
-        nonlocal steps_served, expired, failed
-        still = []
-        for ticket in outstanding:
-            if not ticket.done:
-                still.append(ticket)
-            elif ticket.ok:
-                if completed:
-                    # Re-stamp completion at the post-compute virtual
-                    # time (the server stamped the pre-compute instant).
-                    ticket.completed_at = after
-                latencies.append(ticket.latency)
-                if ticket.retried:
-                    retried_latencies.append(ticket.latency)
-                steps_served += ticket.outputs.shape[0]
-            elif ticket.expired:
-                expired += 1
-            else:
-                failed += 1
-        outstanding[:] = still
-
-    def run_tick(at: float) -> float:
-        """Run one due tick; advance the virtual clock by measured cost."""
-        nonlocal ticks
-        start = timer()
-        completed = server.poll(now=at)
-        elapsed = timer() - start
-        after = at + elapsed
-        if completed:
-            ticks += 1
-            tick_compute.observe(elapsed * 1e3)
-        # Scan even on completed == 0: a poll may resolve tickets only
-        # by shedding expired requests or failing poisoned ones.
-        settle(after, completed)
-        return after
-
-    def admit(position: int) -> None:
-        nonlocal rejected
-        arrival = float(arrivals[position])
-        slot = position % sessions
-        try:
-            outstanding.append(
-                server.submit(session_ids[slot], chunks[position],
-                              now=arrival))
-        except CapacityError:
-            rejected += 1
-        except StateError:
-            # The session was reaped while this client was idle: a real
-            # client reconnects — open a fresh stream and resubmit.
-            session_ids[slot] = server.open_session(now=arrival)
-            try:
-                outstanding.append(
-                    server.submit(session_ids[slot], chunks[position],
-                                  now=arrival))
-            except CapacityError:
-                rejected += 1
-
-    while index < requests or outstanding:
-        # Admit everything that has arrived by ``now`` — arrivals land in
-        # the queue while the server computes, stamped with their *true*
-        # arrival time, and are rejected at that moment if the queue is
-        # full.  Only then may the next tick run.
-        while index < requests and arrivals[index] <= now:
-            admit(index)
-            index += 1
-        if server.ready(now=now):
-            now = run_tick(now)
-            continue
-        next_arrival = arrivals[index] if index < requests else math.inf
-        deadline = server.next_deadline()
-        deadline = math.inf if deadline is None else deadline
-        event = min(next_arrival, deadline)
-        if math.isinf(event):
-            # Nothing schedulable — but queued-only requests may still
-            # hold tickets that a TTL poll would expire; resolve them
-            # instead of spinning forever.
-            if outstanding:
-                now = run_tick(now)
-                if outstanding:
-                    break  # genuinely unresolvable (no TTL configured)
-                continue
-            break
-        now = max(now, event)
-
-    duration = max(now, float(arrivals[-1]) if requests else 0.0)
-    divergence = (server.mean_divergence()
-                  if getattr(server, "shadow", False) else None)
-    injected = (sum(plan.injected.values()) - injected_before if plan
-                else 0)
-    # Drain-time accounting tripwire: every submission this run made (and
-    # any the server saw before) must be booked exactly once.
-    server.check_invariants()
-    if export_dir is not None:
-        export_dir = Path(export_dir)
-        export_dir.mkdir(parents=True, exist_ok=True)
-        (export_dir / "serving.prom").write_text(
-            server.metrics.render_prometheus(), encoding="utf-8")
-        if server.telemetry is not None:
-            server.telemetry.tracer.write_jsonl(
-                export_dir / "serving.trace.jsonl")
-    return ServingReport.from_run(
-        rate_rps, duration, latencies, rejected, ticks, steps_served,
-        divergence=divergence, expired=expired, failed=failed,
-        retried_latencies_s=retried_latencies, faults_injected=injected,
-        queue_wait_p95_ms=queue_wait.percentile(95,
-                                                start=queue_wait_start),
-        tick_compute_p95_ms=tick_compute.percentile(
-            95, start=tick_compute_start),
-        pool_stats=None if pool is None else pool.stats)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -439,118 +225,148 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def open_loop_fleet(fleet, *, tenants=None, requests: int = 400,
-                    chunk_steps: int = 8, rate_rps: float = 300.0,
-                    spike_density: float = 0.03,
-                    rng: RandomState | int | None = 0,
-                    workload=None, timer=time.perf_counter,
-                    export_dir=None) -> FleetReport:
-    """Drive a :class:`~repro.serve.fleet.Fleet` with a mixed
-    multi-tenant Poisson arrival process.
+class _Books:
+    """One tenant's client streams and its share of the run's outcomes."""
 
-    One open-loop schedule at ``rate_rps`` is drawn exactly as in
-    :func:`open_loop`; each arrival is then assigned a tenant by a
-    seeded draw weighted by the :class:`TenantLoad` shares and
-    round-robined over that tenant's sessions.  Tenant quotas (when a
-    ``TenantLoad.quota`` is given) are installed before any traffic, so
-    the run measures the fleet's admission control, not just its
-    queues: a tenant's ``CapacityError``\\ s count against *that
-    tenant's* report only.
+    #: What a run books per tenant; summed, the fleet-wide books.
+    OUTCOMES = ("latencies", "retried", "rejected", "expired", "failed",
+                "steps")
+    __slots__ = ("session_ids", "cursor", "outstanding") + OUTCOMES
 
-    A session that dies with its replica (``StateError`` on submit)
-    reconnects through :meth:`~repro.serve.fleet.Fleet.open_session` —
-    landing on a live replica — and resubmits once; if the whole fleet
-    is down the chunk counts as rejected.  At drain the fleet-wide
-    accounting tripwire :meth:`~repro.serve.fleet.Fleet.check_invariants`
-    runs, like :func:`open_loop` does for a bare server.
+    def __init__(self, session_ids: list):
+        self.session_ids = session_ids
+        self.cursor = 0
+        self.outstanding: list = []
+        self.latencies: list[float] = []
+        self.retried: list[float] = []
+        self.rejected = self.expired = self.failed = self.steps = 0
 
-    ``export_dir`` writes ``fleet.prom`` (the fleet registry snapshot)
-    and, when a telemetry bundle is attached, ``fleet.trace.jsonl``.
+    def report(self, offered_rps: float, duration: float, ticks: int,
+               **extra) -> ServingReport:
+        return ServingReport.from_run(
+            offered_rps, duration, self.latencies, self.rejected, ticks,
+            self.steps, expired=self.expired, failed=self.failed,
+            retried_latencies_s=self.retried, **extra)
+
+
+def open_loop(target, *, tenants=None, sessions: int = 16,
+              requests: int = 200, chunk_steps: int = 10,
+              rate_rps: float = 200.0,
+              rng: RandomState | int | None = 0, workload=None,
+              timer=time.perf_counter) -> ServingReport | FleetReport:
+    """Drive ``target`` with a Poisson open-loop arrival process.
+
+    Returns a :class:`ServingReport` for a server target and a
+    :class:`FleetReport` for a fleet target.
+
+    Parameters
+    ----------
+    target:
+        A :class:`~repro.serve.server.ModelServer` or a
+        :class:`~repro.serve.fleet.Fleet` (fresh stats are not required;
+        the report counts only this run's tickets).
+    tenants:
+        Fleet targets only: the :class:`TenantLoad` mix.  Each arrival
+        gets a tenant from a seeded draw weighted by the shares (made
+        only when there is more than one tenant); tenant quotas are
+        installed before any traffic.  Default, and always for a bare
+        server: one tenant ``"t0"`` with ``sessions`` streams.
+    sessions:
+        Concurrent client streams of the implicit tenant.  Arrivals are
+        round-robined over a tenant's streams, so every stream receives
+        an in-order subsequence of chunks.
+    requests, chunk_steps, rate_rps:
+        ``requests`` chunks of ``chunk_steps`` time steps (pregenerated
+        outside the timed loop) arrive at ``rate_rps`` chunks/second.
+    workload:
+        A :class:`~repro.serve.workloads.Workload` or its name (``"dvs"``,
+        ``"speech+synthetic"``, ...) of the served network's input width.
+        ``None`` and ``"synthetic"`` are Bernoulli spikes at that width
+        (:class:`~repro.serve.workloads.SyntheticWorkload`).
+    timer:
+        Clock measuring per-tick compute (seconds, monotonic); the
+        harness's reproducibility tests inject a deterministic fake.
+        Each completed tick is also observed into the target's
+        ``serve.tick_compute_ms`` histogram; the run's p95 is reported.
+
+    A stream whose session is gone reconnects and resubmits once (a
+    fleet lands it on a live replica).  At drain the target's
+    accounting tripwire (``check_invariants``) runs.
     """
-    rng = as_random_state(rng)
+    if sessions < 1 or chunk_steps < 1:
+        raise ValueError(f"sessions and chunk_steps must be >= 1, got "
+                         f"{sessions} and {chunk_steps}")
+    if requests < 0:
+        raise ValueError(f"requests must be >= 0, got {requests}")
+    if not (math.isfinite(rate_rps) and rate_rps > 0):
+        raise ValueError(f"rate_rps must be finite and > 0, got {rate_rps}")
+    fleet = isinstance(target, Fleet)
     if tenants is None:
-        tenants = (TenantLoad("t0"),)
+        tenants = (TenantLoad("t0", sessions=sessions),)
+    elif not fleet:
+        raise ValueError("tenants= needs a Fleet target")
     tenants = tuple(tenants)
-    if not tenants:
-        raise ValueError("open_loop_fleet needs at least one TenantLoad")
-    names = [t.tenant for t in tenants]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate tenant ids in load mix: {names}")
-    for load in tenants:
-        if load.quota is not None:
-            fleet.set_quota(load.tenant, load.quota)
-    n_in = fleet.network.sizes[0]
-    if workload is not None:
-        from .workloads import make_workload
+    names = [load.tenant for load in tenants]
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"open_loop needs >= 1 TenantLoad, with distinct "
+                         f"ids; got {names}")
+    n_in = target.network.sizes[0]
+    if workload is None or workload == "synthetic":
+        workload = SyntheticWorkload(n_in)
+    workload = make_workload(workload)
+    if workload.channels != n_in:
+        raise ShapeError(
+            f"workload {workload.name!r} emits {workload.channels} "
+            f"channels but the served network expects {n_in}")
+    rng = as_random_state(rng)
 
-        workload = make_workload(workload, channels=None)
-        if workload.channels != n_in:
-            raise ShapeError(
-                f"workload {workload.name!r} emits {workload.channels} "
-                f"channels but the served network expects {n_in}")
-    session_ids = {
-        load.tenant: [fleet.open_session(load.tenant, now=0.0)
-                      for _ in range(load.sessions)]
-        for load in tenants
-    }
+    def connect(load: TenantLoad, now: float) -> str:
+        tenant = (load.tenant,) if fleet else ()
+        return target.open_session(*tenant, now=now)
+
+    before = {}
+    if fleet:
+        for load in tenants:
+            if load.quota is not None:
+                target.set_quota(load.tenant, load.quota)
+        before = target.stats["per_tenant"]
+    canary_active = fleet and target.canary_generation is not None
+    books = [_Books([connect(load, 0.0) for _ in range(load.sessions)])
+             for load in tenants]
     gaps = -np.log(np.clip(rng.random(requests), 1e-12, None)) / rate_rps
     arrivals = np.cumsum(gaps)
     shares = np.asarray([load.share for load in tenants], dtype=np.float64)
-    edges = np.cumsum(shares / shares.sum())
-    owners = np.searchsorted(edges, rng.random(requests), side="right")
-    owners = np.minimum(owners, len(tenants) - 1)
-    if workload is None:
-        chunks = [
-            (rng.random((chunk_steps, n_in))
-             < spike_density).astype(np.float64)
-            for _ in range(requests)
-        ]
-    else:
-        chunks = [workload.sample(chunk_steps, rng)
-                  for _ in range(requests)]
+    owners = np.zeros(requests, dtype=np.intp)
+    if len(tenants) > 1:
+        edges = np.cumsum(shares / shares.sum())
+        owners = np.minimum(
+            np.searchsorted(edges, rng.random(requests), side="right"),
+            len(tenants) - 1)
+    chunks = [workload.sample(chunk_steps, rng) for _ in range(requests)]
 
-    class _Books:
-        __slots__ = ("outstanding", "latencies", "retried", "rejected",
-                     "expired", "failed", "steps", "cursor")
-
-        def __init__(self):
-            self.outstanding: list = []
-            self.latencies: list[float] = []
-            self.retried: list[float] = []
-            self.rejected = 0
-            self.expired = 0
-            self.failed = 0
-            self.steps = 0
-            self.cursor = 0
-
-    books = {load.tenant: _Books() for load in tenants}
-    ticks = 0
-    now = 0.0
-    index = 0
+    ticks, now, index = 0, 0.0, 0
     plan = _faults.active_plan()
     injected_before = sum(plan.injected.values()) if plan else 0
-    quota_before = {name: tenant["rejected_quota"]
-                    for name, tenant in fleet.stats["per_tenant"].items()}
-    canary_before = {name: tenant["completed_canary"]
-                     for name, tenant in fleet.stats["per_tenant"].items()}
-    canary_active = fleet.canary_generation is not None
-    # Window the per-replica queue-wait histograms (and a fleet-level
-    # tick-compute histogram) to this run, as open_loop does for one
-    # server's.
-    queue_window = fleet._queue_wait_window()
-    tick_compute = fleet.metrics.histogram(
+    # Window the shared histograms to this run: the instruments outlive
+    # a single open_loop call (and a PoolCache'd server may host
+    # several), so percentiles read only the samples added from here on.
+    queue_window = target._queue_wait_window()
+    tick_compute = target.metrics.histogram(
         "serve.tick_compute_ms",
         help="measured wall-clock compute per completed tick (ms)")
     tick_compute_start = tick_compute.count
 
     def settle(after: float, completed: int) -> None:
-        for book in books.values():
+        """Resolve finished tickets against the post-compute time."""
+        for book in books:
             still = []
             for ticket in book.outstanding:
                 if not ticket.done:
                     still.append(ticket)
                 elif ticket.ok:
                     if completed:
+                        # Re-stamp completion at the post-compute virtual
+                        # time (the server stamped the pre-compute one).
                         ticket.completed_at = after
                     book.latencies.append(ticket.latency)
                     if ticket.retried:
@@ -563,130 +379,122 @@ def open_loop_fleet(fleet, *, tenants=None, requests: int = 400,
             book.outstanding[:] = still
 
     def run_tick(at: float) -> float:
+        """Run one due tick; advance the virtual clock by measured cost."""
         nonlocal ticks
         start = timer()
-        completed = fleet.poll(now=at)
+        completed = target.poll(now=at)
         elapsed = timer() - start
         after = at + elapsed
         if completed:
             ticks += 1
             tick_compute.observe(elapsed * 1e3)
+        # Scan even on completed == 0: a poll may resolve tickets only
+        # by shedding expired requests or failing poisoned ones.
         settle(after, completed)
         return after
 
     def admit(position: int) -> None:
         arrival = float(arrivals[position])
-        load = tenants[int(owners[position])]
-        book = books[load.tenant]
-        ids = session_ids[load.tenant]
-        slot = book.cursor % len(ids)
+        load, book = tenants[owners[position]], books[owners[position]]
+        slot = book.cursor % load.sessions
         book.cursor += 1
         try:
-            book.outstanding.append(
-                fleet.submit(ids[slot], chunks[position], now=arrival))
+            book.outstanding.append(target.submit(
+                book.session_ids[slot], chunks[position], now=arrival))
         except CapacityError:
             book.rejected += 1
         except StateError:
-            # The session's replica died (or the stream was reaped): a
-            # real client reconnects, landing on a live replica — the
-            # fleet's re-route path.
+            # The stream was reaped while idle, or its replica died: a
+            # real client reconnects and resubmits.
             try:
-                ids[slot] = fleet.open_session(load.tenant, now=arrival)
+                book.session_ids[slot] = connect(load, arrival)
             except StateError:
                 # No live replica at all: the connect itself is refused.
                 book.rejected += 1
                 return
             try:
-                book.outstanding.append(
-                    fleet.submit(ids[slot], chunks[position], now=arrival))
+                book.outstanding.append(target.submit(
+                    book.session_ids[slot], chunks[position], now=arrival))
             except CapacityError:
                 book.rejected += 1
 
     def draining() -> bool:
-        return any(book.outstanding for book in books.values())
+        return any(book.outstanding for book in books)
 
     while index < requests or draining():
+        # Admit everything that has arrived by ``now`` — arrivals land in
+        # the queue while the target computes, stamped with their *true*
+        # arrival time, and are rejected at that moment if the queue is
+        # full.  Only then may the next tick run.
         while index < requests and arrivals[index] <= now:
             admit(index)
             index += 1
-        if fleet.ready(now=now):
+        if target.ready(now=now):
             now = run_tick(now)
             continue
         next_arrival = arrivals[index] if index < requests else math.inf
-        deadline = fleet.next_deadline()
+        deadline = target.next_deadline()
         deadline = math.inf if deadline is None else deadline
         event = min(next_arrival, deadline)
         if math.isinf(event):
+            # Nothing schedulable — but queued-only requests may still
+            # hold tickets that a TTL poll would expire; resolve them
+            # instead of spinning forever.
             if draining():
                 now = run_tick(now)
                 if draining():
-                    break
+                    break  # genuinely unresolvable (no TTL configured)
                 continue
             break
         now = max(now, event)
 
     duration = max(now, float(arrivals[-1]) if requests else 0.0)
-    divergence = fleet.mean_divergence() if fleet.shadow else None
+    divergence = target.mean_divergence() if target.shadow else None
     injected = (sum(plan.injected.values()) - injected_before if plan
                 else 0)
-    fleet.check_invariants()
-    if export_dir is not None:
-        export_dir = Path(export_dir)
-        export_dir.mkdir(parents=True, exist_ok=True)
-        (export_dir / "fleet.prom").write_text(
-            fleet.metrics.render_prometheus(), encoding="utf-8")
-        if fleet.telemetry is not None:
-            fleet.telemetry.tracer.write_jsonl(
-                export_dir / "fleet.trace.jsonl")
-
+    # Drain-time accounting tripwire: every submission this run made (and
+    # any the target saw before) must be booked exactly once.
+    target.check_invariants()
     queue_samples = [sample for histogram, start in queue_window
                      for sample in histogram.samples[start:]]
-    queue_wait_p95 = (float(np.percentile(np.asarray(queue_samples), 95))
-                      if queue_samples else None)
-    tick_compute_p95 = tick_compute.percentile(95, start=tick_compute_start)
-    share_total = float(shares.sum())
-    per_tenant = {}
-    for load in tenants:
-        book = books[load.tenant]
-        per_tenant[load.tenant] = ServingReport.from_run(
-            rate_rps * load.share / share_total, duration,
-            book.latencies, book.rejected, ticks, book.steps,
-            expired=book.expired, failed=book.failed,
-            retried_latencies_s=book.retried)
-    aggregate = ServingReport.from_run(
-        rate_rps, duration,
-        [lat for book in books.values() for lat in book.latencies],
-        sum(book.rejected for book in books.values()), ticks,
-        sum(book.steps for book in books.values()),
-        divergence=divergence,
-        expired=sum(book.expired for book in books.values()),
-        failed=sum(book.failed for book in books.values()),
-        retried_latencies_s=[lat for book in books.values()
-                             for lat in book.retried],
+    whole = _Books([])  # tenant-major, as each tenant booked them
+    for book in books:
+        for key in _Books.OUTCOMES:
+            setattr(whole, key, getattr(whole, key) + getattr(book, key))
+    aggregate = whole.report(
+        rate_rps, duration, ticks, divergence=divergence,
         faults_injected=injected,
-        queue_wait_p95_ms=queue_wait_p95,
-        tick_compute_p95_ms=tick_compute_p95)
-    after_tenants = fleet.stats["per_tenant"]
-    quota_rejected = {
-        name: after_tenants[name]["rejected_quota"]
-        - quota_before.get(name, 0)
-        for name in after_tenants
-    }
-    canary_completed = sum(
-        after_tenants[name]["completed_canary"]
-        - canary_before.get(name, 0)
-        for name in after_tenants)
+        queue_wait_p95_ms=(float(np.percentile(queue_samples, 95))
+                           if queue_samples else None),
+        tick_compute_p95_ms=tick_compute.percentile(
+            95, start=tick_compute_start))
+    if not fleet:
+        return aggregate
+
+    stats = target.stats
+    after = stats["per_tenant"]
+    unseen = {"rejected_quota": 0, "completed_canary": 0}
+
+    def delta(name: str, key: str) -> int:
+        return after[name][key] - before.get(name, unseen)[key]
+
     canary_share = None
     if canary_active and aggregate.completed:
-        canary_share = round(canary_completed / aggregate.completed, 6)
+        canary_share = round(sum(delta(name, "completed_canary")
+                                 for name in after)
+                             / aggregate.completed, 6)
     return FleetReport(
         aggregate=aggregate,
-        tenants=per_tenant,
-        replicas=fleet.replicas,
-        live_replicas=fleet.live_replicas,
-        replicas_down=int(fleet.stats["replicas_down"]),
-        misroutes=int(fleet.stats["misroutes"]),
-        canary_weight=float(fleet.canary_weight),
+        tenants={load.tenant: book.report(
+                     rate_rps * load.share / float(shares.sum()),
+                     duration, ticks)
+                 for load, book in zip(tenants, books)},
+        replicas=target.replicas,
+        live_replicas=target.live_replicas,
+        replicas_down=int(stats["replicas_down"]),
+        misroutes=int(stats["misroutes"]),
+        canary_weight=float(target.canary_weight),
         canary_share=canary_share,
-        quota_rejected=quota_rejected,
+        quota_rejected={name: delta(name, "rejected_quota")
+                        for name in after},
     )

@@ -780,6 +780,12 @@ class ModelServer:
         return (self._divergence_sum.value
                 / self._counters["shadow_chunks"].value)
 
+    def _queue_wait_window(self) -> list[tuple]:
+        """(histogram, start-count) of the queue-wait histogram — the
+        window :func:`~repro.serve.loadgen.open_loop` reads its p95 over
+        (a fleet returns one pair per replica)."""
+        return [(self._queue_wait, self._queue_wait.count)]
+
     # -- offline bulk --------------------------------------------------------
     @_obs.timed("serve.run_batch", metric="serve.run_batch_ms")
     def run_batch(self, inputs: np.ndarray, batch_size: int = 64,

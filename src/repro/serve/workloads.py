@@ -4,8 +4,8 @@ Until now only the synthetic Bernoulli "SHD-shaped" chunks flowed through
 the server.  This module gives the load generator (and the scenario
 harness) the repo's *real* input modalities as first-class workloads:
 
-* ``synthetic`` — i.i.d. Bernoulli spikes at a configured density (the
-  legacy ``open_loop`` payload, kept for comparability);
+* ``synthetic`` — i.i.d. Bernoulli spikes at a configured density (what
+  ``open_loop`` streams when no workload is named);
 * ``speech``    — spoken-digit waveforms (:mod:`repro.data.speech`)
   through the cochlea front-end (700 channels, the SHD shape);
 * ``dvs``       — saccade-driven DVS recordings of stroke glyphs
@@ -72,7 +72,7 @@ class Workload:
 
 
 class SyntheticWorkload(Workload):
-    """I.i.d. Bernoulli spikes — the legacy ``open_loop`` payload."""
+    """I.i.d. Bernoulli spikes — ``open_loop``'s default payload."""
 
     name = "synthetic"
 

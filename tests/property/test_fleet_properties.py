@@ -15,7 +15,15 @@ The fleet promises (``docs/fleet.md``):
   sessions routed to a weight-``w`` canary generation stays within a
   fixed tolerance of ``w`` (the draw is a seeded Bernoulli stream, so
   for a pinned seed this is deterministic, not flaky).
+* **Fleet-of-1 == server** — driven through
+  :func:`~repro.serve.loadgen.open_loop` with the same arguments and a
+  fake tick clock, a 1-replica fleet with one tenant and a bare
+  :class:`~repro.serve.ModelServer` with the same settings report the
+  same numbers, field by field.
 """
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,7 +32,15 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CapacityError
 from repro.core import SpikingNetwork
-from repro.serve import Fleet, TenantQuota
+from repro.serve import Fleet, ModelServer, TenantQuota
+from repro.serve.loadgen import TenantLoad, open_loop
+
+_spec = importlib.util.spec_from_file_location(
+    "harness_tests",
+    pathlib.Path(__file__).resolve().parents[1] / "unit" / "test_harness.py")
+_harness_tests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_harness_tests)
+FakeTimer = _harness_tests.FakeTimer
 
 SIZES = (16, 12, 8)
 
@@ -175,3 +191,41 @@ class TestCanaryWeight:
             for _ in range(20):
                 fleet.open_session("t0", now=0.0)
             assert fleet.canary_status()["sessions"] == 20
+
+
+class TestFleetOfOneIsAServer:
+    @staticmethod
+    def shadow_settings(net, shadow):
+        """A shadow-mode hardware realization, or none.  The shadow
+        divergence is the one report field that reads chunk contents, so
+        it catches a target that was fed a different chunk stream."""
+        if not shadow:
+            return {}
+        from repro.hardware import HardwareMappedNetwork, RRAMDeviceConfig
+
+        device = RRAMDeviceConfig(levels=16, variation=0.2)
+        return dict(hardware=HardwareMappedNetwork(net, device, rng=3),
+                    shadow=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), sessions=st.integers(1, 6),
+           requests=st.integers(0, 40), rate=st.floats(50.0, 20000.0),
+           max_batch=st.integers(1, 6), queue_limit=st.integers(1, 12),
+           shadow=st.booleans())
+    def test_reports_are_field_equal(self, seed, sessions, requests, rate,
+                                     max_batch, queue_limit, shadow):
+        config = dict(max_batch=max_batch, max_wait_ms=1.0,
+                      queue_limit=queue_limit)
+        load = dict(sessions=sessions, requests=requests, chunk_steps=4,
+                    rate_rps=rate, rng=seed)
+        net = make_net()
+        with ModelServer(net, **config,
+                         **self.shadow_settings(net, shadow)) as server:
+            served = open_loop(server, timer=FakeTimer(), **load)
+        net = make_net()
+        with Fleet(net, replicas=1, **config,
+                   **self.shadow_settings(net, shadow)) as fleet:
+            fleet_report = open_loop(
+                fleet, tenants=(TenantLoad("t0", sessions=sessions),),
+                timer=FakeTimer(), **load)
+        assert fleet_report.aggregate == served

@@ -485,6 +485,20 @@ class TestLoadgen:
                                               "max"}
         assert isinstance(report.render(), str)
 
+    @pytest.mark.parametrize("bad", [
+        dict(sessions=0), dict(chunk_steps=0), dict(requests=-1),
+        dict(rate_rps=0.0), dict(rate_rps=-5.0),
+        dict(rate_rps=float("inf")), dict(rate_rps=float("nan")),
+    ])
+    def test_bad_arguments_raise_before_any_session_opens(self, bad):
+        server = ModelServer(make_net(), max_batch=4, max_wait_ms=1.0)
+        load = dict(sessions=4, requests=10, chunk_steps=4,
+                    rate_rps=2000.0, rng=0)
+        load.update(bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            open_loop(server, **load)
+        assert server.sessions == 0
+
     def test_render_survives_total_rejection(self):
         """from_run deliberately emits None latencies when nothing
         completed; render() must stay printable on that report."""

@@ -269,7 +269,7 @@ class TestFleetReplicaKill:
         return Fleet(make_net(), replicas=2, seed=9, **kwargs)
 
     def test_kill_mid_load_holds_the_availability_floor(self):
-        from repro.serve.loadgen import TenantLoad, open_loop_fleet
+        from repro.serve.loadgen import open_loop
 
         plan = FaultPlan(
             (FaultRule("fleet.replica.down", probability=1.0,
@@ -278,12 +278,11 @@ class TestFleetReplicaKill:
         fleet = self._fleet()
         try:
             with faults.active(plan):
-                # open_loop_fleet reconnects StateError'd sessions via
-                # the router and runs fleet.check_invariants() at
-                # drain: a lost ticket raises out of this call.
-                report = open_loop_fleet(
-                    fleet, tenants=(TenantLoad("t0", sessions=6),),
-                    requests=200, rate_rps=500.0, chunk_steps=6, rng=9)
+                # open_loop reconnects StateError'd sessions via the
+                # router and runs fleet.check_invariants() at drain: a
+                # lost ticket raises out of this call.
+                report = open_loop(fleet, sessions=6, requests=200,
+                                   rate_rps=500.0, chunk_steps=6, rng=9)
             stats = fleet.stats
         finally:
             fleet.close()

@@ -14,6 +14,8 @@ channel-width guard against serving a 2312-channel DVS stream into a
 700-input network).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,15 +184,18 @@ class TestOpenLoopWorkloads:
                 open_loop(server, requests=4, workload="dvs")
 
     def test_workload_none_keeps_legacy_chunks(self):
-        """The default path is bitwise-unchanged: same rng, same report."""
-        net = make_net(24)
-        with ModelServer(net, max_batch=4, max_wait_ms=1.0) as server:
-            legacy = open_loop(server, sessions=4, requests=16,
-                               chunk_steps=5, rate_rps=300.0, rng=9)
-        net2 = make_net(24)
-        with ModelServer(net2, max_batch=4, max_wait_ms=1.0) as server:
-            explicit = open_loop(server, sessions=4, requests=16,
-                                 chunk_steps=5, rate_rps=300.0, rng=9,
-                                 workload=None)
-        assert legacy.completed == explicit.completed
-        assert legacy.submitted == explicit.submitted
+        """Omitted, ``None``, ``"synthetic"`` and ``SyntheticWorkload``
+        at the served width are one payload: same rng calls, same
+        report, field by field (the tick clock is a fake, so timing
+        fields match too)."""
+        reports = []
+        for spec in ("omitted", None, "synthetic", SyntheticWorkload(24)):
+            workload = {} if spec == "omitted" else {"workload": spec}
+            with ModelServer(make_net(24), max_batch=4,
+                             max_wait_ms=1.0) as server:
+                reports.append(open_loop(
+                    server, sessions=4, requests=16, chunk_steps=5,
+                    rate_rps=300.0, rng=9,
+                    timer=itertools.count(0.0, 1e-3).__next__, **workload))
+        assert reports[0].completed > 0
+        assert all(report == reports[0] for report in reports[1:])

@@ -126,7 +126,7 @@ def fleet_gate() -> list[str]:
     """Replica kill mid-load: re-route or fail cleanly, floor holds."""
     from repro.core import SpikingNetwork
     from repro.serve import Fleet
-    from repro.serve.loadgen import TenantLoad, open_loop_fleet
+    from repro.serve.loadgen import open_loop
 
     net = SpikingNetwork((24, 20, 12), rng=1)
     for layer in net.layers:
@@ -142,13 +142,11 @@ def fleet_gate() -> list[str]:
                   max_wait_ms=0.5, queue_limit=64, seed=9)
     try:
         with faults.active(plan):
-            # open_loop_fleet reconnects StateError'd sessions through
-            # the router and runs fleet.check_invariants() at drain —
-            # an accounting hole in the degraded fleet raises here.
-            report = open_loop_fleet(
-                fleet,
-                tenants=(TenantLoad("t0", sessions=6),),
-                requests=300, rate_rps=600.0, chunk_steps=6, rng=9)
+            # open_loop reconnects StateError'd sessions through the
+            # router and runs fleet.check_invariants() at drain — an
+            # accounting hole in the degraded fleet raises here.
+            report = open_loop(fleet, sessions=6, requests=300,
+                               rate_rps=600.0, chunk_steps=6, rng=9)
         stats = fleet.stats
     finally:
         fleet.close()

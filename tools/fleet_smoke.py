@@ -60,12 +60,12 @@ def make_chunk(steps: int = 6, seed: int = 0,
 def isolation_gate() -> list[str]:
     """Hot tenant over quota; cold tenant must see zero rejections."""
     from repro.serve import Fleet, TenantQuota
-    from repro.serve.loadgen import TenantLoad, open_loop_fleet
+    from repro.serve.loadgen import TenantLoad, open_loop
 
     fleet = Fleet(make_net(), replicas=2, max_batch=8,
                   max_wait_ms=0.5, queue_limit=64, seed=5)
     try:
-        report = open_loop_fleet(
+        report = open_loop(
             fleet,
             tenants=(
                 TenantLoad("hot", share=3.0, sessions=6,

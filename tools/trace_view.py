@@ -18,10 +18,11 @@ Usage::
     PYTHONPATH=src python tools/trace_view.py run.trace.jsonl \\
         --view timeline --width 72
 
-Reads any trace the harness (``repro-exp harness --trace-dir``), the
-load generator (``open_loop(export_dir=...)``) or a raw
-``Tracer.write_jsonl`` produced; validates every record against the
-trace schema first (:func:`repro.obs.parse_jsonl`).
+Reads any trace the harness (``repro-exp harness --trace-dir``) or a
+raw ``Tracer.write_jsonl`` (e.g. a served target's
+``telemetry.tracer`` after an ``open_loop`` run) produced; validates
+every record against the trace schema first
+(:func:`repro.obs.parse_jsonl`).
 """
 
 from __future__ import annotations
