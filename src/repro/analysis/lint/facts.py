@@ -71,6 +71,13 @@ DEFAULT_EXTERNAL_PER_PACKAGE = {
     "hardware": frozenset({"scipy"}),
 }
 
+#: Underscore-private submodules of external packages that one module
+#: may import at module level: the fused engine calls the CSR kernels
+#: inside ``scipy.sparse`` directly (``repro.core.engine._Events``).
+EXTERNAL_PRIVATE_ALLOWED = {
+    "repro.core.engine": frozenset({"scipy.sparse._sparsetools"}),
+}
+
 #: Files exempt from the determinism rule: the seeded RNG wrapper is
 #: where ``numpy.random`` legitimately lives.
 DEFAULT_DETERMINISM_EXEMPT = ("src/repro/common/rng.py",)

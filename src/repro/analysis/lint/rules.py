@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-from .facts import ProjectFacts
+from .facts import EXTERNAL_PRIVATE_ALLOWED, ProjectFacts
 
 __all__ = ["Finding", "RULES", "Rule", "run_rules"]
 
@@ -163,6 +163,19 @@ def _stdlib_roots() -> frozenset:
     return frozenset(sys.stdlib_module_names)
 
 
+def _private_name(imp) -> str | None:
+    """The underscore-private dotted name an import reaches
+    (``a._b`` for ``import a._b.c`` or ``from a import _b``), if any."""
+    parts = imp.target.split(".")
+    for index, part in enumerate(parts[1:], 1):
+        if part.startswith("_") and not part.startswith("__"):
+            return ".".join(parts[:index + 1])
+    for name in imp.names:
+        if name.startswith("_") and not name.startswith("__"):
+            return f"{imp.target}.{name}"
+    return None
+
+
 def _check_layers(rule: Rule, facts: ProjectFacts):
     layers = facts.config.layers
     stdlib = _stdlib_roots()
@@ -198,15 +211,26 @@ def _check_layers(rule: Rule, facts: ProjectFacts):
                             f"layer violation: {mod.package} (layer "
                             f"{pkg_layer}) imports {target} (layer "
                             f"{target_layer}) at module level")
-            elif imp.root not in stdlib and imp.root not in pkg_allowed \
-                    and imp.toplevel:
-                yield rule.finding(
-                    mod.path, imp.line, imp.col,
-                    f"external dependency '{imp.root}' is not allowed "
-                    f"in repro.{mod.package}",
-                    hint="src/repro may import only the stdlib + numpy "
-                         "(scipy/h5py only where grandfathered); stub "
-                         "or gate anything else")
+            elif imp.root not in stdlib and imp.toplevel:
+                if imp.root not in pkg_allowed:
+                    yield rule.finding(
+                        mod.path, imp.line, imp.col,
+                        f"external dependency '{imp.root}' is not allowed "
+                        f"in repro.{mod.package}",
+                        hint="src/repro may import only the stdlib + numpy "
+                             "(scipy/h5py only where grandfathered); stub "
+                             "or gate anything else")
+                private = _private_name(imp)
+                exempt = EXTERNAL_PRIVATE_ALLOWED.get(mod.module, ())
+                if private is not None and private not in exempt:
+                    yield rule.finding(
+                        mod.path, imp.line, imp.col,
+                        f"private module '{private}' of an external "
+                        f"package imported in {mod.module}",
+                        hint="use the package's public API, or allow-list "
+                             "the import for this one module in "
+                             "repro.analysis.lint.facts."
+                             "EXTERNAL_PRIVATE_ALLOWED")
 
     # Module-level import cycles among repro modules.
     by_name = {m.module: m.path for m in facts.modules.values()
@@ -345,7 +369,7 @@ RULES = (
          summary="module-level imports respect the layer order "
                  "common<-obs<-core<-{autograd,data,hardware,analysis}"
                  "<-runtime<-serve<-experiments, no cycles, stdlib+"
-                 "numpy only",
+                 "numpy only, no private external modules",
          hint="move the import inside the function that needs it, or "
               "move the code down a layer",
          check=_check_layers),

@@ -33,30 +33,22 @@ One kernel per neuron kind: :func:`_adaptive_forward` and
 :class:`StreamState` layout) over one chunk.  A one-shot run
 (:func:`fused_run`) is a stream from a zero state followed by the
 write-back of the final state to the layer; :func:`run_streaming` carries
-the state between chunks.  Every crossbar product goes through one event
-path (:func:`_spike_csr`): a CSR product computes each output row as an
-independent sum over that row's events in index order, so a sample's
-spikes and membrane values are bitwise the same alone, inside a batch,
-split into chunks, or with the rows in either order.  (A dense GEMM has
-no such guarantee: BLAS picks different kernels for different row
-counts.)  The backward (:func:`fused_backward`) applies the same split to
-the BPTT adjoints of :mod:`repro.core.backprop`: an elementwise
+the state between chunks.  Every crossbar product runs over the input's
+spike events (:class:`_Events`, built by :func:`_spike_csr`): each output
+row is an independent sum over that row's events in index order, so a
+sample's spikes and membrane values are bitwise the same alone, inside a
+batch, split into chunks, or with the rows in either order.  (A dense
+GEMM has no such guarantee: BLAS picks different kernels for different
+row counts.)  The backward (:func:`fused_backward`) applies the same
+split to the BPTT adjoints of :mod:`repro.core.backprop`: an elementwise
 ``delta_v`` recurrence, one sparse weight-gradient contraction over
 ``(T, batch)``, one batched input-gradient matmul.
 
 Repeated input: a Fig. 8 sweep runs one fixed evaluation set once per
-programming draw, so the engine remembers recent batch-major caller
-inputs (:class:`_InputMemo`, at most ``_MEMO_ENTRIES`` of them in
-``_MEMO_BYTES``, least recently used evicted first): each one's event
-CSR and, per synapse decay, its final filter state ``layer.k``.  The
-entries are checked by content on every call (:func:`_spike_csr`), so
-they are right whatever the caller did to an array in between; there
-is no identity key, no invalidation call and no option.  A hit skips
-the event build and the ``layer.k`` contraction; a miss pays one count
-of the ``!= 0`` mask the build needs anyway, and is remembered.  The
-chunks of a chunked evaluation (``run_in_batches``) hit as long as all
-of them fit.  Remembered events stay pinned until evicted: ~20 bytes
-each in float64.  Hidden layers' events are always rebuilt.
+programming draw, so one-shot runs remember recent batch-major caller
+inputs' events and final filter states ``layer.k``, checked by content
+on every call (:class:`_InputMemo`).  Stream chunks (new on every call)
+and hidden layers' events are always built afresh.
 
 Precision: every entry point accepts ``precision="float32"|"float64"``
 (:func:`resolve_precision`); float32 halves memory traffic, at the cost of
@@ -65,25 +57,19 @@ round across ``v_th``).
 
 Workspace reuse: every entry point also accepts an optional
 ``ws``/``workspace`` (:class:`repro.runtime.workspace.Workspace`) serving
-the large buffers; results are identical either way.  The caller (the
-:class:`~repro.core.trainer.Trainer`, a pool worker, a server) recycles
-the returned tensors — releasing a ``swapaxes`` view returns the buffer
-behind it.  A training step checks out only what BPTT reads: no
-``(batch, T, n_in)`` synapse-filter trace (a record derives it on demand,
-see :class:`~repro.core.layers.LayerStepRecord`), and the surrogate
-derivative runs in place over one float64 buffer per layer.
+the large buffers, crossbar products included, with identical results;
+the caller (a trainer, a pool worker, a server) recycles the returned
+tensors, and releasing a ``swapaxes`` view returns the buffer behind it.
 
 Equivalence with the step-wise reference is tested in
-``tests/unit/test_engine.py`` and, over generated architectures, in
-``tests/property/test_engine_properties.py``; the speed is measured by
-the repository benchmark (``perfbench/run.py``) and recorded in
-``docs/performance.md``.
+``tests/unit/test_engine.py`` and ``tests/property/test_engine_properties.py``;
+the speed is measured by ``perfbench/run.py`` (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from ..common.errors import ShapeError
 
@@ -201,13 +187,52 @@ def _ws_release(ws, *arrays) -> None:
         ws.release(*arrays)
 
 
-def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None):
-    """CSR of an ``(m, n)`` spike matrix, whatever its size or density.
+class _Events:
+    """The spike events of an ``(m, n)`` matrix in CSR form: ``data``,
+    ``indices`` (columns) and ``indptr`` (row bounds), rows in order.
+    Its products run the kernels inside scipy's ``csr_matrix @ w`` and
+    ``csr_matrix.T @ dv`` (``csr_matvecs``, ``csc_matvecs``) on the same
+    arrays into a zeroed buffer: scipy's bits, with no matrix object
+    built per call."""
 
-    ``scipy.sparse.csr_matrix(dense)`` costs as much as the GEMM it is
-    meant to replace, so the index structure is built directly: one
-    ``flatnonzero`` scan (indices come out sorted, i.e. canonical CSR
-    order) plus a ``searchsorted`` for the row pointers.  ``ws`` serves
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def matmul(self, w: np.ndarray, ws=None) -> np.ndarray:
+        """``x @ w`` for a dense ``(n, k)`` ``w``, into ``ws`` if given."""
+        return self._product(_sparsetools.csr_matvecs, *self.shape, w, ws)
+
+    def t_matmul(self, dv: np.ndarray, ws=None) -> np.ndarray:
+        """``x.T @ dv`` (a weight gradient), as :meth:`matmul`."""
+        return self._product(_sparsetools.csc_matvecs, *self.shape[::-1],
+                             dv, ws)
+
+    def _product(self, kernel, rows, cols, dense, ws):
+        # The kernels index raw memory: check the shape, fix the layout.
+        if dense.ndim != 2 or dense.shape[0] != cols:
+            raise ShapeError(f"cannot multiply events of shape {self.shape} "
+                             f"with an operand of shape {dense.shape}")
+        dense = np.ascontiguousarray(dense, dtype=self.dtype)
+        out = (np.zeros if ws is None else ws.zeros)((rows, dense.shape[1]),
+                                                     self.dtype)
+        kernel(rows, cols, dense.shape[1], self.indptr, self.indices,
+               self.data, dense.reshape(-1), out.reshape(-1))
+        return out
+
+
+def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None) -> _Events:
+    """The :class:`_Events` of an ``(m, n)`` spike matrix, whatever its
+    size or density: one ``flatnonzero`` scan (indices come out sorted,
+    i.e. canonical CSR order) plus a ``searchsorted`` for the row
+    pointers (``scipy.sparse.csr_matrix(dense)`` costs as much as the
+    GEMM it is meant to replace).  ``ws`` serves
     the constant row-boundary scratch from its cache.  ``memo_shape``
     (the caller's input shape) routes the build through the input memo:
     one ``!= 0`` mask serves the content check and, on a miss, the
@@ -228,8 +253,8 @@ def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None):
     idx = np.flatnonzero(mask)
     bounds = (ws.row_bounds(m, n) if ws is not None
               else np.arange(0, (m + 1) * n, n))
-    indptr = np.searchsorted(idx, bounds)
-    csr = sparse.csr_matrix((raveled[idx], idx % n, indptr), shape=(m, n))
+    csr = _Events(raveled[idx], idx % n, np.searchsorted(idx, bounds),
+                  (m, n))
     if memo_shape is not None:
         _remember(_InputMemo(memo_shape, idx, csr), memo)
     return csr
@@ -240,7 +265,7 @@ class _InputMemo:
     dtype, sorted flat event indices and CSR (read-only: hits share
     them), plus ``k = (alpha, final filter state)`` once a one-shot run
     computed it (the shape fixes ``T``).  ``nbytes`` counts the events
-    (20 bytes each in float64: flat index, value, column) and the
+    (24 bytes each in float64: flat index, value, column) and the
     filter state."""
 
     __slots__ = ("shape", "idx", "csr", "k", "nbytes")
@@ -292,50 +317,23 @@ def _remember(slot: _InputMemo, memo: tuple) -> None:
     _input_memo = tuple(kept)
 
 
-def _spike_events(xs: np.ndarray, ws=None, dtype=None):
-    """CSR of a time-major ``(T, batch, n)`` spike view, rows in memory order.
+def _spike_events(xs: np.ndarray, ws=None, dtype=None, remember=True):
+    """:class:`_Events` of a time-major ``(T, batch, n)`` spike view.
 
-    Returns ``(csr, batch_major)``: an engine buffer's rows run
+    Returns ``(events, batch_major)``: an engine buffer's rows run
     ``(t, b)``; a caller's batch-major array (seen through ``swapaxes``)
     keeps its own ``(b, t)`` order, so the wide input is never transposed,
-    and goes through the input memo.  ``dtype`` casts the events (a
-    backward at another precision).
+    and goes through the input memo unless ``remember`` is off (a stream
+    chunk, new on every call).  ``dtype`` casts the events (a backward
+    at another precision).
     """
     batch_major = not xs.flags.c_contiguous
     rows = xs.swapaxes(0, 1) if batch_major else xs
     flat = rows.reshape(-1, xs.shape[2])
     if dtype is not None:
         flat = np.asarray(flat, dtype=dtype)
-    return (_spike_csr(flat, ws, rows.shape if batch_major else None),
-            batch_major)
-
-
-def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray,
-                 csr=None) -> np.ndarray:
-    """``flat_x @ w_t`` contracted over the spike events only.
-
-    ``flat_x`` is a ``(batch*T, n_in)`` spike matrix (typically a few
-    percent nonzero), ``w_t`` a dense ``(n_in, n_out)`` weight transpose.
-    ``csr`` is a conversion of ``flat_x`` the caller already holds, or
-    ``None`` to build it here.
-    """
-    if csr is None:
-        csr = _spike_csr(flat_x)
-    return csr @ w_t
-
-
-def spike_outer(flat_dv: np.ndarray, flat_x: np.ndarray,
-                csr=None) -> np.ndarray:
-    """``flat_dv.T @ flat_x`` — the BPTT weight gradient contraction.
-
-    ``flat_dv`` is the dense ``(batch*T, n_out)`` membrane adjoint and
-    ``flat_x`` the ``(batch*T, n_in)`` presynaptic spikes; the contraction
-    runs as a CSC-dense product over the spike events only.  ``csr``
-    follows the :func:`spike_matmul` convention.
-    """
-    if csr is None:
-        csr = _spike_csr(flat_x)
-    return np.ascontiguousarray((csr.T @ flat_dv).T)
+    memo_shape = rows.shape if batch_major and remember else None
+    return _spike_csr(flat, ws, memo_shape), batch_major
 
 
 # -- forward ----------------------------------------------------------------
@@ -364,8 +362,7 @@ def _per_layer_weights(network, weights) -> list:
     return list(weights)
 
 
-def _zero_layer_state(layer, batch: int, dtype,
-                      zeros=np.zeros) -> dict[str, np.ndarray]:
+def _zero_layer_state(layer, batch: int, dtype) -> dict[str, np.ndarray]:
     """The fused engine's all-zero carried state for one layer.
 
     Adaptive layers carry ``{"g", "h", "o"}``: the scanned crossbar drive
@@ -374,7 +371,7 @@ def _zero_layer_state(layer, batch: int, dtype,
     ``{"v"}``, the post-reset membrane.  All ``(batch, n_out)``.
     """
     keys = ("g", "h", "o") if layer.neuron_kind == "adaptive" else ("v",)
-    return {key: zeros((batch, layer.n_out), dtype) for key in keys}
+    return {key: np.zeros((batch, layer.n_out), dtype) for key in keys}
 
 
 def fused_layer_forward(layer, xs: np.ndarray, ws=None,
@@ -463,7 +460,7 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
     narrow product for batch-major input — which the neuron kind's kernel
     scans in place.  Returns time-major ``(spikes, v)``.
     """
-    csr, batch_major = events
+    events, batch_major = events
     steps, batch, n_in = xs.shape
     weight = _resolve_weight_override(layer, weight)
     adaptive = layer.neuron_kind == "adaptive"
@@ -474,13 +471,12 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
     gain = 1.0 if adaptive else float(layer.neuron.input_gain)
     if gain != 1.0:
         w_t *= xs.dtype.type(gain)
-    # The CSR product allocates its own result — foreign to the
-    # workspace, which ``release()`` tolerates.
-    product = np.ascontiguousarray(csr @ w_t)
+    product = events.matmul(w_t, ws)
     _ws_release(ws, w_t)
     if batch_major:
         gv = _ws_empty(ws, (steps, batch, product.shape[1]), xs.dtype)
         np.copyto(gv, product.reshape(batch, steps, -1).swapaxes(0, 1))
+        _ws_release(ws, product)
     else:
         gv = product.reshape(steps, batch, -1)
     kernel = _adaptive_forward if adaptive else _hard_reset_forward
@@ -665,54 +661,36 @@ class StreamState:
     from (:func:`_zero_layer_state`) — all in the stream's dtype.
 
     Instances are plain data: they never reference the network (a server
-    holds thousands of them per resident model) and the network's own
-    layer/neuron scratch state is untouched by streaming runs.
-    ``batch`` may exceed 1 — the serving micro-batcher gathers many
-    single-session states into one batched state via :meth:`copy_row`.
+    holds one per resident model, a row per session) and the network's
+    own layer/neuron scratch state is untouched by streaming runs.
+    ``batch`` may exceed 1 — a server's tick copies its sessions' rows
+    into one batched state with :meth:`gather` and back with
+    :meth:`scatter`.
     """
 
     def __init__(self, dtype, batch: int, sizes: tuple, kinds: tuple,
-                 layers: list[dict[str, np.ndarray]]):
+                 layers: list[dict[str, np.ndarray]], steps=None):
         self.dtype = np.dtype(dtype)
         self.batch = int(batch)
         self.sizes = tuple(sizes)
         self.kinds = tuple(kinds)
         self.layers = layers
         #: Per-row count of consumed time steps (bookkeeping only).
-        self.steps = np.zeros(self.batch, dtype=np.int64)
+        self.steps = (np.zeros(self.batch, dtype=np.int64) if steps is None
+                      else steps)
 
     @classmethod
     def for_network(cls, network, batch: int, precision=None,
-                    dtype=np.float64, ws=None) -> "StreamState":
-        """A fresh (all-zero) state for ``batch`` independent streams.
-
-        ``ws`` optionally serves the state arrays from a
-        :class:`~repro.runtime.workspace.Workspace` — only for transient
-        states whose owner recycles them via :meth:`release_to` (the
-        serving tick's gather state); session-lived states use plain
-        allocation.
-        """
+                    dtype=np.float64) -> "StreamState":
+        """A fresh (all-zero) state for ``batch`` independent streams."""
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
         resolved = resolve_precision(precision) or np.dtype(dtype)
-        zeros = np.zeros if ws is None else ws.zeros
-        layers = [_zero_layer_state(layer, batch, resolved, zeros)
+        layers = [_zero_layer_state(layer, batch, resolved)
                   for layer in network.layers]
         return cls(resolved, batch, network.sizes,
                    tuple(layer.neuron_kind for layer in network.layers),
                    layers)
-
-    def release_to(self, ws) -> None:
-        """Hand workspace-served state arrays back to ``ws``.
-
-        Only for states built with ``for_network(..., ws=...)`` whose
-        lifetime has ended (the serving tick's batched gather state);
-        the state must not be used afterwards.  Plain-allocated arrays
-        are ignored by ``ws.release``, so calling this on a mixed or
-        plain state is harmless.
-        """
-        for arrays in self.layers:
-            ws.release(*arrays.values())
 
     def compatible_with(self, network) -> bool:
         """Whether this state was built for ``network``'s architecture."""
@@ -720,27 +698,37 @@ class StreamState:
                 and self.kinds == tuple(layer.neuron_kind
                                         for layer in network.layers))
 
-    def copy_row(self, row: int, source: "StreamState",
-                 source_row: int) -> None:
-        """Copy one stream's state from ``source[source_row]`` into
-        ``self[row]`` — the serving gather/scatter primitive."""
+    def gather(self, rows) -> "StreamState":
+        """Streams ``rows`` of this state, in that order, as one new
+        batched state: one ``np.take`` per array."""
+        rows = np.asarray(rows, dtype=np.intp)
+        layers = [{key: np.take(arr, rows, axis=0)
+                   for key, arr in layer.items()} for layer in self.layers]
+        return StreamState(self.dtype, len(rows), self.sizes, self.kinds,
+                           layers, np.take(self.steps, rows))
+
+    def scatter(self, rows, source: "StreamState") -> None:
+        """Write ``source``'s streams to rows ``rows`` of this state, one
+        indexed assignment per array — the inverse of :meth:`gather`."""
         if (source.dtype != self.dtype or source.sizes != self.sizes
                 or source.kinds != self.kinds):
             raise ValueError("cannot copy state rows across dtypes, "
                              "architectures or neuron kinds")
         for mine, theirs in zip(self.layers, source.layers):
             for key, arr in mine.items():
-                arr[row] = theirs[key][source_row]
-        self.steps[row] = source.steps[source_row]
+                arr[rows] = theirs[key]
+        self.steps[rows] = source.steps
+
+    def double(self) -> None:
+        """Double the number of streams in place; the new rows are zero."""
+        self.layers = [{key: np.concatenate((arr, np.zeros_like(arr)))
+                        for key, arr in layer.items()} for layer in self.layers]
+        self.steps = np.concatenate((self.steps, np.zeros_like(self.steps)))
+        self.batch *= 2
 
     def clone(self) -> "StreamState":
         """An independent deep copy (e.g. for forking a stream)."""
-        twin = StreamState(
-            self.dtype, self.batch, self.sizes, self.kinds,
-            [{key: arr.copy() for key, arr in layer.items()}
-             for layer in self.layers])
-        twin.steps = self.steps.copy()
-        return twin
+        return self.gather(np.arange(self.batch))
 
     def __repr__(self) -> str:
         arch = "-".join(str(s) for s in self.sizes)
@@ -809,8 +797,8 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     x = chunk.swapaxes(0, 1)
     for index, (layer, st, weight) in enumerate(
             zip(network.layers, state.layers, weights)):
-        spikes, v = _layer_chunk(layer, x, st, _spike_events(x, ws), ws,
-                                 weight, lengths, ends)
+        spikes, v = _layer_chunk(layer, x, st, _spike_events(
+            x, ws, remember=False), ws, weight, lengths, ends)
         _ws_release(ws, v)
         if index > 0:
             _ws_release(ws, x)
@@ -931,13 +919,15 @@ def _weight_grad(adjoint: np.ndarray, events, ws=None) -> np.ndarray:
     in its own ``(b, t)`` row order, so the adjoint is copied out to that
     order once rather than transposing the wide input.
     """
-    csr, batch_major = events
+    events, batch_major = events
     n_out = adjoint.shape[2]
-    if not batch_major:
-        return spike_outer(adjoint.reshape(-1, n_out), None, csr=csr)
-    rows = _swap_time_batch(adjoint, adjoint.dtype, ws)   # (batch, T, n_out)
-    grad = spike_outer(rows.reshape(-1, n_out), None, csr=csr)
-    _ws_release(ws, rows)
+    rows = (_swap_time_batch(adjoint, adjoint.dtype, ws) if batch_major
+            else adjoint)
+    product = events.t_matmul(rows.reshape(-1, n_out), ws)   # (n_in, n_out)
+    if batch_major:
+        _ws_release(ws, rows)
+    grad = np.ascontiguousarray(product.T)
+    _ws_release(ws, product)
     return grad
 
 

@@ -8,18 +8,18 @@ checked out by exact ``(shape, dtype)`` key, handed back once the training
 step that used them is finished, and served again on the next batch.  In
 steady state (constant batch shape) the engine then performs *zero* large
 allocations per step; the only remaining churn is the small foreign arrays
-produced inside BLAS/SciPy calls.
+produced inside BLAS calls.
 
 Design rules that keep this safe:
 
 * A workspace is **single-threaded state** — one per trainer, one per pool
-  worker, one per model server (the serving tick's padded gather buffer
-  and transient batched stream state recycle through it).  It is never
-  shared across processes (each worker process builds its own).
+  worker, one per model server (the serving tick's padded chunk buffer
+  and engine buffers recycle through it).  It is never shared across
+  processes (each worker process builds its own).
 * ``release`` ignores arrays the workspace did not hand out, so callers may
   bulk-release a record's tensors without tracking which of them came from
-  the arena (e.g. a membrane trace produced by a SciPy sparse product is
-  foreign and simply skipped).
+  the arena (a tensor produced without the workspace is foreign and simply
+  skipped).
 * Reuse is **opt-in at the call site**: every engine entry point takes
   ``ws=None`` and behaves exactly as before when no workspace is supplied.
   Buffers that escape to user code (e.g. ``network.run`` outputs outside a
@@ -37,8 +37,6 @@ differing shapes.
 """
 
 from __future__ import annotations
-
-import collections
 
 import numpy as np
 
@@ -71,7 +69,9 @@ class Workspace:
         # by an unrelated array, and a later release() would pool that
         # array under the stale key — handing out wrong-shaped memory.
         self._lent: dict[int, tuple[tuple, np.ndarray]] = {}
-        self._fifo: collections.deque[tuple] = collections.deque()
+        # Idle buffers' keys by buffer id, in release order: the eviction
+        # order, kept in step with the free lists in O(1) per call.
+        self._idle: dict[int, tuple] = {}
         self._free_bytes = 0
         self._row_bounds: dict[tuple[int, int], np.ndarray] = {}
         self.hits = 0
@@ -93,13 +93,7 @@ class Workspace:
         if stack:
             arr = stack.pop()
             self._free_bytes -= arr.nbytes
-            # Keep the eviction queue in lockstep with the free lists:
-            # one entry per *idle* buffer, so it stays bounded and
-            # eviction really drops the oldest idle buffer.
-            try:
-                self._fifo.remove(key)
-            except ValueError:  # pragma: no cover - queues are in lockstep
-                pass
+            del self._idle[id(arr)]
             self.hits += 1
         else:
             arr = np.empty(key[0], dtype=np.dtype(key[1]))
@@ -144,14 +138,14 @@ class Workspace:
                     continue
             key, arr = entry
             self._free.setdefault(key, []).append(arr)
-            self._fifo.append(key)
+            self._idle[id(arr)] = key
             self._free_bytes += arr.nbytes
-        while self._free_bytes > self.max_bytes and self._fifo:
-            old_key = self._fifo.popleft()
-            stack = self._free.get(old_key)
-            if stack:
-                dropped = stack.pop(0)
-                self._free_bytes -= dropped.nbytes
+        while self._free_bytes > self.max_bytes and self._idle:
+            # A key's free list runs oldest release first, so the oldest
+            # idle buffer heads its own list.
+            oldest = next(iter(self._idle))
+            dropped = self._free[self._idle.pop(oldest)].pop(0)
+            self._free_bytes -= dropped.nbytes
 
     # -- CSR scratch --------------------------------------------------------
     def row_bounds(self, m: int, n: int) -> np.ndarray:
@@ -168,7 +162,7 @@ class Workspace:
         """Drop every idle buffer and cached scratch (checked-out buffers
         stay valid; they are simply forgotten when released)."""
         self._free.clear()
-        self._fifo.clear()
+        self._idle.clear()
         self._free_bytes = 0
         self._lent.clear()
         self._row_bounds.clear()

@@ -8,20 +8,26 @@ the server's :meth:`~ModelServer.poll` runs a *tick* whenever the
 micro-batcher says one is due:
 
 1. **collect** — up to ``max_batch`` queued chunks, FIFO, one per session;
-2. **gather** — copy each session's batch-1 stream state into one batched
-   :class:`~repro.core.engine.StreamState` and the chunks into one padded
-   ``(B, T_max, n_in)`` workspace buffer (rows shorter than ``T_max`` are
-   zero-padded and tracked via ``lengths``);
+2. **gather** — take the sessions' rows of the server's resident
+   :class:`~repro.core.engine.StreamState` slab (one row per session)
+   into one batched state, one ``np.take`` per array
+   (:meth:`~repro.core.engine.StreamState.gather`), and copy the chunks
+   into one padded ``(B, T_max, n_in)`` workspace buffer (rows shorter
+   than ``T_max`` are zero-padded and tracked via ``lengths``);
 3. **run** — a single :meth:`~repro.core.network.SpikingNetwork.run_stream`
    call advances all sessions at once;
-4. **scatter** — copy each advanced state row back to its session and
-   complete its ticket with the row's valid output slice.
+4. **scatter** — write the advanced rows back to the slab, one indexed
+   assignment per array (:meth:`~repro.core.engine.StreamState.scatter`),
+   and complete each ticket with its row's valid output slice.
 
 Every stream runs the fused engine, so the gather/scatter is
 bitwise-transparent: a session receives exactly the spikes it would have
-received streaming alone,
-regardless of which other sessions shared its ticks (the CSR product
-computes rows independently — see ``docs/serving.md``).
+received streaming alone, regardless of which other sessions shared its
+ticks or which slab row it holds (the event product computes rows
+independently — see ``docs/serving.md``).  A session takes a zeroed row
+when it opens; its row is freed once it is closed or reaped and its last
+queued chunk has settled (completed, failed or expired), and the slab
+doubles when every row is held.
 
 The server can also serve the *simulated hardware* instead of the ideal
 software model (``hardware=``, a
@@ -213,7 +219,19 @@ class ModelServer:
         self.model_profile: str | None = None
         self.model_meta: dict = {}
         self._workspace = Workspace()
+        # Resident stream state, one row per session (a shadow-mode
+        # server carries the hardware shadow streams in a second slab).
+        self._slab = StreamState.for_network(network, 1, dtype=self.dtype)
+        self._shadow_slab = (StreamState.for_network(network, 1,
+                                                     dtype=self.dtype)
+                             if self.shadow else None)
+        self._zero_row = StreamState.for_network(network, 1, dtype=self.dtype)
+        self._free_rows = [0]
         self._sessions: dict[str, Session] = {}
+        # Closed or reaped sessions whose rows _take_row has not yet
+        # reclaimed (a row is reclaimed once no chunk of its session is
+        # queued).
+        self._closing: list[Session] = []
         self._session_seq = 0
         self._request_seq = 0
         self.instance = instance
@@ -358,6 +376,14 @@ class ModelServer:
             raise StateError(
                 f"ticket accounting drift: submitted={submitted} but "
                 f"accounted={accounted} ({books})")
+        held = [s.row for s in self._sessions.values()]
+        held += [s.row for s in self._closing]
+        rows = sorted(held + self._free_rows)
+        if rows != list(range(self._slab.batch)):
+            raise StateError(
+                f"slab row drift: {len(held)} held + "
+                f"{len(self._free_rows)} free rows do not partition the "
+                f"{self._slab.batch}-row slab")
         return books
 
     # -- sessions ------------------------------------------------------------
@@ -366,15 +392,8 @@ class ModelServer:
         now = self.clock() if now is None else now
         self._session_seq += 1
         session_id = f"s{self._session_seq:06d}"
-        state = StreamState.for_network(self.network, 1, dtype=self.dtype)
-        shadow_state = None
-        if self.shadow:
-            # Same architecture, same dtype — only the weights differ at
-            # tick time, so the shadow state is an ordinary stream state.
-            shadow_state = StreamState.for_network(self.network, 1,
-                                                   dtype=self.dtype)
-        self._sessions[session_id] = Session(session_id, state, now,
-                                             shadow_state=shadow_state)
+        self._sessions[session_id] = Session(session_id, self._slab,
+                                             self._take_row(), now)
         return session_id
 
     def session(self, session_id: str) -> Session:
@@ -384,12 +403,46 @@ class ModelServer:
         return session
 
     def close_session(self, session_id: str) -> None:
-        """Drop a session's state.  Its queued chunks (if any) still
-        complete — the session object lives until they drain."""
-        self.session(session_id)
-        del self._sessions[session_id]
+        """Close a session.  Its queued chunks (if any) still complete;
+        its slab row is reused once the last of them has settled."""
+        self._drop(self.session(session_id))
         self._counters["closed_sessions"].inc()
         self._event("session.closed", session=session_id)
+
+    def _slabs(self) -> list[StreamState]:
+        return [slab for slab in (self._slab, self._shadow_slab)
+                if slab is not None]
+
+    def _drop(self, session: Session) -> None:
+        """Forget a closed or reaped session; :meth:`_take_row` reclaims
+        its row once none of its chunks is queued."""
+        del self._sessions[session.session_id]
+        self._closing.append(session)
+
+    def _take_row(self) -> int:
+        """A zeroed slab row for a new session.  When no row is free it
+        first reclaims the rows of dropped sessions with nothing queued
+        (every queued chunk has then settled: completed, failed or
+        expired), and only when all rows are still held do the slabs
+        double."""
+        if not self._free_rows:
+            pending = self.batcher.session_pending
+            closing, self._closing = self._closing, []
+            for session in closing:
+                if pending(session.session_id):
+                    self._closing.append(session)
+                else:
+                    self._free_rows.append(session.row)
+                    session.row = None
+        if not self._free_rows:
+            size = self._slab.batch
+            for slab in self._slabs():
+                slab.double()
+            self._free_rows = list(range(2 * size - 1, size - 1, -1))
+        row = self._free_rows.pop()
+        for slab in self._slabs():
+            slab.scatter([row], self._zero_row)
+        return row
 
     @property
     def sessions(self) -> int:
@@ -415,7 +468,7 @@ class ModelServer:
                 and not self.batcher.session_pending(session_id)):
             # Lazy reap: an abandoned session is indistinguishable from a
             # closed one by the time its client returns.
-            del self._sessions[session_id]
+            self._drop(session)
             self._counters["reaped_sessions"].inc()
             self._event("session.reaped", session=session_id)
             raise StateError(
@@ -537,12 +590,13 @@ class ModelServer:
         if self.session_ttl is None:
             return
         reapable = [
-            sid for sid, session in self._sessions.items()
+            session for sid, session in self._sessions.items()
             if (now - session.last_active > self.session_ttl
                 and not self.batcher.session_pending(sid))
         ]
-        for sid in reapable:
-            del self._sessions[sid]
+        for session in reapable:
+            sid = session.session_id
+            self._drop(session)
             self._counters["reaped_sessions"].inc()
             self._event("session.reaped", session=sid)
 
@@ -616,9 +670,11 @@ class ModelServer:
 
         This is the only computation path — the happy tick runs it on
         the full collected batch, the isolation fallback on one request
-        at a time.  The fused engine's gather/scatter transparency makes
-        the two bitwise-identical, so a retried chunk's outputs equal
-        the ones its failed batched tick would have produced.
+        at a time.  The run advances a gathered copy of the sessions'
+        slab rows, scattered back only after it succeeded, and the fused
+        engine computes rows independently, so the two are
+        bitwise-identical: a retried chunk's outputs equal the ones its
+        failed batched tick would have produced.
 
         ``span`` is the enclosing ``serve.tick`` span (``None`` with
         telemetry off, or on the isolation path): the gather / compute /
@@ -633,6 +689,7 @@ class ModelServer:
         n_in = self.network.sizes[0]
         count = len(requests)
         lengths = np.fromiter((r.steps for r in requests), np.int64, count)
+        rows = np.fromiter((r.session.row for r in requests), np.intp, count)
         t_max = int(lengths.max())
         t0 = clock() if clock is not None else 0.0
         xs = ws.empty((count, t_max, n_in), self.dtype)
@@ -641,37 +698,31 @@ class ModelServer:
             xs[row, :steps] = request.chunk
             if steps < t_max:
                 xs[row, steps:] = 0.0
-        # The gather state is tick-transient, so its arrays come from
-        # (and return to) the workspace: steady-state serving with
-        # repeating tick shapes allocates nothing here.
-        batched = StreamState.for_network(self.network, count,
-                                          dtype=self.dtype, ws=ws)
-        for row, request in enumerate(requests):
-            batched.copy_row(row, request.session.state, 0)
+        batched = self._slab.gather(rows)
         t1 = clock() if clock is not None else 0.0
         outputs, _ = self.network.run_stream(xs, batched,
                                              lengths=lengths,
                                              workspace=ws,
                                              weights=weights)
         t2 = clock() if clock is not None else 0.0
-        divergences = self._shadow_divergences(requests, xs, lengths,
+        divergences = self._shadow_divergences(requests, rows, xs, lengths,
                                                outputs, ws)
+        self._slab.scatter(rows, batched)
         for row, request in enumerate(requests):
-            request.session.state.copy_row(0, batched, row)
-            request.session.last_active = now
-            request.session.chunks += 1
+            session = request.session
+            session.last_active = now
+            session.chunks += 1
             ticket = request.ticket
             if divergences is not None:
                 ticket.divergence = divergences[row]
-                request.session.divergence_sum += divergences[row]
+                session.divergence_sum += divergences[row]
             ticket.degraded = degraded
             ticket.retried = retried
             ticket.complete(outputs[row, :request.steps].copy(), now)
             self._event("ticket.completed", request=request.seq,
-                        session=request.session.session_id,
+                        session=session.session_id,
                         steps=request.steps, degraded=degraded,
                         retried=retried, divergence=ticket.divergence)
-        batched.release_to(ws)
         ws.release(xs, outputs)
         if clock is not None:
             end = clock()
@@ -715,7 +766,7 @@ class ModelServer:
                         session=request.session.session_id, error=error)
         return completed
 
-    def _shadow_divergences(self, requests, xs, lengths, outputs, ws):
+    def _shadow_divergences(self, requests, rows, xs, lengths, outputs, ws):
         """Shadow pass behind a circuit breaker; ``None`` when disabled.
 
         A shadow failure (a real error, or the ``serve.shadow.raise``
@@ -728,7 +779,7 @@ class ModelServer:
             return None
         try:
             _faults.maybe_raise("serve.shadow.raise")
-            return self._run_shadow(requests, xs, lengths, outputs, ws)
+            return self._run_shadow(requests, rows, xs, lengths, outputs, ws)
         except Exception:
             self._counters["shadow_failures"].inc()
             self._event("serve.shadow_failure",
@@ -740,9 +791,11 @@ class ModelServer:
                             threshold=self.shadow_threshold)
             return None
 
-    def _run_shadow(self, requests, xs, lengths, outputs, ws) -> list[float]:
-        """Advance every session's hardware shadow stream on the same
-        gathered chunk; returns the per-row output divergence.
+    def _run_shadow(self, requests, rows, xs, lengths, outputs,
+                    ws) -> list[float]:
+        """Advance the sessions' hardware shadow streams (their ``rows``
+        of the shadow slab) on the same gathered chunk; returns the
+        per-row output divergence.
 
         Divergence is the fraction of output spike entries (over the
         row's valid steps) on which the ideal and hardware models
@@ -751,20 +804,15 @@ class ModelServer:
         """
         count = len(requests)
         with self._span("serve.shadow", batch=count) as shadow_span:
-            shadow_batched = StreamState.for_network(self.network, count,
-                                                     dtype=self.dtype, ws=ws)
-            for row, request in enumerate(requests):
-                shadow_batched.copy_row(row, request.session.shadow_state, 0)
+            shadow_batched = self._shadow_slab.gather(rows)
             shadow_out, _ = self.network.run_stream(
                 xs, shadow_batched, lengths=lengths, workspace=ws,
                 weights=self.hardware.weight_list())
-            divergences = []
-            for row, request in enumerate(requests):
-                request.session.shadow_state.copy_row(0, shadow_batched, row)
-                steps = request.steps
-                divergences.append(float(np.mean(
-                    outputs[row, :steps] != shadow_out[row, :steps])))
-            shadow_batched.release_to(ws)
+            self._shadow_slab.scatter(rows, shadow_batched)
+            divergences = [
+                float(np.mean(outputs[row, :request.steps]
+                              != shadow_out[row, :request.steps]))
+                for row, request in enumerate(requests)]
             ws.release(shadow_out)
             if shadow_span is not None:
                 shadow_span.set(divergence=float(sum(divergences)) / count)
@@ -869,8 +917,20 @@ class ModelServer:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Drop all sessions and pooled buffers (idempotent)."""
+        """Fail any queued chunk, drop all sessions and pooled buffers,
+        and shrink the slabs back to one row (idempotent)."""
+        if self.batcher.pending:
+            self.fail_pending("server closed")
+        for session in [*self._sessions.values(), *self._closing]:
+            session.row = None
         self._sessions.clear()
+        self._closing.clear()
+        self._slab = StreamState.for_network(self.network, 1,
+                                             dtype=self.dtype)
+        if self.shadow:
+            self._shadow_slab = StreamState.for_network(self.network, 1,
+                                                        dtype=self.dtype)
+        self._free_rows = [0]
         self._workspace.reclaim()
 
     def __enter__(self) -> "ModelServer":

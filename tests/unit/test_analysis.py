@@ -371,6 +371,16 @@ class TestLintRules:
         (finding,) = hits(result, "layer-dag")
         assert "pandas" in finding.message
 
+    def test_layer_dag_private_external_module(self):
+        private = "from scipy.sparse import _sparsetools\n"
+        result = lint({"src/repro/core/bad.py": private})
+        (finding,) = hits(result, "layer-dag")
+        assert (finding.path, finding.line) == ("src/repro/core/bad.py", 1)
+        assert "scipy.sparse._sparsetools" in finding.message
+        # Allow-listed for the fused engine only.
+        result = lint({"src/repro/core/engine.py": private})
+        assert hits(result, "layer-dag") == []
+
     def test_layer_dag_numpy_and_stdlib_allowed(self):
         good = "import json\nimport numpy as np\n"
         result = lint({"src/repro/core/good.py": good})

@@ -25,7 +25,7 @@ from repro.core import (
     resolve_precision,
 )
 from repro.core.calibration import layer_firing_rates
-from repro.core.engine import spike_matmul, spike_outer
+from repro.core.engine import _spike_csr
 from repro.core.filters import exponential_filter, exponential_filter_adjoint
 from repro.common.rng import RandomState
 
@@ -76,20 +76,30 @@ def test_exp_scan_reverse_matches_filter_adjoint():
 
 # -- sparse kernels ---------------------------------------------------------
 
-def test_spike_matmul_matches_dense():
+def test_events_matmul_matches_dense():
     rng = RandomState(3)
     # Includes event counts > 1.
     x = (rng.random((300, 80)) < 0.04).astype(np.float64)
     x[0, 0] = 3.0
     w_t = rng.normal(0, 1, (80, 16))
-    np.testing.assert_allclose(spike_matmul(x, w_t), x @ w_t, rtol=1e-12)
+    np.testing.assert_allclose(_spike_csr(x).matmul(w_t), x @ w_t,
+                               rtol=1e-12)
 
 
-def test_spike_outer_matches_dense():
+def test_events_t_matmul_matches_dense():
     rng = RandomState(4)
     x = (rng.random((300, 80)) < 0.04).astype(np.float64)
     dv = rng.normal(0, 1, (300, 16))
-    np.testing.assert_allclose(spike_outer(dv, x), dv.T @ x, rtol=1e-12)
+    np.testing.assert_allclose(_spike_csr(x).t_matmul(dv).T, dv.T @ x,
+                               rtol=1e-12)
+
+
+def test_events_reject_a_mismatched_operand():
+    events = _spike_csr(np.eye(6))
+    with pytest.raises(ShapeError):
+        events.matmul(np.ones((5, 3)))
+    with pytest.raises(ShapeError):
+        events.t_matmul(np.ones(6))
 
 
 # -- forward equivalence ----------------------------------------------------

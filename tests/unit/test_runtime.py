@@ -106,8 +106,26 @@ class TestWorkspace:
             a = ws.empty((8, 8))
             b = ws.empty((4, 4))
             ws.release(a, b)
-        assert len(ws._fifo) == 2
+        assert len(ws._idle) == 2
         assert ws.idle_bytes == a.nbytes + b.nbytes
+
+    def test_eviction_drops_the_oldest_idle_buffer(self):
+        ws = Workspace(max_bytes=1024)
+        old, mid = ws.empty((64,)), ws.empty((32,))   # 512 B, 256 B
+        ws.release(old, mid)
+        ws.release(ws.empty((32,)))   # mid out and back: now newer than old
+        new = ws.empty((40,))         # 320 B
+        ws.release(new)               # 1088 B idle: over the cap
+        assert ws.idle_bytes == 576
+        assert ws.empty((64,)) is not old
+        assert ws.empty((32,)) is mid and ws.empty((40,)) is new
+        # Within one shape, too, the older of two idle buffers goes first.
+        ws = Workspace(max_bytes=1024)
+        first, second = ws.empty((48,)), ws.empty((48,))   # 384 B each
+        ws.release(first, second)
+        ws.release(ws.empty((40,)))   # 1088 B idle: over the cap
+        assert ws.empty((48,)) is second
+        assert ws.empty((48,)) is not first
 
     def test_lent_buffers_are_kept_alive(self):
         # The strong reference prevents id-reuse corruption: a checked-out

@@ -144,7 +144,7 @@ class TestPaddedHeterogeneousBatch:
             # captured state must continue identically to the solo stream
             cont_ref, _ = net.run_stream(follow, solo_state)
             scattered = StreamState.for_network(net, 1)
-            scattered.copy_row(0, batched, i)
+            scattered.scatter([0], batched.gather([i]))
             cont_got, _ = net.run_stream(follow, scattered)
             assert np.array_equal(cont_ref, cont_got)
         assert batched.steps.tolist() == lengths.tolist()
@@ -184,16 +184,23 @@ class TestStateContract:
         with pytest.raises(ShapeError):
             swapped.run_stream(x, state)
 
-    def test_copy_row_rejects_foreign_states(self):
+    def test_gather_scatter_reject_foreign_states(self):
         net = make_net()
-        state = StreamState.for_network(net, 1)
+        state = StreamState.for_network(net, 2)
         # A float32 row would be cast silently, breaking the bitwise
-        # contract; a hard-reset state has another layout.
+        # contract; a hard-reset state or another architecture has
+        # another layout.
         single = StreamState.for_network(net, 1, precision="float32")
         hard_reset = StreamState.for_network(make_net("hard_reset"), 1)
-        for foreign in (single, hard_reset):
+        other = StreamState.for_network(SpikingNetwork((48, 30, 40), rng=0),
+                                        1)
+        for foreign in (single, hard_reset, other):
             with pytest.raises(ValueError):
-                state.copy_row(0, foreign, 0)
+                state.scatter([0], foreign)
+            with pytest.raises(ValueError):
+                foreign.scatter([0], state.gather([1]))
+        with pytest.raises(IndexError):
+            state.gather([2])
 
     def test_clone_is_independent(self):
         net = make_net()
