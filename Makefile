@@ -33,7 +33,7 @@ bench:
 bench-table:
 	$(PYTHON) -m repro.experiments harness full --table run_table.csv
 
-## seconds-scale scenario grid (the CI harness-smoke job)
+## seconds-scale scenario grid (the CI gates job's first step)
 bench-smoke:
 	$(PYTHON) -m repro.experiments harness smoke --table run_table.csv
 

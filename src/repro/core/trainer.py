@@ -422,9 +422,9 @@ class Trainer:
 
 
 def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
-                   batch_size: int, dtype=None, engine: str = "fused",
-                   precision: str | None = None, workers: int = 0,
-                   pool=None, workspace=None) -> np.ndarray:
+                   batch_size: int, engine: str = "fused",
+                   precision: str | None = None, pool=None,
+                   workspace=None) -> np.ndarray:
     """Forward-only run over a large array, batched to bound memory.
 
     Parameters
@@ -435,36 +435,25 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
     precision:
         ``"float32"`` / ``"float64"`` (or a dtype-like); the single
         precision switch for the run.  Default float64.
-    dtype:
-        Legacy alias for ``precision`` kept for backwards compatibility;
-        ``precision`` wins when both are given.
-    workers, pool:
-        ``workers >= 1`` distributes the chunks over a
-        :class:`~repro.runtime.pool.WorkerPool` — ``pool`` reuses an
-        existing one (its network must be ``network``), otherwise a
-        transient pool is created for this call.  The chunk boundaries are
-        identical to the serial path, so the outputs are bitwise equal.
+    pool:
+        A caller-owned :class:`~repro.runtime.pool.WorkerPool` built from
+        ``network`` distributes the chunks over its workers.  The chunk
+        boundaries are identical to the serial path, so the outputs are
+        bitwise equal.
     workspace:
         Optional :class:`~repro.runtime.workspace.Workspace` for the
         serial path; chunk buffers are recycled after concatenation.
     """
-    resolved = resolve_precision(precision if precision is not None else dtype)
+    resolved = resolve_precision(precision)
     if resolved is None:
         resolved = np.dtype(np.float64)
     if pool is not None:
         if pool.network is not network:
             raise ValueError(
                 "pool was built for a different network object; build the "
-                "pool from this network (or pass workers= for a transient "
-                "one) so the shared-memory replicas match")
+                "pool from this network so the shared-memory replicas match")
         return pool.run_sharded(inputs, batch_size, engine=engine,
                                 precision=resolved)
-    if workers >= 1:
-        from ..runtime.pool import WorkerPool
-
-        with WorkerPool(network, workers=workers) as transient:
-            return transient.run_sharded(inputs, batch_size, engine=engine,
-                                         precision=resolved)
     chunks = []
     for start in range(0, inputs.shape[0], batch_size):
         outputs, _ = network.run(inputs[start:start + batch_size],

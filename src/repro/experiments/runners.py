@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from ..hardware import (
     estimate_power,
     simulate_neuron,
 )
-from ..runtime import parallel_map, resolve_workers
+from ..runtime import WorkerPool, parallel_map, resolve_workers
 from .paperconfig import PAPER_CONFIG, table1
 
 __all__ = [
@@ -495,13 +496,9 @@ def run_fig8(profile: str | None = None,
                   else [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
                         0.45, 0.5])
     n_seeds = 2 if profile == "ci" else 5
-    pool = None
-    if workers >= 1:
-        from ..runtime.pool import WorkerPool
-
-        pool = WorkerPool(network, workers=min(workers, n_seeds))
-    try:
-        series: dict[str, list[float]] = {}
+    series: dict[str, list[float]] = {}
+    with (WorkerPool(network, workers=min(workers, n_seeds)) if workers
+          else nullcontext()) as pool:
         for bits in (4, 5):
             accs = []
             for variation in variations:
@@ -511,9 +508,6 @@ def run_fig8(profile: str | None = None,
                 )
                 accs.append(mean_acc)
             series[f"{bits}bit"] = accs
-    finally:
-        if pool is not None:
-            pool.close()
 
     table = Table(["Process variation", "4-bit acc %", "5-bit acc %"],
                   title="Fig. 8: accuracy vs quantization & variation "
@@ -626,12 +620,8 @@ def run_fig8_aware(profile: str | None = None,
 
     def mapped_accuracies(network):
         """Mean mapped accuracy per variation level (shared seeds)."""
-        pool = None
-        if workers >= 1:
-            from ..runtime.pool import WorkerPool
-
-            pool = WorkerPool(network, workers=min(workers, n_seeds))
-        try:
+        with (WorkerPool(network, workers=min(workers, n_seeds))
+              if workers else nullcontext()) as pool:
             return [
                 accuracy_under_variation(
                     network, test.inputs, test.targets, bits=hw.bits,
@@ -639,9 +629,6 @@ def run_fig8_aware(profile: str | None = None,
                     pool=pool, device=hw.device)[0]
                 for variation in variations
             ]
-        finally:
-            if pool is not None:
-                pool.close()
 
     posthoc = mapped_accuracies(ideal_bundle["network"])
     aware = mapped_accuracies(aware_bundle["network"])

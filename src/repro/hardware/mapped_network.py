@@ -32,7 +32,7 @@ a fixed noise seed (pinned in ``tests/unit/test_hw_streaming.py``).
 The Fig. 8 sweep is embarrassingly parallel across programming draws: each
 device-noise seed owns an independent rng stream keyed by ``(root seed,
 seed name)``, so :func:`accuracy_under_variation` can fan its seeds out to
-a :class:`~repro.runtime.pool.WorkerPool` (``workers=N``) and return
+a caller's :class:`~repro.runtime.pool.WorkerPool` (``pool=``) and return
 exactly the numbers the serial loop returns — the per-seed unit of work is
 the shared :func:`seed_accuracy` either way.
 """
@@ -413,8 +413,7 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
                              variation: float, n_seeds: int = 3,
                              rng: RandomState | int | None = None,
                              batch_size: int = 64, engine: str = "fused",
-                             precision: str | None = None,
-                             workers: int = 0, pool=None,
+                             precision: str | None = None, pool=None,
                              device: RRAMDeviceConfig | None = None
                              ) -> tuple[float, float]:
     """Mean/std accuracy over device-noise seeds (one Fig. 8 data point).
@@ -433,12 +432,12 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         Independent programming draws to average over.
     engine, precision:
         Forwarded to the forward runs (previously ignored).
-    workers, pool:
-        ``workers >= 1`` evaluates the seeds concurrently on a
-        :class:`~repro.runtime.pool.WorkerPool` (``pool`` reuses an
-        existing one built for ``network`` — e.g. across a whole Fig. 8
-        grid).  Every seed's rng stream is keyed by ``(rng, seed index)``
-        only, so the parallel results equal the serial ones exactly.
+    pool:
+        A caller-owned :class:`~repro.runtime.pool.WorkerPool` built from
+        ``network`` evaluates the seeds concurrently (hold one across a
+        whole Fig. 8 grid).  Every seed's rng stream is keyed by
+        ``(rng, seed index)`` only, so the pooled results equal the serial
+        ones exactly.
     device:
         Optional base device model the sweep coordinates override (see
         :func:`seed_correct`) — lets a served hardware profile's window /
@@ -459,15 +458,6 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         accuracies = pool.hw_eval(inputs, labels, tasks,
                                   batch_size=batch_size, engine=engine,
                                   precision=precision, device=device)
-    elif workers >= 1 and n_seeds > 1:
-        from ..runtime.pool import WorkerPool
-
-        with WorkerPool(network, workers=min(workers, n_seeds)) as transient:
-            accuracies = transient.hw_eval(inputs, labels, tasks,
-                                           batch_size=batch_size,
-                                           engine=engine,
-                                           precision=precision,
-                                           device=device)
     else:
         accuracies = [
             seed_accuracy(network, inputs, labels, bits=bits,

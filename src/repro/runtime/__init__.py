@@ -14,11 +14,14 @@ This package scales the fused simulation engine across processes:
   self-healing: dead/hung workers are respawned from the original spec
   and their in-flight shards requeued, bitwise-transparently.
 
-Everything is opt-in: ``workers=0`` (the default everywhere, including
-``TrainerConfig``) keeps the serial in-process behavior bit-for-bit.  Set
-``workers=N`` — or the ``REPRO_WORKERS`` environment variable — to fan
-training batches, inference shards and sweep grid points across ``N``
-processes.
+Everything is opt-in: with no pool every path is the serial in-process
+one.  An owner that holds a pool for a whole job takes a worker count:
+``TrainerConfig(workers=N)``, the experiment runners (``workers=N`` or the
+``REPRO_WORKERS`` environment variable) and ``WorkerPool(workers=N)``
+itself.  Every per-call function (``run_in_batches``,
+``accuracy_under_variation``, ``ModelServer.run_batch`` and
+``evaluate_variation``) takes a caller-owned pool as ``pool=``, so one
+pool's process and shared-memory setup is paid once per job, not per call.
 """
 
 from .parallel import (
@@ -29,12 +32,11 @@ from .parallel import (
     shard_grads,
     shard_slices,
 )
-from .pool import PoolCache, PoolTransportError, WorkerError, WorkerPool
+from .pool import PoolTransportError, WorkerError, WorkerPool
 from .supervisor import RestartPolicy, WorkerSupervisor
 from .workspace import Workspace
 
 __all__ = [
-    "PoolCache",
     "PoolTransportError",
     "RestartPolicy",
     "WorkerSupervisor",

@@ -174,17 +174,16 @@ def data_parallel_grads(network, loss, inputs: np.ndarray,
     return combine_shard_results(shard_results, n)
 
 
-def parallel_map(fn, items, workers: int | None = None, pool=None):
+def parallel_map(fn, items, workers: int | None = None):
     """``[fn(item) for item in items]``, optionally over a worker pool.
 
-    ``fn`` and the items must be picklable when a pool is used.  Results
-    come back in input order.  With ``workers == 0`` (or one item) this is
-    a plain list comprehension — identical results, no processes.
+    ``fn`` and the items must be picklable when ``workers >= 1`` (argument
+    or ``REPRO_WORKERS``).  Results come back in input order.  With
+    ``workers == 0`` (or one item) this is a plain list comprehension —
+    identical results, no processes.
     """
     items = list(items)
     workers = resolve_workers(workers)
-    if pool is not None:
-        return pool.map(fn, items)
     if workers <= 0 or len(items) <= 1:
         return [fn(item) for item in items]
     from .pool import WorkerPool

@@ -68,6 +68,7 @@ import dataclasses
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
 import traceback
 import weakref
@@ -79,7 +80,7 @@ from .. import obs as _obs
 from ..common import faults as _faults
 from .supervisor import RestartPolicy, WorkerSupervisor
 
-__all__ = ["WorkerPool", "WorkerError", "PoolTransportError", "PoolCache"]
+__all__ = ["WorkerPool", "WorkerError", "PoolTransportError"]
 
 #: Pools that still own shared-memory segments.  An atexit hook closes
 #: them because ``__del__`` alone is not enough at interpreter shutdown:
@@ -88,10 +89,15 @@ __all__ = ["WorkerPool", "WorkerError", "PoolTransportError", "PoolCache"]
 #: resource tracker prints a "leaked shared_memory objects" warning.
 _LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
+#: Set by the atexit hook before it closes the live pools, so that a
+#: dispatch the hook breaks in a daemon thread parks instead of raising.
+_EXITING = threading.Event()
+
 
 @atexit.register
 def _close_live_pools() -> None:  # pragma: no cover - exercised in a
-    for pool in list(_LIVE_POOLS):  # subprocess by tests/unit/test_runtime.py
+    _EXITING.set()                  # subprocess by tests/unit/test_runtime.py
+    for pool in list(_LIVE_POOLS):
         try:
             pool.close()
         except Exception:
@@ -423,8 +429,8 @@ class WorkerPool:
             timeout = float(os.environ.get("REPRO_POOL_TIMEOUT", "600"))
         self.timeout = timeout
         # Lifetime robustness counters live in a *private* registry (not
-        # the installed telemetry's): pools outlive runs via PoolCache,
-        # so binding them to one run's registry would strand the others.
+        # the installed telemetry's): a caller's pool can outlive a run,
+        # so binding it to one run's registry would strand the others.
         # The installed tracer is looked up per event instead.
         self.metrics = _obs.MetricsRegistry()
         self._c_restarts = self.metrics.counter(
@@ -603,11 +609,25 @@ class WorkerPool:
     _WINDOW_BYTES = 1 << 14
 
     def _dispatch(self, assignments, timeout: float | None = None):
-        """Counted + traced wrapper around :meth:`_dispatch_inner`."""
+        """Counted + traced wrapper around :meth:`_dispatch_inner`.
+
+        At interpreter exit the atexit hook closes the pool under any
+        dispatch still in flight in a daemon thread (the only threads
+        left by then), and the dispatch fails on the closed pipes.  That
+        thread parks instead of raising: the interpreter freezes it in a
+        moment anyway, and the error would only print a traceback.
+        """
         self._c_dispatches.inc()
-        with _obs.span("pool.dispatch", commands=len(assignments),
-                       workers=len({w for w, _ in assignments})):
-            return self._dispatch_inner(assignments, timeout=timeout)
+        try:
+            with _obs.span("pool.dispatch", commands=len(assignments),
+                           workers=len({w for w, _ in assignments})):
+                return self._dispatch_inner(assignments, timeout=timeout)
+        except Exception:
+            if (_EXITING.is_set()
+                    and threading.current_thread()
+                    is not threading.main_thread()):
+                threading.Event().wait()  # pragma: no cover - see above
+            raise
 
     def _dispatch_inner(self, assignments, timeout: float | None = None):
         """Send ``[(worker, msg), ...]`` and collect replies in list order.
@@ -1094,52 +1114,3 @@ class WorkerPool:
                 if self.network is not None else "generic")
         return f"WorkerPool({arch}, workers={self.workers}, {state})"
 
-
-class PoolCache:
-    """Worker pools shared by every caller that asks for the same pool.
-
-    A :class:`~repro.serve.fleet.Fleet` shards each generation's offline
-    ``run_batch`` calls over a pool from one cache, which several fleets
-    may share.  Spawning a fresh :class:`WorkerPool` per request
-    would pay process startup and shared-memory setup over and over; the
-    cache keys live pools by ``(id(network), workers)`` and hands the
-    same pool back for every caller that asks, closing them all at
-    context exit.
-
-    Keying by object identity is deliberate: a pool's workers hold
-    replicas of one concrete network whose weights are synced through
-    shared memory — two equal-shaped but distinct networks must not share
-    a pool.  The cache keeps a reference to each keyed network so an id
-    cannot be recycled while its pool lives.
-    """
-
-    def __init__(self):
-        self._pools: dict = {}
-        self._networks: dict = {}
-
-    def get(self, network, workers: int) -> "WorkerPool":
-        if workers < 1:
-            raise ValueError(f"a pooled cell needs workers >= 1, "
-                             f"got {workers}")
-        key = (id(network), int(workers))
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = WorkerPool(network, workers=workers)
-            self._pools[key] = pool
-            self._networks[key] = network
-        return pool
-
-    def __len__(self) -> int:
-        return len(self._pools)
-
-    def close(self) -> None:
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
-        self._networks.clear()
-
-    def __enter__(self) -> "PoolCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -226,12 +226,6 @@ class Fleet:
         each new session comes from a
         :class:`~repro.common.rng.RandomState` child, so a fixed seed
         reproduces the exact split (property-tested tolerance).
-    ``workers`` / ``pools``
-        With ``workers >= 1``, offline :meth:`run_batch` calls shard
-        over a per-generation :class:`~repro.runtime.pool.WorkerPool`
-        obtained from ``pools`` (a shared
-        :class:`~repro.runtime.pool.PoolCache`; one is created and owned
-        when omitted).
     ``canary_window``
         Rolling outcome window length per generation — the sample the
         promote/rollback decision reads.
@@ -245,7 +239,7 @@ class Fleet:
                  session_ttl_s: float | None = None,
                  shadow_threshold: int = 3, clock=time.monotonic,
                  telemetry: _obs.Telemetry | None = None, seed: int = 0,
-                 workers: int = 0, pools=None, canary_window: int = 64):
+                 canary_window: int = 64):
         if replicas < 1:
             raise ValueError(f"a fleet needs >= 1 replica, got {replicas}")
         if session_ttl_s is not None and session_ttl_s <= 0:
@@ -288,13 +282,6 @@ class Fleet:
             "fleet.lost_sessions",
             help="sessions dropped because their replica died")
         self.model_name: str | None = None
-        self.workers = int(workers)
-        self._owned_pools = None
-        self._pools = pools
-        if self.workers and pools is None:
-            from ..runtime.pool import PoolCache
-
-            self._owned_pools = self._pools = PoolCache()
         self._primary = self._add_generation(
             network, hardware, shadow=shadow, label="g0", count=replicas)
         self._canary: int | None = None
@@ -813,21 +800,12 @@ class Fleet:
 
     # -- offline bulk --------------------------------------------------------
     def run_batch(self, inputs, batch_size: int = 64):
-        """Stateless bulk inference on the least-loaded primary replica,
-        sharded over its generation's worker pool when the fleet was
-        built with ``workers >= 1`` (one pool per generation network via
-        the shared :class:`~repro.runtime.pool.PoolCache`)."""
+        """Stateless bulk inference on the least-loaded primary replica
+        (its :meth:`~repro.serve.server.ModelServer.run_batch`)."""
         replica = self._least_loaded(self._primary)
         if replica is None:
             raise StateError("no live replica in the fleet")
-        pool = None
-        if self.workers:
-            server = replica.server
-            pooled = (server.hardware.hardware_network
-                      if server.hardware is not None and not server.shadow
-                      else server.network)
-            pool = self._pools.get(pooled, self.workers)
-        return replica.server.run_batch(inputs, batch_size, pool=pool)
+        return replica.server.run_batch(inputs, batch_size)
 
     # -- aggregation ---------------------------------------------------------
     def mean_divergence(self) -> float | None:
@@ -947,13 +925,11 @@ class Fleet:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Close every replica and any owned worker pools (idempotent)."""
+        """Close every replica (idempotent)."""
         for replica in self._replicas:
             replica.server.close()
         self._sessions.clear()
         self._outstanding.clear()
-        if self._owned_pools is not None:
-            self._owned_pools.close()
 
     def __enter__(self) -> "Fleet":
         return self

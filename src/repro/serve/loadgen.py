@@ -348,8 +348,8 @@ def open_loop(target, *, tenants=None, sessions: int = 16,
     plan = _faults.active_plan()
     injected_before = sum(plan.injected.values()) if plan else 0
     # Window the shared histograms to this run: the instruments outlive
-    # a single open_loop call (and a PoolCache'd server may host
-    # several), so percentiles read only the samples added from here on.
+    # a single open_loop call (one server may be driven by several), so
+    # percentiles read only the samples added from here on.
     queue_window = target._queue_wait_window()
     tick_compute = target.metrics.histogram(
         "serve.tick_compute_ms",

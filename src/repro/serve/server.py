@@ -837,17 +837,17 @@ class ModelServer:
     # -- offline bulk --------------------------------------------------------
     @_obs.timed("serve.run_batch", metric="serve.run_batch_ms")
     def run_batch(self, inputs: np.ndarray, batch_size: int = 64,
-                  workers: int = 0, pool=None) -> np.ndarray:
+                  pool=None) -> np.ndarray:
         """Stateless bulk inference on the served model (no sessions).
 
-        Delegates to :func:`~repro.core.trainer.run_in_batches`; pass
-        ``workers >= 1`` (or an existing
-        :class:`~repro.runtime.pool.WorkerPool`) to shard large
-        evaluation sets across processes.  A hardware-mode server runs
-        the bulk set through the hardware realization too (via the mapped
-        network's synced clone) — a reused ``pool`` must then have been
-        built from ``server.hardware.hardware_network``, not the software
-        model.  Shadow servers serve ideal outputs here, as in ticks.
+        Delegates to :func:`~repro.core.trainer.run_in_batches`; pass a
+        caller-owned :class:`~repro.runtime.pool.WorkerPool` as ``pool``
+        to shard large evaluation sets across processes.  A hardware-mode
+        server runs the bulk set through the hardware realization too
+        (via the mapped network's synced clone) — the ``pool`` must then
+        have been built from ``server.hardware.hardware_network``, not
+        the software model.  Shadow servers serve ideal outputs here, as
+        in ticks.
         """
         network = self.network
         if self.hardware is not None and not self.shadow:
@@ -855,9 +855,7 @@ class ModelServer:
             network = self.hardware.hardware_network
         return run_in_batches(network, inputs, batch_size,
                               precision=self.dtype,
-                              workers=workers, pool=pool,
-                              workspace=None if (workers or pool) else
-                              self._workspace)
+                              pool=pool, workspace=self._workspace)
     # run_in_batches releases its chunk buffers after concatenation, so
     # handing it the server workspace is safe on the serial path.
 
@@ -865,7 +863,7 @@ class ModelServer:
                            bits=(4, 5),
                            variations=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
                            n_seeds: int = 3, rng=11, batch_size: int = 64,
-                           workers: int = 0, pool=None) -> list[dict]:
+                           pool=None) -> list[dict]:
         """Fig. 8-scale variation sweep of the served model, as a serving
         workload.
 
@@ -873,9 +871,8 @@ class ModelServer:
         ``bits × variation`` grid point (``n_seeds`` independent
         programming draws each) via
         :func:`~repro.hardware.mapped_network.accuracy_under_variation`.
-        With ``workers >= 1`` one persistent
-        :class:`~repro.runtime.pool.WorkerPool` is built from the served
-        network and reused across the whole grid, sharding the
+        A caller-owned :class:`~repro.runtime.pool.WorkerPool` built from
+        the served network (``pool``) serves the whole grid, sharding the
         device-noise seeds across processes; the numbers are identical to
         the serial sweep's (each seed's rng stream is keyed by the fixed
         root ``rng`` only).  A hardware-mode server's device model
@@ -888,31 +885,21 @@ class ModelServer:
         """
         device = self.hardware.device if self.hardware is not None else None
         bits_list = [bits] if isinstance(bits, int) else list(bits)
-        owned = None
-        if pool is None and workers >= 1:
-            from ..runtime.pool import WorkerPool
-
-            owned = pool = WorkerPool(self.network,
-                                      workers=min(workers, max(n_seeds, 1)))
-        try:
-            rows = []
-            for b in bits_list:
-                for variation in variations:
-                    mean, std = accuracy_under_variation(
-                        self.network, inputs, labels, bits=b,
-                        variation=variation, n_seeds=n_seeds, rng=rng,
-                        batch_size=batch_size, precision=self.dtype,
-                        pool=pool, device=device)
-                    rows.append({
-                        "bits": int(b),
-                        "variation": float(variation),
-                        "mean_accuracy": mean,
-                        "std_accuracy": std,
-                        "n_seeds": int(n_seeds),
-                    })
-        finally:
-            if owned is not None:
-                owned.close()
+        rows = []
+        for b in bits_list:
+            for variation in variations:
+                mean, std = accuracy_under_variation(
+                    self.network, inputs, labels, bits=b,
+                    variation=variation, n_seeds=n_seeds, rng=rng,
+                    batch_size=batch_size, precision=self.dtype,
+                    pool=pool, device=device)
+                rows.append({
+                    "bits": int(b),
+                    "variation": float(variation),
+                    "mean_accuracy": mean,
+                    "std_accuracy": std,
+                    "n_seeds": int(n_seeds),
+                })
         return rows
 
     # -- lifecycle -----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Scenario-harness guarantees: determinism, pool reuse, CSV round-trip,
-and the contract ``perfbench`` holds with the code it imports.
+"""Scenario-harness guarantees: determinism, CSV round-trip, and the
+contract ``perfbench`` holds with the code it imports.
 
 The contracts pinned here (see ``docs/experiments.md``):
 
@@ -7,8 +7,6 @@ The contracts pinned here (see ``docs/experiments.md``):
   byte-identical run table (row-for-row) once wall-clock is removed via
   the injectable timer; a changed seed changes only measurement columns,
   never the grid (run ids, order, factor columns).
-* **Pool reuse** — callers that need the same (network, workers) pool
-  share one instance through :class:`repro.runtime.pool.PoolCache`.
 * **Round-trip** — ``table -> CSV -> table`` is lossless.
 * **Benchmark contract** — every ``repro`` name ``perfbench/*.py``
   imports exists, and the serving grid still holds the ``serve``
@@ -24,7 +22,6 @@ import pytest
 
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
-from repro.core import SpikingNetwork
 from repro.experiments.harness import (
     PRESETS,
     SERVING_LOADS,
@@ -42,7 +39,6 @@ from repro.experiments.scenario import (
     Scenario,
     expand,
 )
-from repro.runtime import PoolCache
 
 
 class FakeTimer:
@@ -179,29 +175,6 @@ class TestServingDensity:
         ctx = _HarnessContext()
         assert ctx.workload("dvs", 64, seed=0, density=0.25) \
             is ctx.workload("dvs", 64, seed=0, density=0.03)
-
-
-class TestPoolCache:
-    def test_same_key_same_pool(self):
-        net = SpikingNetwork((12, 8, 4), rng=0)
-        with PoolCache() as cache:
-            first = cache.get(net, 1)
-            assert cache.get(net, 1) is first
-            assert len(cache) == 1
-            other = cache.get(net, 2)
-            assert other is not first
-            assert len(cache) == 2
-
-    def test_distinct_networks_never_share(self):
-        a = SpikingNetwork((12, 8, 4), rng=0)
-        b = SpikingNetwork((12, 8, 4), rng=0)
-        with PoolCache() as cache:
-            assert cache.get(a, 1) is not cache.get(b, 1)
-
-    def test_serial_request_rejected(self):
-        with PoolCache() as cache:
-            with pytest.raises(ValueError, match="workers >= 1"):
-                cache.get(SpikingNetwork((12, 8, 4), rng=0), 0)
 
 
 class TestEnergyModel:

@@ -24,6 +24,7 @@ from repro.hardware import (
     RRAMDeviceConfig,
     accuracy_under_variation,
 )
+from repro.runtime import WorkerPool
 
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
@@ -234,7 +235,8 @@ class TestDeviceParameterizedSweep:
         serial = accuracy_under_variation(net, x, labels, bits=4,
                                           variation=0.2, n_seeds=2, rng=11,
                                           device=base)
-        pooled = accuracy_under_variation(net, x, labels, bits=4,
-                                          variation=0.2, n_seeds=2, rng=11,
-                                          device=base, workers=1)
+        with WorkerPool(net, workers=1) as pool:
+            pooled = accuracy_under_variation(net, x, labels, bits=4,
+                                              variation=0.2, n_seeds=2,
+                                              rng=11, device=base, pool=pool)
         assert serial == pooled

@@ -34,6 +34,7 @@ from repro.runtime import (
     resolve_workers,
     shard_slices,
 )
+from repro.serve import ModelServer
 
 
 def make_task(n=48, steps=20, channels=10, classes=3, seed=0):
@@ -280,9 +281,28 @@ class TestWorkerPool:
         with WorkerPool(net, workers=2) as pool:
             parallel = pool.run_sharded(x, batch_size=16)
             np.testing.assert_array_equal(serial, parallel)
-            # run_in_batches(workers=...) routes through a pool too
+            # run_in_batches(pool=...) routes through the pool too
             np.testing.assert_array_equal(
                 serial, run_in_batches(net, x, batch_size=16, pool=pool))
+
+    @pytest.mark.parametrize("call", [
+        lambda net, x, y, pool: run_in_batches(net, x, 16, pool=pool),
+        lambda net, x, y, pool: accuracy_under_variation(
+            net, x, y, bits=4, variation=0.3, n_seeds=2, rng=7, pool=pool),
+        lambda net, x, y, pool: ModelServer(net).run_batch(x, 16,
+                                                           pool=pool),
+        lambda net, x, y, pool: ModelServer(net).evaluate_variation(
+            x, y, bits=4, variations=[0.3], n_seeds=2, pool=pool),
+    ], ids=["run_in_batches", "accuracy_under_variation",
+            "ModelServer.run_batch", "ModelServer.evaluate_variation"])
+    def test_pool_from_another_network_rejected(self, call):
+        # An equal-shaped but distinct network: the pool's shared-memory
+        # replicas hold the other object's weights, so the call refuses.
+        x, y = make_task()
+        net, other = make_net(x=x), make_net(x=x)
+        with WorkerPool(other, workers=1) as pool:
+            with pytest.raises(ValueError, match="different network"):
+                call(net, x, y, pool)
 
     def test_grad_shards_bitwise_equal_serial_shards(self):
         x, y = make_task()
@@ -418,8 +438,10 @@ class TestWorkerPool:
         net = make_net(x=x)
         serial = accuracy_under_variation(net, x, y, bits=4, variation=0.3,
                                           n_seeds=4, rng=7)
-        parallel = accuracy_under_variation(net, x, y, bits=4, variation=0.3,
-                                            n_seeds=4, rng=7, workers=2)
+        with WorkerPool(net, workers=2) as pool:
+            parallel = accuracy_under_variation(net, x, y, bits=4,
+                                                variation=0.3, n_seeds=4,
+                                                rng=7, pool=pool)
         assert serial == parallel  # mean AND std, exactly
 
     def test_fig8_point_windowed_staging_identical(self, monkeypatch):
@@ -442,7 +464,7 @@ class TestWorkerPool:
     def test_map_and_parallel_map(self):
         with WorkerPool(workers=2) as pool:
             assert pool.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
-            assert parallel_map(_double, [5, 6], pool=pool) == [10, 12]
+        assert parallel_map(_double, [5, 6], workers=2) == [10, 12]
         assert parallel_map(_double, [5, 6], workers=0) == [10, 12]
 
     def test_worker_error_propagates(self):
@@ -556,26 +578,39 @@ class TestWorkerPool:
         assert "exiting busy" in result.stdout
         assert result.stderr.strip() == "", result.stderr
 
+    def test_interpreter_exit_as_dispatch_starts_is_quiet(self):
+        # Exiting with no pause races the atexit hook's close against the
+        # daemon thread's first sends and receives: whichever pipe breaks
+        # first, the broken dispatch must park, not print a traceback.
+        import subprocess
+        import sys
+        import textwrap
+
+        code = textwrap.dedent("""
+            import threading, time
+            from repro import SpikingNetwork, WorkerPool
+
+            net = SpikingNetwork((10, 8, 3), rng=0)
+            pool = WorkerPool(net, workers=2)
+            threading.Thread(target=lambda: pool.map(time.sleep, [0.2] * 4),
+                             daemon=True).start()
+            print("exiting now")
+        """)
+        for _ in range(3):
+            result = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, timeout=120,
+                env={**__import__("os").environ, "PYTHONPATH": "src"},
+            )
+            assert result.returncode == 0, result.stderr
+            assert "exiting now" in result.stdout
+            assert result.stderr.strip() == "", result.stderr
+
 
 # ---------------------------------------------------------------------------
 # run_in_batches parameter unification
 # ---------------------------------------------------------------------------
 class TestRunInBatchesUnified:
-    def test_precision_and_legacy_dtype_agree(self):
-        x, _ = make_task(n=10)
-        net = make_net(x=x)
-        via_precision = run_in_batches(net, x, 4, precision="float32")
-        via_dtype = run_in_batches(net, x, 4, dtype=np.float32)
-        assert via_precision.dtype == np.float32
-        np.testing.assert_array_equal(via_precision, via_dtype)
-
-    def test_precision_wins_over_dtype(self):
-        x, _ = make_task(n=8)
-        net = make_net(x=x)
-        out = run_in_batches(net, x, 4, dtype=np.float32,
-                             precision="float64")
-        assert out.dtype == np.float64
-
     def test_workspace_serial_path_identical(self):
         x, _ = make_task(n=12)
         net = make_net(x=x)

@@ -15,6 +15,7 @@ import pytest
 from repro.common.errors import CapacityError, SerializationError, StateError
 from repro.core import SpikingNetwork
 from repro.core.trainer import run_in_batches
+from repro.runtime import WorkerPool
 from repro.serve import (
     MicroBatcher,
     ModelRegistry,
@@ -216,7 +217,8 @@ class TestModelServer:
         rng = np.random.default_rng(6)
         inputs = (rng.random((8, 6, SIZES[0])) < 0.15).astype(np.float64)
         expect = server.run_batch(inputs, 4)
-        got = server.run_batch(inputs, 4, workers=1)
+        with WorkerPool(net, workers=1) as pool:
+            got = server.run_batch(inputs, 4, pool=pool)
         assert np.array_equal(expect, got)
 
     def test_step_engine_server(self):
@@ -324,6 +326,16 @@ class TestHardwareServing:
         expect = run_in_batches(mapped.hardware_network, inputs, 4)
         assert np.array_equal(expect, server.run_batch(inputs, 4))
 
+    def test_hardware_run_batch_rejects_software_model_pool(self):
+        # A hardware-mode server runs bulk sets through the mapped
+        # realization's clone, so a pool of the software model is refused.
+        net = make_net()
+        server = ModelServer(net, hardware=self.make_mapped(net))
+        inputs = np.zeros((4, 5, SIZES[0]))
+        with WorkerPool(net, workers=1) as pool:
+            with pytest.raises(ValueError, match="different network"):
+                server.run_batch(inputs, 4, pool=pool)
+
     def test_evaluate_variation_matches_direct_sweep(self):
         from repro.hardware import accuracy_under_variation
 
@@ -353,9 +365,10 @@ class TestHardwareServing:
         labels = np.arange(8) % SIZES[-1]
         serial = server.evaluate_variation(inputs, labels, bits=4,
                                            variations=[0.2], n_seeds=2)
-        pooled = server.evaluate_variation(inputs, labels, bits=4,
-                                           variations=[0.2], n_seeds=2,
-                                           workers=1)
+        with WorkerPool(net, workers=1) as pool:
+            pooled = server.evaluate_variation(inputs, labels, bits=4,
+                                               variations=[0.2], n_seeds=2,
+                                               pool=pool)
         assert serial == pooled
 
     def test_loadgen_reports_shadow_divergence(self):

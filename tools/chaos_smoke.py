@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Chaos gates: pool self-healing bitwise recovery + serving availability.
 
-``make chaos-smoke`` (and the ``chaos-smoke`` CI job) runs two seeded,
+``make chaos-smoke`` (and the CI ``gates`` job) runs two seeded,
 deterministic gates over the fault-injection plane
 (:mod:`repro.common.faults`, docs/robustness.md):
 

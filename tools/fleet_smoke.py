@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fleet gates: tenant isolation, canary rollout, run-table rows.
 
-``make fleet-smoke`` (and the ``fleet-smoke`` CI job) runs three seeded,
+``make fleet-smoke`` (and the CI ``gates`` job) runs three seeded,
 deterministic gates over the multi-tenant serving fleet
 (:mod:`repro.serve.fleet`, docs/fleet.md).  The 1-replica bitwise
 equivalence with a bare :class:`~repro.serve.ModelServer` is pinned by

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Observability gates: trace schema, exporter parsing, overhead budget.
 
-``make obs-smoke`` (and the ``obs-smoke`` CI job) proves the telemetry
+``make obs-smoke`` (and the CI ``gates`` job) proves the telemetry
 plane (:mod:`repro.obs`, docs/observability.md) holds its contract:
 
 1. **Artifact gate** — the smoke preset run with telemetry on exports
