@@ -9,12 +9,15 @@ This is the serving stack end-to-end (``make serve-demo``):
    shows the serving plumbing, not accuracy);
 2. a :class:`~repro.serve.ModelServer` cold-started from the registry's
    latest version;
-3. one synthetic SHD sample (``repro.data.shd``: formant speech through
-   the artificial cochlea, ``(100, 700)`` spikes) streamed through a
-   session in 10-step chunks — per-chunk output spikes arrive
-   incrementally, and the streamed output is verified bitwise against a
-   single whole-sequence pass of the same sample (chunk-invariance is
-   the streaming engine's contract; see docs/serving.md).
+3. two synthetic SHD samples (``repro.data.shd``: formant speech
+   through the artificial cochlea, ``(100, 700)`` spikes) streamed
+   concurrently through two sessions, in 10-step and 7-step chunks —
+   a tick that serves both pads the shorter chunk, the others are
+   uniform.  Per-chunk output spikes arrive incrementally, and each
+   streamed output is verified bitwise against a single whole-sequence
+   pass of its sample (chunk- and batch-invariance are the streaming
+   engine's contract; see docs/serving.md).  The script exits non-zero
+   unless both streams match.
 
 Run:  PYTHONPATH=src python examples/serve_demo.py
 """
@@ -29,7 +32,7 @@ from repro.data.shd import SHD_CLASS_NAMES, SyntheticSHDConfig, generate_shd
 
 REGISTRY_ROOT = os.path.join("artifacts", "registry")
 MODEL = "shd-mlp"
-CHUNK = 10
+CHUNKS = (10, 7)   # per session: its chunk length in steps
 
 
 def ensure_checkpoint(registry: ModelRegistry, sample_inputs) -> str:
@@ -54,30 +57,43 @@ def main():
 
     server = ModelServer.from_registry(registry, MODEL, max_batch=8,
                                        max_wait_ms=2.0)
-    sample = dataset.inputs[3]          # (100, 700) spike raster
-    target = int(dataset.targets[3])
-    session = server.open_session()
-    print(f"\nstreaming one sample (class {SHD_CLASS_NAMES[target]!r}) "
-          f"through session {session} in {CHUNK}-step chunks:")
+    streams = []
+    for index, chunk in zip((3, 5), CHUNKS):
+        session = server.open_session()
+        streams.append((session, dataset.inputs[index], chunk, []))
+        target = SHD_CLASS_NAMES[int(dataset.targets[index])]
+        print(f"\nsession {session}: one sample (class {target!r}) "
+              f"in {chunk}-step chunks")
 
-    chunks = []
-    for start in range(0, sample.shape[0], CHUNK):
-        outputs = server.infer(session, sample[start:start + CHUNK])
-        chunks.append(outputs)
-        print(f"  steps {start:3d}-{start + outputs.shape[0] - 1:3d}: "
-              f"{int(outputs.sum()):3d} output spikes"
-              f"  (session total {server.session(session).steps} steps)")
+    print("\nticks (each session's output spikes this tick):")
+    tick = 0
+    while any(tick * chunk < len(sample) for _, sample, chunk, _ in streams):
+        tickets = [(session, outputs, server.submit(
+                        session, sample[tick * chunk:(tick + 1) * chunk]))
+                   for session, sample, chunk, outputs in streams
+                   if tick * chunk < len(sample)]
+        server.flush()   # one tick: both sessions' chunks coalesce
+        for _, outputs, ticket in tickets:
+            outputs.append(ticket.outputs)
+        lengths = {len(ticket.outputs) for *_, ticket in tickets}
+        kind = "padded" if len(lengths) > 1 else "uniform"
+        print(f"  tick {tick:2d} ({kind:7s}): " + ", ".join(
+            f"{session} {int(ticket.outputs.sum()):3d}"
+            for session, _, ticket in tickets))
+        tick += 1
 
-    streamed = np.concatenate(chunks, axis=0)
-    rates = streamed.sum(axis=0)
-    predicted = int(rates.argmax())
-    # Reference: the same sample in one whole-sequence pass.
-    offline, _ = server.network.run(sample[None])
-    match = np.array_equal(offline[0], streamed)
-    print(f"\nrate-code prediction: {SHD_CLASS_NAMES[predicted]!r} "
-          f"(target {SHD_CLASS_NAMES[target]!r}; untrained demo weights)")
-    print(f"streamed chunks == single whole-sequence pass: {match}")
-    if not match:
+    print()
+    matches = []
+    for session, sample, chunk, outputs in streams:
+        streamed = np.concatenate(outputs, axis=0)
+        predicted = SHD_CLASS_NAMES[int(streamed.sum(axis=0).argmax())]
+        # Reference: the same sample in one whole-sequence pass.
+        offline, _ = server.network.run(sample[None])
+        matches.append(np.array_equal(offline[0], streamed))
+        print(f"session {session}: rate-code prediction {predicted!r} "
+              f"(untrained demo weights); {chunk}-step chunks == single "
+              f"whole-sequence pass: {matches[-1]}")
+    if not all(matches):
         raise SystemExit("streamed and whole-sequence outputs diverged")
 
 

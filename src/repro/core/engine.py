@@ -229,7 +229,7 @@ class _Events:
 
 def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None) -> _Events:
     """The :class:`_Events` of an ``(m, n)`` spike matrix, whatever its
-    size or density: one ``flatnonzero`` scan (indices come out sorted,
+    size or density: one ``nonzero`` scan (indices come out sorted,
     i.e. canonical CSR order) plus a ``searchsorted`` for the row
     pointers (``scipy.sparse.csr_matrix(dense)`` costs as much as the
     GEMM it is meant to replace).  ``ws`` serves
@@ -239,7 +239,7 @@ def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None) -> _Events:
     build, whose result is remembered.
     """
     m, n = flat.shape
-    # Explicit bool compare first: flatnonzero on a float array pays an
+    # Explicit bool compare first: nonzero on a float array pays an
     # extra full-size temporary and runs ~3x slower.
     raveled = np.ascontiguousarray(flat).reshape(-1)
     mask = raveled != 0
@@ -250,10 +250,10 @@ def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None) -> _Events:
             if slot.holds(memo_shape, raveled, count):
                 _remember(slot, memo)
                 return slot.csr
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]   # the method: no Python-level wrapper
     bounds = (ws.row_bounds(m, n) if ws is not None
               else np.arange(0, (m + 1) * n, n))
-    csr = _Events(raveled[idx], idx % n, np.searchsorted(idx, bounds),
+    csr = _Events(raveled[idx], idx % n, idx.searchsorted(bounds),
                   (m, n))
     if memo_shape is not None:
         _remember(_InputMemo(memo_shape, idx, csr), memo)
@@ -461,18 +461,18 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
     scans in place.  Returns time-major ``(spikes, v)``.
     """
     events, batch_major = events
-    steps, batch, n_in = xs.shape
+    steps, batch, _ = xs.shape
     weight = _resolve_weight_override(layer, weight)
     adaptive = layer.neuron_kind == "adaptive"
-    w_t = _ws_empty(ws, (n_in, weight.shape[0]), xs.dtype)
-    np.copyto(w_t, weight.T)
-    # The hard-reset discretisation gain is folded into the weight so its
-    # scan is pure elementwise work.
+    # The product reads the crossbar layout (n_in, n_out): the ``.T``
+    # view of such an array in the run's dtype is read in place, any
+    # other weight is copied once; the hard-reset gain is folded into a
+    # scaled copy so its scan is pure elementwise work.
+    w_t = np.ascontiguousarray(weight.T, dtype=xs.dtype)
     gain = 1.0 if adaptive else float(layer.neuron.input_gain)
     if gain != 1.0:
-        w_t *= xs.dtype.type(gain)
+        w_t = w_t * xs.dtype.type(gain)
     product = events.matmul(w_t, ws)
-    _ws_release(ws, w_t)
     if batch_major:
         gv = _ws_empty(ws, (steps, batch, product.shape[1]), xs.dtype)
         np.copyto(gv, product.reshape(batch, steps, -1).swapaxes(0, 1))
@@ -700,12 +700,12 @@ class StreamState:
 
     def gather(self, rows) -> "StreamState":
         """Streams ``rows`` of this state, in that order, as one new
-        batched state: one ``np.take`` per array."""
+        batched state: one ``ndarray.take`` per array."""
         rows = np.asarray(rows, dtype=np.intp)
-        layers = [{key: np.take(arr, rows, axis=0)
+        layers = [{key: arr.take(rows, axis=0)
                    for key, arr in layer.items()} for layer in self.layers]
         return StreamState(self.dtype, len(rows), self.sizes, self.kinds,
-                           layers, np.take(self.steps, rows))
+                           layers, self.steps.take(rows))
 
     def scatter(self, rows, source: "StreamState") -> None:
         """Write ``source``'s streams to rows ``rows`` of this state, one

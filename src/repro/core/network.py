@@ -324,10 +324,12 @@ class SpikingNetwork:
             Optional per-layer weight overrides (one ``(n_out, n_in)``
             array per layer) substituting the crossbar product's matrices
             for this chunk only — the network's own parameters are
-            untouched.  Hardware-in-the-loop serving streams the resident
-            software network with the crossbars' achieved weights this
-            way (see :class:`~repro.hardware.mapped_network.
-            HardwareMappedNetwork.run_stream`).
+            untouched.  The ``.T`` view of a C-contiguous ``(n_in,
+            n_out)`` array in the stream's dtype is read in place; any
+            other array is copied.  Hardware-in-the-loop serving streams
+            the resident software network with the crossbars' achieved
+            weights this way (see :class:`~repro.hardware.
+            mapped_network.HardwareMappedNetwork.run_stream`).
         """
         if state is None:
             resolved = resolve_precision(precision) or np.dtype(np.float64)

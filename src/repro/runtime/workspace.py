@@ -80,7 +80,8 @@ class Workspace:
     # -- checkout / return --------------------------------------------------
     @staticmethod
     def _key(shape, dtype) -> tuple:
-        return (tuple(int(s) for s in shape), np.dtype(dtype).str)
+        # Built on every checkout, so kept cheap: equal dtypes hash equal.
+        return (tuple(map(int, shape)), np.dtype(dtype))
 
     def empty(self, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialised buffer of exactly ``(shape, dtype)``.
@@ -96,7 +97,7 @@ class Workspace:
             del self._idle[id(arr)]
             self.hits += 1
         else:
-            arr = np.empty(key[0], dtype=np.dtype(key[1]))
+            arr = np.empty(*key)
             self.misses += 1
         self._lent[id(arr)] = (key, arr)
         return arr

@@ -12,8 +12,9 @@ micro-batcher says one is due:
    :class:`~repro.core.engine.StreamState` slab (one row per session)
    into one batched state, one ``np.take`` per array
    (:meth:`~repro.core.engine.StreamState.gather`), and copy the chunks
-   into one padded ``(B, T_max, n_in)`` workspace buffer (rows shorter
-   than ``T_max`` are zero-padded and tracked via ``lengths``);
+   into one padded time-major ``(T_max, B, n_in)`` workspace buffer (rows
+   shorter than ``T_max`` are zero-padded and tracked via ``lengths``,
+   which a tick of equal-length chunks leaves out);
 3. **run** — a single :meth:`~repro.core.network.SpikingNetwork.run_stream`
    call advances all sessions at once;
 4. **scatter** — write the advanced rows back to the slab, one indexed
@@ -105,8 +106,10 @@ class ModelServer:
     Parameters
     ----------
     network:
-        The model to serve (weights are read at every tick, so hot-swapping
-        weights in place between ticks is safe).
+        The model to serve.  Its weights are programmed into the server
+        when it is built, like a crossbar's: an in-place edit of the
+        network's weight arrays afterwards is not served by ticks — build
+        a new server (or deploy) to serve new weights.
     engine:
         Only ``"fused"`` (the default): every stream runs the fused
         engine, whose batching is bitwise-transparent.  Any other value
@@ -123,10 +126,9 @@ class ModelServer:
         HardwareMappedNetwork` **mapped from this network**.  When given
         (and ``shadow`` is off) the server serves the hardware
         realization: every tick substitutes the crossbars' achieved
-        weights into the crossbar products (re-read through the mapped
-        network's generation-keyed cache, so a ``reprogram()`` between
-        ticks hot-swaps the served realization exactly like swapping
-        ideal weights does).
+        weights into the crossbar products (programmed into the server
+        once per programming generation of the mapped network, so a
+        ``reprogram()`` between ticks is served from the next tick).
     shadow:
         Serve the *ideal* model but also advance a hardware shadow stream
         per session on the same chunks, recording per-chunk output
@@ -219,6 +221,9 @@ class ModelServer:
         self.model_profile: str | None = None
         self.model_meta: dict = {}
         self._workspace = Workspace()
+        # The served weights, programmed once (see _served_weights).
+        self._programmed: dict = {}
+        self._served_weights()
         # Resident stream state, one row per session (a shadow-mode
         # server carries the hardware shadow streams in a second slab).
         self._slab = StreamState.for_network(network, 1, dtype=self.dtype)
@@ -601,27 +606,45 @@ class ModelServer:
             self._event("session.reaped", session=sid)
 
     # -- the tick ------------------------------------------------------------
+    def _served_weights(self, hardware: bool = False) -> list[np.ndarray]:
+        """The weights ticks serve, as the engine's ``(n_out, n_in)``
+        overrides: ``.T`` views of crossbar-layout ``(n_in, n_out)``
+        copies in the server's dtype, which the crossbar product reads in
+        place.  The software copy is programmed from the network once (at
+        construction, and again after :meth:`close`); the hardware copy
+        once per programming generation — the mapped network's
+        ``weight_list()`` returns a new list only after a re-programming.
+        """
+        source = self.hardware.weight_list() if hardware else None
+        programmed = self._programmed.get(hardware)
+        if programmed is None or programmed[0] is not source:
+            weights = source if hardware else self.network.weights
+            programmed = self._programmed[hardware] = (source, [
+                np.array(w.T, dtype=self.dtype, order="C").T
+                for w in weights])
+        return programmed[1]
+
     def _primary_weights(self):
         """``(weight_overrides, degraded)`` for the primary tick run.
 
-        ``None`` overrides serve the resident network's own (ideal)
-        weights; in hardware mode the mapped network's generation-keyed
-        cache supplies the achieved weights, so a ``reprogram()``
-        between ticks is observed on the very next tick.  A failing
-        hardware weight read (a real error, or the ``hw.weights.stale``
-        fault site) degrades to the ideal weights instead of failing
-        the tick — the second rung of the degradation ladder — and the
-        chunks it serves are stamped ``degraded=True``.
+        The ideal weights are the network's as programmed into the
+        server; in hardware mode the achieved weights of the current
+        programming generation are served, so a ``reprogram()`` between
+        ticks is observed on the very next tick.  A failing hardware
+        weight read (a real error, or the ``hw.weights.stale`` fault
+        site) degrades to the ideal weights instead of failing the tick
+        — the second rung of the degradation ladder — and the chunks it
+        serves are stamped ``degraded=True``.
         """
         if self.hardware is None or self.shadow:
-            return None, False
+            return self._served_weights(), False
         try:
             _faults.maybe_raise("hw.weights.stale")
-            return self.hardware.weight_list(), False
+            return self._served_weights(hardware=True), False
         except Exception:
             self._counters["weight_fallbacks"].inc()
             self._event("serve.weight_fallback")
-            return None, True
+            return self._served_weights(), True
 
     @property
     def shadow_disabled(self) -> bool:
@@ -686,18 +709,22 @@ class ModelServer:
             _faults.maybe_raise("serve.tick.raise")
         clock = self._trace_clock if span is not None else None
         ws = self._workspace
-        n_in = self.network.sizes[0]
         count = len(requests)
-        lengths = np.fromiter((r.steps for r in requests), np.int64, count)
+        lengths = [r.steps for r in requests]
         rows = np.fromiter((r.session.row for r in requests), np.intp, count)
-        t_max = int(lengths.max())
+        t_max = max(lengths)
         t0 = clock() if clock is not None else 0.0
-        xs = ws.empty((count, t_max, n_in), self.dtype)
+        # Time-major, so layer 0's product lands in (t, b) order uncopied;
+        # the engine reads the batch-major view.
+        xs = ws.empty((t_max, count, self.network.sizes[0]), self.dtype)
         for row, request in enumerate(requests):
             steps = request.steps
-            xs[row, :steps] = request.chunk
+            xs[:steps, row] = request.chunk
             if steps < t_max:
-                xs[row, steps:] = 0.0
+                xs[steps:, row] = 0.0
+        xs = xs.swapaxes(0, 1)
+        steps_served = sum(lengths)
+        lengths = None if steps_served == count * t_max else lengths
         batched = self._slab.gather(rows)
         t1 = clock() if clock is not None else 0.0
         outputs, _ = self.network.run_stream(xs, batched,
@@ -731,7 +758,7 @@ class ModelServer:
                      compute_ms=(t2 - t1) * 1e3,
                      scatter_ms=(end - t2) * 1e3)
         self._counters["completed"].inc(count)
-        self._counters["steps"].inc(int(lengths.sum()))
+        self._counters["steps"].inc(steps_served)
         if degraded:
             self._counters["degraded_chunks"].inc(count)
         if retried:
@@ -807,7 +834,7 @@ class ModelServer:
             shadow_batched = self._shadow_slab.gather(rows)
             shadow_out, _ = self.network.run_stream(
                 xs, shadow_batched, lengths=lengths, workspace=ws,
-                weights=self.hardware.weight_list())
+                weights=self._served_weights(hardware=True))
             self._shadow_slab.scatter(rows, shadow_batched)
             divergences = [
                 float(np.mean(outputs[row, :request.steps]
@@ -904,8 +931,10 @@ class ModelServer:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Fail any queued chunk, drop all sessions and pooled buffers,
-        and shrink the slabs back to one row (idempotent)."""
+        """Fail any queued chunk, drop all sessions, pooled buffers and
+        programmed weights, and shrink the slabs back to one row
+        (idempotent).  A server used again programs its weights from its
+        network at its next tick."""
         if self.batcher.pending:
             self.fail_pending("server closed")
         for session in [*self._sessions.values(), *self._closing]:
@@ -918,6 +947,7 @@ class ModelServer:
             self._shadow_slab = StreamState.for_network(self.network, 1,
                                                         dtype=self.dtype)
         self._free_rows = [0]
+        self._programmed.clear()
         self._workspace.reclaim()
 
     def __enter__(self) -> "ModelServer":

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError, ShapeError, StateError
-from repro.core import SpikingNetwork
+from repro.core import SpikingNetwork, engine
 from repro.hardware import (
     HardwareMappedNetwork,
     HardwareProfile,
     RRAMDeviceConfig,
     accuracy_under_variation,
 )
-from repro.runtime import WorkerPool
+from repro.runtime import WorkerPool, Workspace
 
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
@@ -47,6 +47,19 @@ def make_mapped(variation=0.1, read_noise=0.0, seed=3, net=None):
 def make_inputs(batch=BATCH, steps=STEPS, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.random((batch, steps, SIZES[0])) < DENSITY).astype(np.float64)
+
+
+def spy_products(monkeypatch) -> list:
+    """Collect the weight operand of every crossbar product."""
+    operands = []
+    product = engine._Events.matmul
+
+    def matmul(events, w, ws=None):
+        operands.append(w)
+        return product(events, w, ws)
+
+    monkeypatch.setattr(engine._Events, "matmul", matmul)
+    return operands
 
 
 def stream_in_chunks(mapped, x, chunk, precision=None, read_noise_rng=None):
@@ -173,6 +186,66 @@ class TestWeightProvider:
         plain, _ = net.run_stream(x)
         overridden, _ = net.run_stream(x, weights=list(net.weights))
         assert np.array_equal(plain, overridden)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_crossbar_layout_override_is_read_in_place(self, monkeypatch,
+                                                       precision):
+        """The ``.T`` view of an ``(n_in, n_out)`` array in the run's
+        dtype reaches the crossbar product uncopied, and no workspace
+        buffer stands in for it."""
+        net = make_net()
+        crossbar = [np.array(w.T, dtype=precision, order="C")
+                    for w in net.weights]
+        ws = Workspace()
+        lent = []
+        checkout = ws.empty
+        monkeypatch.setattr(ws, "empty", lambda shape, dtype=np.float64:
+                            lent.append(checkout(shape, dtype)) or lent[-1])
+        operands = spy_products(monkeypatch)
+        x = make_inputs(batch=2, steps=6)
+        got, _ = net.run_stream(x, precision=precision, workspace=ws,
+                                weights=[c.T for c in crossbar])
+        assert len(operands) == len(crossbar) and lent
+        for operand, array in zip(operands, crossbar):
+            assert np.shares_memory(operand, array)
+            assert not any(np.shares_memory(operand, buf) for buf in lent)
+        plain, _ = net.run_stream(x, precision=precision)
+        assert np.array_equal(got, plain)
+
+    def test_other_layouts_and_dtypes_are_copied(self, monkeypatch):
+        """A row-major override, or a crossbar-layout one in another
+        dtype, costs one copy and serves the same values."""
+        net = make_net()
+        x = make_inputs(batch=2, steps=6)
+        row_major = [w.copy() for w in net.weights]
+        narrow = [np.array(w.T, dtype=np.float32, order="C")
+                  for w in net.weights]
+        operands = spy_products(monkeypatch)
+        got_row_major, _ = net.run_stream(x, weights=row_major)
+        got_narrow, _ = net.run_stream(x, weights=[c.T for c in narrow])
+        assert len(operands) == len(row_major + narrow)
+        for operand, array in zip(operands, row_major + narrow):
+            assert not np.shares_memory(operand, array)
+        assert np.array_equal(got_row_major, net.run_stream(x)[0])
+        widened = [np.array(c.T, dtype=np.float64) for c in narrow]
+        assert np.array_equal(got_narrow,
+                              net.run_stream(x, weights=widened)[0])
+
+    def test_hard_reset_gain_never_writes_the_override(self, monkeypatch):
+        net = SpikingNetwork(SIZES, rng=1, neuron_kind="hard_reset_euler")
+        for layer in net.layers:
+            layer.weight *= 30.0
+        assert net.layers[0].neuron.input_gain != 1.0
+        crossbar = [np.array(w.T, order="C") for w in net.weights]
+        before = [c.copy() for c in crossbar]
+        operands = spy_products(monkeypatch)
+        x = make_inputs(batch=2, steps=6)
+        got, _ = net.run_stream(x, weights=[c.T for c in crossbar])
+        assert all(np.array_equal(c, b) for c, b in zip(crossbar, before))
+        assert not any(np.shares_memory(operand, array)
+                       for operand, array in zip(operands, crossbar))
+        assert np.array_equal(got, net.run_stream(x)[0])
+        assert got.any()
 
 
 class TestHardwareProfile:

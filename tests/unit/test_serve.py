@@ -165,6 +165,71 @@ class TestModelServer:
             assert np.array_equal(solo[0], ticket.outputs)
             assert server.session(sid).steps == chunk.shape[0]
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("mode", ["plain", "hardware", "shadow"])
+    def test_uniform_and_padded_ticks_match_one_shot(self, monkeypatch,
+                                                     precision, mode):
+        """A tick of equal-length chunks runs without ``lengths``, a tick
+        of mixed lengths pads; either way each session's outputs equal
+        its solo one-shot run bit for bit (and the shadow stream its
+        solo hardware run)."""
+        net = make_net()
+        mapped = (None if mode == "plain"
+                  else TestHardwareServing.make_mapped(net, variation=0.4))
+        server = ModelServer(net, precision=precision, max_batch=8,
+                             max_wait_ms=1e6, hardware=mapped,
+                             shadow=mode == "shadow")
+        served_lengths = []
+        run_stream = net.run_stream
+
+        def spy(chunk, state=None, **kwargs):
+            served_lengths.append(kwargs["lengths"])
+            return run_stream(chunk, state, **kwargs)
+
+        monkeypatch.setattr(net, "run_stream", spy)
+        data = [make_chunk(steps=6 + tail, seed=20 + i)
+                for i, tail in enumerate([1, 9, 4])]
+        sids = [server.open_session() for _ in data]
+        tickets = []
+        for part in (slice(0, 6), slice(6, None)):
+            tickets.append([server.submit(sid, x[part])
+                            for sid, x in zip(sids, data)])
+            assert server.flush() == len(data)
+        runs = 2 if mode == "shadow" else 1
+        assert [lengths is None for lengths in served_lengths] == (
+            [True] * runs + [False] * runs)
+        assert server.stats["ticks"] == 2
+        for index, x in enumerate(data):
+            got = np.concatenate([tick[index].outputs for tick in tickets])
+            model = mapped if mode == "hardware" else net
+            expected, _ = model.run(x[None], precision=precision)
+            assert got.dtype == np.dtype(precision)
+            assert np.array_equal(got, expected[0])
+            if mode == "shadow":
+                hardware, _ = mapped.run(x[None], precision=precision)
+                for part, tick in zip((slice(0, 6), slice(6, None)),
+                                      tickets):
+                    assert tick[index].divergence == pytest.approx(float(
+                        np.mean(expected[0, part] != hardware[0, part])))
+
+    def test_served_weights_are_fixed_when_the_server_is_built(self):
+        """Ticks serve the weights the server programmed when it was
+        built: an in-place edit of the network afterwards is served only
+        by a new server."""
+        net = make_net()
+        chunk = make_chunk(steps=8, seed=3)
+        before, _ = net.run(chunk[None])
+        server = ModelServer(net)
+        for layer in net.layers:
+            layer.weight *= 0.5
+        after, _ = net.run(chunk[None])
+        assert not np.array_equal(before, after)
+        assert np.array_equal(server.infer(server.open_session(), chunk),
+                              before[0])
+        fresh = ModelServer(net)
+        assert np.array_equal(fresh.infer(fresh.open_session(), chunk),
+                              after[0])
+
     def test_infer_and_session_bookkeeping(self):
         server = ModelServer(make_net(), max_batch=2, max_wait_ms=0.0)
         sid = server.open_session()
@@ -306,6 +371,29 @@ class TestHardwareServing:
             float(np.mean(ideal[0, :5] != hardware[0, :5])))
         assert divs[1] == pytest.approx(
             float(np.mean(ideal[0, 5:] != hardware[0, 5:])))
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_reprogram_is_served_on_the_next_tick(self, shadow):
+        net = make_net()
+        mapped = self.make_mapped(net, variation=0.4)
+        server = ModelServer(net, hardware=mapped, shadow=shadow,
+                             max_batch=4, max_wait_ms=1.0)
+        chunk = make_chunk(steps=12, seed=4)
+        ideal, _ = net.run(chunk[None])
+        realizations = []
+        for _ in range(2):
+            ticket = server.submit(server.open_session(), chunk)
+            server.flush()
+            hardware, _ = mapped.run(chunk[None])
+            realizations.append(hardware[0])
+            if shadow:
+                assert np.array_equal(ticket.outputs, ideal[0])
+                assert ticket.divergence == pytest.approx(
+                    float(np.mean(ideal[0] != hardware[0])))
+            else:
+                assert np.array_equal(ticket.outputs, hardware[0])
+            mapped.reprogram()
+        assert not np.array_equal(*realizations)
 
     def test_mode_validation(self):
         net = make_net()

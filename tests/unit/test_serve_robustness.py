@@ -184,6 +184,8 @@ class TestWeightFallback:
         net = make_net()
         chunk = make_chunk()
         server = make_server(net, hardware=make_mapped(net))
+        for layer in net.layers:   # not served: the copy was programmed
+            layer.weight *= 0.5
         sid = server.open_session(now=0.0)
         plan = FaultPlan((FaultRule("hw.weights.stale", nth=(1,)),), seed=0)
         with faults.active(plan):
@@ -192,7 +194,8 @@ class TestWeightFallback:
             assert ticket.ok and ticket.degraded
             assert server.stats["weight_fallbacks"] == 1
             assert server.stats["degraded_chunks"] == 1
-            # Degraded chunks are served through the ideal weights.
+            # Degraded chunks are served through the server's copy of the
+            # ideal weights.
             ideal = make_server(make_net())
             expected = ideal.infer(ideal.open_session(now=0.0), chunk,
                                    now=0.0)

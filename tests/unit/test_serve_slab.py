@@ -9,8 +9,9 @@ reclaims the row, and only when every row is still held does the slab
 double.  Pinned here: the row lifecycle on every settle path, that a
 closed session's queued chunk is still served bitwise, the slab's size
 and the process's memory under long session churn, that closing the
-server shrinks the slab back to one row, and that serving ticks leave
-the engine's one-shot input memo alone.
+server shrinks the slab back to one row and drops its programmed weight
+copies, and that serving ticks leave the engine's one-shot input memo
+alone.
 """
 
 import tracemalloc
@@ -225,9 +226,14 @@ class TestSlabBounds:
         assert ticket.done and not ticket.ok and session.row is None
         assert server.sessions == 0 and held_rows(server) == 0
         assert server.check_invariants()["failed"] == 1
+        assert not server._programmed   # the weight copies are dropped
         server.close()   # idempotent
+        for layer in net.layers:
+            layer.weight *= 0.5
         sid = server.open_session(now=0.0)
-        assert server.infer(sid, make_chunk(), now=0.0).shape == (6, 12)
+        expected, _ = net.run(make_chunk()[None])
+        assert np.array_equal(server.infer(sid, make_chunk(), now=0.0),
+                              expected[0])   # programmed again from net
 
     def test_a_retired_replica_holds_no_peak_slab(self):
         fleet = Fleet(make_net(), replicas=1, max_batch=4, max_wait_ms=0.0)
@@ -243,6 +249,7 @@ class TestSlabBounds:
             fleet.deploy_canary(weight=0.5)
             fleet.promote_canary()
             assert old.retired and old.server._slab.batch == 1
+            assert not old.server._programmed   # no weight copy held
             fleet.check_invariants()
         finally:
             fleet.close()
