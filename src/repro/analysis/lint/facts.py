@@ -46,7 +46,8 @@ __all__ = [
 #: Layer of each ``repro`` subpackage.  A module-level import must target
 #: a *strictly lower* layer (or its own package); function-level imports
 #: are the sanctioned pattern for the few upward edges
-#: (``common.faults`` -> ``obs`` events, ``core.trainer`` -> ``runtime``).
+#: (``common.faults`` -> ``obs`` events, ``core.trainer`` -> ``runtime``,
+#: ``core.engine`` -> ``runtime.workspace`` for one-shot runs' arena).
 DEFAULT_LAYERS = {
     "common": 0,
     "obs": 1,

@@ -17,16 +17,16 @@ splits into
   10), inherently sequential (the spike at ``t`` feeds the reset filter
   at ``t+1``) but elementwise on ``(batch, n_out)`` slices.
 
-Memory layout: every engine buffer is **time-major**, ``(T, batch, n)``,
-so each step of the threshold loop, the BPTT ``delta_v`` loop and the
-scans touches one contiguous ``(batch, n)`` slice.  Public shapes stay
-``(batch, T, n)``: outputs and record tensors are ``swapaxes`` views of
-the buffers.  The caller's batch-major input is never transposed: its
-events are read in their own ``(b, t)`` row order (:func:`_spike_events`)
-and only the narrow crossbar product is copied into a time-major buffer;
-the backward transposes the output gradient in once and layer 0's
-adjoint back out once, so each weight gradient contracts over its
-input's events in their memory order.
+Memory layout: one row order.  Every engine buffer and every event list
+is **time-major**, ``(T, batch, n)``, so each step of the threshold loop,
+the BPTT ``delta_v`` loop and the scans touches one contiguous
+``(batch, n)`` slice.  Public shapes stay ``(batch, T, n)``: outputs and
+record tensors are ``swapaxes`` views of the buffers.  The caller's
+batch-major input is never transposed: a mask of its own memory is
+copied time-major and its events are listed in ``(t, b)`` row order
+(:func:`_spike_events`); the backward transposes the output gradient in
+once, so each weight gradient contracts over its input's events as the
+adjoint lies.
 
 One kernel per neuron kind: :func:`_adaptive_forward` and
 :func:`_hard_reset_forward` advance a carried per-layer state (the
@@ -39,16 +39,22 @@ row is an independent sum over that row's events in index order, so a
 sample's spikes and membrane values are bitwise the same alone, inside a
 batch, split into chunks, or with the rows in either order.  (A dense
 GEMM has no such guarantee: BLAS picks different kernels for different
-row counts.)  The backward (:func:`fused_backward`) applies the same
-split to the BPTT adjoints of :mod:`repro.core.backprop`: an elementwise
-``delta_v`` recurrence, one sparse weight-gradient contraction over
-``(T, batch)``, one batched input-gradient matmul.
+row counts.)  Events pass between layers from the threshold comparison:
+each kernel writes ``v >= v_th`` into a boolean buffer, copies its float
+spikes from it and returns it, and the next layer's events are one
+``nonzero`` of that mask with unit values (:func:`_mask_events`), never
+a re-scan of the float train.  The backward (:func:`fused_backward`)
+applies the same split to the BPTT adjoints of
+:mod:`repro.core.backprop`: an elementwise ``delta_v`` recurrence, one
+sparse weight-gradient contraction over ``(T, batch)``, one batched
+input-gradient matmul.
 
 Repeated input: a Fig. 8 sweep runs one fixed evaluation set once per
 programming draw, so one-shot runs remember recent batch-major caller
 inputs' events and final filter states ``layer.k``, checked by content
-on every call (:class:`_InputMemo`).  Stream chunks (new on every call)
-and hidden layers' events are always built afresh.
+in the caller's memory order on every call (:class:`_InputMemo`).
+Stream chunks (new on every call) and hidden layers' events are always
+built afresh.
 
 Precision: every entry point accepts ``precision="float32"|"float64"``
 (:func:`resolve_precision`); float32 halves memory traffic, at the cost of
@@ -60,6 +66,10 @@ Workspace reuse: every entry point also accepts an optional
 the large buffers, crossbar products included, with identical results;
 the caller (a trainer, a pool worker, a server) recycles the returned
 tensors, and releasing a ``swapaxes`` view returns the buffer behind it.
+A one-shot :func:`fused_run` given neither a workspace nor ``record`` takes its
+temporaries from its thread's arena (:func:`_arena`, idle bytes capped
+by ``_ARENA_BYTES``): it returns a plain copy of its output and leaves
+nothing lent, even when it raises.
 
 Equivalence with the step-wise reference is tested in
 ``tests/unit/test_engine.py`` and ``tests/property/test_engine_properties.py``;
@@ -67,6 +77,8 @@ the speed is measured by ``perfbench/run.py`` (``docs/performance.md``).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -227,42 +239,46 @@ class _Events:
         return out
 
 
-def _spike_csr(flat: np.ndarray, ws=None, memo_shape=None) -> _Events:
+def _csr(idx, data, columns, m: int, n: int) -> _Events:
+    """:class:`_Events` from sorted flat event indices ``idx`` into ``m``
+    rows of width ``n``: the row pointers are one ``searchsorted`` of the
+    rows' first flat indices."""
+    bounds = np.arange(0, (m + 1) * n, n)
+    return _Events(data, columns, idx.searchsorted(bounds), (m, n))
+
+
+def _spike_csr(flat: np.ndarray, ws=None) -> _Events:
     """The :class:`_Events` of an ``(m, n)`` spike matrix, whatever its
     size or density: one ``nonzero`` scan (indices come out sorted,
     i.e. canonical CSR order) plus a ``searchsorted`` for the row
     pointers (``scipy.sparse.csr_matrix(dense)`` costs as much as the
-    GEMM it is meant to replace).  ``ws`` serves
-    the constant row-boundary scratch from its cache.  ``memo_shape``
-    (the caller's input shape) routes the build through the input memo:
-    one ``!= 0`` mask serves the content check and, on a miss, the
-    build, whose result is remembered.
+    GEMM it is meant to replace).  ``ws`` serves the boolean mask.
     """
     m, n = flat.shape
     # Explicit bool compare first: nonzero on a float array pays an
     # extra full-size temporary and runs ~3x slower.
     raveled = np.ascontiguousarray(flat).reshape(-1)
-    mask = raveled != 0
-    if memo_shape is not None:
-        memo = _input_memo
-        count = np.count_nonzero(mask)
-        for slot in memo:
-            if slot.holds(memo_shape, raveled, count):
-                _remember(slot, memo)
-                return slot.csr
+    mask = _ws_empty(ws, raveled.shape, np.bool_)
+    np.not_equal(raveled, 0, out=mask)
     idx = mask.nonzero()[0]   # the method: no Python-level wrapper
-    bounds = (ws.row_bounds(m, n) if ws is not None
-              else np.arange(0, (m + 1) * n, n))
-    csr = _Events(raveled[idx], idx % n, idx.searchsorted(bounds),
-                  (m, n))
-    if memo_shape is not None:
-        _remember(_InputMemo(memo_shape, idx, csr), memo)
-    return csr
+    _ws_release(ws, mask)
+    return _csr(idx, raveled[idx], idx % n, m, n)
+
+
+def _mask_events(mask: np.ndarray, dtype) -> _Events:
+    """The :class:`_Events` of a time-major ``(T, batch, n)`` spike train
+    from the boolean threshold comparison a kernel returned: one
+    ``nonzero`` of the bools and unit values, the arrays
+    :func:`_spike_csr` builds from the float train (spikes are ``1.0``)."""
+    steps, batch, n = mask.shape
+    idx = mask.reshape(-1).nonzero()[0]
+    return _csr(idx, np.ones(len(idx), dtype), idx % n, steps * batch, n)
 
 
 class _InputMemo:
     """One remembered batch-major caller input, by its events: shape,
-    dtype, sorted flat event indices and CSR (read-only: hits share
+    dtype, each event's flat index into the caller's memory (in the
+    events' time-major order) and CSR (read-only: hits share
     them), plus ``k = (alpha, final filter state)`` once a one-shot run
     computed it (the shape fixes ``T``).  ``nbytes`` counts the events
     (24 bytes each in float64: flat index, value, column) and the
@@ -318,25 +334,61 @@ def _remember(slot: _InputMemo, memo: tuple) -> None:
 
 
 def _spike_events(xs: np.ndarray, ws=None, dtype=None, remember=True):
-    """:class:`_Events` of a time-major ``(T, batch, n)`` spike view.
-
-    Returns ``(events, batch_major)``: an engine buffer's rows run
-    ``(t, b)``; a caller's batch-major array (seen through ``swapaxes``)
-    keeps its own ``(b, t)`` order, so the wide input is never transposed,
-    and goes through the input memo unless ``remember`` is off (a stream
-    chunk, new on every call).  ``dtype`` casts the events (a backward
-    at another precision).
-    """
-    batch_major = not xs.flags.c_contiguous
-    rows = xs.swapaxes(0, 1) if batch_major else xs
-    flat = rows.reshape(-1, xs.shape[2])
+    """:class:`_Events` of a time-major ``(T, batch, n)`` spike view, rows
+    in ``(t, b)`` order.  An engine buffer is read as it lies.  A caller's
+    batch-major array (seen through ``swapaxes``) is masked in its own
+    memory order, for the input memo's check unless ``remember`` is off
+    (a stream chunk); a miss copies the bool mask time-major and reads
+    each event at its caller-memory index, which the memo keeps.
+    ``dtype`` casts the events (a backward at another precision)."""
     if dtype is not None:
-        flat = np.asarray(flat, dtype=dtype)
-    memo_shape = rows.shape if batch_major and remember else None
-    return _spike_csr(flat, ws, memo_shape), batch_major
+        xs = np.asarray(xs, dtype=dtype)
+    steps, batch, n = xs.shape
+    if xs.flags.c_contiguous:
+        return _spike_csr(xs.reshape(-1, n), ws)
+    shape = (batch, steps, n)
+    raveled = np.ascontiguousarray(xs.swapaxes(0, 1)).reshape(-1)
+    # A hit checks out both masks too, so hits and misses reuse one set.
+    mask = _ws_empty(ws, shape, np.bool_)
+    rows = _ws_empty(ws, (steps, batch, n), np.bool_)
+    np.not_equal(raveled.reshape(shape), 0, out=mask)
+    if remember:
+        memo = _input_memo
+        count = np.count_nonzero(mask)
+        for slot in memo:
+            if slot.holds(shape, raveled, count):
+                _ws_release(ws, mask, rows)
+                _remember(slot, memo)
+                return slot.csr
+    np.copyto(rows, mask.swapaxes(0, 1))
+    idx = rows.reshape(-1).nonzero()[0]
+    _ws_release(ws, mask, rows)
+    # Flat time-major index (t*batch + b)*n + c -> caller's (b*T + t)*n + c.
+    row, columns = np.divmod(idx, n)
+    source = (np.arange(batch) * steps + np.arange(steps)[:, None]).ravel()
+    source = source[row] * n + columns
+    csr = _csr(idx, raveled[source], columns, steps * batch, n)
+    if remember:
+        _remember(_InputMemo(shape, source, csr), memo)
+    return csr
 
 
 # -- forward ----------------------------------------------------------------
+
+#: Idle bytes a thread's one-shot arena keeps between runs (a Fig. 8
+#: draw, 64 x 100 steps through 700-128-128-20, checks out ~40 MB).
+_ARENA_BYTES = 64 << 20
+_arenas = threading.local()
+
+
+def _arena():
+    """The calling thread's one-shot :class:`~repro.runtime.workspace.
+    Workspace` (a workspace is single-threaded state)."""
+    if not hasattr(_arenas, "ws"):
+        from ..runtime.workspace import Workspace   # runtime sits above core
+        _arenas.ws = Workspace(_ARENA_BYTES)
+    return _arenas.ws
+
 
 def _resolve_weight_override(layer, weight) -> np.ndarray:
     """The crossbar weight matrix of ``layer``: its own (``weight=None``)
@@ -399,42 +451,45 @@ def fused_layer_forward(layer, xs: np.ndarray, ws=None,
         raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
                          f"got {xs.shape[2]}")
     xs = xs.swapaxes(0, 1)
-    spikes, v = _run_layer(layer, xs, _spike_events(xs, ws), ws, weight)
+    spikes, v, mask = _run_layer(layer, xs, _spike_events(xs, ws), ws,
+                                 weight)
+    _ws_release(ws, mask)
     return spikes.swapaxes(0, 1), v.swapaxes(0, 1)
 
 
 def _run_layer(layer, xs, events, ws, weight):
     """One-shot run of ``layer`` over time-major ``xs`` from a zero state,
-    writing the final state back; returns time-major ``(spikes, v)``."""
+    writing the final state back; returns time-major ``(spikes, v,
+    mask)`` (see :func:`_layer_chunk`)."""
     dtype = xs.dtype
     steps, batch, n_in = xs.shape
     if steps == 0:
         layer.reset_state(batch, dtype=dtype)
         empty = np.zeros((0, batch, layer.n_out), dtype=dtype)
-        return empty, empty.copy()
+        return empty, empty.copy(), empty.astype(np.bool_)
 
     st = _zero_layer_state(layer, batch, dtype)
-    spikes, v = _layer_chunk(layer, xs, st, events, ws, weight)
+    spikes, v, mask = _layer_chunk(layer, xs, st, events, ws, weight)
     if layer.neuron_kind != "adaptive":
         # State parity with the step-wise path (whose reset_state zeroes
         # the unused synapse-filter buffer for hard-reset layers).
         layer.k = np.zeros((batch, n_in), dtype=dtype)
         layer.neuron.v = st["v"]
-        return spikes, v
+        return spikes, v, mask
 
     # Final filter state without the full trace: k[T-1] is the
     # alpha^(T-1-t)-weighted sum of the inputs, contracted over whichever
     # axis of the input's memory is time.
     decay_powers = (layer.alpha ** np.arange(steps - 1, -1, -1,
                                              dtype=np.float64)).astype(dtype)
-    if events[1]:   # the caller's batch-major input
-        layer.k = _caller_filter_state(xs.swapaxes(0, 1), events[0],
-                                       layer.alpha, decay_powers)
-    else:
+    if xs.flags.c_contiguous:
         layer.k = (decay_powers @ xs.reshape(steps, -1)).reshape(batch, n_in)
+    else:   # the caller's batch-major input
+        layer.k = _caller_filter_state(xs.swapaxes(0, 1), events,
+                                       layer.alpha, decay_powers)
     layer.neuron.h = st["h"]
     layer.neuron.last_output = st["o"]
-    return spikes, v
+    return spikes, v, mask
 
 
 def _caller_filter_state(inputs, csr, alpha, decay_powers) -> np.ndarray:
@@ -455,12 +510,12 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
                  lengths=None, ends=None):
     """Advance ``st`` over one time-major chunk ``xs`` of ``layer``'s input.
 
-    The crossbar product of ``events`` (:func:`_spike_events` of ``xs``)
-    for every step lands in a time-major buffer — through one copy of the
-    narrow product for batch-major input — which the neuron kind's kernel
-    scans in place.  Returns time-major ``(spikes, v)``.
+    The crossbar product of ``events`` (:func:`_spike_events` of ``xs``,
+    time-major rows) for every step is the time-major buffer the neuron
+    kind's kernel scans in place.  Returns time-major ``(spikes, v,
+    mask)``, ``mask`` the boolean ``v >= v_th`` the spikes were copied
+    from (the next layer's events, :func:`_mask_events`).
     """
-    events, batch_major = events
     steps, batch, _ = xs.shape
     weight = _resolve_weight_override(layer, weight)
     adaptive = layer.neuron_kind == "adaptive"
@@ -472,13 +527,7 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
     gain = 1.0 if adaptive else float(layer.neuron.input_gain)
     if gain != 1.0:
         w_t = w_t * xs.dtype.type(gain)
-    product = events.matmul(w_t, ws)
-    if batch_major:
-        gv = _ws_empty(ws, (steps, batch, product.shape[1]), xs.dtype)
-        np.copyto(gv, product.reshape(batch, steps, -1).swapaxes(0, 1))
-        _ws_release(ws, product)
-    else:
-        gv = product.reshape(steps, batch, -1)
+    gv = events.matmul(w_t, ws).reshape(steps, batch, -1)
     kernel = _adaptive_forward if adaptive else _hard_reset_forward
     return kernel(layer, gv, st, ws, lengths, ends)
 
@@ -496,7 +545,8 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     and the threshold loop with the carried ``h``/``o``; a zero state is
     the fresh start of a one-shot run.  ``lengths``/``ends`` (from
     :func:`_resolve_lengths`) capture each row's state at its own final
-    valid step.  Returns ``(spikes, v)``, both ``(T, batch, n_out)``.
+    valid step.  Returns ``(spikes, v, mask)``, all ``(T, batch, n_out)``:
+    ``mask`` holds ``v >= v_th`` as bools, the spikes' source.
     """
     dtype = gv.dtype
     steps, batch, n_out = gv.shape
@@ -516,6 +566,7 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         np.copyto(st["g"], gv[lengths - 1, np.arange(batch)])
 
     spikes = _ws_empty(ws, gv.shape, dtype)
+    mask = _ws_empty(ws, gv.shape, np.bool_)
     h = st["h"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
     h_final = o_final = None
@@ -530,8 +581,9 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         v_t = gv[t]
         np.multiply(h, theta, out=scratch)
         v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
-        o_t = spikes[t]
-        o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
+        o_t, m_t = spikes[t], mask[t]
+        np.greater_equal(v_t, v_th, out=m_t)   # O[t] = U(v[t] - Vth)
+        o_t[...] = m_t                         # (eq. 10/11)
         o_prev = o_t
         if ends is not None:
             rows = ends.get(t)
@@ -547,7 +599,7 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         np.copyto(st["o"], o_final)
         _ws_release(ws, h_final, o_final)
     _ws_release(ws, scratch)
-    return spikes, gv
+    return spikes, gv, mask
 
 
 def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
@@ -556,6 +608,7 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     The leaky-integrate/reset scan rewrites ``gv`` (the time-major product
     with the input gain folded in) in place; ``lengths`` is unused (rows
     are captured through ``ends``).  ``v`` is the pre-reset membrane.
+    Returns ``(spikes, v, mask)`` as :func:`_adaptive_forward` does.
     """
     dtype = gv.dtype
     steps, batch, n_out = gv.shape
@@ -564,6 +617,7 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     v_th = neuron.params.v_th
 
     spikes = _ws_empty(ws, gv.shape, dtype)
+    mask = _ws_empty(ws, gv.shape, np.bool_)
     v_post = st["v"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
     v_final = None
@@ -573,8 +627,9 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         v_t = gv[t]
         np.multiply(v_post, alpha, out=scratch)
         v_t += scratch                    # v_pre[t] = alpha*v_post[t-1] + j[t]
-        o_t = spikes[t]
-        o_t[...] = v_t >= v_th
+        o_t, m_t = spikes[t], mask[t]
+        np.greater_equal(v_t, v_th, out=m_t)
+        o_t[...] = m_t
         np.subtract(1.0, o_t, out=scratch)
         np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
         if ends is not None:
@@ -585,7 +640,7 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         np.copyto(st["v"], v_final)
         _ws_release(ws, v_final)
     _ws_release(ws, scratch)
-    return spikes, gv
+    return spikes, gv, mask
 
 
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
@@ -600,7 +655,9 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     per-layer ``v``/``spikes`` the kernels materialise anyway, never the
     ``k`` trace (derived on first read).  With a workspace and
     ``record=False`` each intermediate tensor is recycled once the next
-    layer has consumed it.  Each layer runs its kernel from a zero state,
+    layer has consumed it; with neither, the temporaries come from the
+    thread's arena (:func:`_arena`) and ``outputs`` views a plain copy.
+    Each layer runs its kernel from a zero state,
     so the outputs equal a stream of the whole sequence as one chunk.
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
@@ -614,14 +671,27 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     from .layers import LayerStepRecord   # local import: avoids a cycle
     from .network import RunRecord
 
+    if ws is None and not record:
+        arena = _arena()
+        try:
+            outputs, _ = fused_run(network, inputs, ws=arena, weights=weights)
+        except BaseException:
+            arena.reclaim()   # forget this run's leases
+            raise
+        copy = outputs.copy(order="K")   # time-major memory, like x
+        arena.release(outputs)
+        return copy, None
     weights = _per_layer_weights(network, weights)
     x = inputs.swapaxes(0, 1)
     layer_records: list[LayerStepRecord] = []
     input_events = []
+    events = _spike_events(x, ws)
     for index, (layer, weight) in enumerate(zip(network.layers, weights)):
-        events = _spike_events(x, ws)
         input_events.append(events)
-        spikes, v = _run_layer(layer, x, events, ws, weight)
+        spikes, v, mask = _run_layer(layer, x, events, ws, weight)
+        if index < len(network.layers) - 1:
+            events = _mask_events(mask, spikes.dtype)
+        _ws_release(ws, mask)
         if record:
             layer_input = inputs if index == 0 else layer_records[-1].spikes
             layer_records.append(LayerStepRecord.for_layer(
@@ -795,11 +865,14 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     if steps == 0:
         return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
     x = chunk.swapaxes(0, 1)
+    events = _spike_events(x, ws, remember=False)
     for index, (layer, st, weight) in enumerate(
             zip(network.layers, state.layers, weights)):
-        spikes, v = _layer_chunk(layer, x, st, _spike_events(
-            x, ws, remember=False), ws, weight, lengths, ends)
-        _ws_release(ws, v)
+        spikes, v, mask = _layer_chunk(layer, x, st, events, ws, weight,
+                                       lengths, ends)
+        if index < len(network.layers) - 1:
+            events = _mask_events(mask, spikes.dtype)
+        _ws_release(ws, v, mask)
         if index > 0:
             _ws_release(ws, x)
         x = spikes
@@ -863,7 +936,7 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
         # Reuse the forward pass's conversion unless the backward runs at
         # another precision (then the contraction rebuilds it).
         events = cached_events[index] if cached_events else None
-        if events is None or events[0].dtype != dtype:
+        if events is None or events.dtype != dtype:
             events = _spike_events(record.layer_input(index).swapaxes(0, 1),
                                    dtype=dtype)
         defer = index == 0 and need_input_grad
@@ -914,18 +987,11 @@ def _swap_time_batch(tensor: np.ndarray, dtype, ws=None) -> np.ndarray:
 def _weight_grad(adjoint: np.ndarray, events, ws=None) -> np.ndarray:
     """``sum_{t,b} adjoint[t,b]^T x[t,b]`` over the layer input's events.
 
-    ``adjoint`` is time-major; ``events`` is :func:`_spike_events` of the
-    layer input.  A batch-major input (the network input) is contracted
-    in its own ``(b, t)`` row order, so the adjoint is copied out to that
-    order once rather than transposing the wide input.
+    ``adjoint`` and ``events`` (of the layer input) are both time-major,
+    so the contraction reads the adjoint as it lies.
     """
-    events, batch_major = events
     n_out = adjoint.shape[2]
-    rows = (_swap_time_batch(adjoint, adjoint.dtype, ws) if batch_major
-            else adjoint)
-    product = events.t_matmul(rows.reshape(-1, n_out), ws)   # (n_in, n_out)
-    if batch_major:
-        _ws_release(ws, rows)
+    product = events.t_matmul(adjoint.reshape(-1, n_out), ws)  # (n_in, n_out)
     grad = np.ascontiguousarray(product.T)
     _ws_release(ws, product)
     return grad

@@ -96,11 +96,12 @@ class ErfcSurrogate(SurrogateGradient):
 
     def derivative(self, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-        # exp(-(x*x) / (2 sigma^2)) / (sqrt(2 pi) sigma)
+        # exp(-(x*x) / (2 sigma^2)) / (sqrt(2 pi) sigma); the sign rides
+        # on the divisor: IEEE division is sign-symmetric, so a/(-b) has
+        # the bits of (-a)/b without a pass of its own.
         out = self._start(x, out)
         np.multiply(out, out, out=out)
-        np.negative(out, out=out)
-        np.divide(out, 2.0 * self.sigma ** 2, out=out)
+        np.divide(out, -(2.0 * self.sigma ** 2), out=out)
         np.exp(out, out=out)
         np.divide(out, np.sqrt(2.0 * np.pi) * self.sigma, out=out)
         return out

@@ -82,13 +82,18 @@ def quantize_conductances(conductances: np.ndarray,
     :meth:`RRAMCellArray.quantize_targets` at map time, the trainer's
     fake-quant forward at train time
     (:func:`repro.hardware.quantization.fake_quantize`) — calls this one
-    function, so the two grids cannot drift apart.
+    function, so the two grids cannot drift apart.  The clip makes the
+    one new array; every later step runs in place on it.
     """
     cfg = config
-    conductances = np.clip(conductances, cfg.g_min, cfg.g_max)
+    grid = np.clip(conductances, cfg.g_min, cfg.g_max)
     step = (cfg.g_max - cfg.g_min) / (cfg.levels - 1)
-    indices = np.round((conductances - cfg.g_min) / step)
-    return cfg.g_min + indices * step
+    grid -= cfg.g_min
+    grid /= step
+    np.round(grid, out=grid)     # the level index
+    grid *= step
+    grid += cfg.g_min
+    return grid
 
 
 def program_conductances(conductances: np.ndarray,
@@ -114,7 +119,9 @@ def program_conductances(conductances: np.ndarray,
     caller passing the array's own rng stream reproduces the array's
     programming bitwise.  ``targets`` short-circuits the snap/clip when
     the caller already computed the programming targets (``quantize`` is
-    then ignored) — the array avoids running the ladder snap twice.
+    then ignored) — the array avoids running the ladder snap twice.  The
+    caller's arrays are never written; the result is a new array, and
+    each step works in place on the pass's own temporaries.
     """
     cfg = config
     if targets is not None:
@@ -123,16 +130,19 @@ def program_conductances(conductances: np.ndarray,
         conductances = np.asarray(conductances, dtype=np.float64)
         target = quantize_conductances(conductances, cfg) if quantize \
             else np.clip(conductances, cfg.g_min, cfg.g_max)
-    achieved = target
     if rng is not None and cfg.variation > 0:
-        factor = rng.lognormal(0.0, cfg.variation, target.shape)
-        achieved = target / factor
-    achieved = np.clip(achieved, cfg.g_min, cfg.g_max)
+        # The draw's own buffer becomes the result: lognormal factor ->
+        # target divided into it -> clipped into it.
+        achieved = rng.lognormal(0.0, cfg.variation, target.shape)
+        np.divide(target, achieved, out=achieved)
+        np.clip(achieved, cfg.g_min, cfg.g_max, out=achieved)
+    else:
+        achieved = np.clip(target, cfg.g_min, cfg.g_max)
     if rng is not None and cfg.stuck_at_rate > 0:
         faulty = rng.random(target.shape) < cfg.stuck_at_rate
         stuck_low = rng.random(target.shape) < 0.5
-        achieved = np.where(
-            faulty, np.where(stuck_low, cfg.g_min, cfg.g_max), achieved)
+        np.copyto(achieved, np.where(stuck_low, cfg.g_min, cfg.g_max),
+                  where=faulty)
     return achieved
 
 
@@ -184,7 +194,8 @@ class RRAMCellArray:
         conductance is divided by that factor.  Achieved values are clipped
         to the physical window.  The math is the shared
         :func:`program_conductances` (one noise model for arrays and for
-        the trainer's per-step device-noise injection).
+        the trainer's per-step device-noise injection).  The result is a
+        read-only view of the array's own achieved conductances.
         """
         conductances = np.asarray(conductances, dtype=np.float64)
         if conductances.shape != self.shape:
@@ -199,7 +210,9 @@ class RRAMCellArray:
         self._target = target
         self._achieved = achieved
         self.version += 1
-        return achieved.copy()
+        achieved = achieved.view()
+        achieved.setflags(write=False)
+        return achieved
 
     def read(self, rng: RandomState | None = None) -> np.ndarray:
         """Read the array conductances (with read noise if configured).

@@ -14,8 +14,10 @@ Design rules that keep this safe:
 
 * A workspace is **single-threaded state** — one per trainer, one per pool
   worker, one per model server (the serving tick's padded chunk buffer
-  and engine buffers recycle through it).  It is never shared across
-  processes (each worker process builds its own).
+  and engine buffers recycle through it), one per thread for the
+  engine's one-shot runs (``repro.core.engine._arena``).  It is never
+  shared across threads or processes (each worker process builds its
+  own).
 * ``release`` ignores arrays the workspace did not hand out, so callers may
   bulk-release a record's tensors without tracking which of them came from
   the arena (a tensor produced without the workspace is foreign and simply
@@ -23,13 +25,8 @@ Design rules that keep this safe:
 * Reuse is **opt-in at the call site**: every engine entry point takes
   ``ws=None`` and behaves exactly as before when no workspace is supplied.
   Buffers that escape to user code (e.g. ``network.run`` outputs outside a
-  trainer) are never pooled.
-
-The workspace also caches the CSR row-boundary scratch used by the sparse
-spike matmul (:func:`Workspace.row_bounds`): the ``arange(0, (m+1)*n, n)``
-array consumed by ``searchsorted`` is a pure function of the flattened
-spike-matrix shape, so in steady state the conversion allocates only the
-per-batch nonzero index vectors.
+  trainer, which a one-shot run copies out of its thread's arena) are
+  never pooled.
 
 Equivalence (with-workspace == without, bitwise) is pinned by
 ``tests/unit/test_runtime.py``, including across consecutive calls with
@@ -73,7 +70,6 @@ class Workspace:
         # order, kept in step with the free lists in O(1) per call.
         self._idle: dict[int, tuple] = {}
         self._free_bytes = 0
-        self._row_bounds: dict[tuple[int, int], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -148,25 +144,14 @@ class Workspace:
             dropped = self._free[self._idle.pop(oldest)].pop(0)
             self._free_bytes -= dropped.nbytes
 
-    # -- CSR scratch --------------------------------------------------------
-    def row_bounds(self, m: int, n: int) -> np.ndarray:
-        """Cached ``arange(0, (m+1)*n, n)`` for direct CSR construction."""
-        key = (int(m), int(n))
-        bounds = self._row_bounds.get(key)
-        if bounds is None:
-            bounds = np.arange(0, (m + 1) * n, n)
-            self._row_bounds[key] = bounds
-        return bounds
-
     # -- maintenance --------------------------------------------------------
     def reclaim(self) -> None:
-        """Drop every idle buffer and cached scratch (checked-out buffers
-        stay valid; they are simply forgotten when released)."""
+        """Drop every idle buffer (checked-out buffers stay valid; they
+        are simply forgotten when released)."""
         self._free.clear()
         self._idle.clear()
         self._free_bytes = 0
         self._lent.clear()
-        self._row_bounds.clear()
 
     @property
     def idle_bytes(self) -> int:

@@ -111,3 +111,40 @@ class TestRegistry:
             TriangleSurrogate(width=0.0)
         with pytest.raises(ValueError):
             RectangularSurrogate(half_width=-0.5)
+
+
+def _five_op_erfc_derivative(x, sigma):
+    """The erfc derivative as five separate passes, negation included."""
+    out = np.array(x, dtype=np.float64)
+    np.multiply(out, out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, 2.0 * sigma ** 2, out=out)
+    np.exp(out, out=out)
+    np.divide(out, np.sqrt(2.0 * np.pi) * sigma, out=out)
+    return out
+
+
+@pytest.mark.parametrize("sigma", [PAPER_SIGMA, 0.5, 1e-3, 3.0])
+def test_erfc_derivative_folds_the_negation_bitwise(sigma):
+    """Dividing by ``-(2 sigma^2)`` gives the bits of negating first."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-160, -1e-160, 1e-300,
+                        1e150, -1e150, 1e200, np.finfo(np.float64).max,
+                        -np.finfo(np.float64).max, np.inf, -np.inf, 1.0])
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        special, rng.normal(size=500), rng.normal(scale=sigma, size=500),
+        rng.normal(size=200) * 10.0 ** rng.integers(-320, 300, size=200)])
+    surrogate = ErfcSurrogate(sigma=sigma)
+    with np.errstate(over="ignore", under="ignore"):
+        got = surrogate.derivative(values)
+        want = _five_op_erfc_derivative(values, sigma)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_erfc_derivative_keeps_nan_inputs_nan():
+    values = np.array([np.nan, -np.nan, 1.0, np.nan])
+    got = ErfcSurrogate().derivative(values)
+    assert np.array_equal(np.isnan(got), np.isnan(values))
+    assert np.array_equal(
+        np.isnan(got), np.isnan(_five_op_erfc_derivative(values, PAPER_SIGMA)))

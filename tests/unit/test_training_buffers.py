@@ -3,8 +3,9 @@
 The fused backward moves the synapse filter onto the adjoint, so it never
 reads a record's ``k`` trace.  These tests pin that: training runs with
 ``LayerStepRecord.k`` made to raise, the trainer's workspace never holds
-an input-wide ``(batch, T, n_in)`` buffer, and a ``k`` read on demand is
-bitwise the scan of the layer's input.
+an input-wide ``(batch, T, n_in)`` float buffer (the input's boolean
+spike masks are the only input-wide scratch), and a ``k`` read on demand
+is bitwise the scan of the layer's input.
 """
 
 import numpy as np
@@ -43,10 +44,10 @@ def k_unreadable(monkeypatch):
 
 
 def workspace_shapes(ws):
-    """Shapes of every idle and lent buffer of a workspace."""
-    idle = [key[0] for key, stack in ws._free.items() for _ in stack]
-    lent = [arr.shape for _, arr in ws._lent.values()]
-    return idle + lent
+    """Shapes of every idle and lent float buffer of a workspace."""
+    idle = [key for key, stack in ws._free.items() for _ in stack]
+    lent = [key for key, _ in ws._lent.values()]
+    return [shape for shape, dtype in idle + lent if dtype.kind == "f"]
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
