@@ -1,8 +1,11 @@
-"""Minimal reverse-mode automatic differentiation (verification substrate).
+"""Minimal reverse-mode automatic differentiation: the reference oracle.
 
-Used by the test suite to cross-check the hand-derived BPTT in
-:mod:`repro.core.backprop`: the same unrolled network is rebuilt on the
-tape (:mod:`repro.autograd.reference`) and both gradient paths must agree.
+:func:`~repro.autograd.reference.unroll` rebuilds a
+:class:`~repro.core.network.SpikingNetwork`'s forward pass on the tape and
+differentiates it mechanically; the fused engine and its hand-derived BPTT
+(:mod:`repro.core.backprop`) are checked against it, and
+``SpikingNetwork.run(engine="step")`` / ``shard_grads(engine="step")`` run
+it.
 """
 
 from .functional import cross_entropy_with_logits, van_rossum_loss
@@ -22,7 +25,7 @@ from .ops import (
     tmean,
     tsum,
 )
-from .reference import run_adaptive_reference, run_hard_reset_reference
+from .reference import Unroll, unroll
 from .tensor import Tensor, as_tensor, unbroadcast
 
 __all__ = [
@@ -42,8 +45,8 @@ __all__ = [
     "sub",
     "tmean",
     "tsum",
-    "run_adaptive_reference",
-    "run_hard_reset_reference",
+    "Unroll",
+    "unroll",
     "Tensor",
     "as_tensor",
     "unbroadcast",

@@ -182,7 +182,7 @@ def spike(v, threshold: float, surrogate) -> Tensor:
     """
     v = as_tensor(v)
     centred = v.data - float(threshold)
-    out_data = (centred >= 0.0).astype(np.float64)
+    out_data = (centred >= 0.0).astype(v.data.dtype)
 
     def backward(grad):
         if v.requires_grad:

@@ -20,6 +20,14 @@ import numpy as np
 __all__ = ["Tensor", "as_tensor", "unbroadcast"]
 
 
+def _as_float(data) -> np.ndarray:
+    """``data`` as a float32 or float64 array (anything else as float64)."""
+    data = np.asarray(data)
+    if data.dtype in (np.float32, np.float64):
+        return data
+    return data.astype(np.float64)
+
+
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (the reverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -47,7 +55,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, parents=(),
                  backward_fn=None, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_float(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents = tuple(parents)
@@ -67,11 +75,9 @@ class Tensor:
         """A new leaf tensor sharing this data, cut from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        grad = unbroadcast(np.asarray(grad, dtype=self.data.dtype),
+                           self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:

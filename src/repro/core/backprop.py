@@ -1,8 +1,12 @@
 """Backpropagation through time for the filter-based spiking network.
 
-This module implements the paper's training algorithm (Section III).  The
-network equations (6)-(11) are unrolled in time (Fig. 2) and differentiated
-with the Heaviside replaced by the erfc pseudo-gradient (eq. 14).
+This module states the paper's training algorithm (Section III);
+:func:`repro.core.engine.fused_backward` computes it.  The network
+equations (6)-(11) are unrolled in time (Fig. 2) and differentiated with
+the Heaviside replaced by the erfc pseudo-gradient (eq. 14).  Per
+adaptive layer and step: ``k[t] = alpha*k[t-1] + x[t]`` (eq. 9),
+``g[t] = k[t] @ W.T`` (eq. 7), ``h[t] = beta*h[t-1] + O[t-1]`` (eq. 8),
+``v[t] = g[t] - theta*h[t]`` (eq. 6), ``O[t] = U(v[t] - v_th)``.
 
 Two gradient modes are provided:
 
@@ -21,19 +25,22 @@ Two gradient modes are provided:
 * ``truncated`` — the two-term form as literally printed in eq. (13):
   the cross-layer term ``W^T(eps*delta)`` without the alpha-carry, and the
   one-step reset term ``-theta * delta[t+1]*eps[t+1]`` without the
-  beta-carry.  This is cheaper but biased; the ablation bench
+  beta-carry — the exact recursion of the graph whose ``k`` and ``h``
+  carries are detached.  This is cheaper but biased; the ablation bench
   (``bench_ablation_gradient``) compares the two.
 
-Correctness of ``exact`` is verified against (a) central finite differences
-and (b) the independent :mod:`repro.autograd` implementation, in
-``tests/unit/test_backprop.py`` and ``tests/property/test_gradients.py``.
+Hard-reset layers (eq. 1) treat the reset gate ``(1 - O[t])`` as a
+constant, in either mode.  Both modes are verified against the one
+reference oracle, the autograd tape (:mod:`repro.autograd`), which
+derives the same gradients mechanically and is itself checked against
+central finite differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import ShapeError
+from .engine import fused_backward
 from .network import RunRecord, SpikingNetwork
 
 __all__ = ["backward", "GradientResult"]
@@ -69,7 +76,6 @@ class GradientResult:
 
 def backward(network: SpikingNetwork, record: RunRecord,
              grad_outputs: np.ndarray, mode: str = "exact",
-             engine: str = "fused",
              precision: str | None = None,
              workspace=None,
              need_input_grad: bool = True,
@@ -83,36 +89,28 @@ def backward(network: SpikingNetwork, record: RunRecord,
         since the forward pass).
     record:
         A :class:`~repro.core.network.RunRecord` from
-        ``network.run(..., record=True)`` (either engine's record works).
+        ``network.run(..., record=True)``.
     grad_outputs:
         ``dE/dO_L``, the loss gradient with respect to the last layer's
         output spikes, shape (batch, T, n_out).
     mode:
         ``"exact"`` or ``"truncated"`` (see module docstring).
-    engine:
-        ``"fused"`` (default) hoists the matmuls out of the time loop
-        (:func:`repro.core.engine.fused_backward`); ``"reference"`` runs
-        the per-step adjoint loops below, always in float64.
     precision:
-        ``"float32"`` or ``"float64"`` for the fused engine (defaults to
-        the record's dtype).  Ignored by the reference engine.
+        ``"float32"`` or ``"float64"`` (defaults to the record's dtype).
     workspace:
-        Optional :class:`~repro.runtime.workspace.Workspace` the fused
-        engine recycles its adjoint buffers through.  Ignored by the
-        reference engine.
+        Optional :class:`~repro.runtime.workspace.Workspace` the engine
+        recycles its adjoint buffers through.
     need_input_grad:
-        ``False`` lets the fused engine skip building the deferred
-        ``input_grad`` closure entirely (training only reads
-        ``weight_grads``); ``input_grad`` is then ``None``.  The
-        reference engine ignores this and always materialises it.
+        ``False`` skips building the deferred ``input_grad`` closure
+        entirely (training only reads ``weight_grads``); ``input_grad`` is
+        then ``None``.
     weights:
         Optional per-layer weight overrides — the same list the forward
         pass ran with (``network.run(..., weights=...)``), so the adjoint
         matmuls traverse the weights that actually produced ``record``.
         The returned ``weight_grads`` are gradients with respect to the
         override values; hardware-aware training's straight-through
-        estimator applies them to the master weights unchanged.  Fused
-        engine only.
+        estimator applies them to the master weights unchanged.
 
     Returns
     -------
@@ -120,143 +118,6 @@ def backward(network: SpikingNetwork, record: RunRecord,
         Weight gradients (summed over the batch — divide by batch size in
         the loss if a mean is wanted) and the input-spike gradient.
     """
-    if mode not in ("exact", "truncated"):
-        raise ValueError(f"mode must be 'exact' or 'truncated', got {mode!r}")
-    if engine not in ("fused", "reference"):
-        raise ValueError(
-            f"engine must be 'fused' or 'reference', got {engine!r}"
-        )
-    if engine == "fused":
-        from .engine import fused_backward
-        return fused_backward(network, record, grad_outputs, mode=mode,
-                              precision=precision, ws=workspace,
-                              need_input_grad=need_input_grad,
-                              weights=weights)
-    if weights is not None:
-        raise ValueError(
-            "weight overrides are a fused-engine feature (the reference "
-            "adjoints read layer.weight directly)")
-    outputs = record.outputs
-    if grad_outputs.shape != outputs.shape:
-        raise ShapeError(
-            f"grad_outputs shape {grad_outputs.shape} != outputs {outputs.shape}"
-        )
-
-    grad_spikes = np.asarray(grad_outputs, dtype=np.float64)
-    weight_grads: list[np.ndarray] = [None] * len(network.layers)
-
-    for index in range(len(network.layers) - 1, -1, -1):
-        layer = network.layers[index]
-        layer_record = record.layers[index]
-        if layer.neuron_kind == "adaptive":
-            w_grad, grad_spikes = _backward_adaptive(
-                layer, layer_record, grad_spikes, mode
-            )
-        else:
-            w_grad, grad_spikes = _backward_hard_reset(
-                layer, layer_record, record.layer_input(index), grad_spikes
-            )
-        weight_grads[index] = w_grad
-
-    return GradientResult(weight_grads=weight_grads, input_grad=grad_spikes)
-
-
-def _backward_adaptive(layer, layer_record, grad_spikes: np.ndarray,
-                       mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint recursion for one adaptive-threshold layer.
-
-    Forward equations (per step, batch-vectorised)::
-
-        k[t] = alpha*k[t-1] + x[t]          # synapse filter, eq. 9
-        g[t] = k[t] @ W.T                   # crossbar, eq. 7
-        h[t] = beta*h[t-1] + O[t-1]         # reset filter, eq. 8
-        v[t] = g[t] - theta*h[t]            # eq. 6
-        O[t] = U(v[t] - v_th)               # eq. 10/11
-    """
-    weight = layer.weight
-    params = layer.params
-    alpha = layer.alpha
-    beta = layer.neuron.beta_r
-    theta = params.theta
-    exact = mode == "exact"
-
-    k = layer_record.k                # (B, T, n_in)
-    v = layer_record.v                # (B, T, n_out)
-    batch, steps, n_out = v.shape
-    n_in = k.shape[2]
-
-    eps = layer.surrogate.derivative(v - params.v_th)   # (B, T, n_out)
-
-    w_grad = np.zeros_like(weight)
-    grad_inputs = np.zeros((batch, steps, n_in), dtype=np.float64)
-
-    a_h = np.zeros((batch, n_out), dtype=np.float64)    # dE/dh[t+1]
-    a_k = np.zeros((batch, n_in), dtype=np.float64)     # dE/dk[t+1]
-    delta_v_next = np.zeros((batch, n_out), dtype=np.float64)
-
-    for t in range(steps - 1, -1, -1):
-        if exact:
-            # h[t+1] = beta*h[t] + O[t]  =>  dE/dO[t] += dE/dh[t+1]
-            reset_term = a_h
-        else:
-            # Paper eq. 13 second term: -theta * delta[t+1] * eps[t+1].
-            reset_term = -theta * delta_v_next
-        delta_o = grad_spikes[:, t, :] + reset_term
-        delta_v = delta_o * eps[:, t, :]
-
-        # Weight gradient: g[t] = k[t] @ W.T  =>  dE/dW += delta_v^T k[t].
-        w_grad += delta_v.T @ k[:, t, :]
-
-        # Synapse-filter adjoint: dE/dk[t] = W^T delta_v + alpha*dE/dk[t+1].
-        a_k_t = delta_v @ weight
-        if exact:
-            a_k_t = a_k_t + alpha * a_k
-        # k[t] = alpha*k[t-1] + x[t]  =>  dE/dx[t] = dE/dk[t].
-        grad_inputs[:, t, :] = a_k_t
-        a_k = a_k_t
-
-        if exact:
-            # Reset-filter adjoint: dE/dh[t] = -theta*delta_v + beta*dE/dh[t+1].
-            a_h = -theta * delta_v + beta * a_h
-        delta_v_next = delta_v
-
-    return w_grad, grad_inputs
-
-
-def _backward_hard_reset(layer, layer_record, layer_inputs: np.ndarray,
-                         grad_spikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint recursion for one hard-reset layer (reset gate detached).
-
-    Forward equations::
-
-        v_pre[t] = alpha*v_post[t-1] + x[t] @ W.T
-        O[t]     = U(v_pre[t] - v_th)
-        v_post[t] = v_pre[t] * (1 - O[t])     # hard reset
-
-    The reset gate ``(1 - O[t])`` is treated as a constant during
-    backpropagation (standard practice for hard-reset SNNs — the gate's own
-    derivative is another Dirac delta).
-    """
-    weight = layer.weight
-    params = layer.params
-    alpha = layer.neuron.alpha
-    input_gain = getattr(layer.neuron, "input_gain", 1.0)
-
-    v_pre = layer_record.v            # (B, T, n_out)
-    spikes = layer_record.spikes
-    batch, steps, n_out = v_pre.shape
-    n_in = layer_inputs.shape[2]
-
-    eps = layer.surrogate.derivative(v_pre - params.v_th)
-
-    w_grad = np.zeros_like(weight)
-    grad_inputs = np.zeros((batch, steps, n_in), dtype=np.float64)
-    delta_v = np.zeros((batch, n_out), dtype=np.float64)  # dE/dv_pre[t+1]
-
-    for t in range(steps - 1, -1, -1):
-        carry = alpha * (1.0 - spikes[:, t, :]) * delta_v
-        delta_v = grad_spikes[:, t, :] * eps[:, t, :] + carry
-        w_grad += input_gain * (delta_v.T @ layer_inputs[:, t, :])
-        grad_inputs[:, t, :] = input_gain * (delta_v @ weight)
-
-    return w_grad, grad_inputs
+    return fused_backward(network, record, grad_outputs, mode=mode,
+                          precision=precision, ws=workspace,
+                          need_input_grad=need_input_grad, weights=weights)

@@ -1,8 +1,10 @@
 """Fused, vectorized simulation engine for the core forward/backward loop.
 
-The step-wise reference path (``SpikingNetwork.run(engine="step")``) pays
-one small matmul and several Python dispatches per layer per step.  This
-module reorders the loop nest instead: the network is feedforward and
+The reference oracle (the autograd tape's unroll,
+:func:`repro.autograd.reference.unroll`, which
+``SpikingNetwork.run(engine="step")`` runs) steps every layer once per
+time step, paying one small matmul and several Python dispatches each.
+This module reorders the loop nest instead: the network is feedforward and
 layer ``l`` at step ``t`` depends only on layer ``l-1`` at steps ``<= t``
 (eq. 9 couples same-step outputs, never future ones), so it runs layer 0
 over the entire sequence, then layer 1, and so on.  Per layer the work
@@ -44,7 +46,7 @@ each kernel writes ``v >= v_th`` into a boolean buffer, copies its float
 spikes from it and returns it, and the next layer's events are one
 ``nonzero`` of that mask with unit values (:func:`_mask_events`), never
 a re-scan of the float train.  The backward (:func:`fused_backward`)
-applies the same split to the BPTT adjoints of
+applies the same split to the BPTT adjoints derived in
 :mod:`repro.core.backprop`: an elementwise ``delta_v`` recurrence, one
 sparse weight-gradient contraction over ``(T, batch)``, one batched
 input-gradient matmul.
@@ -71,7 +73,7 @@ temporaries from its thread's arena (:func:`_arena`, idle bytes capped
 by ``_ARENA_BYTES``): it returns a plain copy of its output and leaves
 nothing lent, even when it raises.
 
-Equivalence with the step-wise reference is tested in
+Equivalence with the tape is tested in
 ``tests/unit/test_engine.py`` and ``tests/property/test_engine_properties.py``;
 the speed is measured by ``perfbench/run.py`` (``docs/performance.md``).
 """
@@ -426,16 +428,13 @@ def _zero_layer_state(layer, batch: int, dtype) -> dict[str, np.ndarray]:
     return {key: np.zeros((batch, layer.n_out), dtype) for key in keys}
 
 
-def fused_layer_forward(layer, xs: np.ndarray, ws=None,
-                        weight=None) -> tuple[np.ndarray, np.ndarray]:
+def fused_layer_forward(layer, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
 
     ``xs`` is ``(batch, T, n_in)`` (its dtype selects precision).  The
     layer's kernel runs from a zero state and the final state is written
-    back to the layer and its neuron, matching the step-wise path.
-    ``ws`` optionally serves the large buffers (identical results; the
-    caller recycles them) and ``weight`` substitutes a ``(n_out, n_in)``
-    override for the layer's weight matrix in the crossbar product.
+    back to the layer and its neuron (``layer.k``, ``neuron.h`` /
+    ``last_output`` or ``neuron.v``).
 
     Returns ``(spikes, v)``, both ``(batch, T, n_out)`` views of
     time-major buffers — with the layer's input, everything a
@@ -451,9 +450,7 @@ def fused_layer_forward(layer, xs: np.ndarray, ws=None,
         raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
                          f"got {xs.shape[2]}")
     xs = xs.swapaxes(0, 1)
-    spikes, v, mask = _run_layer(layer, xs, _spike_events(xs, ws), ws,
-                                 weight)
-    _ws_release(ws, mask)
+    spikes, v, _ = _run_layer(layer, xs, _spike_events(xs), None, None)
     return spikes.swapaxes(0, 1), v.swapaxes(0, 1)
 
 
@@ -471,8 +468,8 @@ def _run_layer(layer, xs, events, ws, weight):
     st = _zero_layer_state(layer, batch, dtype)
     spikes, v, mask = _layer_chunk(layer, xs, st, events, ws, weight)
     if layer.neuron_kind != "adaptive":
-        # State parity with the step-wise path (whose reset_state zeroes
-        # the unused synapse-filter buffer for hard-reset layers).
+        # A hard-reset layer has no synapse filter: its ``k`` is the zero
+        # state ``reset_state`` gives it.
         layer.k = np.zeros((batch, n_in), dtype=dtype)
         layer.neuron.v = st["v"]
         return spikes, v, mask
@@ -645,15 +642,14 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
 
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
               weights=None):
-    """Fused forward pass over the whole stack; drop-in for the step loop.
+    """Fused forward pass over the whole stack.
 
     ``inputs`` must already be a validated ``(batch, T, n_input)`` array of
     the desired precision (``SpikingNetwork.run`` handles coercion).
-    Returns ``(outputs, RunRecord | None)`` identical in structure to the
-    step-wise path; ``outputs`` and the record's tensors are
-    ``(batch, T, n)`` views of time-major buffers.  A record holds the
-    per-layer ``v``/``spikes`` the kernels materialise anyway, never the
-    ``k`` trace (derived on first read).  With a workspace and
+    Returns ``(outputs, RunRecord | None)``; ``outputs`` and the record's
+    tensors are ``(batch, T, n)`` views of time-major buffers.  A record
+    holds the per-layer ``v``/``spikes`` the kernels materialise anyway,
+    never the ``k`` trace (derived on first read).  With a workspace and
     ``record=False`` each intermediate tensor is recycled once the next
     layer has consumed it; with neither, the temporaries come from the
     thread's arena (:func:`_arena`) and ``outputs`` views a plain copy.
@@ -750,12 +746,13 @@ class StreamState:
                       else steps)
 
     @classmethod
-    def for_network(cls, network, batch: int, precision=None,
-                    dtype=np.float64) -> "StreamState":
-        """A fresh (all-zero) state for ``batch`` independent streams."""
+    def for_network(cls, network, batch: int,
+                    precision=None) -> "StreamState":
+        """A fresh (all-zero) state for ``batch`` independent streams in
+        ``precision`` (a name or dtype; default float64)."""
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
-        resolved = resolve_precision(precision) or np.dtype(dtype)
+        resolved = resolve_precision(precision) or np.dtype(np.float64)
         layers = [_zero_layer_state(layer, batch, resolved)
                   for layer in network.layers]
         return cls(resolved, batch, network.sizes,
@@ -888,11 +885,11 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
 def fused_backward(network, record, grad_outputs: np.ndarray,
                    mode: str = "exact", precision=None, ws=None,
                    need_input_grad: bool = True, weights=None):
-    """Fused BPTT through a recorded run; drop-in for
-    :func:`repro.core.backprop.backward`.
+    """Fused BPTT through a recorded run (what
+    :func:`repro.core.backprop.backward` runs).
 
-    The adjoint recursions of the reference implementation are split the
-    same way as the forward pass: the ``delta_v`` recurrence stays a
+    The adjoint recursions derived in :mod:`repro.core.backprop` are split
+    the same way as the forward pass: the ``delta_v`` recurrence stays a
     sequential elementwise scan over time-major ``(T, batch, n)`` buffers
     (``grad_outputs`` is transposed in once), the weight gradient becomes
     one sparse contraction over ``(T, batch)`` (:func:`_weight_grad`) and

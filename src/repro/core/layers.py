@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import ShapeError, StateError
+from ..common.errors import ShapeError
 from ..common.rng import RandomState, as_random_state
 from .filters import decay_from_tau
 from .neurons import NeuronParameters, make_neuron
@@ -50,7 +50,7 @@ class LayerStepRecord:
         recorded: BPTT moves the filter onto the adjoint and never reads
         it, so the trace is derived on first read as
         ``exp_scan(inputs, alpha)`` from the layer's input spikes (the
-        same ``alpha*k + x`` ops as the step loop) and cached.
+        ``alpha*k + x`` recurrence of eq. 9) and cached.
 
     ``inputs`` is the layer's input spike array (held by reference, like
     :meth:`~repro.core.network.RunRecord.layer_input`) and ``alpha`` the
@@ -153,50 +153,20 @@ class SpikingLinear:
         self.neuron.reset_state(batch_size, dtype=dtype)
 
     # -- forward -----------------------------------------------------------
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One time step; ``x`` is the incoming spike array (batch, n_in).
+    def run(self, xs: np.ndarray,
+            record: bool = False) -> tuple[np.ndarray, LayerStepRecord | None]:
+        """Run a whole float64 sequence ``xs`` of shape (batch, T, n_in)
+        on the fused kernels of :mod:`repro.core.engine`.
 
-        Returns ``(spikes, v)`` with shapes (batch, n_out).
+        Starts from a zero state.  Returns ``(spikes, record)`` where
+        ``spikes`` has shape (batch, T, n_out).
         """
-        if self.k is None:
-            raise StateError(f"{self.name}: step called before reset_state")
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"{self.name}: expected {self.n_in} inputs, "
-                             f"got {x.shape[-1]}")
-        if self.neuron_kind == "adaptive":
-            self.k = self.alpha * self.k + x
-            g = self.k @ self.weight.T
-            return self.neuron.step(g)
-        # Hard reset: the membrane integrates the raw weighted spikes.
-        j = x @ self.weight.T
-        return self.neuron.step(j)
-
-    def run(self, xs: np.ndarray, record: bool = False,
-            dtype=np.float64,
-            engine: str = "fused") -> tuple[np.ndarray, LayerStepRecord | None]:
-        """Run a whole sequence ``xs`` of shape (batch, T, n_in).
-
-        Resets state first.  Returns ``(spikes, record)`` where ``spikes``
-        has shape (batch, T, n_out).  ``engine="fused"`` (default) uses the
-        vectorized kernels in :mod:`repro.core.engine`; ``engine="step"``
-        runs the per-step reference loop.
-        """
-        if engine not in ("fused", "step"):
-            raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
-        xs = np.asarray(xs, dtype=dtype)
+        xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 3:
             raise ShapeError(f"{self.name}: expected (batch, T, n_in), "
                              f"got {xs.shape}")
-        if engine == "fused":
-            from .engine import fused_layer_forward
-            out, vs = fused_layer_forward(self, xs)
-        else:
-            batch, steps, _ = xs.shape
-            self.reset_state(batch, dtype=dtype)
-            out = np.zeros((batch, steps, self.n_out), dtype=dtype)
-            vs = np.zeros((batch, steps, self.n_out), dtype=dtype)
-            for t in range(steps):
-                out[:, t, :], vs[:, t, :] = self.step(xs[:, t, :])
+        from .engine import fused_layer_forward   # local import: avoids a cycle
+        out, vs = fused_layer_forward(self, xs)
         rec = LayerStepRecord.for_layer(self, xs, vs, out) if record else None
         return out, rec
 

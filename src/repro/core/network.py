@@ -1,31 +1,25 @@
 """The feedforward spiking network (paper Fig. 2/3).
 
 A :class:`SpikingNetwork` is a stack of :class:`~repro.core.layers.SpikingLinear`
-layers.  Two execution engines produce identical dynamics:
+layers.  :meth:`SpikingNetwork.run` executes it on the vectorized engine
+in :mod:`repro.core.engine`: because the stack is feedforward and causal
+(eq. 9 couples layer ``l``'s synapse filter to layer ``l-1``'s output at
+the same step, never a later one), the loop nest runs layer-major, the
+synapse filter is an in-place exponential scan over time-major
+``(T, batch, n)`` buffers and the crossbar product is one sparse product
+per layer, in ``precision="float32"|"float64"``.
 
-* ``engine="step"`` — the *step-wise reference path*: at each step ``t``
-  the input spikes propagate through every layer (eq. 9 couples layer
-  ``l``'s synapse filter to layer ``l-1``'s output *at the same step*),
-  then ``t`` advances.  This is the literal unfolding of the paper's
-  Fig. 2 — easy to audit, and what :meth:`SpikingNetwork.step` exposes for
-  closed-loop use — but it pays one small matmul and several Python
-  dispatches per layer per step.
-
-* ``engine="fused"`` (the default) — the vectorized engine in
-  :mod:`repro.core.engine`: because the stack is feedforward and causal,
-  the loop nest is reordered layer-major, the synapse filter becomes an
-  in-place exponential scan over time-major ``(T, batch, n)`` buffers,
-  and the crossbar product collapses to one batched matmul per layer.
-  Spikes, membrane traces and BPTT gradients match the reference to
-  tolerance (``tests/unit/test_engine.py``); throughput is several times
-  higher (``docs/performance.md``).
-
-Both engines support ``precision="float32"|"float64"``.
+``run(engine="step")`` runs the reference oracle instead: the autograd
+tape's step-by-step unroll of the same equations
+(:func:`repro.autograd.reference.unroll`), the literal Fig. 2 unfolding.
+Spikes, membrane traces and BPTT gradients of the engine match it to
+tolerance (``tests/unit/test_engine.py``,
+``tests/property/test_engine_properties.py``).
 
 A recorded run (:class:`RunRecord`) captures, per layer, the membrane
 values ``v`` and output spikes — everything BPTT needs.  The synapse-filter
-traces ``k`` that the reference backward and the analysis code read are
-derived from the layer inputs on first access.
+traces ``k`` that the analysis code reads are derived from the layer
+inputs on first access.
 """
 
 from __future__ import annotations
@@ -47,26 +41,21 @@ class RunRecord:
     """Everything captured from one recorded forward run.
 
     Memory layout: every tensor is indexed ``[batch, t, neuron]`` — the
-    public ``(batch, T, n)`` shape — but a fused-engine record holds the
-    engine's **time-major** ``(T, batch, n)`` buffers behind ``swapaxes``
-    views, so one time step ``tensor[:, t, :]`` is a contiguous
-    ``(batch, n)`` slice of the buffer (what the fused backward's
-    per-step loops walk) and ``tensor.swapaxes(0, 1)`` recovers the
-    buffer without a copy.  ``inputs`` is the caller's own
-    (batch-major) array.  A step-engine record holds plain batch-major
-    arrays of the same shapes; the fused backward accepts either.
-    Releasing a view to a workspace returns the buffer behind it.
+    public ``(batch, T, n)`` shape — but holds the engine's
+    **time-major** ``(T, batch, n)`` buffers behind ``swapaxes`` views, so
+    one time step ``tensor[:, t, :]`` is a contiguous ``(batch, n)`` slice
+    of the buffer (what the fused backward's per-step loops walk) and
+    ``tensor.swapaxes(0, 1)`` recovers the buffer without a copy.
+    ``inputs`` is the caller's own (batch-major) array.  Releasing a view
+    to a workspace returns the buffer behind it.
 
     Per layer the record holds ``v`` (membrane values, pre-reset for HR)
     and ``spikes`` (both ``(batch, T, n_out)``).  Its ``k``
     (synapse-filter trace, ``(batch, T, n_in)``, ``None`` for hard-reset
     layers) is not recorded: it is derived on first read as
-    ``exp_scan(layer_input(i), alpha)`` — the ops of the step loop's
-    ``alpha*k + x`` — and cached, so the fused backward, which never reads
-    it, never pays for it.  The dtype is whatever precision the run used;
-    both engines produce the same values and the same derived ``k``, so
-    BPTT and the analysis code never need to know which engine recorded
-    it.
+    ``exp_scan(layer_input(i), alpha)`` and cached, so the fused backward,
+    which never reads it, never pays for it.  The dtype is whatever
+    precision the run used.
 
     Attributes
     ----------
@@ -159,20 +148,8 @@ class SpikingNetwork:
         self.layers = list(layers)
 
     # -- forward -------------------------------------------------------------
-    def reset_state(self, batch_size: int, dtype=np.float64) -> None:
-        for layer in self.layers:
-            layer.reset_state(batch_size, dtype=dtype)
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Propagate one time step through all layers; returns output spikes."""
-        spikes = x
-        for layer in self.layers:
-            spikes, _ = layer.step(spikes)
-        return spikes
-
     def run(self, inputs: np.ndarray, record: bool = False,
-            dtype=np.float64, engine: str = "fused",
-            precision: str | None = None,
+            engine: str = "fused", precision: str | None = None,
             workspace=None, weights=None
             ) -> tuple[np.ndarray, RunRecord | None]:
         """Run a batch of spike sequences through the network.
@@ -184,21 +161,20 @@ class SpikingNetwork:
             (event counts) — the filters are linear.
         record:
             Capture per-layer traces for BPTT / analysis.
-        dtype:
-            Array dtype (kept for backwards compatibility; prefer
-            ``precision``).
         engine:
-            ``"fused"`` (default, :mod:`repro.core.engine`) or ``"step"``
-            (the per-step reference loop).  Outputs agree to tolerance.
+            ``"fused"`` (default, :mod:`repro.core.engine`) or ``"step"``:
+            the reference oracle, the autograd tape's step-by-step unroll
+            (:func:`repro.autograd.reference.unroll`), whose output spikes
+            the fused engine's match.  ``"step"`` returns outputs only: it
+            takes no ``record``, ``workspace`` or ``weights``.
         precision:
-            ``"float32"`` or ``"float64"``; overrides ``dtype`` when given.
+            ``"float32"`` or ``"float64"`` (default).
         workspace:
             Optional :class:`~repro.runtime.workspace.Workspace` the fused
             engine checks its large buffers out of (identical results).
             The returned tensors then belong to that workspace's owner —
             only pass one from code that recycles them, like the
-            :class:`~repro.core.trainer.Trainer`.  Ignored by
-            ``engine="step"``.
+            :class:`~repro.core.trainer.Trainer`.
         weights:
             Optional per-layer weight overrides (one ``(n_out, n_in)``
             array per layer) substituting the crossbar product's matrices
@@ -207,7 +183,6 @@ class SpikingNetwork:
             hardware-aware training runs its forward pass through the
             quantized(+noisy) weights this way (see
             :class:`~repro.core.trainer.TrainerConfig` ``hardware=``).
-            Fused engine only.
 
         Returns
         -------
@@ -217,9 +192,7 @@ class SpikingNetwork:
         """
         if engine not in ("fused", "step"):
             raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
-        resolved = resolve_precision(precision)
-        if resolved is not None:
-            dtype = resolved
+        dtype = resolve_precision(precision) or np.dtype(np.float64)
         inputs = np.asarray(inputs, dtype=dtype)
         if inputs.ndim != 3:
             raise ShapeError(f"expected (batch, T, n_in), got {inputs.shape}")
@@ -227,60 +200,29 @@ class SpikingNetwork:
             raise ShapeError(
                 f"expected {self.sizes[0]} input channels, got {inputs.shape[2]}"
             )
-        if engine == "fused":
-            # timed_span is the shared null context unless a telemetry
-            # bundle is installed — the uninstrumented path pays one
-            # global read per call.
-            with _obs.timed_span("engine.run", metric="engine.run_ms",
-                                 engine=engine, batch=int(inputs.shape[0]),
-                                 steps=int(inputs.shape[1])):
-                return fused_run(self, inputs, record=record, ws=workspace,
-                                 weights=weights)
-        if weights is not None:
-            raise ValueError(
-                "weight overrides are a fused-engine feature (the step "
-                "path reads layer.weight directly)")
-        batch, steps, _ = inputs.shape
-        self.reset_state(batch, dtype=dtype)
-
-        spike_buffers = [
-            np.zeros((batch, steps, layer.n_out), dtype=dtype)
-            for layer in self.layers
-        ]
-        v_buffers = None
-        if record:
-            v_buffers = [np.zeros((batch, steps, layer.n_out), dtype=dtype)
-                         for layer in self.layers]
-
+        if engine == "step":
+            if record or workspace is not None or weights is not None:
+                raise ValueError(
+                    "engine='step' runs the autograd tape and returns "
+                    "outputs only; record=, workspace= and weights= are "
+                    "fused-engine features")
+            from ..autograd.reference import unroll   # autograd sits above core
+            return unroll(self, inputs, precision=dtype).spikes(), None
+        # timed_span is the shared null context unless a telemetry bundle
+        # is installed — the uninstrumented path pays one global read per
+        # call.
         with _obs.timed_span("engine.run", metric="engine.run_ms",
-                             engine=engine, batch=batch, steps=steps):
-            for t in range(steps):
-                spikes = inputs[:, t, :]
-                for index, layer in enumerate(self.layers):
-                    spikes, v = layer.step(spikes)
-                    spike_buffers[index][:, t, :] = spikes
-                    if record:
-                        v_buffers[index][:, t, :] = v
-
-        outputs = spike_buffers[-1]
-        run_record = None
-        if record:
-            layer_inputs = [inputs] + spike_buffers[:-1]
-            layer_records = [
-                LayerStepRecord.for_layer(layer, layer_inputs[i],
-                                          v_buffers[i], spike_buffers[i])
-                for i, layer in enumerate(self.layers)
-            ]
-            run_record = RunRecord(inputs=inputs, layers=layer_records)
-        return outputs, run_record
+                             engine=engine, batch=int(inputs.shape[0]),
+                             steps=int(inputs.shape[1])):
+            return fused_run(self, inputs, record=record, ws=workspace,
+                             weights=weights)
 
     # -- streaming -----------------------------------------------------------
-    def new_stream_state(self, batch_size: int, precision: str | None = None,
-                         dtype=np.float64) -> StreamState:
+    def new_stream_state(self, batch_size: int,
+                         precision: str | None = None) -> StreamState:
         """A fresh :class:`~repro.core.engine.StreamState` for ``batch_size``
         independent streams (see :meth:`run_stream`)."""
-        return StreamState.for_network(self, batch_size, precision=precision,
-                                       dtype=dtype)
+        return StreamState.for_network(self, batch_size, precision=precision)
 
     def run_stream(self, chunk: np.ndarray, state: StreamState | None = None,
                    precision: str | None = None, workspace=None,
@@ -293,7 +235,7 @@ class SpikingNetwork:
         bitwise-identical output spikes to the one-shot fused :meth:`run`
         (pinned in ``tests/unit/test_streaming.py``; see
         :func:`~repro.core.engine.run_streaming`).  Every stream runs the
-        fused engine's kernels; the step-wise reference is one-shot only
+        fused engine's kernels; the reference oracle is one-shot only
         (``run(engine="step")``).  The stream's memory lives entirely in
         the returned state, never in the network — the layer/neuron
         scratch is left untouched — so any number of concurrent streams
@@ -349,7 +291,7 @@ class SpikingNetwork:
             )
         batch = chunk.shape[0]
         if state is None:
-            state = self.new_stream_state(batch, dtype=resolved)
+            state = self.new_stream_state(batch, precision=resolved)
         else:
             if not state.compatible_with(self):
                 raise ShapeError(

@@ -20,17 +20,18 @@ Both neurons expose the same ``reset_state`` / ``step`` interface operating
 on ``(batch, n)`` arrays so that a trained network can be re-evaluated with
 either dynamic (the paper's Table II HR swap).
 
-These classes *are* the step-wise reference implementation: ``step`` is
-called once per time step by ``SpikingLinear.step`` and holds the
+``step`` advances one neuron bank by one time step and holds the
 incremental state (``h``/``last_output`` for adaptive, ``v`` for hard
-reset).  The fused engine (:mod:`repro.core.engine`, the default for
-``SpikingNetwork.run``) evaluates the *same* recurrences as whole-sequence
-scans over ``(batch, T, n)`` buffers — it bypasses ``step`` entirely for
-speed but deposits the final-step state back into these objects, so code
-that inspects ``neuron.h`` / ``neuron.v`` or calls
-:meth:`AdaptiveLIFNeuron.adaptive_threshold` after a run sees identical
-values under either engine.  Equivalence (same spikes and membrane traces)
-is enforced by ``tests/unit/test_engine.py`` and
+reset): the single-neuron view Fig. 1's dynamics plot steps through.
+The fused engine (:mod:`repro.core.engine`, behind ``SpikingNetwork.run``)
+evaluates the *same* recurrences as whole-sequence scans over
+``(T, batch, n)`` buffers — it bypasses ``step`` entirely for speed but
+deposits the final-step state back into these objects, so code that
+inspects ``neuron.h`` / ``neuron.v`` or calls
+:meth:`AdaptiveLIFNeuron.adaptive_threshold` after a run sees the run's
+final values.  The reference oracle for whole networks is the autograd
+tape (:func:`repro.autograd.reference.unroll`); ``step`` itself is
+pinned by ``tests/unit/test_neurons.py`` and
 ``tests/property/test_neuron_equivalence.py``.
 """
 

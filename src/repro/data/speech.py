@@ -187,16 +187,6 @@ def segment_table(language: str, digit: int) -> list[dict]:
     return [dict(seg) for seg in WORDS[key]]
 
 
-def _lorentzian_envelope(freqs: np.ndarray, formants, bandwidths) -> np.ndarray:
-    """Formant amplitude envelope: sum of Lorentzian resonance peaks."""
-    envelope = np.zeros_like(freqs, dtype=np.float64)
-    for centre, bw in zip(formants, bandwidths):
-        if centre <= 0:
-            continue
-        envelope += 1.0 / (1.0 + ((freqs - centre) / (bw / 2.0)) ** 2)
-    return envelope
-
-
 def synthesize_digit(language: str, digit: int,
                      rng: RandomState | int | None = None,
                      sample_rate: int = 8000,

@@ -154,11 +154,11 @@ class HardwareMappedNetwork:
 
     # -- inference -------------------------------------------------------------
     def run(self, inputs: np.ndarray, record: bool = False,
-            engine: str = "fused", precision: str | None = None,
+            precision: str | None = None,
             read_noise_rng: RandomState | int | None = None):
         """Inference with the achieved (quantized + noisy) weights.
 
-        ``engine`` and ``precision`` are forwarded to
+        ``precision`` is forwarded to
         :meth:`~repro.core.network.SpikingNetwork.run`.
         ``read_noise_rng`` pins a private read-noise realization for this
         run (see :meth:`weight_list`); the mapped realization is restored
@@ -167,13 +167,11 @@ class HardwareMappedNetwork:
         if read_noise_rng is None:
             self.weight_list()   # re-sync after any re-programming
             return self.hardware_network.run(inputs, record=record,
-                                             engine=engine,
                                              precision=precision)
         self.weight_list()
         self.hardware_network.set_weights(self.weight_list(read_noise_rng))
         try:
             return self.hardware_network.run(inputs, record=record,
-                                             engine=engine,
                                              precision=precision)
         finally:
             self.hardware_network.set_weights(self._weights)
@@ -362,7 +360,7 @@ class HardwareProfile(BaseConfig):
 
 def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
                  labels: np.ndarray, bits: int, variation: float,
-                 seed: int, batch_size: int = 64, engine: str = "fused",
+                 seed: int, batch_size: int = 64,
                  precision: str | None = None,
                  device: RRAMDeviceConfig | None = None) -> int:
     """Correctly-classified count of one programming draw on ``inputs``.
@@ -383,14 +381,14 @@ def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
     device = base.replace(levels=2 ** int(bits), variation=variation)
     mapped = HardwareMappedNetwork(network, device, rng=RandomState(seed))
     outputs = run_in_batches(mapped.hardware_network, inputs, batch_size,
-                             engine=engine, precision=precision)
+                             precision=precision)
     predictions = np.argmax(outputs.sum(axis=1), axis=1)
     return int(np.sum(predictions == np.asarray(labels)))
 
 
 def seed_accuracy(network: SpikingNetwork, inputs: np.ndarray,
                   labels: np.ndarray, bits: int, variation: float,
-                  seed: int, batch_size: int = 64, engine: str = "fused",
+                  seed: int, batch_size: int = 64,
                   precision: str | None = None,
                   device: RRAMDeviceConfig | None = None) -> float:
     """Accuracy of one independent programming draw (one Fig. 8 seed).
@@ -403,8 +401,8 @@ def seed_accuracy(network: SpikingNetwork, inputs: np.ndarray,
     """
     count = seed_correct(network, inputs, labels, bits=bits,
                          variation=variation, seed=seed,
-                         batch_size=batch_size, engine=engine,
-                         precision=precision, device=device)
+                         batch_size=batch_size, precision=precision,
+                         device=device)
     return count / inputs.shape[0]
 
 
@@ -412,7 +410,7 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
                              labels: np.ndarray, bits: int,
                              variation: float, n_seeds: int = 3,
                              rng: RandomState | int | None = None,
-                             batch_size: int = 64, engine: str = "fused",
+                             batch_size: int = 64,
                              precision: str | None = None, pool=None,
                              device: RRAMDeviceConfig | None = None
                              ) -> tuple[float, float]:
@@ -430,8 +428,8 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         Lognormal resistance-deviation sigma (Fig. 8 x-axis, 0 - 0.5).
     n_seeds:
         Independent programming draws to average over.
-    engine, precision:
-        Forwarded to the forward runs (previously ignored).
+    precision:
+        Forwarded to the forward runs.
     pool:
         A caller-owned :class:`~repro.runtime.pool.WorkerPool` built from
         ``network`` evaluates the seeds concurrently (hold one across a
@@ -456,14 +454,14 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
                 "pool was built for a different network object; build it "
                 "from this network so the workers map the same weights")
         accuracies = pool.hw_eval(inputs, labels, tasks,
-                                  batch_size=batch_size, engine=engine,
+                                  batch_size=batch_size,
                                   precision=precision, device=device)
     else:
         accuracies = [
             seed_accuracy(network, inputs, labels, bits=bits,
                           variation=variation, seed=seed,
-                          batch_size=batch_size, engine=engine,
-                          precision=precision, device=device)
+                          batch_size=batch_size, precision=precision,
+                          device=device)
             for seed in seeds
         ]
     accuracies = np.asarray(accuracies, dtype=np.float64)

@@ -98,18 +98,33 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
     the backward through substituted weight matrices — the
     straight-through-estimator step of hardware-aware training: the
     returned gradients are with respect to the override values and are
-    applied to the master weights unchanged.  Fused engine only.
+    applied to the master weights unchanged.
+
+    ``engine="step"`` returns the reference oracle's loss and gradients
+    instead: ``loss`` on the output spikes of the autograd tape
+    (:func:`repro.autograd.reference.unroll`), its gradient seeding the
+    tape's backward.  It takes no ``ws`` or ``weights``.
     """
     from ..core.backprop import backward
 
-    outputs, record = network.run(inputs, record=True, engine=engine,
-                                  precision=precision, workspace=ws,
-                                  weights=weights)
+    if engine == "step":
+        if ws is not None or weights is not None:
+            raise ValueError("engine='step' runs the autograd tape; ws= "
+                             "and weights= are fused-engine features")
+        from ..autograd.reference import unroll
+
+        tape = unroll(network, inputs, precision=precision, mode=mode)
+        loss_value, grad_outputs = loss.value_and_grad(tape.spikes(), targets)
+        return (float(loss_value), int(inputs.shape[0]),
+                tape.backward(grad_outputs).weight_grads)
+    if engine != "fused":
+        raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
+    outputs, record = network.run(inputs, record=True, precision=precision,
+                                  workspace=ws, weights=weights)
     loss_value, grad_outputs = loss.value_and_grad(outputs, targets)
-    backward_engine = "fused" if engine == "fused" else "reference"
     result = backward(network, record, grad_outputs, mode=mode,
-                      engine=backward_engine, precision=precision,
-                      workspace=ws, need_input_grad=False, weights=weights)
+                      precision=precision, workspace=ws,
+                      need_input_grad=False, weights=weights)
     if ws is not None:
         # Never ``layer_record.k``: reading it would derive the trace only
         # to drop it.
@@ -142,7 +157,7 @@ def combine_shard_results(shard_results, n_total: int):
 
 def data_parallel_grads(network, loss, inputs: np.ndarray,
                         targets: np.ndarray, n_shards: int,
-                        mode: str = "exact", engine: str = "fused",
+                        mode: str = "exact",
                         precision: str | None = None, pool=None, ws=None,
                         weights=None):
     """Mini-batch loss + weight gradients via ``n_shards`` data shards.
@@ -162,13 +177,11 @@ def data_parallel_grads(network, loss, inputs: np.ndarray,
     slices = shard_slices(n, n_shards)
     if pool is not None:
         shard_results = pool.grad_shards(inputs, targets, slices, mode=mode,
-                                         engine=engine, precision=precision,
-                                         weights=weights)
+                                         precision=precision, weights=weights)
     else:
         shard_results = [
             shard_grads(network, loss, inputs[sl], targets[sl], mode=mode,
-                        engine=engine, precision=precision, ws=ws,
-                        weights=weights)
+                        precision=precision, ws=ws, weights=weights)
             for sl in slices
         ]
     return combine_shard_results(shard_results, n)

@@ -171,11 +171,6 @@ class MicroBatcher:
         """Chunks currently queued."""
         return len(self._queue)
 
-    @property
-    def sessions_pending(self) -> int:
-        """Distinct sessions with at least one queued chunk."""
-        return len(self._per_session)
-
     def session_pending(self, session_id: str) -> int:
         """Chunks queued for one session (0 when none)."""
         return self._per_session.get(session_id, 0)
@@ -216,9 +211,6 @@ class MicroBatcher:
         return shed
 
     # -- scheduling ----------------------------------------------------------
-    def oldest_arrival(self) -> float | None:
-        return self._queue[0].arrival if self._queue else None
-
     def next_deadline(self) -> float | None:
         """The time at which the pending work becomes due regardless of
         batch occupancy (oldest arrival + max wait), or ``None`` when

@@ -113,8 +113,8 @@ class ModelServer:
     engine:
         Only ``"fused"`` (the default): every stream runs the fused
         engine, whose batching is bitwise-transparent.  Any other value
-        raises ``ValueError``; the step-wise reference is one-shot only,
-        ``network.run(x, engine="step")``.
+        raises ``ValueError``; the reference oracle (the autograd tape)
+        is one-shot only, ``network.run(x, engine="step")``.
     precision:
         ``"float64"`` (default) or ``"float32"`` for stream state and
         outputs.
@@ -183,8 +183,8 @@ class ModelServer:
         if engine != "fused":
             raise ValueError(
                 f"ModelServer streams on the fused engine only, got "
-                f"engine={engine!r}; the step-wise reference is one-shot: "
-                f"network.run(x, engine=\"step\")")
+                f"engine={engine!r}; the reference oracle (the autograd "
+                f"tape) is one-shot: network.run(x, engine=\"step\")")
         if shadow and hardware is None:
             raise ValueError("shadow mode needs a hardware-mapped network "
                              "to shadow (pass hardware=)")
@@ -226,11 +226,10 @@ class ModelServer:
         self._served_weights()
         # Resident stream state, one row per session (a shadow-mode
         # server carries the hardware shadow streams in a second slab).
-        self._slab = StreamState.for_network(network, 1, dtype=self.dtype)
-        self._shadow_slab = (StreamState.for_network(network, 1,
-                                                     dtype=self.dtype)
+        self._slab = StreamState.for_network(network, 1, self.dtype)
+        self._shadow_slab = (StreamState.for_network(network, 1, self.dtype)
                              if self.shadow else None)
-        self._zero_row = StreamState.for_network(network, 1, dtype=self.dtype)
+        self._zero_row = StreamState.for_network(network, 1, self.dtype)
         self._free_rows = [0]
         self._sessions: dict[str, Session] = {}
         # Closed or reaped sessions whose rows _take_row has not yet
@@ -941,11 +940,10 @@ class ModelServer:
             session.row = None
         self._sessions.clear()
         self._closing.clear()
-        self._slab = StreamState.for_network(self.network, 1,
-                                             dtype=self.dtype)
+        self._slab = StreamState.for_network(self.network, 1, self.dtype)
         if self.shadow:
             self._shadow_slab = StreamState.for_network(self.network, 1,
-                                                        dtype=self.dtype)
+                                                        self.dtype)
         self._free_rows = [0]
         self._programmed.clear()
         self._workspace.reclaim()

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import (
-    Tensor,
     add,
     cross_entropy_with_logits,
-    run_adaptive_reference,
-    run_hard_reset_reference,
     scale,
+    unroll,
     van_rossum_loss,
 )
 from repro.common.rng import RandomState
@@ -32,10 +30,6 @@ def _setup(shape, seed, steps, rate, kind="adaptive", theta=1.0):
     rng = RandomState(seed + 1000)
     x = (rng.random((2, steps, shape[0])) < rate).astype(np.float64)
     return net, x
-
-
-def _ad_weights(net):
-    return [Tensor(l.weight.T.copy(), requires_grad=True) for l in net.layers]
 
 
 def _count_logits(outputs, count_scale):
@@ -61,15 +55,12 @@ def test_adaptive_bptt_matches_autograd(shape, seed, steps, rate, theta):
     value, grad_out = loss.value_and_grad(out, labels)
     manual = backward(net, record, grad_out, mode="exact")
 
-    weights = _ad_weights(net)
-    ad_out = run_adaptive_reference(
-        weights, x, params=net.params, surrogate=net.layers[0].surrogate)
-    stacked = np.stack([o.data for o in ad_out[-1]], axis=1)
-    np.testing.assert_array_equal(out, stacked)
+    tape = unroll(net, x)
+    np.testing.assert_array_equal(out, tape.spikes())
     ad_loss = cross_entropy_with_logits(
-        _count_logits(ad_out[-1], 10.0 / steps), labels)
+        _count_logits(tape.outputs[-1], 10.0 / steps), labels)
     ad_loss.backward()
-    for m, t in zip(manual.weight_grads, weights):
+    for m, t in zip(manual.weight_grads, tape.weights):
         np.testing.assert_allclose(m, t.grad.T, atol=1e-10)
 
 
@@ -87,13 +78,11 @@ def test_hard_reset_bptt_matches_autograd(shape, seed, steps):
     _, grad_out = loss.value_and_grad(out, labels)
     manual = backward(net, record, grad_out)
 
-    weights = _ad_weights(net)
-    ad_out = run_hard_reset_reference(
-        weights, x, params=net.params, surrogate=net.layers[0].surrogate)
+    tape = unroll(net, x)
     ad_loss = cross_entropy_with_logits(
-        _count_logits(ad_out[-1], 10.0 / steps), labels)
+        _count_logits(tape.outputs[-1], 10.0 / steps), labels)
     ad_loss.backward()
-    for m, t in zip(manual.weight_grads, weights):
+    for m, t in zip(manual.weight_grads, tape.weights):
         np.testing.assert_allclose(m, t.grad.T, atol=1e-10)
 
 
@@ -111,13 +100,11 @@ def test_van_rossum_bptt_matches_autograd(seed, steps):
     value, grad_out = loss.value_and_grad(out, targets)
     manual = backward(net, record, grad_out, mode="exact")
 
-    weights = _ad_weights(net)
-    ad_out = run_adaptive_reference(
-        weights, x, params=net.params, surrogate=net.layers[0].surrogate)
-    ad_loss = van_rossum_loss(ad_out[-1], targets)
+    tape = unroll(net, x)
+    ad_loss = van_rossum_loss(tape.outputs[-1], targets)
     np.testing.assert_allclose(float(ad_loss.data), value, rtol=1e-10)
     ad_loss.backward()
-    for m, t in zip(manual.weight_grads, weights):
+    for m, t in zip(manual.weight_grads, tape.weights):
         np.testing.assert_allclose(m, t.grad.T, atol=1e-9)
 
 

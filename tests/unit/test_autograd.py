@@ -17,7 +17,6 @@ from repro.autograd import (
     log,
     matmul,
     mul,
-    run_adaptive_reference,
     scale,
     sigmoid,
     smooth_spike,
@@ -27,10 +26,13 @@ from repro.autograd import (
     tmean,
     tsum,
     unbroadcast,
+    unroll,
     van_rossum_loss,
 )
-from repro.core.neurons import NeuronParameters
+from repro.common.errors import ShapeError, StateError
+from repro.core import CrossEntropyRateLoss, SpikingNetwork
 from repro.core.surrogate import ErfcSurrogate
+from repro.runtime.parallel import shard_grads
 
 
 def finite_difference(f, x, eps=1e-6):
@@ -202,26 +204,57 @@ class TestSmoothNetworkFiniteDifference:
         rng = np.random.default_rng(5)
         x = (rng.random((2, 6, 4)) < 0.5).astype(float)
         w0 = rng.normal(scale=0.8, size=(4, 3))
-        params = NeuronParameters()
-        surrogate = ErfcSurrogate()
+        net = SpikingNetwork((4, 3), surrogate=ErfcSurrogate(), rng=0)
 
-        def loss_fn(w_flat):
-            w = Tensor(w_flat.reshape(4, 3), requires_grad=False)
-            outs = run_adaptive_reference([w], x, params=params,
-                                          surrogate=surrogate, smooth=True)
+        def total(tape):
             total = None
-            for o in outs[-1]:
+            for o in tape.outputs[-1]:
                 term = tsum(square(o))
                 total = term if total is None else add(total, term)
-            return float(total.data)
+            return total
 
-        w = Tensor(w0.copy(), requires_grad=True)
-        outs = run_adaptive_reference([w], x, params=params,
-                                      surrogate=surrogate, smooth=True)
-        total = None
-        for o in outs[-1]:
-            term = tsum(square(o))
-            total = term if total is None else add(total, term)
-        total.backward()
+        def loss_fn(w_flat):
+            weights = [w_flat.reshape(4, 3).T]
+            return float(total(unroll(net, x, weights=weights,
+                                      smooth=True)).data)
+
+        tape = unroll(net, x, weights=[w0.T], smooth=True)
+        total(tape).backward()
         fd = finite_difference(lambda v: loss_fn(v), w0.ravel(), eps=1e-6)
-        np.testing.assert_allclose(w.grad.ravel(), fd, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(tape.weights[0].grad.ravel(), fd,
+                                   rtol=1e-4, atol=1e-6)
+
+
+class TestUnrollContract:
+    """The network unroll's own API: validation and one-shot backward."""
+
+    def _net_and_input(self):
+        net = SpikingNetwork((6, 5, 3), rng=1)
+        x = (np.random.default_rng(2).random((2, 7, 6)) < 0.4).astype(float)
+        return net, x
+
+    def test_backward_runs_once(self):
+        net, x = self._net_and_input()
+        tape = unroll(net, x)
+        tape.backward(np.ones((2, 7, 3)))
+        with pytest.raises(StateError):
+            tape.backward(np.ones((2, 7, 3)))
+
+    def test_shapes_are_validated(self):
+        net, x = self._net_and_input()
+        with pytest.raises(ShapeError):
+            unroll(net, x[:, :, :5])
+        with pytest.raises(ShapeError):
+            unroll(net, x, weights=[net.weights[0]])
+        with pytest.raises(ValueError):
+            unroll(net, x, mode="rtrl")
+        with pytest.raises(ShapeError):
+            unroll(net, x).backward(np.ones((2, 7, 4)))
+
+    @pytest.mark.parametrize("extra", ["ws", "weights"])
+    def test_step_shard_grads_takes_no_fused_options(self, extra):
+        net, x = self._net_and_input()
+        options = {"ws": object(), "weights": net.weights}
+        with pytest.raises(ValueError, match="fused-engine"):
+            shard_grads(net, CrossEntropyRateLoss(), x, np.array([0, 2]),
+                        engine="step", **{extra: options[extra]})

@@ -1,21 +1,20 @@
 """Unit tests for the hand-derived BPTT against the autograd reference.
 
-The chain of trust: tests/unit/test_autograd.py validates the engine
-against finite differences on smooth graphs; here the engine (with the
-same Heaviside-forward / surrogate-backward semantics) validates the
-manual adjoint recursions of repro.core.backprop.
+The chain of trust: tests/unit/test_autograd.py validates the tape
+against finite differences on smooth graphs; here the tape's unroll of
+the network (with the same Heaviside-forward / surrogate-backward
+semantics), with the loss itself built on the tape, validates the
+adjoint recursions of repro.core.backprop.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import (
-    Tensor,
     add,
     cross_entropy_with_logits,
-    run_adaptive_reference,
-    run_hard_reset_reference,
     scale,
+    unroll,
     van_rossum_loss,
 )
 from repro.common.errors import ShapeError
@@ -40,10 +39,6 @@ def _spikes(shape, rate, seed):
     return (rng.random(shape) < rate).astype(np.float64)
 
 
-def _ad_weights(net):
-    return [Tensor(l.weight.T.copy(), requires_grad=True) for l in net.layers]
-
-
 def _count_logits(outputs, count_scale):
     counts = None
     for out in outputs:
@@ -56,9 +51,7 @@ class TestAdaptiveGradients:
         net = _active_network((8, 6, 5))
         x = _spikes((3, 14, 8), 0.35, 1)
         out, _ = net.run(x, record=True)
-        ad_out = run_adaptive_reference(_ad_weights(net), x)
-        stacked = np.stack([o.data for o in ad_out[-1]], axis=1)
-        np.testing.assert_array_equal(out, stacked)
+        np.testing.assert_array_equal(out, unroll(net, x).spikes())
 
     def test_crossentropy_gradients_match(self):
         net = _active_network((8, 6, 5))
@@ -70,13 +63,12 @@ class TestAdaptiveGradients:
         value, grad_out = loss.value_and_grad(out, labels)
         result = backward(net, record, grad_out, mode="exact")
 
-        weights = _ad_weights(net)
-        ad_out = run_adaptive_reference(weights, x)
-        logits = _count_logits(ad_out[-1], 10.0 / 12)
+        tape = unroll(net, x)
+        logits = _count_logits(tape.outputs[-1], 10.0 / 12)
         ad_loss = cross_entropy_with_logits(logits, labels)
         assert float(ad_loss.data) == pytest.approx(value, abs=1e-12)
         ad_loss.backward()
-        for manual, tensor in zip(result.weight_grads, weights):
+        for manual, tensor in zip(result.weight_grads, tape.weights):
             np.testing.assert_allclose(manual, tensor.grad.T, atol=1e-12)
 
     def test_vanrossum_gradients_match(self):
@@ -88,12 +80,11 @@ class TestAdaptiveGradients:
         value, grad_out = loss.value_and_grad(out, targets)
         result = backward(net, record, grad_out, mode="exact")
 
-        weights = _ad_weights(net)
-        ad_out = run_adaptive_reference(weights, x)
-        ad_loss = van_rossum_loss(ad_out[-1], targets)
+        tape = unroll(net, x)
+        ad_loss = van_rossum_loss(tape.outputs[-1], targets)
         assert float(ad_loss.data) == pytest.approx(value, rel=1e-12)
         ad_loss.backward()
-        for manual, tensor in zip(result.weight_grads, weights):
+        for manual, tensor in zip(result.weight_grads, tape.weights):
             np.testing.assert_allclose(manual, tensor.grad.T, atol=1e-10)
 
     def test_input_gradient_matches(self):
@@ -105,15 +96,14 @@ class TestAdaptiveGradients:
         _, grad_out = loss.value_and_grad(out, labels)
         result = backward(net, record, grad_out)
 
-        weights = _ad_weights(net)
-        x_tensor = Tensor(x.copy(), requires_grad=True)
-        # Feed the input through as a leaf tensor: emulate by treating the
-        # first layer's input as x_tensor slices.
-        ad_out = run_adaptive_reference(weights, x)
-        # Reference path doesn't expose input grads; check finiteness and
-        # shape of the manual input gradient instead.
+        # The tape's input leaves (one per step) carry dE/dx.
+        tape = unroll(net, x)
+        logits = _count_logits(tape.outputs[-1], 10.0 / 10)
+        cross_entropy_with_logits(logits, labels).backward()
+        ad_input_grad = np.stack([leaf.grad for leaf in tape.inputs], axis=1)
         assert result.input_grad.shape == x.shape
-        assert np.all(np.isfinite(result.input_grad))
+        np.testing.assert_allclose(result.input_grad, ad_input_grad,
+                                   atol=1e-12)
 
 
 class TestHardResetGradients:
@@ -126,15 +116,13 @@ class TestHardResetGradients:
         value, grad_out = loss.value_and_grad(out, labels)
         result = backward(net, record, grad_out)
 
-        weights = _ad_weights(net)
-        ad_out = run_hard_reset_reference(weights, x)
-        stacked = np.stack([o.data for o in ad_out[-1]], axis=1)
-        np.testing.assert_array_equal(out, stacked)
-        logits = _count_logits(ad_out[-1], 10.0 / 13)
+        tape = unroll(net, x)
+        np.testing.assert_array_equal(out, tape.spikes())
+        logits = _count_logits(tape.outputs[-1], 10.0 / 13)
         ad_loss = cross_entropy_with_logits(logits, labels)
         assert float(ad_loss.data) == pytest.approx(value, abs=1e-12)
         ad_loss.backward()
-        for manual, tensor in zip(result.weight_grads, weights):
+        for manual, tensor in zip(result.weight_grads, tape.weights):
             np.testing.assert_allclose(manual, tensor.grad.T, atol=1e-12)
 
 

@@ -1,10 +1,11 @@
 """Equivalence and regression tests for the fused simulation engine.
 
-The fused engine (``repro.core.engine``) must be a drop-in replacement for
-the step-wise reference path: identical spikes, membrane traces and
-synapse-filter traces on the forward pass, and gradients matching the
-reference BPTT to tolerance — for both neuron models, both gradient modes
-and both precisions.  A recorded fused run must also keep feeding the
+The fused engine (``repro.core.engine``) must reproduce the reference
+oracle, the autograd tape's step-by-step unroll
+(``repro.autograd.reference.unroll``): identical spikes, membrane traces
+and synapse-filter traces on the forward pass, and gradients matching the
+tape's to tolerance — for every neuron kind, both gradient modes and both
+precisions.  A recorded fused run must also keep feeding the
 analysis/calibration code unchanged.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import firing_rate, raster_summary, trace_correlation
+from repro.autograd import unroll
 from repro.common.errors import ShapeError
 from repro.core import (
     CrossEntropyRateLoss,
@@ -22,12 +24,14 @@ from repro.core import (
     backward,
     exp_scan,
     exp_scan_reverse,
+    make_optimizer,
     resolve_precision,
 )
 from repro.core.calibration import layer_firing_rates
 from repro.core.engine import _spike_csr
 from repro.core.filters import exponential_filter, exponential_filter_adjoint
 from repro.common.rng import RandomState
+from repro.runtime.parallel import shard_grads
 
 KINDS = ("adaptive", "hard_reset", "hard_reset_euler")
 
@@ -107,42 +111,38 @@ def test_events_reject_a_mismatched_operand():
 @pytest.mark.parametrize("kind", KINDS)
 def test_forward_equivalence(kind):
     net, x = make_net_and_input(kind)
-    out_step, rec_step = net.run(x, record=True, engine="step")
+    tape = unroll(net, x)
     out_fused, rec_fused = net.run(x, record=True, engine="fused")
+    np.testing.assert_array_equal(tape.spikes(), out_fused)
+    out_step, record = net.run(x, engine="step")
+    assert record is None
     np.testing.assert_array_equal(out_step, out_fused)
-    for ls, lf in zip(rec_step.layers, rec_fused.layers):
-        np.testing.assert_array_equal(ls.spikes, lf.spikes)
-        np.testing.assert_allclose(ls.v, lf.v, rtol=1e-9, atol=1e-12)
-        assert (ls.k is None) == (lf.k is None)
-        if ls.k is not None:
-            np.testing.assert_allclose(ls.k, lf.k, rtol=1e-9, atol=1e-12)
+    for index, lf in enumerate(rec_fused.layers):
+        np.testing.assert_array_equal(tape.spikes(index), lf.spikes)
+        np.testing.assert_allclose(tape.v(index), lf.v, rtol=1e-9, atol=1e-12)
+        assert (tape.k(index) is None) == (lf.k is None)
+        if lf.k is not None:
+            np.testing.assert_allclose(tape.k(index), lf.k,
+                                       rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ("adaptive", "hard_reset"))
 def test_forward_final_state_parity(kind):
-    """After a run, incremental layer/neuron state matches the step path."""
+    """After a run, incremental layer/neuron state matches the tape's."""
     net, x = make_net_and_input(kind)
-    net.run(x, engine="step")
-    step_k = [layer.k.copy() for layer in net.layers]
-    step_neuron = []
-    for layer in net.layers:
-        if kind == "adaptive":
-            step_neuron.append((layer.neuron.h.copy(),
-                                layer.neuron.last_output.copy()))
-        else:
-            step_neuron.append((layer.neuron.v.copy(),))
+    tape = unroll(net, x)
     for record in (False, True):
         net.run(x, record=record, engine="fused")
-        for i, layer in enumerate(net.layers):
-            np.testing.assert_allclose(layer.k, step_k[i],
-                                       rtol=1e-9, atol=1e-12)
+        for layer, state in zip(net.layers, tape.state):
             if kind == "adaptive":
-                np.testing.assert_allclose(layer.neuron.h, step_neuron[i][0],
+                np.testing.assert_allclose(layer.k, state["k"],
+                                           rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(layer.neuron.h, state["h"],
                                            rtol=1e-9, atol=1e-12)
                 np.testing.assert_array_equal(layer.neuron.last_output,
-                                              step_neuron[i][1])
+                                              state["o"])
             else:
-                np.testing.assert_allclose(layer.neuron.v, step_neuron[i][0],
+                np.testing.assert_allclose(layer.neuron.v, state["v"],
                                            rtol=1e-9, atol=1e-12)
 
 
@@ -151,11 +151,11 @@ def test_layer_run_equivalence():
     layer.weight *= 6.0
     rng = RandomState(5)
     x = (rng.random((4, 20, 30)) < 0.08).astype(np.float64)
-    out_step, rec_step = layer.run(x, record=True, engine="step")
-    out_fused, rec_fused = layer.run(x, record=True, engine="fused")
-    np.testing.assert_array_equal(out_step, out_fused)
-    np.testing.assert_allclose(rec_step.v, rec_fused.v, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(rec_step.k, rec_fused.k, rtol=1e-9, atol=1e-12)
+    tape = unroll(SpikingNetwork.from_layers([layer]), x)
+    out_fused, rec_fused = layer.run(x, record=True)
+    np.testing.assert_array_equal(tape.spikes(), out_fused)
+    np.testing.assert_allclose(tape.v(0), rec_fused.v, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(tape.k(0), rec_fused.k, rtol=1e-9, atol=1e-12)
 
 
 # -- backward equivalence ---------------------------------------------------
@@ -168,28 +168,12 @@ def test_backward_equivalence(kind, mode):
     loss = CrossEntropyRateLoss()
     labels = np.arange(x.shape[0]) % net.sizes[-1]
     _, grad_out = loss.value_and_grad(out, labels)
-    ref = backward(net, record, grad_out, mode=mode, engine="reference")
-    fused = backward(net, record, grad_out, mode=mode, engine="fused")
+    ref = unroll(net, x, mode=mode).backward(grad_out)
+    fused = backward(net, record, grad_out, mode=mode)
     for a, b in zip(ref.weight_grads, fused.weight_grads):
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
     # input_grad is lazy in the fused result; reading it here exercises
     # the deferred matmul.
-    np.testing.assert_allclose(ref.input_grad, fused.input_grad,
-                               rtol=1e-8, atol=1e-12)
-
-
-@pytest.mark.parametrize("mode", ("exact", "truncated"))
-def test_backward_on_step_record(mode):
-    """The fused backward accepts a record produced by the step engine."""
-    net, x = make_net_and_input("adaptive")
-    out, record = net.run(x, record=True, engine="step")
-    loss = CrossEntropyRateLoss()
-    labels = np.arange(x.shape[0]) % net.sizes[-1]
-    _, grad_out = loss.value_and_grad(out, labels)
-    ref = backward(net, record, grad_out, mode=mode, engine="reference")
-    fused = backward(net, record, grad_out, mode=mode, engine="fused")
-    for a, b in zip(ref.weight_grads, fused.weight_grads):
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(ref.input_grad, fused.input_grad,
                                rtol=1e-8, atol=1e-12)
 
@@ -203,7 +187,7 @@ def test_lazy_input_grad_unaffected_by_weight_updates(kind):
     loss = CrossEntropyRateLoss()
     labels = np.arange(x.shape[0]) % net.sizes[-1]
     _, grad_out = loss.value_and_grad(out, labels)
-    ref = backward(net, record, grad_out, engine="reference")
+    ref = unroll(net, x).backward(grad_out)
     fused = backward(net, record, grad_out)
     for w in net.weights:
         w -= 0.05 * np.sign(w)   # in-place update, as every optimizer does
@@ -250,9 +234,11 @@ def test_float32_gradients_close_to_float64(kind, mode):
 
 def test_step_engine_honours_precision():
     net, x = make_net_and_input("adaptive")
-    out, record = net.run(x, record=True, engine="step", precision="float32")
+    out, _ = net.run(x, engine="step", precision="float32")
     assert out.dtype == np.float32
-    assert record.layers[0].k.dtype == np.float32
+    tape = unroll(net, x, precision="float32")
+    assert tape.k(0).dtype == tape.v(0).dtype == np.float32
+    assert tape.backward(np.ones_like(out)).weight_grads[0].dtype == np.float32
 
 
 # -- validation -------------------------------------------------------------
@@ -261,13 +247,15 @@ def test_invalid_engine_rejected():
     net, x = make_net_and_input("adaptive")
     with pytest.raises(ValueError):
         net.run(x, engine="warp")
-    out, record = net.run(x, record=True)
-    loss = CrossEntropyRateLoss()
-    _, grad_out = loss.value_and_grad(out, np.arange(8) % 10)
-    with pytest.raises(ValueError):
-        backward(net, record, grad_out, engine="warp")
-    with pytest.raises(ValueError):
-        net.layers[0].run(x[:, :, :50], engine="warp")
+
+
+@pytest.mark.parametrize("extra", [dict(record=True), dict(workspace=object()),
+                                   dict(weights=[None, None])])
+def test_step_engine_returns_outputs_only(extra):
+    """The tape run has no record, workspace or weight override."""
+    net, x = make_net_and_input("adaptive")
+    with pytest.raises(ValueError, match="fused-engine"):
+        net.run(x, engine="step", **extra)
 
 
 def test_fused_shape_errors():
@@ -282,20 +270,20 @@ def test_fused_shape_errors():
 
 def test_run_record_feeds_analysis_unchanged():
     net, x = make_net_and_input("adaptive")
-    _, rec_step = net.run(x, record=True, engine="step")
+    tape = unroll(net, x)
     _, rec_fused = net.run(x, record=True, engine="fused")
 
-    for rec in (rec_step, rec_fused):
-        assert rec.outputs.shape == (8, 30, 10)
-        assert rec.layer_input(0) is rec.inputs
-        assert rec.layer_input(1) is rec.layers[0].spikes
+    assert rec_fused.outputs.shape == (8, 30, 10)
+    assert rec_fused.layer_input(0) is rec_fused.inputs
+    assert rec_fused.layer_input(1) is rec_fused.layers[0].spikes
 
-    # The same analysis calls produce identical numbers from either record.
-    assert firing_rate(rec_step.outputs) == firing_rate(rec_fused.outputs)
-    s_step = raster_summary(rec_step.layers[0].spikes[0])
+    # The same analysis calls produce identical numbers from the record
+    # and from the tape's arrays.
+    assert firing_rate(tape.spikes()) == firing_rate(rec_fused.outputs)
+    s_tape = raster_summary(tape.spikes(0)[0])
     s_fused = raster_summary(rec_fused.layers[0].spikes[0])
-    assert s_step == s_fused
-    corr = trace_correlation(rec_step.outputs[0], rec_fused.outputs[0])
+    assert s_tape == s_fused
+    corr = trace_correlation(tape.spikes()[0], rec_fused.outputs[0])
     assert corr == pytest.approx(1.0)
 
 
@@ -318,16 +306,21 @@ def test_trainer_engines_agree_after_one_epoch():
     rng = RandomState(8)
     x = (rng.random((16, 25, 20)) < 0.08).astype(np.float64)
     y = np.arange(16) % 2
+    loss = CrossEntropyRateLoss()
 
-    results = {}
-    for engine in ("fused", "step"):
-        net = build()
-        config = TrainerConfig(epochs=1, batch_size=8, learning_rate=1e-3,
-                               shuffle=False, engine=engine)
-        trainer = Trainer(net, CrossEntropyRateLoss(), config, rng=9)
-        trainer.fit(x, y)
-        results[engine] = [w.copy() for w in net.weights]
-    for a, b in zip(results["fused"], results["step"]):
+    net = build()
+    config = TrainerConfig(epochs=1, batch_size=8, learning_rate=1e-3,
+                           shuffle=False)
+    Trainer(net, loss, config, rng=9).fit(x, y)
+
+    tape_net = build()
+    optimizer = make_optimizer("adamw", tape_net.weights, lr=1e-3,
+                               weight_decay=0.0)
+    for start in (0, 8):
+        _, _, grads = shard_grads(tape_net, loss, x[start:start + 8],
+                                  y[start:start + 8], engine="step")
+        optimizer.step(grads)
+    for a, b in zip(net.weights, tape_net.weights):
         np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-10)
 
 
@@ -347,7 +340,5 @@ def test_trainer_float32_precision_trains():
 
 
 def test_trainer_config_validation():
-    with pytest.raises(Exception):
-        TrainerConfig(engine="warp").validate()
     with pytest.raises(Exception):
         TrainerConfig(precision="float16").validate()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ShapeError, StateError
+from repro.common.errors import ShapeError
 from repro.core.layers import SpikingLinear
 from repro.core.neurons import NeuronParameters
 
@@ -31,28 +31,17 @@ class TestConstruction:
 
 
 class TestForward:
-    def test_step_before_reset_raises(self):
-        layer = SpikingLinear(5, 2, rng=0)
-        with pytest.raises(StateError):
-            layer.step(np.zeros((1, 5)))
-
-    def test_step_wrong_width_raises(self):
-        layer = SpikingLinear(5, 2, rng=0)
-        layer.reset_state(1)
-        with pytest.raises(ShapeError):
-            layer.step(np.zeros((1, 6)))
-
     def test_adaptive_psp_is_filtered_weighted_input(self):
         """g = W k with k the exponential filter of the input spikes."""
         layer = SpikingLinear(3, 2, params=NeuronParameters(v_th=1e9), rng=0)
-        layer.reset_state(1)
         rng = np.random.default_rng(0)
+        xs = (rng.random((1, 10, 3)) < 0.5).astype(float)
+        _, record = layer.run(xs, record=True)
         carry = np.zeros((1, 3))
-        for _ in range(10):
-            x = (rng.random((1, 3)) < 0.5).astype(float)
-            _, v = layer.step(x)
-            carry = layer.alpha * carry + x
-            np.testing.assert_allclose(v, carry @ layer.weight.T, rtol=1e-12)
+        for t in range(10):
+            carry = layer.alpha * carry + xs[:, t]
+            np.testing.assert_allclose(record.v[:, t], carry @ layer.weight.T,
+                                       rtol=1e-12)
 
     def test_run_shapes_and_reset(self):
         layer = SpikingLinear(6, 4, rng=1)

@@ -4,8 +4,9 @@ The load-bearing guarantee of the serving layer: a T-step sequence fed in
 chunks of any sizes, at either precision, produces *bitwise-identical*
 output spikes to the one-shot fused run, and a padded heterogeneous batch
 leaves every stream exactly where its own data ended.  Every stream runs
-the fused engine; the step engine is a one-shot reference only, and the
-chunked stream is held to its bits as well.
+the fused engine; the reference oracle (``engine="step"``, the autograd
+tape) is one-shot only, and the chunked stream is held to its bits as
+well.
 
 The guarantee rests on the CSR spike product computing output rows
 independently (dense GEMM does not: BLAS picks
@@ -50,7 +51,7 @@ def stream_in_chunks(net, x, chunk, precision):
 
 class TestChunkedEquivalence:
     """``engine`` names the one-shot run the stream is held to: the fused
-    kernel the stream itself runs, or the independent step-wise oracle."""
+    kernel the stream itself runs, or the independent tape oracle."""
 
     @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
     @pytest.mark.parametrize("engine", ["fused", "step"])

@@ -76,11 +76,10 @@ class TestTrainingNeverReadsK:
 
 @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
 @pytest.mark.parametrize("precision", ["float64", "float32"])
-@pytest.mark.parametrize("engine", ["fused", "step"])
-def test_derived_k_is_the_scan_of_the_layer_input(kind, precision, engine):
+def test_derived_k_is_the_scan_of_the_layer_input(kind, precision):
     x, _ = make_batch(seed=1)
     net = make_net(kind)
-    _, record = net.run(x, record=True, engine=engine, precision=precision)
+    _, record = net.run(x, record=True, precision=precision)
     for index, (layer, layer_record) in enumerate(zip(net.layers,
                                                       record.layers)):
         if kind != "adaptive":

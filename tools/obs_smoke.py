@@ -17,8 +17,12 @@ plane (:mod:`repro.obs`, docs/observability.md) holds its contract:
    ``pool.respawn`` event carrying the worker id and new generation,
    with the pool's registry counting the dispatch and the respawn.
 4. **Overhead gate** — telemetry-on wall time over the smoke preset
-   must stay within ``OVERHEAD_BUDGET`` of telemetry-off (interleaved
-   best-of-``--repeats`` each).
+   must stay within ``OVERHEAD_BUDGET`` of telemetry-off.  The estimate
+   is the median-on / median-off ratio of ``--repeats`` interleaved
+   off/on pairs, with ``tools/ab.py``'s seeded paired-bootstrap 95%
+   interval; the gate fails only when the interval's lower end is above
+   the budget, so a machine's noise cannot fail it but a real overhead
+   past the budget does.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ab import quantile, ratio_interval  # noqa: E402  (tools/ab.py)
 from repro import obs  # noqa: E402
 from repro.common import faults  # noqa: E402
 from repro.common.benchcfg import bench_inputs, bench_network  # noqa: E402
@@ -159,15 +164,14 @@ def pool_trace_gate() -> list[str]:
     return errors
 
 
-def _measure_overhead(repeats: int) -> tuple[float, float]:
-    """Interleaved best-of-``repeats`` wall time per mode: (off, on).
+def _measure_overhead(repeats: int) -> tuple[list[float], list[float]]:
+    """``repeats`` interleaved wall-time pairs: (off samples, on samples).
 
-    Scheduler/GC noise only ever *inflates* a sample, so the per-mode
-    minimum converges to the true run time from above; alternating the
-    mode order each repetition keeps slow machine drift from biasing
-    one mode; collection is forced before (and disabled during) each
-    sample so telemetry's allocations don't charge a GC cycle to the
-    telemetry-on runs.
+    Pair ``i`` runs both modes back to back, the order alternating from
+    pair to pair, so slow machine drift charges both modes alike;
+    collection is forced before (and disabled during) each sample so
+    telemetry's allocations don't charge a GC cycle to the telemetry-on
+    runs.
     """
     import gc
 
@@ -199,35 +203,22 @@ def _measure_overhead(repeats: int) -> tuple[float, float]:
             else:
                 off_s.append(run_once(None))
                 on_s.append(run_once(on_dir))
-    return min(off_s), min(on_s)
+    return off_s, on_s
 
 
 def overhead_gate(repeats: int) -> list[str]:
     """Telemetry-on / telemetry-off wall-time ratio on the smoke preset."""
-    # Noise only ever inflates a wall-time sample, so the global
-    # per-mode minimum converges to the true run time from above —
-    # accumulate it across bounded retry attempts instead of trusting
-    # any single measurement window on a noisy machine.
-    off = on = float("inf")
-    total = 0
-    for attempt_repeats in (repeats, repeats, 2 * repeats):
-        attempt_off, attempt_on = _measure_overhead(attempt_repeats)
-        off = min(off, attempt_off)
-        on = min(on, attempt_on)
-        total += attempt_repeats
-        if on / off <= OVERHEAD_BUDGET:
-            break
-        print(f"overhead gate: ratio {on / off:.4f} over budget after "
-              f"{total} repeats/mode; re-measuring")
-    ratio = on / off
-    print(f"overhead gate: off={off:.3f}s on={on:.3f}s "
-          f"ratio={ratio:.4f} (budget {OVERHEAD_BUDGET}, "
-          f"{total} repeats/mode)")
-    errors = []
-    if ratio > OVERHEAD_BUDGET:
-        errors.append(f"telemetry overhead ratio {ratio:.4f} exceeds "
-                      f"{OVERHEAD_BUDGET}")
-    return errors
+    off_s, on_s = _measure_overhead(repeats)
+    off, on = quantile(off_s, 0.5), quantile(on_s, 0.5)
+    low, high = ratio_interval(off_s, on_s)
+    print(f"overhead gate: median off={off:.4f}s on={on:.4f}s "
+          f"ratio={on / off:.4f}, 95% CI [{low:.4f}, {high:.4f}] "
+          f"(budget {OVERHEAD_BUDGET}, {repeats} pairs)")
+    if low > OVERHEAD_BUDGET:
+        return [f"telemetry overhead ratio {on / off:.4f} exceeds "
+                f"{OVERHEAD_BUDGET}: its 95% interval [{low:.4f}, "
+                f"{high:.4f}] lies above the budget"]
+    return []
 
 
 def main(argv=None) -> int:
@@ -235,8 +226,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-dir", default="traces",
                         help="directory for the exported smoke/chaos "
                              "telemetry artifacts (CI uploads it)")
-    parser.add_argument("--repeats", type=int, default=11,
-                        help="overhead measurement repetitions per mode")
+    parser.add_argument("--repeats", type=int, default=41,
+                        help="interleaved off/on pairs behind the "
+                             "overhead estimate")
     args = parser.parse_args(argv)
     smoke_dir = os.path.join(args.trace_dir, "smoke")
     chaos_dir = os.path.join(args.trace_dir, "chaos")
