@@ -6,9 +6,7 @@ from .engine import (
     PRECISIONS,
     StreamState,
     exp_scan,
-    exp_scan_reverse,
     fused_backward,
-    fused_layer_forward,
     fused_run,
     resolve_precision,
     run_streaming,
@@ -52,9 +50,7 @@ __all__ = [
     "StreamState",
     "run_streaming",
     "exp_scan",
-    "exp_scan_reverse",
     "fused_backward",
-    "fused_layer_forward",
     "fused_run",
     "resolve_precision",
     "DoubleExponentialKernel",

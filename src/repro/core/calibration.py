@@ -75,10 +75,11 @@ def calibrate_firing(network: SpikingNetwork, inputs: np.ndarray,
     layer_input = inputs
     for layer in network.layers:
         base_weight = layer.weight.copy()
+        alone = SpikingNetwork.from_layers([layer])   # reads layer.weight
 
         def rate_at(scale: float) -> float:
             layer.weight = base_weight * scale
-            spikes, _ = layer.run(layer_input)
+            spikes, _ = alone.run(layer_input)
             return float(np.mean(spikes))
 
         lo, hi = scale_bounds
@@ -102,5 +103,5 @@ def calibrate_firing(network: SpikingNetwork, inputs: np.ndarray,
                     hi = mid
         layer.weight = base_weight * chosen
         scales.append(float(chosen))
-        layer_input, _ = layer.run(layer_input)
+        layer_input, _ = alone.run(layer_input)
     return scales

@@ -32,10 +32,12 @@ adjoint lies.
 
 One kernel per neuron kind: :func:`_adaptive_forward` and
 :func:`_hard_reset_forward` advance a carried per-layer state (the
-:class:`StreamState` layout) over one chunk.  A one-shot run
-(:func:`fused_run`) is a stream from a zero state followed by the
-write-back of the final state to the layer; :func:`run_streaming` carries
-the state between chunks.  Every crossbar product runs over the input's
+:class:`StreamState` layout) over one chunk, and one layer loop
+(:func:`_advance`) runs them up the stack.  A forward run is a pure
+function of weights, input and carried state: a one-shot run
+(:func:`fused_run`) is a stream from a zero state, :func:`run_streaming`
+carries the state between chunks, and neither writes to a layer or
+neuron.  Every crossbar product runs over the input's
 spike events (:class:`_Events`, built by :func:`_spike_csr`): each output
 row is an independent sum over that row's events in index order, so a
 sample's spikes and membrane values are bitwise the same alone, inside a
@@ -53,8 +55,8 @@ input-gradient matmul.
 
 Repeated input: a Fig. 8 sweep runs one fixed evaluation set once per
 programming draw, so one-shot runs remember recent batch-major caller
-inputs' events and final filter states ``layer.k``, checked by content
-in the caller's memory order on every call (:class:`_InputMemo`).
+inputs' events, checked by content in the caller's memory order on
+every call (:class:`_InputMemo`).
 Stream chunks (new on every call) and hidden layers' events are always
 built afresh.
 
@@ -91,8 +93,6 @@ __all__ = [
     "PRECISIONS",
     "resolve_precision",
     "exp_scan",
-    "exp_scan_reverse",
-    "fused_layer_forward",
     "fused_run",
     "fused_backward",
     "StreamState",
@@ -170,22 +170,6 @@ def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
     if out is not xs:
         np.copyto(out, xs)
     _scan(out.swapaxes(0, 1), decay, carry)
-    return out
-
-
-def exp_scan_reverse(xs: np.ndarray, decay: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along axis 1.
-
-    The adjoint of :func:`exp_scan`, with the same ``(batch, T, n)``
-    contract, kernel (:func:`_scan_reverse`) and ``out`` aliasing.
-    """
-    xs = np.asarray(xs)
-    if out is None:
-        out = np.empty_like(xs)
-    if out is not xs:
-        np.copyto(out, xs)
-    _scan_reverse(out.swapaxes(0, 1), decay)
     return out
 
 
@@ -280,21 +264,18 @@ def _mask_events(mask: np.ndarray, dtype) -> _Events:
 class _InputMemo:
     """One remembered batch-major caller input, by its events: shape,
     dtype, each event's flat index into the caller's memory (in the
-    events' time-major order) and CSR (read-only: hits share
-    them), plus ``k = (alpha, final filter state)`` once a one-shot run
-    computed it (the shape fixes ``T``).  ``nbytes`` counts the events
-    (24 bytes each in float64: flat index, value, column) and the
-    filter state."""
+    events' time-major order) and CSR (read-only: hits share them).
+    ``nbytes`` counts the events (24 bytes each in float64: flat index,
+    value, column) and the row pointers."""
 
-    __slots__ = ("shape", "idx", "csr", "k", "nbytes")
+    __slots__ = ("shape", "idx", "csr", "nbytes")
 
     def __init__(self, shape, idx, csr):
         for array in (idx, csr.data, csr.indices, csr.indptr):
             array.setflags(write=False)
-        self.shape, self.idx, self.csr, self.k = shape, idx, csr, None
+        self.shape, self.idx, self.csr = shape, idx, csr
         self.nbytes = (idx.nbytes + csr.data.nbytes + csr.indices.nbytes
-                       + csr.indptr.nbytes
-                       + shape[0] * shape[2] * csr.dtype.itemsize)
+                       + csr.indptr.nbytes)
 
     def holds(self, shape, raveled: np.ndarray, count: int) -> bool:
         """Whether ``raveled`` (with ``count`` nonzeros) is this input.
@@ -426,81 +407,6 @@ def _zero_layer_state(layer, batch: int, dtype) -> dict[str, np.ndarray]:
     """
     keys = ("g", "h", "o") if layer.neuron_kind == "adaptive" else ("v",)
     return {key: np.zeros((batch, layer.n_out), dtype) for key in keys}
-
-
-def fused_layer_forward(layer, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
-
-    ``xs`` is ``(batch, T, n_in)`` (its dtype selects precision).  The
-    layer's kernel runs from a zero state and the final state is written
-    back to the layer and its neuron (``layer.k``, ``neuron.h`` /
-    ``last_output`` or ``neuron.v``).
-
-    Returns ``(spikes, v)``, both ``(batch, T, n_out)`` views of
-    time-major buffers — with the layer's input, everything a
-    :class:`~repro.core.layers.LayerStepRecord` holds.  The synapse filter
-    is applied after the crossbar product (the two commute), so the
-    ``(batch, T, n_in)`` trace ``k`` is never built.
-    """
-    xs = np.asarray(xs)
-    if xs.ndim != 3:
-        raise ShapeError(f"{layer.name}: expected (batch, T, n_in), "
-                         f"got {xs.shape}")
-    if xs.shape[2] != layer.n_in:
-        raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
-                         f"got {xs.shape[2]}")
-    xs = xs.swapaxes(0, 1)
-    spikes, v, _ = _run_layer(layer, xs, _spike_events(xs), None, None)
-    return spikes.swapaxes(0, 1), v.swapaxes(0, 1)
-
-
-def _run_layer(layer, xs, events, ws, weight):
-    """One-shot run of ``layer`` over time-major ``xs`` from a zero state,
-    writing the final state back; returns time-major ``(spikes, v,
-    mask)`` (see :func:`_layer_chunk`)."""
-    dtype = xs.dtype
-    steps, batch, n_in = xs.shape
-    if steps == 0:
-        layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((0, batch, layer.n_out), dtype=dtype)
-        return empty, empty.copy(), empty.astype(np.bool_)
-
-    st = _zero_layer_state(layer, batch, dtype)
-    spikes, v, mask = _layer_chunk(layer, xs, st, events, ws, weight)
-    if layer.neuron_kind != "adaptive":
-        # A hard-reset layer has no synapse filter: its ``k`` is the zero
-        # state ``reset_state`` gives it.
-        layer.k = np.zeros((batch, n_in), dtype=dtype)
-        layer.neuron.v = st["v"]
-        return spikes, v, mask
-
-    # Final filter state without the full trace: k[T-1] is the
-    # alpha^(T-1-t)-weighted sum of the inputs, contracted over whichever
-    # axis of the input's memory is time.
-    decay_powers = (layer.alpha ** np.arange(steps - 1, -1, -1,
-                                             dtype=np.float64)).astype(dtype)
-    if xs.flags.c_contiguous:
-        layer.k = (decay_powers @ xs.reshape(steps, -1)).reshape(batch, n_in)
-    else:   # the caller's batch-major input
-        layer.k = _caller_filter_state(xs.swapaxes(0, 1), events,
-                                       layer.alpha, decay_powers)
-    layer.neuron.h = st["h"]
-    layer.neuron.last_output = st["o"]
-    return spikes, v, mask
-
-
-def _caller_filter_state(inputs, csr, alpha, decay_powers) -> np.ndarray:
-    """``decay_powers @ inputs``, the final filter state of the caller's
-    input, kept in the memo entry that holds its events ``csr`` and
-    handed out as a copy.  (A ``-0.0`` the entry let through adds to a
-    ``+0.0`` accumulator: same bits.)"""
-    slot = next((entry for entry in _input_memo if entry.csr is csr), None)
-    if slot is None:
-        return np.matmul(decay_powers, inputs)
-    entry = slot.k   # read once: another thread may replace it
-    if entry is None or entry[0] != alpha:
-        entry = slot.k = (alpha, np.matmul(decay_powers, inputs))
-    return entry[1].copy()
 
 
 def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
@@ -640,6 +546,46 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     return spikes, gv, mask
 
 
+def _advance(network, x, events, states, weights, ws=None, record=False,
+             lengths=None, ends=None):
+    """Advance every layer's carried state over the time-major input ``x``.
+
+    The one layer loop of :func:`fused_run` (zero states) and
+    :func:`run_streaming` (a stream's states).  ``events`` are ``x``'s
+    (:func:`_spike_events`); each higher layer's are built from the
+    threshold mask of the layer below (:func:`_mask_events`).  ``states``
+    (one :func:`_zero_layer_state` dict per layer) advance in place,
+    ``lengths``/``ends`` as in :func:`_adaptive_forward`.  Returns the
+    time-major output spikes and, with ``record``, per layer its input
+    events and time-major ``(v, spikes)``; without, each intermediate
+    buffer goes back to ``ws`` once the next layer has consumed it.  An
+    empty input (no steps or no rows) advances nothing: every layer's
+    outputs are empty.
+    """
+    steps, batch, _ = x.shape
+    last = len(network.layers) - 1
+    recorded = []
+    for index, (layer, st, weight) in enumerate(
+            zip(network.layers, states, weights)):
+        if steps and batch:
+            spikes, v, mask = _layer_chunk(layer, x, st, events, ws, weight,
+                                           lengths, ends)
+        else:
+            spikes = np.zeros((steps, batch, layer.n_out), x.dtype)
+            v, mask = spikes.copy(), spikes.astype(np.bool_)
+        if record:
+            recorded.append((events, v, spikes))
+        if index < last:
+            events = _mask_events(mask, spikes.dtype)
+        _ws_release(ws, mask)
+        if not record:
+            _ws_release(ws, v)
+            if index > 0:
+                _ws_release(ws, x)
+        x = spikes
+    return x, recorded
+
+
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
               weights=None):
     """Fused forward pass over the whole stack.
@@ -653,8 +599,9 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     ``record=False`` each intermediate tensor is recycled once the next
     layer has consumed it; with neither, the temporaries come from the
     thread's arena (:func:`_arena`) and ``outputs`` views a plain copy.
-    Each layer runs its kernel from a zero state,
-    so the outputs equal a stream of the whole sequence as one chunk.
+    Every layer starts from a zero state, so the outputs equal a stream
+    of the whole sequence as one chunk (the same loop, :func:`_advance`);
+    the final state is dropped.
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
@@ -679,31 +626,24 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
         return copy, None
     weights = _per_layer_weights(network, weights)
     x = inputs.swapaxes(0, 1)
-    layer_records: list[LayerStepRecord] = []
-    input_events = []
-    events = _spike_events(x, ws)
-    for index, (layer, weight) in enumerate(zip(network.layers, weights)):
-        input_events.append(events)
-        spikes, v, mask = _run_layer(layer, x, events, ws, weight)
-        if index < len(network.layers) - 1:
-            events = _mask_events(mask, spikes.dtype)
-        _ws_release(ws, mask)
-        if record:
-            layer_input = inputs if index == 0 else layer_records[-1].spikes
-            layer_records.append(LayerStepRecord.for_layer(
-                layer, layer_input, v.swapaxes(0, 1), spikes.swapaxes(0, 1)))
-        elif ws is not None:
-            ws.release(v)
-            if index > 0:
-                ws.release(x)
-        x = spikes
+    states = [_zero_layer_state(layer, inputs.shape[0], inputs.dtype)
+              for layer in network.layers]
+    x, recorded = _advance(network, x, _spike_events(x, ws), states, weights,
+                           ws, record)
     outputs = x.swapaxes(0, 1)
     if not record:
         return outputs, None
+    layer_records = []
+    layer_input = inputs
+    for layer, (_, v, spikes) in zip(network.layers, recorded):
+        spikes = spikes.swapaxes(0, 1)
+        layer_records.append(LayerStepRecord.for_layer(
+            layer, layer_input, v.swapaxes(0, 1), spikes))
+        layer_input = spikes
     run_record = RunRecord(inputs=inputs, layers=layer_records)
     # Stash the CSR conversions so a following fused_backward on this
     # record reuses them for its weight-gradient contractions.
-    run_record._input_events = input_events
+    run_record._input_events = [events for events, _, _ in recorded]
     return outputs, run_record
 
 
@@ -727,8 +667,8 @@ class StreamState:
     from (:func:`_zero_layer_state`) — all in the stream's dtype.
 
     Instances are plain data: they never reference the network (a server
-    holds one per resident model, a row per session) and the network's
-    own layer/neuron scratch state is untouched by streaming runs.
+    holds one per resident model, a row per session), and no run writes
+    state to the network.
     ``batch`` may exceed 1 — a server's tick copies its sessions' rows
     into one batched state with :meth:`gather` and back with
     :meth:`scatter`.
@@ -837,9 +777,10 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
 
     ``chunk`` is a validated ``(batch, T_chunk, n_in)`` array in the
     state's dtype (:meth:`~repro.core.network.SpikingNetwork.run_stream`
-    handles coercion).  ``state`` is advanced in place by the same
-    per-layer kernels a one-shot :func:`fused_run` starts from a zero
-    state, so chunked and one-shot outputs are bitwise equal.  ``lengths``
+    handles coercion).  ``state`` is advanced in place by the layer loop
+    a one-shot :func:`fused_run` runs from a zero state
+    (:func:`_advance`), so chunked and one-shot outputs are bitwise
+    equal.  ``lengths``
     (optional, ``(batch,)`` ints in ``[1, T_chunk]``) marks each row's
     valid prefix in a padded chunk: rows still compute the padded tail
     (rejecting cross-row work would cost more than it saves) but their
@@ -852,31 +793,17 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     substitutes the crossbar product's weight matrices without touching
     the network's own parameters — the hardware-in-the-loop hook of
     :meth:`~repro.hardware.mapped_network.HardwareMappedNetwork.run_stream`
-    (same code path, the crossbars' achieved weight values).  Unlike
-    :func:`fused_run`, the network's layer/neuron scratch state is left
-    untouched: many concurrent streams share one resident network.
+    (same code path, the crossbars' achieved weight values).  The stream's
+    memory is ``state`` alone, so many concurrent streams share one
+    resident network.
     """
     batch, steps, _ = chunk.shape
     lengths, ends = _resolve_lengths(lengths, batch, steps)
     weights = _per_layer_weights(network, weights)
-    if steps == 0:
-        return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
     x = chunk.swapaxes(0, 1)
-    events = _spike_events(x, ws, remember=False)
-    for index, (layer, st, weight) in enumerate(
-            zip(network.layers, state.layers, weights)):
-        spikes, v, mask = _layer_chunk(layer, x, st, events, ws, weight,
-                                       lengths, ends)
-        if index < len(network.layers) - 1:
-            events = _mask_events(mask, spikes.dtype)
-        _ws_release(ws, v, mask)
-        if index > 0:
-            _ws_release(ws, x)
-        x = spikes
-    if lengths is None:
-        state.steps += steps
-    else:
-        state.steps += lengths
+    x, _ = _advance(network, x, _spike_events(x, ws, remember=False),
+                    state.layers, weights, ws, lengths=lengths, ends=ends)
+    state.steps += steps if lengths is None else lengths
     return x.swapaxes(0, 1)
 
 
@@ -1052,7 +979,7 @@ def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
         exact:      reset_term[t] = a_h[t+1],  a_h[t] = beta*a_h[t+1] - theta*delta_v[t]
         truncated:  reset_term[t] = -theta * delta_v[t+1]
 
-    Hoisted part — with ``e = exp_scan_reverse(delta_v, alpha)``, the
+    Hoisted part — with ``e = _scan_reverse(delta_v, alpha)``, the
     synapse filter's adjoint.  The filter is linear, so it moves off the
     recorded trace ``k`` onto the adjoint
     (``sum_t delta_v[t]^T k[t] == sum_s e[s]^T x[s]``) and commutes with

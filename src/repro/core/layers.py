@@ -83,6 +83,10 @@ class LayerStepRecord:
 class SpikingLinear:
     """A fully-connected spiking layer (synapse filters + weights + neurons).
 
+    A layer holds parameters, never run state: it runs inside a
+    :class:`~repro.core.network.SpikingNetwork`
+    (``SpikingNetwork.from_layers([layer])`` runs it alone).
+
     Parameters
     ----------
     n_in, n_out:
@@ -141,34 +145,6 @@ class SpikingLinear:
             self.weight = generator.normal(
                 0.0, weight_scale / np.sqrt(self.n_in),
                 (self.n_out, self.n_in))
-
-        self.k: np.ndarray | None = None  # synapse filter state (adaptive)
-
-    # -- state -------------------------------------------------------------
-    def reset_state(self, batch_size: int, dtype=np.float64) -> None:
-        """Zero all temporal state (between samples, never within one)."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.k = np.zeros((batch_size, self.n_in), dtype=dtype)
-        self.neuron.reset_state(batch_size, dtype=dtype)
-
-    # -- forward -----------------------------------------------------------
-    def run(self, xs: np.ndarray,
-            record: bool = False) -> tuple[np.ndarray, LayerStepRecord | None]:
-        """Run a whole float64 sequence ``xs`` of shape (batch, T, n_in)
-        on the fused kernels of :mod:`repro.core.engine`.
-
-        Starts from a zero state.  Returns ``(spikes, record)`` where
-        ``spikes`` has shape (batch, T, n_out).
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 3:
-            raise ShapeError(f"{self.name}: expected (batch, T, n_in), "
-                             f"got {xs.shape}")
-        from .engine import fused_layer_forward   # local import: avoids a cycle
-        out, vs = fused_layer_forward(self, xs)
-        rec = LayerStepRecord.for_layer(self, xs, vs, out) if record else None
-        return out, rec
 
     # -- utilities ----------------------------------------------------------
     def copy_with_neuron(self, neuron_kind: str) -> "SpikingLinear":

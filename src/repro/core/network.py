@@ -237,9 +237,8 @@ class SpikingNetwork:
         :func:`~repro.core.engine.run_streaming`).  Every stream runs the
         fused engine's kernels; the reference oracle is one-shot only
         (``run(engine="step")``).  The stream's memory lives entirely in
-        the returned state, never in the network — the layer/neuron
-        scratch is left untouched — so any number of concurrent streams
-        share one resident network.
+        the returned state, never in the network (no run writes to it),
+        so any number of concurrent streams share one resident network.
 
         Parameters
         ----------

@@ -25,11 +25,10 @@ incremental state (``h``/``last_output`` for adaptive, ``v`` for hard
 reset): the single-neuron view Fig. 1's dynamics plot steps through.
 The fused engine (:mod:`repro.core.engine`, behind ``SpikingNetwork.run``)
 evaluates the *same* recurrences as whole-sequence scans over
-``(T, batch, n)`` buffers — it bypasses ``step`` entirely for speed but
-deposits the final-step state back into these objects, so code that
-inspects ``neuron.h`` / ``neuron.v`` or calls
-:meth:`AdaptiveLIFNeuron.adaptive_threshold` after a run sees the run's
-final values.  The reference oracle for whole networks is the autograd
+``(T, batch, n)`` buffers; it bypasses ``step`` entirely for speed and
+never writes these objects' state (a network's run state lives in the
+caller's :class:`~repro.core.engine.StreamState`, or nowhere after a
+one-shot run).  The reference oracle for whole networks is the autograd
 tape (:func:`repro.autograd.reference.unroll`); ``step`` itself is
 pinned by ``tests/unit/test_neurons.py`` and
 ``tests/property/test_neuron_equivalence.py``.

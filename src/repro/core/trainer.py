@@ -438,7 +438,8 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
                 "pool from this network so the shared-memory replicas match")
         return pool.run_sharded(inputs, batch_size, precision=resolved)
     chunks = []
-    for start in range(0, inputs.shape[0], batch_size):
+    # An empty set runs once, as one empty chunk: (0, T, n_out) out.
+    for start in range(0, inputs.shape[0], batch_size) or [0]:
         outputs, _ = network.run(inputs[start:start + batch_size],
                                  precision=resolved, workspace=workspace)
         chunks.append(outputs)

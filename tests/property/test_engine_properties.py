@@ -11,8 +11,9 @@ precisions, and batch and sequence lengths down to 1:
   round across the threshold differently, are compared only where they
   agree;
 * membrane values, the derived synapse-filter trace ``k``, the final
-  layer/neuron state and both gradient modes' weight and input gradients
-  match to the tolerances of ``tests/unit/test_engine.py``;
+  state a stream of the sequence leaves and both gradient modes' weight
+  and input gradients match to the tolerances of
+  ``tests/unit/test_engine.py``;
 * every record tensor reports the public ``(batch, T, n)`` shape.
 """
 
@@ -51,18 +52,12 @@ def engine_cases(draw):
     return net, x, precision, mode
 
 
-def final_state(net):
-    """Copies of every layer's and neuron's incremental state, keyed like
-    the tape's ``Unroll.state``."""
-    state = []
-    for layer in net.layers:
-        neuron = layer.neuron
-        if layer.neuron_kind == "adaptive":
-            arrays = dict(k=layer.k, h=neuron.h, o=neuron.last_output)
-        else:
-            arrays = dict(v=neuron.v)
-        state.append({key: np.array(a) for key, a in arrays.items()})
-    return state
+def stream_state(net, x, precision):
+    """The state a stream of ``x`` as one chunk leaves, per layer: an
+    adaptive layer carries ``{g, h, o}`` (the drive ``g = k W^T`` in
+    place of the tape's ``k``), a hard-reset layer ``{v}``."""
+    _, state = net.run_stream(x, precision=precision)
+    return state.layers
 
 
 def assert_record_shapes(net, record, batch, steps):
@@ -83,7 +78,7 @@ def test_fused_engine_matches_tape_oracle(case):
     batch, steps, _ = x.shape
     tape = unroll(net, x, precision=precision, mode=mode)
     out_fused, rec_fused = net.run(x, record=True, precision=precision)
-    state_fused = final_state(net)
+    state_fused = stream_state(net, x, precision)
 
     assert_record_shapes(net, rec_fused, batch, steps)
     assert out_fused.dtype == np.dtype(precision)
@@ -99,10 +94,17 @@ def test_fused_engine_matches_tape_oracle(case):
         np.testing.assert_allclose(tape.v(i), b.v, rtol=rtol, atol=atol)
         if b.k is not None:
             np.testing.assert_allclose(tape.k(i), b.k, rtol=rtol, atol=atol)
-    for mine, theirs in zip(tape.state, state_fused):
-        assert mine.keys() == theirs.keys()
-        for key in mine:
-            np.testing.assert_allclose(mine[key], theirs[key],
+    for layer, mine, theirs in zip(net.layers, tape.state, state_fused):
+        if layer.neuron_kind == "adaptive":
+            assert theirs.keys() == {"g", "h", "o"}
+            np.testing.assert_allclose(mine["k"] @ layer.weight.T,
+                                       theirs["g"], rtol=rtol, atol=atol)
+            for key in ("h", "o"):
+                np.testing.assert_allclose(mine[key], theirs[key],
+                                           rtol=rtol, atol=atol)
+        else:
+            assert mine.keys() == theirs.keys() == {"v"}
+            np.testing.assert_allclose(mine["v"], theirs["v"],
                                        rtol=rtol, atol=atol)
 
     labels = np.arange(batch) % net.sizes[-1]

@@ -26,6 +26,7 @@ from repro.hardware import (HardwareMappedNetwork, RRAMDeviceConfig,
 from repro.runtime.parallel import shard_grads
 
 FUSED_ENTRY_POINTS = (
+    ("repro.core.engine", "_advance"),     # the forward's one layer loop
     ("repro.core.engine", "fused_run"),
     ("repro.core.network", "fused_run"),
     ("repro.core.engine", "fused_backward"),

@@ -23,12 +23,12 @@ from repro.core import (
     TrainerConfig,
     backward,
     exp_scan,
-    exp_scan_reverse,
     make_optimizer,
     resolve_precision,
+    run_in_batches,
 )
 from repro.core.calibration import layer_firing_rates
-from repro.core.engine import _spike_csr
+from repro.core.engine import _scan_reverse, _spike_csr
 from repro.core.filters import exponential_filter, exponential_filter_adjoint
 from repro.common.rng import RandomState
 from repro.runtime.parallel import shard_grads
@@ -69,13 +69,11 @@ def test_exp_scan_in_place_aliasing():
 def test_exp_scan_reverse_matches_filter_adjoint():
     rng = RandomState(2)
     xs = rng.normal(0, 1, (4, 25, 7))
-    got = exp_scan_reverse(xs.copy(), 0.6)
     want = exponential_filter_adjoint(xs, 0.6, time_axis=1)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    buf = xs.copy()
-    out = exp_scan_reverse(buf, 0.6, out=buf)
+    buf = np.ascontiguousarray(xs.swapaxes(0, 1))   # time-major copy
+    out = _scan_reverse(buf, 0.6)
     assert out is buf
-    np.testing.assert_allclose(out, want, rtol=1e-12)
+    np.testing.assert_allclose(out.swapaxes(0, 1), want, rtol=1e-12)
 
 
 # -- sparse kernels ---------------------------------------------------------
@@ -128,22 +126,22 @@ def test_forward_equivalence(kind):
 
 @pytest.mark.parametrize("kind", ("adaptive", "hard_reset"))
 def test_forward_final_state_parity(kind):
-    """After a run, incremental layer/neuron state matches the tape's."""
+    """The state a stream of the whole sequence leaves matches the
+    tape's final state (an adaptive layer carries ``g = k W^T``, the
+    drive, in place of ``k``)."""
     net, x = make_net_and_input(kind)
     tape = unroll(net, x)
-    for record in (False, True):
-        net.run(x, record=record, engine="fused")
-        for layer, state in zip(net.layers, tape.state):
-            if kind == "adaptive":
-                np.testing.assert_allclose(layer.k, state["k"],
-                                           rtol=1e-9, atol=1e-12)
-                np.testing.assert_allclose(layer.neuron.h, state["h"],
-                                           rtol=1e-9, atol=1e-12)
-                np.testing.assert_array_equal(layer.neuron.last_output,
-                                              state["o"])
-            else:
-                np.testing.assert_allclose(layer.neuron.v, state["v"],
-                                           rtol=1e-9, atol=1e-12)
+    _, stream = net.run_stream(x)
+    for layer, mine, state in zip(net.layers, stream.layers, tape.state):
+        if kind == "adaptive":
+            np.testing.assert_allclose(mine["g"], state["k"] @ layer.weight.T,
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(mine["h"], state["h"],
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(mine["o"], state["o"])
+        else:
+            np.testing.assert_allclose(mine["v"], state["v"],
+                                       rtol=1e-9, atol=1e-12)
 
 
 def test_layer_run_equivalence():
@@ -151,8 +149,10 @@ def test_layer_run_equivalence():
     layer.weight *= 6.0
     rng = RandomState(5)
     x = (rng.random((4, 20, 30)) < 0.08).astype(np.float64)
-    tape = unroll(SpikingNetwork.from_layers([layer]), x)
-    out_fused, rec_fused = layer.run(x, record=True)
+    alone = SpikingNetwork.from_layers([layer])
+    tape = unroll(alone, x)
+    out_fused, record = alone.run(x, record=True)
+    rec_fused = record.layers[0]
     np.testing.assert_array_equal(tape.spikes(), out_fused)
     np.testing.assert_allclose(tape.v(0), rec_fused.v, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(tape.k(0), rec_fused.k, rtol=1e-9, atol=1e-12)
@@ -264,6 +264,37 @@ def test_fused_shape_errors():
         net.run(x[:, :, :-1])
     with pytest.raises(ShapeError):
         net.run(x[0])
+
+
+@pytest.mark.parametrize("kind", ("adaptive", "hard_reset"))
+@pytest.mark.parametrize("record", (False, True))
+@pytest.mark.parametrize("shape", ((0, 5), (3, 0), (0, 0)),
+                         ids=("no-samples", "no-steps", "neither"))
+def test_an_empty_run_returns_empty_tensors(kind, record, shape):
+    """No samples or no steps: empty outputs and record, no error."""
+    net, _ = make_net_and_input(kind)
+    batch, steps = shape
+    x = np.zeros((batch, steps, net.sizes[0]))
+    outputs, rec = net.run(x, record=record)
+    assert outputs.shape == (batch, steps, net.sizes[-1])
+    assert (rec is not None) == record
+    if record:
+        for layer, layer_record in zip(net.layers, rec.layers):
+            assert layer_record.v.shape == (batch, steps, layer.n_out)
+            assert layer_record.spikes.shape == (batch, steps, layer.n_out)
+            if kind == "adaptive":
+                assert layer_record.k.shape == (batch, steps, layer.n_in)
+
+
+def test_an_empty_evaluation_set_is_empty_serially_and_pooled():
+    from repro.runtime import WorkerPool
+    net, _ = make_net_and_input("adaptive")
+    x = np.zeros((0, 5, net.sizes[0]))
+    serial = run_in_batches(net, x, 4)
+    assert serial.shape == (0, 5, net.sizes[-1])
+    with WorkerPool(net, workers=1) as pool:
+        pooled = run_in_batches(net, x, 4, pool=pool)
+    assert pooled.shape == serial.shape and pooled.dtype == serial.dtype
 
 
 # -- record regression: analysis and calibration stay unchanged -------------

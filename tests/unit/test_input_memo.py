@@ -2,7 +2,7 @@
 
 A repeated batch-major input (a Fig. 8 evaluation set run once per
 programming draw, whole or in ``run_in_batches`` chunks) reuses its
-layer-0 CSR and final filter state ``layer.k``.  The memo is checked by
+layer-0 events.  The memo is checked by
 content, so mutating the very same array between runs must give bitwise
 what a fresh build gives: every rerun here is compared with a run made
 from an empty memo.
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import SpikingNetwork, backward, engine, run_in_batches
-from repro.core.neurons import NeuronParameters
 from repro.common.rng import RandomState
 
 SHAPE = (4, 20, 30)
@@ -23,9 +22,8 @@ def empty_memo(monkeypatch):
     monkeypatch.setattr(engine, "_input_memo", ())
 
 
-def _network(tau=None):
-    params = None if tau is None else NeuronParameters(tau=tau)
-    net = SpikingNetwork((30, 16, 8), params=params, rng=3)
+def _network():
+    net = SpikingNetwork((30, 16, 8), rng=3)
     for layer in net.layers:
         layer.weight *= 6.0
     return net
@@ -41,13 +39,12 @@ def _bits(array) -> tuple:
 
 
 def _snapshot(net, x, precision=None) -> list:
-    """Bits of the outputs, the record, every ``layer.k`` and the exact
-    and truncated gradients of one recorded run over ``x``."""
+    """Bits of the outputs, the record and the exact and truncated
+    gradients of one recorded run over ``x``."""
     outputs, record = net.run(x, record=True, precision=precision)
     bits = [_bits(outputs)]
-    for layer, rec in zip(net.layers, record.layers):
-        bits += [_bits(rec.v), _bits(rec.spikes), _bits(rec.k),
-                 _bits(layer.k)]
+    for rec in record.layers:
+        bits += [_bits(rec.v), _bits(rec.spikes), _bits(rec.k)]
     grad = RandomState(9).normal(size=outputs.shape).astype(outputs.dtype)
     for mode in ("exact", "truncated"):
         result = backward(net, record, grad, mode=mode)
@@ -129,15 +126,12 @@ def test_in_place_mutation_reruns_bitwise_as_a_fresh_build(name):
 def test_a_repeat_is_served_by_the_memo():
     net = _network()
     x = _spikes(1)
-    net.run(x)
+    first, _ = net.run(x)
     (slot,) = engine._input_memo
-    assert slot.shape == x.shape and slot.k[0] == net.layers[0].alpha
-    k = net.layers[0].k
-    k[...] = 123.0                   # handed out as a copy
-    net.run(x)
+    assert slot.shape == x.shape
+    again, _ = net.run(x)
     assert engine._input_memo == (slot,)
-    assert not np.any(net.layers[0].k == 123.0)
-    assert np.array_equal(net.layers[0].k, slot.k[1])
+    assert _bits(again) == _bits(first)
 
 
 def test_a_chunked_evaluation_hits_every_chunk():
@@ -195,8 +189,8 @@ def test_an_input_over_the_budget_is_not_remembered(monkeypatch):
 
 
 def test_a_reshape_in_place_misses():
-    """Same memory, same ``(batch*T, n)`` rows, another ``T``: the final
-    filter state differs, so the memo must not serve it."""
+    """Same memory, same ``(batch*T, n)`` rows, another ``T``: the
+    time-major event rows differ, so the memo must not serve it."""
     net = _network()
     x = _spikes(1, (4, 20, 30))
     net.run(x)
@@ -215,19 +209,6 @@ def test_another_dtype_misses():
     assert engine._input_memo[-1] is not slot
     assert engine._input_memo[-1].csr.dtype == np.float32
     assert rerun == _fresh(net, x, precision="float32")
-
-
-def test_another_filter_decay_recomputes_k():
-    """The events are shared; ``layer.k`` is remembered per decay."""
-    x = _spikes(1)
-    slow, fast = _network(), _network(tau=2.0)
-    assert slow.layers[0].alpha != fast.layers[0].alpha
-    slow.run(x)
-    (slot,) = engine._input_memo
-    rerun = _snapshot(fast, x)
-    assert engine._input_memo == (slot,)
-    assert slot.k[0] == fast.layers[0].alpha
-    assert rerun == _fresh(fast, x)
 
 
 def test_stream_chunks_mutated_in_place_match_fresh_chunks():
@@ -253,40 +234,3 @@ def test_remembered_events_are_read_only():
     for array in (slot.idx, slot.csr.data, slot.csr.indices,
                   slot.csr.indptr):
         assert not array.flags.writeable
-
-
-def test_a_run_uses_the_filter_state_it_checked():
-    """Another thread may write an entry's ``k`` (for another decay)
-    between this run's check and its use; the run must hand out the
-    state it checked.  The write is made deterministic here: the first
-    read of ``k`` lets the other decay's state in right after it."""
-    x = _spikes(1)
-    slow, fast = _network(), _network(tau=2.0)
-    fast.run(x)
-    (slot,) = engine._input_memo
-    other = slot.k
-    slow.run(x)
-    want = _bits(slow.layers[0].k)
-    assert slot.k[0] == slow.layers[0].alpha != other[0]
-    stored = engine._InputMemo.k
-
-    class WrittenAfterTheFirstRead(engine._InputMemo):
-        __slots__ = ()
-        reads = 0
-
-        @property
-        def k(self):
-            entry = stored.__get__(self)
-            WrittenAfterTheFirstRead.reads += 1
-            if WrittenAfterTheFirstRead.reads == 1:
-                stored.__set__(self, other)
-            return entry
-
-        @k.setter
-        def k(self, value):
-            stored.__set__(self, value)
-
-    slot.__class__ = WrittenAfterTheFirstRead
-    slow.run(x)
-    assert WrittenAfterTheFirstRead.reads >= 1
-    assert _bits(slow.layers[0].k) == want

@@ -20,6 +20,7 @@ import pytest
 
 from repro.common.errors import ShapeError
 from repro.core import SpikingNetwork, StreamState, exp_scan
+from repro.runtime.workspace import Workspace
 
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
@@ -212,16 +213,28 @@ class TestStateContract:
         assert state.steps.tolist() == [12, 12]
         assert twin.steps.tolist() == [6, 6]
 
-    def test_fused_streaming_leaves_network_scratch_alone(self):
-        net = make_net()
+    @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
+    def test_runs_leave_the_model_untouched(self, kind):
+        """A forward run is a pure function of weights, input and carried
+        state: no kind of run writes to a layer or neuron."""
+
+        def snapshot(net):
+            # Per layer and neuron: each attribute's object and its bits.
+            return [{name: (id(value), value.tobytes()
+                            if isinstance(value, np.ndarray) else None)
+                     for name, value in vars(owner).items()}
+                    for layer in net.layers
+                    for owner in (layer, layer.neuron)]
+
+        net = make_net(kind)
         x = make_inputs()
-        net.run(x)  # deposits per-run scratch on layers/neurons
-        k_before = [layer.k.copy() for layer in net.layers]
-        h_before = [layer.neuron.h.copy() for layer in net.layers]
-        net.run_stream(x[:, :9])
-        for layer, k, h in zip(net.layers, k_before, h_before):
-            assert np.array_equal(layer.k, k)
-            assert np.array_equal(layer.neuron.h, h)
+        before = snapshot(net)
+        net.run(x, record=True)                        # recorded
+        net.run(x)                                     # arena-backed
+        net.run(x, workspace=Workspace())              # workspace-backed
+        _, state = net.run_stream(x[:, :9])            # streamed
+        net.run_stream(x[:, 9:], state)
+        assert snapshot(net) == before
 
 
 class TestExpScanCarry:
