@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
+.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper gates docs quickstart serve-demo
 
 ## tier-1 verify: the full unit/property/integration suite
 test:
@@ -33,7 +33,7 @@ bench:
 bench-table:
 	$(PYTHON) -m repro.experiments harness full --table run_table.csv
 
-## seconds-scale scenario grid (the CI gates job's first step)
+## seconds-scale scenario grid -> run_table.csv
 bench-smoke:
 	$(PYTHON) -m repro.experiments harness smoke --table run_table.csv
 
@@ -41,17 +41,10 @@ bench-smoke:
 bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
 
-## fault-injection gates: pool bitwise self-healing + chaos availability
-chaos-smoke:
-	$(PYTHON) tools/chaos_smoke.py --table run_table.csv
-
-## telemetry gates: trace schema, exporter parsing, overhead <= 5%
-obs-smoke:
-	$(PYTHON) tools/obs_smoke.py --trace-dir traces
-
-## fleet gates: tenant isolation, canary rollout, per-tenant table rows
-fleet-smoke:
-	$(PYTHON) tools/fleet_smoke.py --table run_table.csv --trace-dir traces/fleet
+## every smoke gate in one run (the CI gates job): telemetry, chaos,
+## worker-pool healing and fleet -> run_table_*.csv + traces/
+gates:
+	$(PYTHON) tools/gates.py
 
 ## verify the documentation: README/docs exist and their local links resolve
 docs:

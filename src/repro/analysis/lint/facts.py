@@ -85,12 +85,10 @@ EXTERNAL_PRIVATE_ALLOWED = {
 DEFAULT_DETERMINISM_EXEMPT = ("src/repro/common/rng.py",)
 
 #: Files whose run-table column references the schema rule checks: the
-#: harness that writes the rows and the gates that read them.
+#: harness that writes the rows and the gate runner that reads them.
 DEFAULT_RUNTABLE_FILES = (
     "src/repro/experiments/harness.py",
-    "tools/chaos_smoke.py",
-    "tools/fleet_smoke.py",
-    "tools/obs_smoke.py",
+    "tools/gates.py",
 )
 
 #: Wall-clock reads the determinism rule flags when *called* directly.

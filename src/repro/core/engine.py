@@ -1012,7 +1012,7 @@ def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
             a_h *= beta
             np.multiply(dv_t, theta, out=scratch)
             a_h -= scratch
-    else:
+    elif steps:   # a zero-step record has no last step to seed
         np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
         for t in range(steps - 2, -1, -1):
             np.multiply(dv[t + 1], theta, out=scratch)
@@ -1053,7 +1053,8 @@ def _fused_backward_hard_reset(layer, layer_record, events, grad_spikes,
     dv = (np.empty(v_pre.shape, dtype) if defer
           else _ws_empty(ws, v_pre.shape, dtype))
     scratch = _ws_empty(ws, (batch, n_out), dtype)
-    np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
+    if steps:   # a zero-step record has no last step to seed
+        np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
     for t in range(steps - 2, -1, -1):
         dv_t = dv[t]
         np.subtract(1.0, spikes[t], out=scratch)

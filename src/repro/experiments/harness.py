@@ -254,7 +254,7 @@ def run_scenarios(scenarios, table: RunTable | None = None,
     ``<run_id>.prom`` (the Prometheus metrics snapshot) into that
     directory — the per-run artifacts next to ``run_table.csv``.  With
     the default ``None`` no telemetry is installed and runs measure
-    exactly as before (the overhead gate in ``tools/obs_smoke.py``
+    exactly as before (the overhead gate in ``tools/gates.py``
     compares the two modes).
     """
     table = RunTable() if table is None else table

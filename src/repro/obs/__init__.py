@@ -28,7 +28,7 @@ installation state.
 
 Instrument catalog, trace schema and exporter formats:
 ``docs/observability.md``.  ``tools/trace_view.py`` renders exported
-traces; ``tools/obs_smoke.py`` gates schema validity and overhead.
+traces; ``tools/gates.py`` gates schema validity and overhead.
 """
 
 from __future__ import annotations

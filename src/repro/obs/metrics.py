@@ -327,7 +327,7 @@ def _prom_labels(labels: tuple) -> str:
 def parse_prometheus(text: str) -> dict:
     """Parse a text-exposition snapshot back to ``{key: float}``.
 
-    The validator half of the exporter contract (``tools/obs_smoke.py``
+    The validator half of the exporter contract (``tools/gates.py``
     and the unit tests round-trip every snapshot through it): raises
     ``ValueError`` on any line that is neither a comment nor a
     ``name{labels} value`` sample.

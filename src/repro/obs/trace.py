@@ -22,7 +22,7 @@ an unexpectedly chatty workload.
 
 Export is JSON Lines, one record per line with a fixed key order
 (:data:`RECORD_FIELDS`); :func:`parse_jsonl` is the schema validator the
-``obs-smoke`` gate and ``tools/trace_view.py`` read traces through.
+``tools/gates.py`` and ``tools/trace_view.py`` read traces through.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ class Tracer:
         shortest-round-trip JSON, and only the free-form fields
         (``name``, ``attrs``) go through the JSON encoder.  Roughly 3x
         faster than encoding whole records, which is what keeps the
-        telemetry overhead gate (``tools/obs_smoke.py``) honest.
+        telemetry overhead gate (``tools/gates.py``) honest.
         """
         encode = _ENCODER.encode
         lines = [

@@ -41,7 +41,7 @@ site kills a replica mid-load — its queued tickets fail cleanly
 (:meth:`~repro.serve.server.ModelServer.fail_pending`), its sessions
 raise :class:`~repro.common.errors.StateError` on their next submit so
 clients reconnect onto a live replica, and the fleet-wide books still
-balance (``tools/chaos_smoke.py`` gates availability under this).
+balance (``tools/gates.py`` gates availability under this).
 
 See ``docs/fleet.md`` for the full lifecycle and
 :func:`repro.serve.loadgen.open_loop` (given a
@@ -59,7 +59,7 @@ from .. import obs as _obs
 from ..common import faults as _faults
 from ..common.errors import CapacityError, StateError
 from ..common.rng import RandomState
-from .server import ModelServer
+from .server import ModelServer, _load_generation
 
 __all__ = ["Fleet", "TenantQuota"]
 
@@ -949,25 +949,3 @@ class Fleet:
 def _noop_event(name: str, **attrs) -> None:
     return None
 
-
-def _load_generation(registry, name: str, version: str | None,
-                     hardware_profile):
-    """Resolve one (network, hardware, version, profile, meta) generation
-    from a registry — the :meth:`ModelServer.from_registry` pairing
-    rules, shared by :meth:`Fleet.from_registry` and
-    :meth:`Fleet.deploy_canary`."""
-    version = version or registry.latest(name)
-    network, meta = registry.load(name, version)
-    hardware = None
-    profile_id = None
-    if hardware_profile is not None and hardware_profile is not False:
-        if hardware_profile is True:
-            for entry in registry.list_profiles(name):
-                if entry["meta"].get("checkpoint") == version:
-                    profile_id = entry["profile"]
-            profile_id = profile_id or registry.latest_profile(name)
-        else:
-            profile_id = hardware_profile
-        profile, _ = registry.load_profile(name, profile_id)
-        hardware = profile.build(network)
-    return network, hardware, version, profile_id, meta

@@ -303,28 +303,8 @@ class ModelServer:
         Combine with ``shadow=True`` to serve the ideal model while
         canarying the realization.
         """
-        # Resolve the version once, up front: re-reading latest() after
-        # the load could observe a concurrent save and pair the loaded
-        # weights with another checkpoint's linked profile (or stamp the
-        # wrong model_version on the server).
-        version = version or registry.latest(name)
-        network, meta = registry.load(name, version)
-        hardware = None
-        profile_id = None
-        if hardware_profile is not None and hardware_profile is not False:
-            if hardware_profile is True:
-                for entry in registry.list_profiles(name):
-                    # Keep the newest profile linked to this checkpoint.
-                    if entry["meta"].get("checkpoint") == version:
-                        profile_id = entry["profile"]
-                # No linked profile: fall back to the newest one —
-                # resolved once, like version above, so the id stamped
-                # on the server is the profile actually loaded.
-                profile_id = profile_id or registry.latest_profile(name)
-            else:
-                profile_id = hardware_profile
-            profile, _ = registry.load_profile(name, profile_id)
-            hardware = profile.build(network)
+        network, hardware, version, profile_id, meta = _load_generation(
+            registry, name, version, hardware_profile)
         server = cls(network, hardware=hardware, **kwargs)
         server.model_name = name
         server.model_version = version
@@ -964,3 +944,35 @@ class ModelServer:
         return (f"ModelServer({arch}, "
                 f"sessions={len(self._sessions)}, "
                 f"pending={self.batcher.pending}{mode}{model})")
+
+
+def _load_generation(registry, name: str, version: str | None,
+                     hardware_profile):
+    """Resolve one (network, hardware, version, profile, meta) generation
+    from a registry: the pairing rules of
+    :meth:`ModelServer.from_registry`, :meth:`Fleet.from_registry
+    <repro.serve.fleet.Fleet.from_registry>` and
+    :meth:`~repro.serve.fleet.Fleet.deploy_canary`."""
+    # Resolve the version once, up front: re-reading latest() after
+    # the load could observe a concurrent save and pair the loaded
+    # weights with another checkpoint's linked profile (or stamp the
+    # wrong model_version on the server).
+    version = version or registry.latest(name)
+    network, meta = registry.load(name, version)
+    hardware = None
+    profile_id = None
+    if hardware_profile is not None and hardware_profile is not False:
+        if hardware_profile is True:
+            for entry in registry.list_profiles(name):
+                # Keep the newest profile linked to this checkpoint.
+                if entry["meta"].get("checkpoint") == version:
+                    profile_id = entry["profile"]
+            # No linked profile: fall back to the newest one —
+            # resolved once, like version above, so the id stamped
+            # on the server is the profile actually loaded.
+            profile_id = profile_id or registry.latest_profile(name)
+        else:
+            profile_id = hardware_profile
+        profile, _ = registry.load_profile(name, profile_id)
+        hardware = profile.build(network)
+    return network, hardware, version, profile_id, meta

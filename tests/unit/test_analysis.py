@@ -635,11 +635,10 @@ class TestLintSelfHost:
         assert facts.instrument_catalog.covers("serve.ticks")
 
     def test_runtable_rule_covers_every_row_reader(self):
-        """The harness writes rows and the smoke gates read them; each
+        """The harness writes rows and the gate runner reads them; each
         configured file exists and is seen reading columns."""
         facts = build_facts(root=REPO)
         assert set(DEFAULT_RUNTABLE_FILES) >= {
-            "src/repro/experiments/harness.py", "tools/chaos_smoke.py",
-            "tools/fleet_smoke.py", "tools/obs_smoke.py"}
+            "src/repro/experiments/harness.py", "tools/gates.py"}
         for path in DEFAULT_RUNTABLE_FILES:
             assert facts.modules[path].runtable_refs, path

@@ -167,6 +167,23 @@ class TestTruncatedMode:
             backward(net, record, np.zeros_like(out), mode="rtrl")
 
 
+@pytest.mark.parametrize("precision", ("float64", "float32"))
+@pytest.mark.parametrize("mode", ("exact", "truncated"))
+@pytest.mark.parametrize("kind", ("adaptive", "hard_reset", "hard_reset_euler"))
+def test_zero_step_backward_returns_zero_gradients(kind, mode, precision):
+    """A zero-step record has zero weight gradients and an empty input
+    gradient in every kind and mode, not an IndexError."""
+    net = SpikingNetwork((7, 5, 3), neuron_kind=kind, rng=0)
+    out, record = net.run(np.zeros((3, 0, 7)), record=True,
+                          precision=precision)
+    grads = backward(net, record, np.zeros_like(out), mode=mode)
+    for layer, grad in zip(net.layers, grads.weight_grads):
+        assert grad.shape == layer.weight.shape
+        assert grad.dtype == out.dtype
+        assert not grad.any()
+    assert grads.input_grad.shape == (3, 0, 7)
+
+
 class TestValidation:
     def test_grad_shape_mismatch(self):
         net = _active_network((4, 3))
