@@ -47,6 +47,7 @@ __all__ = [
 #: a *strictly lower* layer (or its own package); function-level imports
 #: are the sanctioned pattern for the few upward edges
 #: (``common.faults`` -> ``obs`` events, ``core.trainer`` -> ``runtime``,
+#: ``core.trainer`` -> ``hardware.crossbar`` for hardware-aware training,
 #: ``core.engine`` -> ``runtime.workspace`` for one-shot runs' arena,
 #: ``core.network`` -> ``autograd`` for ``run(engine="step")``'s tape).
 DEFAULT_LAYERS = {

@@ -97,15 +97,14 @@ class TrainerConfig(BaseConfig):
         weight-override hook, while the optimizer keeps updating the
         full-precision master weights (a straight-through estimator —
         the quantizer is treated as the identity on the backward pass).
-        With every device noise source off (``variation``,
-        ``stuck_at_rate``, ``read_noise`` all 0) the override is the pure
-        :func:`~repro.hardware.quantization.fake_quantize` grid (the
-        map-time grid, bitwise); with any of them configured each
-        optimizer step samples one fresh programming-and-read draw
-        (:func:`~repro.hardware.quantization.sample_programmed_weights`,
-        seeded from ``profile.seed`` and the step counter), so the
-        learned solution is robust to the distribution of crossbars it
-        may be mapped onto.  Evaluation
+        Each layer's override is a
+        :class:`~repro.hardware.crossbar.DifferentialCrossbar`'s effective
+        weights — the realization the mapped network serves.  With every
+        device noise source off that is the deterministic k-bit grid;
+        with ``variation``, ``stuck_at_rate`` or ``read_noise`` set each
+        optimizer step programs a fresh draw (seeded from
+        ``profile.seed`` and the step counter), so the learned solution
+        is robust to the crossbars it may be mapped onto.  Evaluation
         (:meth:`Trainer.evaluate`) still reports the ideal model — map
         the trained network under the same profile to measure deployed
         accuracy (see ``docs/training.md``).
@@ -216,36 +215,34 @@ class Trainer:
         """The weight override of the *next* hardware-aware step, or
         ``None`` for ideal training.
 
-        With every device noise source off this is the deterministic
-        :func:`~repro.hardware.quantization.fake_quantize` of the current
-        master weights — bitwise the map-time grid.  With variation,
-        stuck-at faults or read noise configured, each call consumes one
-        step of the profile-seeded noise stream and returns a fresh
-        simulated programming-and-read
-        (:func:`~repro.hardware.quantization.sample_programmed_weights`).
+        Each layer's override is
+        ``DifferentialCrossbar(layer.weight, profile.device, rng=...)
+        .effective_weights()``.  With every device noise source off this
+        is the deterministic quantization grid and no rng stream is
+        consumed.  With variation, stuck-at faults or read noise
+        configured, each call consumes one step of the profile-seeded
+        stream: layer ``i`` of step ``n`` programs (and reads) from
+        ``RandomState(profile.seed).child(f"train-step{n}")
+        .child(f"layer{i}")``.
         """
         profile = self.config.hardware
         if profile is None:
             return None
         # Local import: core.trainer is imported by hardware.mapped_network,
         # so a module-level hardware import would be circular.
-        from ..hardware.quantization import (
-            fake_quantize,
-            sample_programmed_weights,
-        )
+        from ..hardware.crossbar import DifferentialCrossbar
 
         device = profile.device
+        draw = None
         if (device.variation > 0 or device.stuck_at_rate > 0
                 or device.read_noise > 0):
             draw = self._hw_root.child(f"train-step{self._hw_step}")
             self._hw_step += 1
-            return [
-                sample_programmed_weights(layer.weight, device,
-                                          rng=draw.child(f"layer{i}"))
-                for i, layer in enumerate(self.network.layers)
-            ]
-        return [fake_quantize(layer.weight, device)
-                for layer in self.network.layers]
+        return [DifferentialCrossbar(
+                    layer.weight, device,
+                    rng=None if draw is None else draw.child(f"layer{i}"),
+                ).effective_weights()
+                for i, layer in enumerate(self.network.layers)]
 
     # -- parallel runtime ---------------------------------------------------
     def _ensure_pool(self):

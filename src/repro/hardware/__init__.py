@@ -33,10 +33,7 @@ from .power import (
 from .quantization import (
     QuantizationConfig,
     conductances_to_weights,
-    fake_quantize,
-    quantize_weights,
     resolve_weight_scale,
-    sample_programmed_weights,
     weights_to_conductances,
 )
 from .tiling import TiledCrossbar
@@ -64,9 +61,6 @@ __all__ = [
     "estimate_power",
     "QuantizationConfig",
     "conductances_to_weights",
-    "fake_quantize",
-    "quantize_weights",
     "resolve_weight_scale",
-    "sample_programmed_weights",
     "weights_to_conductances",
 ]

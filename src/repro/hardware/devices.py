@@ -78,12 +78,12 @@ def quantize_conductances(conductances: np.ndarray,
                           config: RRAMDeviceConfig) -> np.ndarray:
     """Snap target conductances to the device's programmable ladder.
 
-    This is **the** k-bit grid of the hardware path: every consumer —
-    :meth:`RRAMCellArray.quantize_targets` at map time, the trainer's
-    fake-quant forward at train time
-    (:func:`repro.hardware.quantization.fake_quantize`) — calls this one
-    function, so the two grids cannot drift apart.  The clip makes the
-    one new array; every later step runs in place on it.
+    This is **the** k-bit grid of the hardware path:
+    :meth:`RRAMCellArray.program` snaps every target with it, and every
+    crossbar (:class:`~repro.hardware.crossbar.DifferentialCrossbar`, at
+    map time and in hardware-aware training alike) programs through such
+    arrays.  The clip makes the one new array; every later step runs in
+    place on it.
     """
     cfg = config
     grid = np.clip(conductances, cfg.g_min, cfg.g_max)
@@ -99,15 +99,13 @@ def quantize_conductances(conductances: np.ndarray,
 def program_conductances(conductances: np.ndarray,
                          config: RRAMDeviceConfig,
                          rng: RandomState | None = None,
-                         quantize: bool = True,
                          targets: np.ndarray | None = None) -> np.ndarray:
     """One simulated programming: ladder snap, variation, clip, faults.
 
     The single source of truth for "what conductances does a programming
     pass actually achieve":
 
-    * ``quantize`` snaps the targets to the :func:`quantize_conductances`
-      ladder (else they are only clipped to the window);
+    * the targets snap to the :func:`quantize_conductances` ladder;
     * with ``rng`` and ``config.variation > 0`` the achieved *resistance*
       deviates by a multiplicative lognormal factor (conductance divided
       by it), clipped back into the physical window;
@@ -117,19 +115,18 @@ def program_conductances(conductances: np.ndarray,
     ``rng=None`` is the noise-free programming — the pure quantization
     grid.  :meth:`RRAMCellArray.program` delegates its math here, so a
     caller passing the array's own rng stream reproduces the array's
-    programming bitwise.  ``targets`` short-circuits the snap/clip when
-    the caller already computed the programming targets (``quantize`` is
-    then ignored) — the array avoids running the ladder snap twice.  The
-    caller's arrays are never written; the result is a new array, and
-    each step works in place on the pass's own temporaries.
+    programming bitwise.  ``targets`` short-circuits the snap when the
+    caller already computed the programming targets — the array avoids
+    running the ladder snap twice.  The caller's arrays are never
+    written; the result is a new array, and each step works in place on
+    the pass's own temporaries.
     """
     cfg = config
     if targets is not None:
         target = targets
     else:
-        conductances = np.asarray(conductances, dtype=np.float64)
-        target = quantize_conductances(conductances, cfg) if quantize \
-            else np.clip(conductances, cfg.g_min, cfg.g_max)
+        target = quantize_conductances(
+            np.asarray(conductances, dtype=np.float64), cfg)
     if rng is not None and cfg.variation > 0:
         # The draw's own buffer becomes the result: lognormal factor ->
         # target divided into it -> clipped into it.
@@ -184,8 +181,7 @@ class RRAMCellArray:
         (delegates to the shared :func:`quantize_conductances` grid)."""
         return quantize_conductances(conductances, self.config)
 
-    def program(self, conductances: np.ndarray,
-                quantize: bool = True) -> np.ndarray:
+    def program(self, conductances: np.ndarray) -> np.ndarray:
         """Program the array; returns the *achieved* conductances.
 
         Process variation is modelled on the resistance: the achieved
@@ -193,20 +189,17 @@ class RRAMCellArray:
         ``sigma = variation`` (lognormal, mean-one in log-space), i.e.
         conductance is divided by that factor.  Achieved values are clipped
         to the physical window.  The math is the shared
-        :func:`program_conductances` (one noise model for arrays and for
-        the trainer's per-step device-noise injection).  The result is a
-        read-only view of the array's own achieved conductances.
+        :func:`program_conductances`.  The result is a read-only view of
+        the array's own achieved conductances.
         """
         conductances = np.asarray(conductances, dtype=np.float64)
         if conductances.shape != self.shape:
             raise ValueError(
                 f"expected shape {self.shape}, got {conductances.shape}"
             )
-        cfg = self.config
-        target = self.quantize_targets(conductances) if quantize \
-            else np.clip(conductances, cfg.g_min, cfg.g_max)
-        achieved = program_conductances(conductances, cfg, rng=self.rng,
-                                        targets=target)
+        target = self.quantize_targets(conductances)
+        achieved = program_conductances(conductances, self.config,
+                                        rng=self.rng, targets=target)
         self._target = target
         self._achieved = achieved
         self.version += 1

@@ -22,12 +22,13 @@ private read realization instead (reproducible by seed), so a serving
 session can model cycle-to-cycle read noise without perturbing anyone
 else's weights.
 
-Streaming rides the fused engine's weight-override hook
-(:func:`repro.core.engine.run_streaming` ``weights=``): the chunked
-hardware run executes exactly the software streaming code path with the
-achieved weights substituted into the crossbar product, so chunked
-hardware inference is bitwise-equal to a one-shot hardware ``run`` under
-a fixed noise seed (pinned in ``tests/unit/test_hw_streaming.py``).
+One-shot runs and streams both ride the fused engine's weight-override
+hook (``weights=``): a hardware run executes exactly the software code
+path with the achieved weights substituted into the crossbar product, so
+chunked hardware inference is bitwise-equal to a one-shot hardware
+``run`` under a fixed noise seed (pinned in
+``tests/unit/test_hw_streaming.py``), and no run writes weights into a
+network.
 
 The Fig. 8 sweep is embarrassingly parallel across programming draws: each
 device-noise seed owns an independent rng stream keyed by ``(root seed,
@@ -90,7 +91,7 @@ class HardwareMappedNetwork:
         self._weights = [xbar.effective_weights() for xbar in self.crossbars]
         self._weights_generation = self.generation()
         self.hardware_network = SpikingNetwork.from_layers([
-            SpikingLinear(layer.n_in, layer.n_out, params=network.params,
+            SpikingLinear(layer.n_in, layer.n_out, params=layer.params,
                           neuron_kind=network.neuron_kind, name=f"layer{i}",
                           weight=weight.copy())
             for i, (layer, weight) in enumerate(zip(network.layers,
@@ -161,20 +162,13 @@ class HardwareMappedNetwork:
         ``precision`` is forwarded to
         :meth:`~repro.core.network.SpikingNetwork.run`.
         ``read_noise_rng`` pins a private read-noise realization for this
-        run (see :meth:`weight_list`); the mapped realization is restored
-        afterwards, so interleaved deterministic runs are unaffected.
+        run (see :meth:`weight_list`).  Either realization reaches the
+        engine as the ``weights=`` override of the software network, as
+        streams do, so no network's installed weights change.
         """
-        if read_noise_rng is None:
-            self.weight_list()   # re-sync after any re-programming
-            return self.hardware_network.run(inputs, record=record,
-                                             precision=precision)
-        self.weight_list()
-        self.hardware_network.set_weights(self.weight_list(read_noise_rng))
-        try:
-            return self.hardware_network.run(inputs, record=record,
-                                             precision=precision)
-        finally:
-            self.hardware_network.set_weights(self._weights)
+        return self.software_network.run(
+            inputs, record=record, precision=precision,
+            weights=self.weight_list(read_noise_rng))
 
     def open_stream(self, batch: int = 1, precision: str | None = None,
                     read_noise_rng: RandomState | int | None = None

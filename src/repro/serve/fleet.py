@@ -59,7 +59,8 @@ from .. import obs as _obs
 from ..common import faults as _faults
 from ..common.errors import CapacityError, StateError
 from ..common.rng import RandomState
-from .server import ModelServer, _load_generation
+from .server import (ModelServer, _load_generation, _noop_event,
+                     _stamp_generation)
 
 __all__ = ["Fleet", "TenantQuota"]
 
@@ -323,11 +324,8 @@ class Fleet:
         fleet.model_name = name
         gen = fleet._generations[fleet._primary]
         gen.label = version
-        for replica in gen.replicas:
-            replica.server.model_name = name
-            replica.server.model_version = version
-            replica.server.model_profile = profile_id
-            replica.server.model_meta = meta
+        _stamp_generation([replica.server for replica in gen.replicas],
+                          name, version, profile_id, meta)
         return fleet
 
     # -- tenants -------------------------------------------------------------
@@ -660,11 +658,10 @@ class Fleet:
             network, hardware, shadow=shadow,
             label=label or f"g{self._gen_seq + 1}", count=replicas)
         if model is not None:
-            for replica in self._generations[gen_id].replicas:
-                replica.server.model_name = model
-                replica.server.model_version = version
-                replica.server.model_profile = profile_id
-                replica.server.model_meta = meta
+            _stamp_generation(
+                [replica.server
+                 for replica in self._generations[gen_id].replicas],
+                model, version, profile_id, meta)
         self._canary = gen_id
         self._canary_weight = float(weight)
         self._event("fleet.canary.deployed", generation=gen_id,
@@ -944,8 +941,3 @@ class Fleet:
                 f"({self.live_replicas} live), "
                 f"{len(self._sessions)} sessions, "
                 f"{len(self._tenants)} tenants{canary})")
-
-
-def _noop_event(name: str, **attrs) -> None:
-    return None
-

@@ -48,6 +48,9 @@ __all__ = ["ModelRegistry"]
 _NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION = re.compile(r"^v(\d{4,})$")
 _HW_VERSION = re.compile(r"^hw(\d{4,})$")
+#: The two artifact kinds, as ``(id prefix, id pattern, file extension)``.
+_CHECKPOINTS = ("v", _VERSION, ".npz")
+_PROFILES = ("hw", _HW_VERSION, ".json")
 
 #: Per-process uniquifier for temp artifact stems (pid alone is not enough
 #: when one process saves concurrently from several threads).
@@ -106,24 +109,27 @@ class ModelRegistry:
             and _NAME.match(entry)
         )
 
-    def _scan_versions(self, name: str) -> list[str]:
-        """Every ``vNNNN.npz`` stem present, complete or not, oldest first.
+    def _scan(self, name: str, kind: tuple) -> list[str]:
+        """Every id of ``kind`` (:data:`_CHECKPOINTS` or
+        :data:`_PROFILES`) present, complete or not, oldest first.
 
         This is the *allocation* view: it includes other savers' in-flight
         ``O_EXCL`` claims (empty files) and crash leftovers, so concurrent
-        version allocation always advances past them.  Listings also walk
-        it (and warn on the broken entries); :meth:`versions` filters it
-        down to loadable artifacts.
+        id allocation always advances past them.  Listings also walk
+        it (and warn on the broken entries); :meth:`versions` and
+        :meth:`profiles` filter it down to loadable artifacts.
         """
+        _, pattern, extension = kind
         directory = os.path.join(self.root, self._check_name(name))
         if not os.path.isdir(directory):
             return []
         found = []
         for entry in os.listdir(directory):
             stem, ext = os.path.splitext(entry)
-            if ext == ".npz" and _VERSION.match(stem):
-                found.append(stem)
-        return sorted(found, key=lambda v: int(v[1:]))
+            match = pattern.match(stem)
+            if ext == extension and match:
+                found.append((int(match.group(1)), stem))
+        return [stem for _, stem in sorted(found)]
 
     def versions(self, name: str) -> list[str]:
         """All *complete* versions of ``name``, oldest first.
@@ -136,7 +142,7 @@ class ModelRegistry:
         artifact that cannot be loaded.
         """
         complete = []
-        for version in self._scan_versions(name):
+        for version in self._scan(name, _CHECKPOINTS):
             sidecar = os.path.splitext(self.path(name, version))[0] + ".json"
             if os.path.exists(sidecar):
                 complete.append(version)
@@ -146,19 +152,6 @@ class ModelRegistry:
         """The newest version of ``name``, or ``None``."""
         versions = self.versions(name)
         return versions[-1] if versions else None
-
-    def _scan_profiles(self, name: str) -> list[str]:
-        """Every ``hwNNNN.json`` stem present, complete or not (the
-        allocation/listing view — see :meth:`_scan_versions`)."""
-        directory = os.path.join(self.root, self._check_name(name))
-        if not os.path.isdir(directory):
-            return []
-        found = []
-        for entry in os.listdir(directory):
-            stem, ext = os.path.splitext(entry)
-            if ext == ".json" and _HW_VERSION.match(stem):
-                found.append(stem)
-        return sorted(found, key=lambda v: int(v[2:]))
 
     def profiles(self, name: str) -> list[str]:
         """All *complete* hardware profiles of ``name``, oldest first.
@@ -170,7 +163,7 @@ class ModelRegistry:
         between the scan and the size probe (operator cleanup racing a
         reader) counts as absent, not as an error.
         """
-        return [profile for profile in self._scan_profiles(name)
+        return [profile for profile in self._scan(name, _PROFILES)
                 if self._artifact_bytes(
                     self.profile_path(name, profile)) > 0]
 
@@ -225,7 +218,7 @@ class ModelRegistry:
         names = [self._check_name(name)] if name is not None else self.models()
         entries = []
         for model in names:
-            for version in self._scan_versions(model):
+            for version in self._scan(model, _CHECKPOINTS):
                 npz = self.path(model, version)
                 if self._artifact_bytes(npz) <= 0:
                     continue  # in-flight claim (or vanished): healthy
@@ -255,7 +248,7 @@ class ModelRegistry:
         names = [self._check_name(name)] if name is not None else self.models()
         entries = []
         for model in names:
-            for profile in self._scan_profiles(model):
+            for profile in self._scan(model, _PROFILES):
                 path = self.profile_path(model, profile)
                 if self._artifact_bytes(path) <= 0:
                     continue  # in-flight claim (or vanished): healthy
@@ -273,20 +266,28 @@ class ModelRegistry:
         return entries
 
     # -- save / load ---------------------------------------------------------
-    @staticmethod
-    def _claim(path: str) -> bool:
-        """Atomically create ``path`` empty (the ``O_EXCL`` version claim).
+    def _allocate(self, name: str, kind: tuple) -> tuple[str, str]:
+        """Claim the next id of ``kind``; returns ``(id, path)``.
 
-        Returns False when another saver holds it already.  The claimed
-        file is what :meth:`versions` / :meth:`profiles` scan, so a claim
-        immediately reserves the id against concurrent allocators.
+        The claim is the atomic exclusive creation of the empty final
+        file, so it immediately reserves the id against concurrent
+        allocators (it is what :meth:`_scan` sees).  Allocation runs past
+        *every* scanned id — including other savers' in-flight claims,
+        which are not yet complete — and re-allocates on collision, so
+        interleaved savers get distinct ids instead of overwriting each
+        other.
         """
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
+        prefix, _, extension = kind
+        while True:
+            scanned = self._scan(name, kind)
+            last = int(scanned[-1][len(prefix):]) if scanned else 0
+            ident = f"{prefix}{last + 1:04d}"
+            path = os.path.join(self.root, name, ident + extension)
+            try:
+                os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                continue
+            return ident, path
 
     def _tmp_stem(self, name: str, kind: str) -> str:
         """A per-call temp stem inside the model directory (same
@@ -323,14 +324,7 @@ class ModelRegistry:
         tmp_npz = save_checkpoint(self._tmp_stem(name, "ckpt"), network,
                                   meta=meta)
         tmp_sidecar = os.path.splitext(tmp_npz)[0] + ".json"
-        while True:
-            # Allocate past *every* scanned stem — including other
-            # savers' in-flight claims, which are not yet in versions().
-            scanned = self._scan_versions(name)
-            version = f"v{(int(scanned[-1][1:]) if scanned else 0) + 1:04d}"
-            final_npz = self.path(name, version)
-            if self._claim(final_npz):
-                break
+        version, final_npz = self._allocate(name, _CHECKPOINTS)
         os.replace(tmp_npz, final_npz)
         os.replace(tmp_sidecar, os.path.splitext(final_npz)[0] + ".json")
         return version
@@ -367,14 +361,9 @@ class ModelRegistry:
         meta.setdefault("saved_unix", self._clock())
         tmp_json = save_hardware_profile(
             self._tmp_stem(name, "hw") + ".json", profile, meta=meta)
-        while True:
-            scanned = self._scan_profiles(name)
-            version = f"hw{(int(scanned[-1][2:]) if scanned else 0) + 1:04d}"
-            final_json = self.profile_path(name, version)
-            if self._claim(final_json):
-                break
+        profile_id, final_json = self._allocate(name, _PROFILES)
         os.replace(tmp_json, final_json)
-        return version
+        return profile_id
 
     def save_pair(self, name: str, network, profile,
                   meta: dict | None = None) -> tuple[str, str]:

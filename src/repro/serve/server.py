@@ -262,8 +262,8 @@ class ModelServer:
                                                replica=instance)
             self._trace_clock = self.telemetry.clock
         else:
-            self._event = self._noop_event
-            self._span = self._noop_span
+            self._event = _noop_event
+            self._span = _noop_span
             self._trace_clock = None
         labels = {} if instance is None else {"replica": instance}
         self._counters = {
@@ -306,10 +306,7 @@ class ModelServer:
         network, hardware, version, profile_id, meta = _load_generation(
             registry, name, version, hardware_profile)
         server = cls(network, hardware=hardware, **kwargs)
-        server.model_name = name
-        server.model_version = version
-        server.model_profile = profile_id
-        server.model_meta = meta
+        _stamp_generation([server], name, version, profile_id, meta)
         return server
 
     # -- telemetry -----------------------------------------------------------
@@ -326,14 +323,6 @@ class ModelServer:
         view["max_tick_batch"] = int(self._max_tick_batch.value)
         view["divergence_sum"] = self._divergence_sum.value
         return view
-
-    @staticmethod
-    def _noop_event(name: str, **attrs) -> None:
-        return None
-
-    @staticmethod
-    def _noop_span(name: str, **attrs):
-        return _obs.NULL_SPAN
 
     def check_invariants(self) -> dict:
         """Verify ticket accounting: every submission must be exactly one
@@ -976,3 +965,24 @@ def _load_generation(registry, name: str, version: str | None,
         profile, _ = registry.load_profile(name, profile_id)
         hardware = profile.build(network)
     return network, hardware, version, profile_id, meta
+
+
+def _stamp_generation(servers, name: str, version: str,
+                      profile_id: str | None, meta: dict) -> None:
+    """Stamp a :func:`_load_generation` result's identity on ``servers``
+    (``model_name``/``model_version``/``model_profile``/``model_meta``)."""
+    for server in servers:
+        server.model_name = name
+        server.model_version = version
+        server.model_profile = profile_id
+        server.model_meta = meta
+
+
+def _noop_event(name: str, **attrs) -> None:
+    """The trace-event hook of a server or fleet without telemetry."""
+    return None
+
+
+def _noop_span(name: str, **attrs):
+    """The trace-span hook of a server without telemetry."""
+    return _obs.NULL_SPAN

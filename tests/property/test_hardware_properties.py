@@ -1,4 +1,4 @@
-"""Property tests for the hardware substrate: quantization bounds,
+"""Property tests for the hardware substrate: crossbar quantization bounds,
 crossbar linearity, MNA physicality."""
 
 import numpy as np
@@ -9,9 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.hardware.crossbar import DifferentialCrossbar
 from repro.hardware.devices import RRAMDeviceConfig
 from repro.hardware.quantization import (
-    QuantizationConfig,
     conductances_to_weights,
-    quantize_weights,
     weights_to_conductances,
 )
 from repro.hardware.spice import Capacitor, Circuit, Resistor, VoltageSource
@@ -23,29 +21,33 @@ weight_arrays = hnp.arrays(
 )
 
 
+def _realized(weights, bits):
+    """A noise-free crossbar's effective weights: the quantization grid."""
+    crossbar = DifferentialCrossbar(weights,
+                                    RRAMDeviceConfig(levels=2 ** bits))
+    return np.asarray(crossbar.effective_weights())
+
+
 @given(weights=weight_arrays, bits=st.integers(min_value=2, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_quantization_error_bound(weights, bits):
-    """Quantization error never exceeds half an LSB step."""
-    config = QuantizationConfig(bits=bits)
-    quantized = quantize_weights(weights, config)
+    """Quantization error never exceeds half a step of the differential
+    grid (``scale / (levels - 1)``)."""
+    quantized = _realized(weights, bits)
     scale = np.abs(weights).max()
     if scale == 0:
         np.testing.assert_array_equal(quantized, 0.0)
         return
-    step = 2.0 * scale / (config.levels - 1)
+    step = scale / (2 ** bits - 1)
     assert np.max(np.abs(quantized - weights)) <= step / 2 + 1e-12
 
 
 @given(weights=weight_arrays, bits=st.integers(min_value=2, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_quantization_idempotent(weights, bits):
-    """Quantizing twice (same scale) changes nothing."""
-    config = QuantizationConfig(bits=bits)
-    scale = float(np.abs(weights).max())
-    once = quantize_weights(weights, config, scale=scale)
-    twice = quantize_weights(once, config, scale=scale)
-    np.testing.assert_allclose(once, twice, atol=1e-12)
+    """Programming a crossbar's own realization again changes nothing."""
+    once = _realized(weights, bits)
+    np.testing.assert_allclose(_realized(once, bits), once, atol=1e-12)
 
 
 @given(weights=weight_arrays)

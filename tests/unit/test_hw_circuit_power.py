@@ -197,3 +197,52 @@ class TestMappedNetwork:
                                              variation=0.2, n_seeds=2, rng=4)
         assert 0.0 <= mean <= 1.0
         assert std >= 0.0
+
+    def test_hardware_run_leaves_the_shared_clone_alone(self, monkeypatch):
+        """A read-noise run reaches the engine as a weight override: the
+        shared clone holds the mapped realization throughout the forward
+        (any reader of it meanwhile sees weights a device holds)."""
+        import repro.core.network as network_module
+
+        net = self._toy_network()
+        device = RRAMDeviceConfig(levels=16, variation=0.1, read_noise=0.05)
+        mapped = HardwareMappedNetwork(net, device, rng=0)
+        mapped_weights = [w.copy() for w in mapped.weight_list()]
+        seen = []
+        fused_run = network_module.fused_run
+
+        def observing_run(*args, **kwargs):
+            seen.append([w.copy() for w in mapped.hardware_network.weights])
+            return fused_run(*args, **kwargs)
+
+        monkeypatch.setattr(network_module, "fused_run", observing_run)
+        x = (np.random.default_rng(1).random((3, 12, 6)) < 0.4).astype(float)
+        noisy, _ = mapped.run(x, read_noise_rng=7)
+        assert len(seen) == 1
+        for installed, expected in zip(seen[0], mapped_weights):
+            np.testing.assert_array_equal(installed, expected)
+        for installed, expected in zip(mapped.hardware_network.weights,
+                                       mapped_weights):
+            np.testing.assert_array_equal(installed, expected)
+        override, _ = net.run(x, weights=mapped.weight_list(7))
+        np.testing.assert_array_equal(noisy, override)
+
+    def test_per_layer_parameters_reach_every_hardware_path(self):
+        """One-shot runs, streams and the shared clone run each layer
+        with its own neuron parameters: all equal the software network
+        run on the realized weights."""
+        from repro.core.layers import SpikingLinear
+        from repro.core.neurons import NeuronParameters
+
+        rng = np.random.default_rng(0)
+        net = SpikingNetwork.from_layers([
+            SpikingLinear(20, 12, weight=rng.normal(0, 1.0, (12, 20))),
+            SpikingLinear(12, 5, params=NeuronParameters(v_th=0.3, tau=2.0),
+                          weight=rng.normal(0, 1.0, (5, 12)))])
+        mapped = HardwareMappedNetwork(net, RRAMDeviceConfig(levels=16),
+                                       rng=0)
+        x = (rng.random((4, 30, 20)) < 0.3).astype(float)
+        expected, _ = net.run(x, weights=mapped.weight_list())
+        for got in (mapped.run(x)[0], mapped.run_stream(x)[0],
+                    mapped.hardware_network.run(x)[0]):
+            np.testing.assert_array_equal(got, expected)

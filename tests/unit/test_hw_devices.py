@@ -9,9 +9,15 @@ from repro.hardware.devices import RRAMCellArray, RRAMDeviceConfig
 from repro.hardware.quantization import (
     QuantizationConfig,
     conductances_to_weights,
-    quantize_weights,
     weights_to_conductances,
 )
+
+
+def _realized(weights, bits):
+    """A noise-free crossbar's effective weights: the quantization grid."""
+    crossbar = DifferentialCrossbar(np.atleast_2d(weights),
+                                    RRAMDeviceConfig(levels=2 ** bits))
+    return np.asarray(crossbar.effective_weights())
 
 
 class TestDeviceConfig:
@@ -89,34 +95,32 @@ class TestRRAMCellArray:
 
 
 class TestQuantizeWeights:
+    """The grid a differential pair realises: one device of the pair at
+    ``g_min``, so ``2 * levels - 1`` signed values ``scale / (levels - 1)``
+    apart."""
+
     def test_levels_count(self):
-        config = QuantizationConfig(bits=2)     # 4 levels
         rng = np.random.default_rng(0)
         weights = rng.normal(size=(50,))
-        quantized = quantize_weights(weights, config)
-        assert len(np.unique(quantized)) <= 4
+        quantized = _realized(weights, bits=2)     # 4 levels per device
+        assert len(np.unique(quantized)) <= 2 * 4 - 1
 
     def test_error_bounded_by_half_step(self):
-        config = QuantizationConfig(bits=4)
         rng = np.random.default_rng(1)
         weights = rng.normal(size=(200,))
-        quantized = quantize_weights(weights, config)
-        scale = np.abs(weights).max()
-        step = 2.0 * scale / (config.levels - 1)
+        quantized = _realized(weights, bits=4)
+        step = np.abs(weights).max() / (16 - 1)
         assert np.max(np.abs(quantized - weights)) <= step / 2 + 1e-12
 
     def test_more_bits_less_error(self):
         rng = np.random.default_rng(2)
         weights = rng.normal(size=(500,))
-        err4 = np.abs(quantize_weights(weights, QuantizationConfig(bits=4))
-                      - weights).mean()
-        err5 = np.abs(quantize_weights(weights, QuantizationConfig(bits=5))
-                      - weights).mean()
+        err4 = np.abs(_realized(weights, bits=4) - weights).mean()
+        err5 = np.abs(_realized(weights, bits=5) - weights).mean()
         assert err5 < err4
 
     def test_zero_weights(self):
-        quantized = quantize_weights(np.zeros(5), QuantizationConfig(bits=4))
-        np.testing.assert_array_equal(quantized, 0.0)
+        np.testing.assert_array_equal(_realized(np.zeros(5), bits=4), 0.0)
 
     def test_bits_validation(self):
         with pytest.raises(Exception):

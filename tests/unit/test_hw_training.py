@@ -1,14 +1,15 @@
-"""Hardware-aware training: shared quantization grids, the engine weight
-override, the straight-through estimator, and the co-trained
-checkpoint+profile registry round-trip.
+"""Hardware-aware training: the trainer's crossbar realization, the
+engine weight override, the straight-through estimator, and the
+co-trained checkpoint+profile registry round-trip.
 
 The load-bearing guarantees pinned here:
 
-* train-time fake-quant and map-time crossbar programming share ONE grid
-  (bitwise, by construction — both run the same conductance pipeline);
-* an all-zero layer round-trips bitwise through every quantization path
-  (regression: the naive ``max(|w|)`` scale divided by zero and silently
-  propagated NaN into the conductances);
+* train-time weights are a ``DifferentialCrossbar``'s effective weights,
+  programmed on the documented per-step rng stream (so train time and map
+  time share ONE grid and noise model by construction);
+* an all-zero layer round-trips bitwise through the conductance mapping
+  and a crossbar (regression: the naive ``max(|w|)`` scale divided by
+  zero and silently propagated NaN into the conductances);
 * ``run(weights=)`` / ``backward(weights=)`` are transparent when the
   override equals the installed weights, and equivalent to installing the
   override on a clone otherwise;
@@ -39,14 +40,10 @@ from repro.hardware import (
     HardwareProfile,
     RRAMDeviceConfig,
     accuracy_under_variation,
-    fake_quantize,
-    quantize_weights,
     resolve_weight_scale,
-    sample_programmed_weights,
     weights_to_conductances,
 )
-from repro.hardware.quantization import QuantizationConfig, \
-    conductances_to_weights
+from repro.hardware.quantization import conductances_to_weights
 
 
 def _spikes(shape, density=0.08, seed=0):
@@ -57,51 +54,32 @@ def _spikes(shape, density=0.08, seed=0):
 # ---------------------------------------------------------------------------
 # Shared train-time / map-time grid
 # ---------------------------------------------------------------------------
+def _crossbar_weights(weights, device, rng=None):
+    return np.asarray(
+        DifferentialCrossbar(weights, device, rng=rng).effective_weights())
+
+
 class TestSharedGrid:
-    @pytest.mark.parametrize("bits", [2, 4, 5, 8])
-    def test_fake_quantize_is_bitwise_the_crossbar_grid(self, bits):
-        """fake_quantize == a noise-free crossbar's achieved weights."""
-        rng = np.random.default_rng(bits)
-        weights = rng.normal(0, 0.2, (9, 13))
-        device = RRAMDeviceConfig(levels=2 ** bits)
-        crossbar = DifferentialCrossbar(weights, device, rng=1)
-        np.testing.assert_array_equal(
-            fake_quantize(weights, device),
-            np.asarray(crossbar.effective_weights()))
-
-    def test_fake_quantize_idempotent(self):
-        rng = np.random.default_rng(3)
-        weights = rng.normal(0, 0.2, (6, 6))
-        device = RRAMDeviceConfig(levels=16)
-        once = fake_quantize(weights, device)
-        scale = resolve_weight_scale(weights)
-        np.testing.assert_allclose(
-            fake_quantize(once, device, scale=scale), once, atol=1e-15)
-
-    def test_sampled_programming_matches_crossbar_draw(self):
-        """Same root seed -> the trainer's noise draw IS the crossbar's
-        first programming (variation and stuck-at included)."""
-        rng = np.random.default_rng(7)
-        weights = rng.normal(0, 0.2, (8, 5))
-        device = RRAMDeviceConfig(levels=16, variation=0.15,
-                                  stuck_at_rate=0.05)
-        crossbar = DifferentialCrossbar(weights, device, rng=42)
-        np.testing.assert_array_equal(
-            sample_programmed_weights(weights, device, rng=42),
-            np.asarray(crossbar.effective_weights()))
-
-    def test_sampled_programming_matches_crossbar_read_noise(self):
-        """With read noise the draw matches the crossbar's first *read*
-        (programming then read, per polarity stream) — so training under
-        a read-noise profile sees exactly the serving noise model."""
-        rng = np.random.default_rng(9)
-        weights = rng.normal(0, 0.2, (7, 6))
-        device = RRAMDeviceConfig(levels=16, variation=0.1,
-                                  read_noise=0.05)
-        crossbar = DifferentialCrossbar(weights, device, rng=21)
-        np.testing.assert_array_equal(
-            sample_programmed_weights(weights, device, rng=21),
-            np.asarray(crossbar.effective_weights()))
+    @pytest.mark.parametrize("profile", [
+        HardwareProfile.create(bits=4, variation=0.15, seed=17,
+                               device=RRAMDeviceConfig(stuck_at_rate=0.05)),
+        HardwareProfile.create(bits=5, variation=0.1, read_noise=0.05,
+                               seed=17),
+    ], ids=["variation-stuck", "variation-read"])
+    def test_trainer_draw_is_a_crossbar_on_the_step_stream(self, profile):
+        """Step ``n``'s override of layer ``i`` is a crossbar programmed
+        (and read) from ``RandomState(seed).child(f"train-step{n}")
+        .child(f"layer{i}")``."""
+        network = SpikingNetwork((10, 8, 4), rng=0)
+        trainer = Trainer(network, CrossEntropyRateLoss(),
+                          TrainerConfig(epochs=1, hardware=profile), rng=0)
+        for step in range(2):
+            draw = RandomState(17).child(f"train-step{step}")
+            for i, (got, layer) in enumerate(
+                    zip(trainer.hardware_weights(), network.layers)):
+                np.testing.assert_array_equal(
+                    got, _crossbar_weights(layer.weight, profile.device,
+                                           rng=draw.child(f"layer{i}")))
 
     def test_trainer_noise_path_covers_read_noise(self):
         """A read-noise-only profile must not silently degrade to the
@@ -115,20 +93,6 @@ class TestSharedGrid:
         second = trainer.hardware_weights()
         assert any(not np.array_equal(a, b)
                    for a, b in zip(first, second))
-
-    def test_sampled_programming_varies_with_rng(self):
-        weights = np.random.default_rng(1).normal(0, 0.2, (8, 5))
-        device = RRAMDeviceConfig(levels=16, variation=0.1)
-        a = sample_programmed_weights(weights, device, rng=0)
-        b = sample_programmed_weights(weights, device, rng=1)
-        assert not np.array_equal(a, b)
-
-    def test_sampled_programming_without_noise_is_fake_quantize(self):
-        weights = np.random.default_rng(2).normal(0, 0.2, (4, 6))
-        device = RRAMDeviceConfig(levels=16)
-        np.testing.assert_array_equal(
-            sample_programmed_weights(weights, device, rng=5),
-            fake_quantize(weights, device))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +115,10 @@ class TestZeroLayerRegression:
         np.testing.assert_array_equal(g_minus, device.g_min)
 
     def test_zero_layer_roundtrips_bitwise(self):
-        """zeros -> conductances -> weights is exactly zeros, on every
-        software path and on a real crossbar."""
+        """zeros -> conductances -> weights is exactly zeros, through the
+        mapping and on a real crossbar."""
         zeros = np.zeros((4, 5))
         device = RRAMDeviceConfig(levels=16)
-        np.testing.assert_array_equal(fake_quantize(zeros, device), zeros)
-        np.testing.assert_array_equal(
-            quantize_weights(zeros, QuantizationConfig(bits=4)), zeros)
         g_plus, g_minus, scale = weights_to_conductances(zeros, device)
         np.testing.assert_array_equal(
             conductances_to_weights(g_plus, g_minus, device, scale), zeros)
@@ -279,14 +240,14 @@ class TestHardwareAwareTrainer:
             TrainerConfig(hardware="not-a-profile")
         TrainerConfig(hardware=profile)  # valid
 
-    def test_hardware_weights_quantize_only_is_fake_quantize(self):
+    def test_hardware_weights_quantize_only_is_the_crossbar_grid(self):
         profile = HardwareProfile.create(bits=4, variation=0.0, seed=7)
         network = self._network()
         trainer = _aware_trainer(network, profile)
         override = trainer.hardware_weights()
         for got, layer in zip(override, network.layers):
             np.testing.assert_array_equal(
-                got, fake_quantize(layer.weight, profile.device))
+                got, _crossbar_weights(layer.weight, profile.device))
         # Deterministic: no noise stream is consumed.
         for a, b in zip(override, trainer.hardware_weights()):
             np.testing.assert_array_equal(a, b)
@@ -366,14 +327,13 @@ class TestHardwareAwareTrainer:
         profile = HardwareProfile.create(bits=16, variation=0.0, seed=0)
         nets = [self._network(), self._network()]
         for network in nets:
-            network.set_weights([fake_quantize(w, profile.device)
+            network.set_weights([_crossbar_weights(w, profile.device)
                                  for w in network.weights])
-        # Quantizing grid points must reproduce them exactly, else this
+        # Programming grid points must reproduce them exactly, else this
         # test cannot pin bitwise equality.
         for w in nets[0].weights:
-            scale = resolve_weight_scale(w)
             np.testing.assert_array_equal(
-                fake_quantize(w, profile.device, scale=scale), w)
+                _crossbar_weights(w, profile.device), w)
 
 
 # ---------------------------------------------------------------------------
