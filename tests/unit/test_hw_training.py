@@ -40,6 +40,7 @@ from repro.hardware import (
     HardwareProfile,
     RRAMDeviceConfig,
     accuracy_under_variation,
+    quantize_conductances,
     resolve_weight_scale,
     weights_to_conductances,
 )
@@ -93,6 +94,47 @@ class TestSharedGrid:
         second = trainer.hardware_weights()
         assert any(not np.array_equal(a, b)
                    for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("bits", [2, 4, 5, 8])
+    def test_quantize_only_override_is_the_device_ladder(self, bits):
+        """Noise-free, the override is bitwise the conductance mapping
+        snapped to the device ladder and read back — at most
+        ``2 * levels - 1`` signed values per layer."""
+        profile = HardwareProfile.create(bits=bits, variation=0.0, seed=0)
+        network = SpikingNetwork((10, 8, 4), rng=bits)
+        trainer = Trainer(network, CrossEntropyRateLoss(),
+                          TrainerConfig(epochs=1, hardware=profile), rng=0)
+        device = profile.device
+        for got, layer in zip(trainer.hardware_weights(), network.layers):
+            g_plus, g_minus, scale = weights_to_conductances(layer.weight,
+                                                             device)
+            np.testing.assert_array_equal(got, conductances_to_weights(
+                quantize_conductances(g_plus, device),
+                quantize_conductances(g_minus, device), device, scale))
+            assert np.unique(got).size <= 2 * device.levels - 1
+
+    def test_quantize_only_override_idempotent(self):
+        """Installing the grid weights and drawing again reproduces them."""
+        profile = HardwareProfile.create(bits=4, variation=0.0, seed=0)
+        network = SpikingNetwork((10, 8, 4), rng=3)
+        trainer = Trainer(network, CrossEntropyRateLoss(),
+                          TrainerConfig(epochs=1, hardware=profile), rng=0)
+        once = trainer.hardware_weights()
+        network.set_weights([np.array(w) for w in once])
+        for a, b in zip(once, trainer.hardware_weights()):
+            np.testing.assert_allclose(b, a, atol=1e-12)
+
+    def test_trainer_draw_varies_with_profile_seed(self):
+        network = SpikingNetwork((10, 8, 4), rng=1)
+        draws = []
+        for seed in (0, 1):
+            profile = HardwareProfile.create(bits=4, variation=0.1,
+                                             seed=seed)
+            trainer = Trainer(network, CrossEntropyRateLoss(),
+                              TrainerConfig(epochs=1, hardware=profile),
+                              rng=0)
+            draws.append(trainer.hardware_weights())
+        assert any(not np.array_equal(a, b) for a, b in zip(*draws))
 
 
 # ---------------------------------------------------------------------------
