@@ -11,8 +11,8 @@ architecture needed to rebuild it (layer sizes, neuron kind, neuron
 parameters), so a trained model round-trips from disk without the caller
 reconstructing the network by hand, and **hardware profiles**
 (:func:`save_hardware_profile` / :func:`load_hardware_profile`): the
-quantization + device/variation recipe that maps a checkpoint onto
-crossbars, as a single JSON file.  The serving model registry
+device ladder + variation model and programming seed that map a
+checkpoint onto crossbars, as a single JSON file.  The serving model registry
 (:class:`repro.serve.ModelRegistry`) versions both, side by side.
 
 The format is intentionally dumb: no pickling, no executable content — a
@@ -166,8 +166,8 @@ def load_checkpoint(path: str):
 def save_hardware_profile(path: str, profile, meta: dict | None = None) -> str:
     """Save a :class:`~repro.hardware.mapped_network.HardwareProfile`.
 
-    A profile is pure configuration (device model + quantization + seed),
-    so the artifact is a single JSON file — same safety property as the
+    A profile is pure configuration (device model + seed), so the
+    artifact is a single JSON file — same safety property as the
     checkpoint format: no pickling, no executable content.  ``meta`` is
     user metadata stored under the ``"meta"`` key.
 

@@ -143,7 +143,6 @@ class TrainerConfig(BaseConfig):
             # the hardware package at module load.
             self.require(
                 hasattr(self.hardware, "device")
-                and hasattr(self.hardware, "quantization")
                 and hasattr(self.hardware, "seed"),
                 f"hardware must be a HardwareProfile, "
                 f"got {type(self.hardware).__name__}")
@@ -425,6 +424,8 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
         Optional :class:`~repro.runtime.workspace.Workspace` for the
         serial path; chunk buffers are recycled after concatenation.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     resolved = resolve_precision(precision)
     if resolved is None:
         resolved = np.dtype(np.float64)

@@ -30,12 +30,7 @@ from .power import (
     estimate_area,
     estimate_power,
 )
-from .quantization import (
-    QuantizationConfig,
-    conductances_to_weights,
-    resolve_weight_scale,
-    weights_to_conductances,
-)
+from .quantization import resolve_weight_scale, weights_to_conductances
 from .tiling import TiledCrossbar
 
 __all__ = [
@@ -59,8 +54,6 @@ __all__ = [
     "PowerReport",
     "estimate_area",
     "estimate_power",
-    "QuantizationConfig",
-    "conductances_to_weights",
     "resolve_weight_scale",
     "weights_to_conductances",
 ]

@@ -52,7 +52,6 @@ from ..core.network import SpikingNetwork
 from ..core.trainer import run_in_batches
 from .crossbar import DifferentialCrossbar
 from .devices import RRAMDeviceConfig
-from .quantization import QuantizationConfig
 
 __all__ = ["HardwareMappedNetwork", "HardwareProfile", "HardwareStreamState",
            "accuracy_under_variation", "seed_accuracy"]
@@ -279,20 +278,20 @@ class HardwareStreamState:
 class HardwareProfile(BaseConfig):
     """Serializable recipe for mapping a checkpoint onto crossbars.
 
-    A profile captures everything the paper's Fig. 8 varies — the
-    quantization grid and the device/variation model — plus the seed of
-    the programming draw, so a served hardware realization is reproducible
-    from ``(checkpoint, profile)`` alone.  The serving model registry
-    versions profiles alongside checkpoints
+    A profile captures everything the paper's Fig. 8 varies — the device
+    ladder (its ``levels`` are the k-bit quantization grid) and the
+    device/variation model — plus the seed of the programming draw, so a
+    served hardware realization is reproducible from
+    ``(checkpoint, profile)`` alone.  The serving model registry versions
+    profiles alongside checkpoints
     (:meth:`repro.serve.registry.ModelRegistry.save_profile`).
 
     Attributes
     ----------
     device:
-        Device model; its ``levels`` must equal the quantization's
-        ``2**bits`` (the differential mapping programs one k-bit ladder).
-    quantization:
-        Weight quantization parameters (Fig. 8: 4 or 5 bits).
+        Device model; its ``levels`` must be a power of two, ``2**bits``
+        for 1 to 16 bits (Fig. 8: 4 or 5), since the differential mapping
+        programs one k-bit ladder.
     seed:
         Root seed of the programming draw (crossbar rng streams are its
         named children, one per layer and polarity).
@@ -300,14 +299,13 @@ class HardwareProfile(BaseConfig):
 
     device: RRAMDeviceConfig = dataclasses.field(
         default_factory=RRAMDeviceConfig)
-    quantization: QuantizationConfig = dataclasses.field(
-        default_factory=QuantizationConfig)
     seed: int = 0
 
     def validate(self) -> None:
-        self.require(self.device.levels == self.quantization.levels,
-                     f"device levels ({self.device.levels}) must equal "
-                     f"2**bits ({self.quantization.levels})")
+        levels = self.device.levels
+        self.require(levels & (levels - 1) == 0 and levels <= 2 ** 16,
+                     f"device levels must be 2**bits for 1-16 bits, "
+                     f"got {levels}")
         self.require(self.seed >= 0,
                      f"seed must be non-negative, got {self.seed}")
 
@@ -325,31 +323,38 @@ class HardwareProfile(BaseConfig):
         return cls(
             device=base.replace(levels=2 ** int(bits), variation=variation,
                                 read_noise=read_noise),
-            quantization=QuantizationConfig(bits=int(bits)),
             seed=int(seed),
         )
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardwareProfile":
-        # Postponed annotations hide the nested config types from
-        # BaseConfig.from_dict's resolver; rebuild them explicitly.
+        # Postponed annotations hide the nested device type from
+        # BaseConfig.from_dict's resolver; rebuild it here and let the
+        # base reject unknown keys (a stale ``quantization`` among them).
         payload = dict(data)
-        payload.pop("__config__", None)
         if isinstance(payload.get("device"), dict):
             payload["device"] = RRAMDeviceConfig.from_dict(payload["device"])
-        if isinstance(payload.get("quantization"), dict):
-            payload["quantization"] = QuantizationConfig.from_dict(
-                payload["quantization"])
-        return cls(**payload)
+        return super().from_dict(payload)
 
     @property
     def bits(self) -> int:
-        return self.quantization.bits
+        """Bits per device: ``log2(device.levels)``."""
+        return self.device.levels.bit_length() - 1
 
     def build(self, network: SpikingNetwork) -> HardwareMappedNetwork:
         """Map ``network`` onto crossbars under this profile."""
         return HardwareMappedNetwork(network, self.device,
                                      rng=RandomState(self.seed))
+
+
+def _check_eval_set(inputs, labels) -> None:
+    """Raise ``ValueError`` unless ``labels`` holds one label per sample of
+    a non-empty ``inputs`` (shape checks only: this guards timed calls)."""
+    n = len(inputs)
+    if n < 1 or np.shape(labels) != (n,):
+        raise ValueError(
+            f"need one label per sample of a non-empty set: labels of shape "
+            f"({n},), got {np.shape(labels)}")
 
 
 def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
@@ -371,6 +376,7 @@ def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
     ``levels``/``variation``.  Default: the stock
     :class:`~repro.hardware.devices.RRAMDeviceConfig` window.
     """
+    _check_eval_set(inputs, labels)
     base = device or RRAMDeviceConfig()
     device = base.replace(levels=2 ** int(bits), variation=variation)
     mapped = HardwareMappedNetwork(network, device, rng=RandomState(seed))
@@ -439,6 +445,9 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
     -------
     (mean_accuracy, std_accuracy)
     """
+    _check_eval_set(inputs, labels)
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     root = as_random_state(rng)
     seeds = [root.child(f"seed{s}").seed for s in range(n_seeds)]
     tasks = [(bits, variation, seed) for seed in seeds]

@@ -33,43 +33,14 @@ initialised output layer or a fully pruned layer previously risked a
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from ..common.config import BaseConfig
 from .devices import RRAMDeviceConfig
 
 __all__ = [
-    "QuantizationConfig",
     "resolve_weight_scale",
     "weights_to_conductances",
-    "conductances_to_weights",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class QuantizationConfig(BaseConfig):
-    """k-bit weight quantization parameters.
-
-    Attributes
-    ----------
-    bits:
-        Bits per device (Fig. 8: 4 or 5), i.e. ``2**bits`` levels.
-    symmetric:
-        Use a symmetric grid around zero (required by the differential
-        mapping).
-    """
-
-    bits: int = 4
-    symmetric: bool = True
-
-    def validate(self) -> None:
-        self.require(1 <= self.bits <= 16, f"bits must be 1-16, got {self.bits}")
-
-    @property
-    def levels(self) -> int:
-        return 2 ** self.bits
 
 
 def resolve_weight_scale(weights: np.ndarray,
@@ -120,12 +91,3 @@ def weights_to_conductances(weights: np.ndarray,
     g_minus *= window
     np.subtract(device.g_min, g_minus, out=g_minus)
     return g_plus, g_minus, float(scale)
-
-
-def conductances_to_weights(g_plus: np.ndarray, g_minus: np.ndarray,
-                            device: RRAMDeviceConfig,
-                            weight_scale: float) -> np.ndarray:
-    """Invert :func:`weights_to_conductances` for achieved conductances."""
-    window = device.g_max - device.g_min
-    return (np.asarray(g_plus, dtype=np.float64)
-            - np.asarray(g_minus, dtype=np.float64)) * weight_scale / window

@@ -34,7 +34,6 @@ traces; ``tools/gates.py`` gates schema validity and overhead.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 
 from .metrics import (
@@ -66,7 +65,6 @@ __all__ = [
     "parse_jsonl",
     "parse_prometheus",
     "span",
-    "timed",
     "timed_span",
     "validate_record",
 ]
@@ -202,25 +200,3 @@ def timed_span(name: str, metric: str | None = None, **attrs):
     if _ACTIVE is None:
         return NULL_SPAN
     return _ACTIVE.timed_span(name, metric=metric, **attrs)
-
-
-def timed(name: str, metric: str | None = None, **attrs):
-    """Decorator: profile a callable through the *installed* telemetry.
-
-    With no bundle installed the wrapper adds a single global read; with
-    one installed, each call records a span (and, when ``metric`` is
-    given, a duration histogram sample in milliseconds).
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            telemetry = _ACTIVE
-            if telemetry is None:
-                return fn(*args, **kwargs)
-            with telemetry.timed_span(name, metric=metric, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

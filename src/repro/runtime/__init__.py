@@ -18,10 +18,10 @@ Everything is opt-in: with no pool every path is the serial in-process
 one.  An owner that holds a pool for a whole job takes a worker count:
 ``TrainerConfig(workers=N)``, the experiment runners (``workers=N`` or the
 ``REPRO_WORKERS`` environment variable) and ``WorkerPool(workers=N)``
-itself.  Every per-call function (``run_in_batches``,
-``accuracy_under_variation``, ``ModelServer.run_batch`` and
-``evaluate_variation``) takes a caller-owned pool as ``pool=``, so one
-pool's process and shared-memory setup is paid once per job, not per call.
+itself.  The per-call functions (``run_in_batches`` and
+``accuracy_under_variation``) take a caller-owned pool as ``pool=``, so
+one pool's process and shared-memory setup is paid once per job, not per
+call.
 """
 
 from .parallel import (

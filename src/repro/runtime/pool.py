@@ -861,6 +861,8 @@ class WorkerPool:
         """
         from ..core.engine import resolve_precision
 
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.sync_weights()
         dtype = resolve_precision(precision) or np.dtype(np.float64)
         inputs = np.asarray(inputs, dtype=dtype)

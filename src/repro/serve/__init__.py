@@ -17,9 +17,7 @@ The pieces, bottom-up:
   ``max_batch`` / ``max_wait_ms`` caps, FIFO-fair, with a bounded queue
   that rejects (:class:`~repro.common.errors.CapacityError`) when full;
 * :mod:`repro.serve.server` — the :class:`ModelServer` front-end:
-  sessions, ticks (gather states -> one padded fused run -> scatter),
-  offline bulk evaluation (optionally sharded over a
-  :class:`~repro.runtime.pool.WorkerPool`);
+  sessions and ticks (gather states -> one padded fused run -> scatter);
 * :mod:`repro.serve.registry` — a versioned on-disk
   :class:`ModelRegistry` of checkpoints *and hardware profiles* the
   server cold-starts from;
@@ -36,9 +34,10 @@ The server can also put the paper's *hardware* in the loop
 (``hardware=`` / ``from_registry(..., hardware_profile=...)``): ticks
 then stream the crossbars' achieved (quantized + variation-noisy)
 weights through the same fused path, ``shadow=True`` canaries a hardware
-realization against the ideal model on live traffic, and
-``evaluate_variation`` runs Fig. 8-scale sweeps over a
-:class:`~repro.runtime.pool.WorkerPool` as a serving workload.
+realization against the ideal model on live traffic.  Offline sets and
+Fig. 8 sweeps do not go through the server: they run on
+:func:`~repro.core.trainer.run_in_batches` and
+:func:`~repro.hardware.mapped_network.accuracy_under_variation`.
 
 See ``docs/serving.md`` and ``docs/hardware.md`` for the architecture
 and measured numbers.

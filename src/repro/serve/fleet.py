@@ -795,15 +795,6 @@ class Fleet:
                                 replica=replica.index,
                                 generation=generation.gen)
 
-    # -- offline bulk --------------------------------------------------------
-    def run_batch(self, inputs, batch_size: int = 64):
-        """Stateless bulk inference on the least-loaded primary replica
-        (its :meth:`~repro.serve.server.ModelServer.run_batch`)."""
-        replica = self._least_loaded(self._primary)
-        if replica is None:
-            raise StateError("no live replica in the fleet")
-        return replica.server.run_batch(inputs, batch_size)
-
     # -- aggregation ---------------------------------------------------------
     def mean_divergence(self) -> float | None:
         """Fleet-wide mean per-chunk shadow divergence, or ``None``."""

@@ -3,8 +3,8 @@
 A :class:`ModelRegistry` is a directory of named models, each a sequence
 of immutable checkpoint versions written with
 :func:`~repro.common.serialization.save_checkpoint`, optionally joined by
-immutable **hardware profiles** (``hwNNNN.json``) — the quantization +
-device/variation recipes that map the checkpoints onto crossbars
+immutable **hardware profiles** (``hwNNNN.json``) — the device ladder +
+variation recipes that map the checkpoints onto crossbars
 (:class:`~repro.hardware.mapped_network.HardwareProfile`)::
 
     <root>/

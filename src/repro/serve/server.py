@@ -68,11 +68,7 @@ from ..common import faults as _faults
 from ..common.errors import ShapeError, StateError
 from ..core.engine import StreamState, resolve_precision
 from ..core.network import SpikingNetwork
-from ..core.trainer import run_in_batches
-from ..hardware.mapped_network import (
-    HardwareMappedNetwork,
-    accuracy_under_variation,
-)
+from ..hardware.mapped_network import HardwareMappedNetwork
 from ..runtime.workspace import Workspace
 from .batcher import MicroBatcher, StreamRequest, Ticket
 from .session import Session
@@ -828,74 +824,6 @@ class ModelServer:
         window :func:`~repro.serve.loadgen.open_loop` reads its p95 over
         (a fleet returns one pair per replica)."""
         return [(self._queue_wait, self._queue_wait.count)]
-
-    # -- offline bulk --------------------------------------------------------
-    @_obs.timed("serve.run_batch", metric="serve.run_batch_ms")
-    def run_batch(self, inputs: np.ndarray, batch_size: int = 64,
-                  pool=None) -> np.ndarray:
-        """Stateless bulk inference on the served model (no sessions).
-
-        Delegates to :func:`~repro.core.trainer.run_in_batches`; pass a
-        caller-owned :class:`~repro.runtime.pool.WorkerPool` as ``pool``
-        to shard large evaluation sets across processes.  A hardware-mode
-        server runs the bulk set through the hardware realization too
-        (via the mapped network's synced clone) — the ``pool`` must then
-        have been built from ``server.hardware.hardware_network``, not
-        the software model.  Shadow servers serve ideal outputs here, as
-        in ticks.
-        """
-        network = self.network
-        if self.hardware is not None and not self.shadow:
-            self.hardware.weight_list()   # re-sync after any reprogram
-            network = self.hardware.hardware_network
-        return run_in_batches(network, inputs, batch_size,
-                              precision=self.dtype,
-                              pool=pool, workspace=self._workspace)
-    # run_in_batches releases its chunk buffers after concatenation, so
-    # handing it the server workspace is safe on the serial path.
-
-    def evaluate_variation(self, inputs: np.ndarray, labels: np.ndarray,
-                           bits=(4, 5),
-                           variations=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-                           n_seeds: int = 3, rng=11, batch_size: int = 64,
-                           pool=None) -> list[dict]:
-        """Fig. 8-scale variation sweep of the served model, as a serving
-        workload.
-
-        Evaluates the resident network's accuracy under every
-        ``bits × variation`` grid point (``n_seeds`` independent
-        programming draws each) via
-        :func:`~repro.hardware.mapped_network.accuracy_under_variation`.
-        A caller-owned :class:`~repro.runtime.pool.WorkerPool` built from
-        the served network (``pool``) serves the whole grid, sharding the
-        device-noise seeds across processes; the numbers are identical to
-        the serial sweep's (each seed's rng stream is keyed by the fixed
-        root ``rng`` only).  A hardware-mode server's device model
-        (conductance window, read noise, stuck-at rate) is the sweep's
-        base device, so the fleet evaluates the realization family it
-        actually serves.
-
-        Returns one row dict per grid point:
-        ``{bits, variation, mean_accuracy, std_accuracy, n_seeds}``.
-        """
-        device = self.hardware.device if self.hardware is not None else None
-        bits_list = [bits] if isinstance(bits, int) else list(bits)
-        rows = []
-        for b in bits_list:
-            for variation in variations:
-                mean, std = accuracy_under_variation(
-                    self.network, inputs, labels, bits=b,
-                    variation=variation, n_seeds=n_seeds, rng=rng,
-                    batch_size=batch_size, precision=self.dtype,
-                    pool=pool, device=device)
-                rows.append({
-                    "bits": int(b),
-                    "variation": float(variation),
-                    "mean_accuracy": mean,
-                    "std_accuracy": std,
-                    "n_seeds": int(n_seeds),
-                })
-        return rows
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ShapeError
+from repro.common.errors import ConfigError, ShapeError
 from repro.hardware.crossbar import DifferentialCrossbar
 from repro.hardware.devices import RRAMCellArray, RRAMDeviceConfig
-from repro.hardware.quantization import (
-    QuantizationConfig,
-    conductances_to_weights,
-    weights_to_conductances,
-)
+from repro.hardware.mapped_network import HardwareProfile
+from repro.hardware.quantization import weights_to_conductances
 
 
 def _realized(weights, bits):
@@ -123,18 +120,20 @@ class TestQuantizeWeights:
         np.testing.assert_array_equal(_realized(np.zeros(5), bits=4), 0.0)
 
     def test_bits_validation(self):
-        with pytest.raises(Exception):
-            QuantizationConfig(bits=0)
+        for bits in (0, 17):
+            with pytest.raises(ConfigError):
+                HardwareProfile.create(bits=bits)
 
 
 class TestConductanceMapping:
     def test_roundtrip_without_quantization(self):
+        """A noise-free 16-bit crossbar reads the weights back to within
+        half a step of its ladder."""
         rng = np.random.default_rng(3)
         weights = rng.normal(size=(6, 8))
-        device = RRAMDeviceConfig()
-        g_plus, g_minus, scale = weights_to_conductances(weights, device)
-        recovered = conductances_to_weights(g_plus, g_minus, device, scale)
-        np.testing.assert_allclose(recovered, weights, atol=1e-12)
+        recovered = _realized(weights, bits=16)
+        step = np.abs(weights).max() / (2 ** 16 - 1)
+        np.testing.assert_allclose(recovered, weights, atol=step / 2 + 1e-12)
 
     def test_one_device_at_minimum_per_weight(self):
         weights = np.array([[0.5, -0.5]])
@@ -151,6 +150,33 @@ class TestConductanceMapping:
         for g in (g_plus, g_minus):
             assert g.min() >= device.g_min - 1e-18
             assert g.max() <= device.g_max + 1e-18
+
+
+class TestHardwareProfile:
+    """A profile is the device ladder plus a seed: its bit width is read
+    off ``device.levels``, never stored a second time."""
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_bits_derive_from_device_levels(self, bits):
+        profile = HardwareProfile.create(bits=bits)
+        assert profile.bits == bits
+        assert profile.device.levels == 2 ** bits
+
+    @pytest.mark.parametrize("levels", [3, 12, 24, 2 ** 17])
+    def test_levels_not_a_power_of_two_rejected(self, levels):
+        with pytest.raises(ConfigError, match="2\\*\\*bits"):
+            HardwareProfile(device=RRAMDeviceConfig(levels=levels))
+
+    def test_to_dict_carries_device_and_seed_only(self):
+        data = HardwareProfile.create(bits=5, variation=0.2, seed=3).to_dict()
+        assert set(data) - {"__config__"} == {"device", "seed"}
+        assert data["device"]["levels"] == 32
+
+    def test_legacy_quantization_key_rejected(self):
+        data = HardwareProfile.create(bits=4).to_dict()
+        data["quantization"] = {"bits": 4, "symmetric": True}
+        with pytest.raises(ConfigError, match="quantization"):
+            HardwareProfile.from_dict(data)
 
 
 class TestDifferentialCrossbar:

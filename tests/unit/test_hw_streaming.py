@@ -16,7 +16,7 @@ cache / the ``read_noise_rng`` snapshot).
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, ShapeError, StateError
+from repro.common.errors import ShapeError, StateError
 from repro.core import SpikingNetwork, engine
 from repro.hardware import (
     HardwareMappedNetwork,
@@ -262,13 +262,6 @@ class TestHardwareProfile:
         again = profile.build(mapped.software_network)
         for a, b in zip(mapped.weight_list(), again.weight_list()):
             assert np.array_equal(a, b)
-
-    def test_levels_bits_mismatch_rejected(self):
-        from repro.hardware import QuantizationConfig
-
-        with pytest.raises(ConfigError):
-            HardwareProfile(device=RRAMDeviceConfig(levels=16),
-                            quantization=QuantizationConfig(bits=5))
 
 
 class TestDeviceParameterizedSweep:

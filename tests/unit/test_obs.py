@@ -262,24 +262,6 @@ class TestGlobals:
             assert bundle is None
             assert obs.active_telemetry() is None
 
-    def test_timed_decorator_records_span_and_histogram(self):
-        telemetry = obs.Telemetry(clock=FakeClock(dt=0.5))
-
-        @obs.timed("engine.run", metric="engine.run_ms", engine="fused")
-        def work():
-            return 42
-
-        assert work() == 42  # no bundle installed: plain call
-        with obs.active(telemetry):
-            assert work() == 42
-        (record,) = telemetry.tracer.records
-        assert record["name"] == "engine.run"
-        assert record["attrs"]["engine"] == "fused"
-        histogram = telemetry.metrics.histogram("engine.run_ms")
-        assert histogram.count == 1
-        # FakeClock(dt=0.5): one clock tick between enter and exit.
-        assert histogram.samples[0] == pytest.approx(500.0)
-
     def test_timed_span_observes_duration_ms(self):
         telemetry = obs.Telemetry(clock=FakeClock(dt=2.0))
         with telemetry.timed_span("tick", metric="tick_ms", batch=4) as span:

@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.core.calibration import calibrate_firing
 from repro.core.trainer import run_in_batches
-from repro.hardware import accuracy_under_variation
+from repro.hardware import accuracy_under_variation, seed_accuracy
 from repro.runtime import (
     WorkerPool,
     Workspace,
@@ -34,7 +34,6 @@ from repro.runtime import (
     resolve_workers,
     shard_slices,
 )
-from repro.serve import ModelServer
 
 
 def make_task(n=48, steps=20, channels=10, classes=3, seed=0):
@@ -289,12 +288,7 @@ class TestWorkerPool:
         lambda net, x, y, pool: run_in_batches(net, x, 16, pool=pool),
         lambda net, x, y, pool: accuracy_under_variation(
             net, x, y, bits=4, variation=0.3, n_seeds=2, rng=7, pool=pool),
-        lambda net, x, y, pool: ModelServer(net).run_batch(x, 16,
-                                                           pool=pool),
-        lambda net, x, y, pool: ModelServer(net).evaluate_variation(
-            x, y, bits=4, variations=[0.3], n_seeds=2, pool=pool),
-    ], ids=["run_in_batches", "accuracy_under_variation",
-            "ModelServer.run_batch", "ModelServer.evaluate_variation"])
+    ], ids=["run_in_batches", "accuracy_under_variation"])
     def test_pool_from_another_network_rejected(self, call):
         # An equal-shaped but distinct network: the pool's shared-memory
         # replicas hold the other object's weights, so the call refuses.
@@ -303,6 +297,44 @@ class TestWorkerPool:
         with WorkerPool(other, workers=1) as pool:
             with pytest.raises(ValueError, match="different network"):
                 call(net, x, y, pool)
+
+    def test_batch_size_below_one_rejected(self):
+        # A negative step used to chunk the set wrongly (serial) or
+        # dispatch nothing and return the output arena as it stood
+        # (pooled); zero divided by zero on both paths.
+        x, _ = make_task(n=5)
+        net = make_net()
+        with WorkerPool(net, workers=1) as pool:
+            for batch_size in (0, -1, -3):
+                for held in (None, pool):
+                    with pytest.raises(ValueError, match="batch_size"):
+                        run_in_batches(net, x, batch_size, pool=held)
+                with pytest.raises(ValueError, match="batch_size"):
+                    pool.run_sharded(x, batch_size)
+
+    def test_fig8_eval_set_and_seed_count_checked(self):
+        # Short or scalar labels used to broadcast against every
+        # prediction, zero seeds to average into NaN, and an empty set
+        # to divide by zero.
+        x, y = make_task(n=6)
+        net = make_net()
+        bad = [(x, y[:1]), (x, np.int64(0)), (x, y[:, None]),
+               (x[:0], y[:0])]
+        with WorkerPool(net, workers=1) as pool:
+            for inputs, labels in bad:
+                with pytest.raises(ValueError, match="label"):
+                    seed_accuracy(net, inputs, labels, bits=4,
+                                  variation=0.0, seed=0)
+                for held in (None, pool):
+                    with pytest.raises(ValueError, match="label"):
+                        accuracy_under_variation(
+                            net, inputs, labels, bits=4, variation=0.0,
+                            n_seeds=1, pool=held)
+            for held in (None, pool):
+                with pytest.raises(ValueError, match="n_seeds"):
+                    accuracy_under_variation(net, x, y, bits=4,
+                                             variation=0.0, n_seeds=0,
+                                             pool=held)
 
     def test_grad_shards_bitwise_equal_serial_shards(self):
         x, y = make_task()

@@ -14,8 +14,6 @@ import pytest
 
 from repro.common.errors import CapacityError, SerializationError, StateError
 from repro.core import SpikingNetwork
-from repro.core.trainer import run_in_batches
-from repro.runtime import WorkerPool
 from repro.serve import (
     MicroBatcher,
     ModelRegistry,
@@ -268,24 +266,6 @@ class TestModelServer:
         assert server.poll(now=0.051) == 1     # max_wait elapsed
         assert server.stats["ticks"] == 1
 
-    def test_run_batch_matches_run_in_batches(self):
-        net = make_net()
-        server = ModelServer(net)
-        rng = np.random.default_rng(5)
-        inputs = (rng.random((10, 7, SIZES[0])) < 0.15).astype(np.float64)
-        expect = run_in_batches(net, inputs, 4)
-        assert np.array_equal(expect, server.run_batch(inputs, 4))
-
-    def test_run_batch_pool_sharded(self):
-        net = make_net()
-        server = ModelServer(net)
-        rng = np.random.default_rng(6)
-        inputs = (rng.random((8, 6, SIZES[0])) < 0.15).astype(np.float64)
-        expect = server.run_batch(inputs, 4)
-        with WorkerPool(net, workers=1) as pool:
-            got = server.run_batch(inputs, 4, pool=pool)
-        assert np.array_equal(expect, got)
-
     def test_step_engine_server(self):
         """Sessions stream on the fused engine only: a step-engine server
         is refused with a pointer to the one-shot reference, and a fused
@@ -304,8 +284,7 @@ class TestModelServer:
 
 class TestHardwareServing:
     """The hardware-in-the-loop serving path: ticks through the mapped
-    realization, shadow divergence, and the Fig. 8 sweep as a serving
-    workload."""
+    realization and shadow divergence."""
 
     @staticmethod
     def make_mapped(net, variation=0.2, seed=3):
@@ -405,60 +384,6 @@ class TestHardwareServing:
             ModelServer(other, hardware=mapped)           # foreign mapping
         assert "hardware" in repr(ModelServer(net, hardware=mapped))
 
-    def test_run_batch_serves_the_hardware_realization(self):
-        net = make_net()
-        mapped = self.make_mapped(net)
-        server = ModelServer(net, hardware=mapped)
-        rng = np.random.default_rng(8)
-        inputs = (rng.random((6, 5, SIZES[0])) < 0.15).astype(np.float64)
-        expect = run_in_batches(mapped.hardware_network, inputs, 4)
-        assert np.array_equal(expect, server.run_batch(inputs, 4))
-
-    def test_hardware_run_batch_rejects_software_model_pool(self):
-        # A hardware-mode server runs bulk sets through the mapped
-        # realization's clone, so a pool of the software model is refused.
-        net = make_net()
-        server = ModelServer(net, hardware=self.make_mapped(net))
-        inputs = np.zeros((4, 5, SIZES[0]))
-        with WorkerPool(net, workers=1) as pool:
-            with pytest.raises(ValueError, match="different network"):
-                server.run_batch(inputs, 4, pool=pool)
-
-    def test_evaluate_variation_matches_direct_sweep(self):
-        from repro.hardware import accuracy_under_variation
-
-        net = make_net()
-        mapped = self.make_mapped(net)
-        server = ModelServer(net, hardware=mapped)
-        rng = np.random.default_rng(7)
-        inputs = (rng.random((10, 5, SIZES[0])) < 0.15).astype(np.float64)
-        labels = np.arange(10) % SIZES[-1]
-        rows = server.evaluate_variation(inputs, labels, bits=4,
-                                         variations=[0.0, 0.3], n_seeds=2,
-                                         rng=11)
-        assert [r["variation"] for r in rows] == [0.0, 0.3]
-        for row in rows:
-            mean, std = accuracy_under_variation(
-                net, inputs, labels, bits=4, variation=row["variation"],
-                n_seeds=2, rng=11, precision=server.dtype,
-                device=mapped.device)
-            assert row["mean_accuracy"] == mean
-            assert row["std_accuracy"] == std
-
-    def test_evaluate_variation_pooled_matches_serial(self):
-        net = make_net()
-        server = ModelServer(net)
-        rng = np.random.default_rng(12)
-        inputs = (rng.random((8, 5, SIZES[0])) < 0.15).astype(np.float64)
-        labels = np.arange(8) % SIZES[-1]
-        serial = server.evaluate_variation(inputs, labels, bits=4,
-                                           variations=[0.2], n_seeds=2)
-        with WorkerPool(net, workers=1) as pool:
-            pooled = server.evaluate_variation(inputs, labels, bits=4,
-                                               variations=[0.2], n_seeds=2,
-                                               pool=pool)
-        assert serial == pooled
-
     def test_loadgen_reports_shadow_divergence(self):
         net = make_net()
         server = ModelServer(net, hardware=self.make_mapped(net),
@@ -533,7 +458,7 @@ class TestModelRegistry:
         assert latest.bits == 5
         entries = registry.list_profiles("m")
         assert [e["profile"] for e in entries] == ["hw0001", "hw0002"]
-        assert entries[0]["config"]["quantization"]["bits"] == 4
+        assert entries[0]["config"]["device"]["levels"] == 16
         with pytest.raises(SerializationError):
             registry.profile_path("m", "v0001")
         with pytest.raises(SerializationError):

@@ -5,7 +5,7 @@ tests push one *speech*, one *DVS*, and one *glyph* sample each through
 :class:`~repro.serve.server.ModelServer` end-to-end and pin the core
 serving guarantee on those paths too: the streamed outputs (chunked
 through sessions and coalesced ticks) are bitwise-identical to the
-offline ``run_batch`` of the same sample — mirroring the synthetic-SHD
+offline ``network.run`` of the same sample — mirroring the synthetic-SHD
 check in ``tests/unit/test_serve.py``.
 
 Plus the workload layer itself: deterministic pools, mix composition,
@@ -140,7 +140,7 @@ class TestServingPaths:
             ticket = server.submit(sid, chunk, now=0.0)
             server.flush(now=0.0)
             streamed.append(ticket.outputs)
-        offline = server.run_batch(sample[None], batch_size=1)[0]
+        offline = net.run(sample[None])[0][0]
         assert np.array_equal(np.concatenate(streamed), offline)
         server.close()
 
