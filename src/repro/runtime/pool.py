@@ -994,6 +994,8 @@ class WorkerPool:
         grid coordinates override — how a served hardware profile's
         window/read-noise parameters reach a pooled sweep.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.sync_weights()
         inputs = np.asarray(inputs, dtype=np.float64)
         labels = np.asarray(labels)

@@ -301,7 +301,8 @@ class TestWorkerPool:
     def test_batch_size_below_one_rejected(self):
         # A negative step used to chunk the set wrongly (serial) or
         # dispatch nothing and return the output arena as it stood
-        # (pooled); zero divided by zero on both paths.
+        # (pooled); zero divided by zero on both paths, and in a pooled
+        # Fig. 8 sweep.
         x, _ = make_task(n=5)
         net = make_net()
         with WorkerPool(net, workers=1) as pool:
@@ -311,6 +312,11 @@ class TestWorkerPool:
                         run_in_batches(net, x, batch_size, pool=held)
                 with pytest.raises(ValueError, match="batch_size"):
                     pool.run_sharded(x, batch_size)
+                with pytest.raises(ValueError, match="batch_size"):
+                    accuracy_under_variation(
+                        net, x, np.zeros(5, dtype=int), bits=4,
+                        variation=0.0, n_seeds=1, batch_size=batch_size,
+                        pool=pool)
 
     def test_fig8_eval_set_and_seed_count_checked(self):
         # Short or scalar labels used to broadcast against every
