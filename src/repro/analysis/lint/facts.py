@@ -600,8 +600,7 @@ class _Collector(ast.NodeVisitor):
 
     _METRIC_KINDS = {"counter": "counter", "gauge": "gauge",
                      "histogram": "histogram"}
-    _TRACE_KINDS = {"event": "event", "span": "span",
-                    "timed_span": "span", "timed": "span"}
+    _TRACE_KINDS = {"event": "event", "span": "span", "timed_span": "span"}
 
     def _collect_instrument(self, node, func, last: str) -> None:
         kind = self._METRIC_KINDS.get(last)

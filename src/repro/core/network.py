@@ -126,7 +126,8 @@ class SpikingNetwork:
         (``SpikingLinear(..., weight=)``) and stack them here, so no
         random weights are drawn only to be overwritten.  The layers must
         chain (each ``n_in`` the previous ``n_out``) and share one neuron
-        kind; the network's ``params`` are the first layer's.
+        kind and one parameter set, which becomes the network's
+        ``params``.
         """
         network = cls.__new__(cls)
         network._adopt(layers)
@@ -142,6 +143,8 @@ class SpikingNetwork:
         kinds = {layer.neuron_kind for layer in layers}
         if len(kinds) != 1:
             raise ValueError(f"layers mix neuron kinds {sorted(kinds)}")
+        if any(layer.params != layers[0].params for layer in layers):
+            raise ValueError("layers mix neuron parameters")
         self.sizes = (layers[0].n_in, *(layer.n_out for layer in layers))
         self.params = layers[0].params
         self.neuron_kind = layers[0].neuron_kind

@@ -29,10 +29,11 @@ A third knob closes the paper's codesign loop:
 optionally variation-noisy) weights the profile's crossbars would realise,
 via the fused engine's weight-override hook, while the optimizer updates
 full-precision master weights (straight-through estimator).  Train-time
-and map-time share one quantization grid by construction
-(:mod:`repro.hardware.quantization`), and the pooled data-parallel path
-stages the override through shared memory, staying bitwise-equal to the
-serial path.  See ``docs/training.md``.
+and map-time share one crossbar realization by construction
+(:meth:`repro.hardware.crossbar.DifferentialCrossbar.effective_weights`),
+and the pooled data-parallel path stages the override through shared
+memory, staying bitwise-equal to the serial path.  See
+``docs/training.md``.
 """
 
 from __future__ import annotations

@@ -653,8 +653,8 @@ def run_fig8_aware(profile: str | None = None,
         f"{hw.device.variation:.2f} -> recovery "
         f"{100 * (aware[point] - posthoc[point]):+.2f} pts over post-hoc "
         f"mapping (same programming seeds).\n"
-        "Both models map through the identical quantization grid and "
-        "device noise model the trainer saw (repro.hardware.quantization)."
+        "Both models map through the identical crossbar realization the "
+        "trainer saw (DifferentialCrossbar.effective_weights)."
     )
     summary = {
         "baseline": baseline,

@@ -4,15 +4,14 @@ This package scales the fused simulation engine across processes:
 
 * :mod:`repro.runtime.workspace` — reusable buffer arenas that remove the
   fused engine's per-batch allocations in steady-state training;
-* :mod:`repro.runtime.pool` — a persistent worker pool holding the network
-  weights in shared memory, executing forward chunks, gradient shards,
-  Fig. 8 device-noise seeds and generic sweep tasks;
+* :mod:`repro.runtime.pool` — a persistent, self-healing worker pool
+  holding the network weights in shared memory, executing forward
+  chunks, gradient shards, Fig. 8 device-noise seeds and generic sweep
+  tasks; dead or hung workers are respawned from the original spec and
+  their in-flight shards requeued, bitwise-transparently;
 * :mod:`repro.runtime.parallel` — the deterministic shard split and
   fixed-order reduction shared by the serial and pooled paths (the basis
-  of the bitwise parallel == serial equivalence tests);
-* :mod:`repro.runtime.supervisor` — the restart policy behind the pool's
-  self-healing: dead/hung workers are respawned from the original spec
-  and their in-flight shards requeued, bitwise-transparently.
+  of the bitwise parallel == serial equivalence tests).
 
 Everything is opt-in: with no pool every path is the serial in-process
 one.  An owner that holds a pool for a whole job takes a worker count:
@@ -33,13 +32,10 @@ from .parallel import (
     shard_slices,
 )
 from .pool import PoolTransportError, WorkerError, WorkerPool
-from .supervisor import RestartPolicy, WorkerSupervisor
 from .workspace import Workspace
 
 __all__ = [
     "PoolTransportError",
-    "RestartPolicy",
-    "WorkerSupervisor",
     "Workspace",
     "WorkerError",
     "WorkerPool",

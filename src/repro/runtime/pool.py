@@ -43,13 +43,12 @@ pipe.  Failures split into two kinds with opposite handling:
   traceback attached.  Deterministic code fails deterministically, so
   these are never retried;
 * a :class:`PoolTransportError` — dead process, reply timeout, corrupt
-  reply — triggers **self-healing**: a
-  :class:`~repro.runtime.supervisor.WorkerSupervisor` respawns the
-  failed worker from the original spec and the dispatch requeues
-  exactly its in-flight commands, with bounded attempts and exponential
-  backoff.  Because the arenas are master-owned and replicas rebuild
-  deterministically, a healed dispatch returns results bitwise-equal to
-  a fault-free run.
+  reply — triggers **self-healing**: the pool respawns the failed
+  worker from the original spec (:meth:`WorkerPool._respawn`) and the
+  dispatch requeues exactly its in-flight commands, with bounded heal
+  rounds and exponential backoff.  Because the arenas are master-owned
+  and replicas rebuild deterministically, a healed dispatch returns
+  results bitwise-equal to a fault-free run.
 
 Fault injection (:mod:`repro.common.faults`): constructing a pool under
 an active :class:`~repro.common.faults.FaultPlan` snapshots the plan
@@ -78,7 +77,6 @@ import numpy as np
 
 from .. import obs as _obs
 from ..common import faults as _faults
-from .supervisor import RestartPolicy, WorkerSupervisor
 
 __all__ = ["WorkerPool", "WorkerError", "PoolTransportError"]
 
@@ -130,13 +128,6 @@ class PoolTransportError(RuntimeError):
 
 
 _ALIGN = 64  # byte alignment for per-layer / per-worker shm regions
-
-
-def _default_start_method() -> str:
-    env = os.environ.get("REPRO_MP_START", "").strip()
-    if env:
-        return env
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 def _aligned(nbytes: int) -> int:
@@ -302,7 +293,7 @@ def _worker_main(spec: _PoolSpec, conn, index: int = 0,
         conn.send(("ready", os.getpid()))
         while True:
             # Worker side of the pipe: blocking on the master is the
-            # design — the supervisor kills hung workers from outside.
+            # design — a heal kills hung workers from outside.
             # repro: disable=concurrency
             msg = conn.recv()
             cmd = msg["cmd"]
@@ -313,7 +304,7 @@ def _worker_main(spec: _PoolSpec, conn, index: int = 0,
             rule = _faults.hit("pool.worker.hang")
             if rule is not None:
                 # Stop replying for longer than any sane timeout; the
-                # supervisor will terminate this process.
+                # master's heal will terminate this process.
                 time.sleep(3600.0 if rule.payload is None else rule.payload)
             try:
                 reply = ("ok", _handle(state, msg))
@@ -404,46 +395,48 @@ class WorkerPool:
     loss:
         Loss object shipped to the workers for ``grad`` dispatches (must be
         picklable; both built-in losses are).
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default from
-        ``REPRO_MP_START``, else fork where available.
-    timeout:
-        Seconds to wait for any single worker reply before raising
-        (default from ``REPRO_POOL_TIMEOUT``, else 600).
-    restart_policy:
-        Bounds and pacing of self-healing worker restarts (a
-        :class:`~repro.runtime.supervisor.RestartPolicy`; the defaults
-        allow 3 heal rounds per dispatch).
+
+    Workers start by fork where the platform has it, else by spawn.
     """
 
-    def __init__(self, network=None, workers: int = 1, loss=None,
-                 start_method: str | None = None,
-                 timeout: float | None = None,
-                 restart_policy: RestartPolicy | None = None):
+    #: Seconds to wait for any single worker reply, unless a dispatch
+    #: passes its own ``timeout=``.
+    _TIMEOUT_S = 600.0
+    #: Heal rounds allowed per dispatch (one round may respawn several
+    #: workers after a collective timeout); past it the pool closes and
+    #: the transport error propagates, so a persistently dying worker
+    #: (genuine OOM, broken native library) still fails loudly.
+    _MAX_HEAL_ROUNDS = 3
+    #: Respawn backoff: ``_BACKOFF_S * 2**n`` before the pool's n-th
+    #: lifetime restart, capped at ``_MAX_BACKOFF_S``.  A restart storm
+    #: must not busy-spin a machine that is actually out of memory.
+    _BACKOFF_S = 0.05
+    _MAX_BACKOFF_S = 1.0
+    #: Seconds granted per escalation stage when stopping a worker (stop
+    #: → terminate → kill).  Tests exercising the escalation shrink it.
+    _CLOSE_GRACE_S = 5.0
+
+    def __init__(self, network=None, workers: int = 1, loss=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.network = network
         self.workers = int(workers)
-        if timeout is None:
-            timeout = float(os.environ.get("REPRO_POOL_TIMEOUT", "600"))
-        self.timeout = timeout
         # Lifetime robustness counters live in a *private* registry (not
         # the installed telemetry's): a caller's pool can outlive a run,
         # so binding it to one run's registry would strand the others.
         # The installed tracer is looked up per event instead.
         self.metrics = _obs.MetricsRegistry()
         self._c_restarts = self.metrics.counter(
-            "pool.restarts", help="workers respawned by the supervisor")
+            "pool.restarts", help="workers respawned by a heal")
         self._c_retries = self.metrics.counter(
             "pool.retries", help="in-flight commands requeued after a heal")
         self._c_dispatches = self.metrics.counter(
             "pool.dispatches", help="dispatch rounds sent to the fleet")
         self._c_timeouts = self.metrics.counter(
             "pool.timeouts", help="workers declared unresponsive (timeout)")
-        self._supervisor = WorkerSupervisor(self, restart_policy)
         # Every attribute close() touches exists before anything that can
-        # raise, so a failed constructor (bad start method, spawn failure)
-        # still unlinks whatever shared memory it had already created.
+        # raise, so a failed constructor (a spawn failure) still unlinks
+        # whatever shared memory it had already created.
         self._closed = False
         self._weights_shm: shared_memory.SharedMemory | None = None
         self._weight_views: list[np.ndarray] = []
@@ -457,8 +450,8 @@ class WorkerPool:
                 tag: _Arena(tag)
                 for tag in ("inputs", "targets", "outputs", "grads")
             }
-            self._ctx = mp.get_context(start_method
-                                       or _default_start_method())
+            self._ctx = mp.get_context(
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn")
             for index in range(self.workers):
                 proc, conn = self._spawn_worker(index)
                 self._conns.append(conn)
@@ -500,6 +493,49 @@ class WorkerPool:
         proc.start()
         child_conn.close()
         return proc, parent_conn
+
+    def _respawn(self, index: int) -> None:
+        """Replace worker ``index`` with its next generation.
+
+        Reclaims the old process and pipe, backs off, respawns from the
+        original spec at an incremented **generation** (fault rules
+        scoped ``where={"generation": 0}`` stop firing in the replacement
+        — see :mod:`repro.common.faults`) and completes the ``ready``
+        handshake.  A failed handshake raises
+        :class:`PoolTransportError`, which the dispatch's bounded loop
+        handles like any other transport failure.
+        """
+        try:
+            self._conns[index].close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
+        self._stop(self._procs[index])
+        # The exponent is clamped: 2.0 ** 1024 overflows, and the cap
+        # bounds the delay long before that.
+        exponent = min(self._c_restarts.value, 32)
+        time.sleep(min(self._BACKOFF_S * 2.0 ** exponent,
+                       self._MAX_BACKOFF_S))
+        self._generations[index] += 1
+        self._procs[index], self._conns[index] = self._spawn_worker(index)
+        self._c_restarts.inc()
+        self.metrics.counter(
+            "pool.respawns",
+            help="respawns of one worker slot", worker=index).inc()
+        _obs.event("pool.respawn", worker=index,
+                   generation=self._generations[index])
+        self._recv(index)  # "ready" handshake from the new generation
+
+    def _stop(self, proc) -> None:
+        """Terminate ``proc``, escalating to kill if it ignores SIGTERM."""
+        try:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=self._CLOSE_GRACE_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=self._CLOSE_GRACE_S)
+        except (OSError, ValueError, AssertionError):  # pragma: no cover
+            pass  # interpreter teardown races
 
     # -- construction helpers ----------------------------------------------
     def _build_spec(self, network, loss) -> _PoolSpec:
@@ -560,7 +596,7 @@ class WorkerPool:
     # -- message plumbing ---------------------------------------------------
     def _recv(self, index: int, timeout: float | None = None):
         conn = self._conns[index]
-        timeout = self.timeout if timeout is None else timeout
+        timeout = self._TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + timeout
         while not conn.poll(0.2):
             if not self._procs[index].is_alive():
@@ -645,12 +681,12 @@ class WorkerPool:
           stay aligned with the protocol and the pool remains usable,
           then the error propagates.  Never retried.
         * :class:`PoolTransportError` (dead / hung / corrupt worker):
-          the supervisor respawns the failed workers and their in-flight
-          commands are requeued — results stay bitwise-equal to a
-          fault-free run because the staged arenas, the command bytes
-          and the rebuilt replicas are all identical.  After
-          ``restart_policy.max_restarts`` heal rounds the pool closes
-          and the transport error propagates.
+          the failed workers are respawned and their in-flight commands
+          requeued — results stay bitwise-equal to a fault-free run
+          because the staged arenas, the command bytes and the rebuilt
+          replicas are all identical.  After :attr:`_MAX_HEAL_ROUNDS`
+          heal rounds the pool closes and the transport error
+          propagates.
         """
         self._check_open()
         queues: dict[int, collections.deque] = {}
@@ -730,7 +766,7 @@ class WorkerPool:
                 if self._closed:
                     raise  # healing a closing pool would resurrect it
                 heal_rounds += 1
-                if heal_rounds > self._supervisor.policy.max_restarts:
+                if heal_rounds > self._MAX_HEAL_ROUNDS:
                     self.close()
                     raise
                 to_heal = exc.workers
@@ -750,7 +786,7 @@ class WorkerPool:
             if pending is None:
                 # Failure outside this dispatch's worker set (e.g. the
                 # handshake of a previous heal): respawn only.
-                self._supervisor.restart(worker)
+                self._respawn(worker)
                 continue
             requeued = [(position, bufs[position])
                         for position, _ in pending]
@@ -759,14 +795,14 @@ class WorkerPool:
             queues[worker].extendleft(reversed(requeued))
             pending.clear()
             inflight_bytes[worker] = 0
-            self._supervisor.restart(worker)
+            self._respawn(worker)
 
     def _wait_any(self, workers: list[int],
                   timeout: float | None = None) -> int:
         """Block until one of ``workers`` has a reply ready; return it."""
         from multiprocessing.connection import wait as _conn_wait
 
-        timeout = self.timeout if timeout is None else timeout
+        timeout = self._TIMEOUT_S if timeout is None else timeout
         deadline = time.monotonic() + timeout
         conn_to_worker = {self._conns[w]: w for w in workers}
         while True:
@@ -820,14 +856,13 @@ class WorkerPool:
 
     # -- high-level dispatches ----------------------------------------------
     #: Cap on shared memory staged per inference window (inputs +
-    #: outputs), overridable via ``REPRO_ARENA_CAP_BYTES``.  Bounds peak
-    #: /dev/shm use for large evaluation sets — run_in_batches exists to
-    #: bound memory, and the pooled path must honour that contract (a
-    #: default Docker ``/dev/shm`` is 64 MB).  Windows are whole multiples
-    #: of ``batch_size``, so the chunk boundaries — and therefore the
-    #: outputs — stay identical to the serial path.
-    ARENA_CAP_BYTES = int(os.environ.get("REPRO_ARENA_CAP_BYTES",
-                                         256 * 1024 * 1024))
+    #: outputs).  Bounds peak /dev/shm use for large evaluation sets —
+    #: run_in_batches exists to bound memory, and the pooled path must
+    #: honour that contract (a default Docker ``/dev/shm`` is 64 MB).
+    #: Windows are whole multiples of ``batch_size``, so the chunk
+    #: boundaries — and therefore the outputs — stay identical to the
+    #: serial path.
+    ARENA_CAP_BYTES = 256 * 1024 * 1024
 
     def _window_samples(self, row_bytes: int, batch_size: int) -> int:
         """Samples per bounded staging window.
@@ -1035,11 +1070,6 @@ class WorkerPool:
         return self._dispatch(assignments, timeout=timeout)
 
     # -- lifecycle ----------------------------------------------------------
-    #: Seconds granted per escalation stage in :meth:`close` (stop →
-    #: terminate → kill).  A class attribute so tests exercising the
-    #: escalation can shrink it without waiting out real grace periods.
-    _CLOSE_GRACE_S = 5.0
-
     def close(self) -> None:
         """Stop the workers and free every shared-memory block.
 
@@ -1063,15 +1093,10 @@ class WorkerPool:
                 pass
         for proc in self._procs:
             try:
-                proc.join(timeout=self._CLOSE_GRACE_S)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.terminate()
-                    proc.join(timeout=self._CLOSE_GRACE_S)
-                if proc.is_alive():  # SIGTERM ignored: escalate
-                    proc.kill()
-                    proc.join(timeout=self._CLOSE_GRACE_S)
-            except (OSError, ValueError, AssertionError):
-                pass  # pragma: no cover - interpreter teardown races
+                proc.join(timeout=self._CLOSE_GRACE_S)  # cooperative stop
+            except (OSError, ValueError, AssertionError):  # pragma: no cover
+                pass  # interpreter teardown races
+            self._stop(proc)
         for conn in self._conns:
             try:
                 conn.close()

@@ -226,23 +226,3 @@ class TestMappedNetwork:
             np.testing.assert_array_equal(installed, expected)
         override, _ = net.run(x, weights=mapped.weight_list(7))
         np.testing.assert_array_equal(noisy, override)
-
-    def test_per_layer_parameters_reach_every_hardware_path(self):
-        """One-shot runs, streams and the shared clone run each layer
-        with its own neuron parameters: all equal the software network
-        run on the realized weights."""
-        from repro.core.layers import SpikingLinear
-        from repro.core.neurons import NeuronParameters
-
-        rng = np.random.default_rng(0)
-        net = SpikingNetwork.from_layers([
-            SpikingLinear(20, 12, weight=rng.normal(0, 1.0, (12, 20))),
-            SpikingLinear(12, 5, params=NeuronParameters(v_th=0.3, tau=2.0),
-                          weight=rng.normal(0, 1.0, (5, 12)))])
-        mapped = HardwareMappedNetwork(net, RRAMDeviceConfig(levels=16),
-                                       rng=0)
-        x = (rng.random((4, 30, 20)) < 0.3).astype(float)
-        expected, _ = net.run(x, weights=mapped.weight_list())
-        for got in (mapped.run(x)[0], mapped.run_stream(x)[0],
-                    mapped.hardware_network.run(x)[0]):
-            np.testing.assert_array_equal(got, expected)

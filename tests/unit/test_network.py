@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ShapeError
 from repro.core.layers import SpikingLinear
 from repro.core.network import SpikingNetwork
+from repro.core.neurons import NeuronParameters
 from repro.core.surrogate import SigmoidSurrogate, TriangleSurrogate
 
 
@@ -117,6 +118,9 @@ class TestParameters:
         with pytest.raises(ValueError):
             SpikingNetwork.from_layers(
                 [first, SpikingLinear(5, 3, neuron_kind="hard_reset", rng=1)])
+        with pytest.raises(ValueError, match="neuron parameters"):
+            SpikingNetwork.from_layers([first, SpikingLinear(
+                5, 3, params=NeuronParameters(tau=8.0, v_th=0.5), rng=1)])
         with pytest.raises(ValueError):
             SpikingNetwork.from_layers([])
         net = SpikingNetwork.from_layers([first, SpikingLinear(5, 3, rng=1)])

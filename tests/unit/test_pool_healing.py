@@ -2,12 +2,12 @@
 
 The recovery contract (docs/robustness.md): a transport-level failure —
 a worker that crashed, hangs, or violates the reply protocol — is
-healed by the supervisor (respawn, re-stage, requeue the in-flight
-shards) and the dispatch's results are bitwise-identical to a
-fault-free pool's.  A :class:`WorkerError` (the *task* raised) stays
-fail-fast and leaves the pool usable; transport healing is bounded by
-the :class:`RestartPolicy`, after which the pool closes itself and
-raises :class:`PoolTransportError`.
+healed by the pool (respawn, re-stage, requeue the in-flight shards)
+and the dispatch's results are bitwise-identical to a fault-free
+pool's.  A :class:`WorkerError` (the *task* raised) stays fail-fast and
+leaves the pool usable; transport healing is bounded by
+``WorkerPool._MAX_HEAL_ROUNDS`` per dispatch, after which the pool
+closes itself and raises :class:`PoolTransportError`.
 """
 
 import signal
@@ -22,7 +22,7 @@ from repro.common.faults import FaultPlan, FaultRule
 from repro.core import CrossEntropyRateLoss, SpikingNetwork
 from repro.core.calibration import calibrate_firing
 from repro.core.trainer import run_in_batches
-from repro.runtime import RestartPolicy, WorkerPool, shard_slices
+from repro.runtime import WorkerPool, shard_slices
 from repro.runtime.pool import PoolTransportError, WorkerError
 
 
@@ -50,6 +50,11 @@ def no_leaked_plan():
     faults.deactivate()
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(WorkerPool, "_BACKOFF_S", 0.01)
+
+
 def _double(value):
     return value * 2
 
@@ -60,18 +65,12 @@ def _ignore_sigterm_then_sleep(seconds):
     return seconds
 
 
-def fast_policy(**kwargs):
-    kwargs.setdefault("backoff_s", 0.01)
-    return RestartPolicy(**kwargs)
-
-
 def faulty_pool(rules, seed=7, **kwargs):
     """A pool whose workers run under a seeded fault plan.
 
     The plan is snapshotted into the worker spec at construction, so it
     only needs to be active while the pool is built.
     """
-    kwargs.setdefault("restart_policy", fast_policy())
     with faults.active(FaultPlan(rules, seed=seed)):
         return WorkerPool(**kwargs)
 
@@ -131,19 +130,30 @@ class TestTransportHealing:
             for g, r in zip(grads, rgrads):
                 np.testing.assert_array_equal(g, r)
 
-    def test_retries_exhausted_closes_pool_and_raises(self):
+    def test_retries_exhausted_closes_pool_and_raises(self, monkeypatch):
         # Unscoped nth=(1,): every respawned generation gets a fresh
         # plan copy and crashes on its first command too, so healing
-        # can never converge and the policy bound must trip.
+        # can never converge and the heal-round bound must trip.
+        monkeypatch.setattr(WorkerPool, "_MAX_HEAL_ROUNDS", 2)
         rule = FaultRule("pool.worker.crash", nth=(1,))
-        pool = faulty_pool(
-            (rule,), workers=1,
-            restart_policy=fast_policy(max_restarts=2))
+        pool = faulty_pool((rule,), workers=1)
         with pytest.raises(PoolTransportError):
             pool.map(_double, [1, 2])
         assert pool.stats["restarts"] == 2
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(_double, [1])
+
+    def test_backoff_stays_capped_after_many_lifetime_restarts(self):
+        # The backoff doubles per lifetime restart; past ~1000 of them an
+        # unclamped 2.0 ** n overflows inside the heal itself.
+        with WorkerPool(workers=1) as pool:
+            pool._c_restarts.inc(5000)
+            pool._procs[0].kill()
+            pool._procs[0].join()
+            started = time.monotonic()
+            assert pool.map(_double, [1, 2]) == [2, 4]
+            assert time.monotonic() - started < 30.0
+            assert pool.stats["restarts"] == 5001
 
 
 class TestWorkerErrorStaysFailFast:
@@ -186,6 +196,21 @@ class TestCloseEscalation:
         pool.close()
         for proc in procs:
             assert not proc.is_alive()
+
+    def test_heal_kills_hung_sigterm_ignoring_worker(self, monkeypatch):
+        # The per-call timeout declares the worker hung; the heal must
+        # escalate past the ignored SIGTERM to kill, respawn, and (as
+        # the replacement hangs on the requeued task too) trip the
+        # one-round bound, close, and leave no worker process behind.
+        monkeypatch.setattr(WorkerPool, "_MAX_HEAL_ROUNDS", 1)
+        monkeypatch.setattr(WorkerPool, "_CLOSE_GRACE_S", 0.2)
+        pool = WorkerPool(workers=1)
+        first = pool._procs[0]
+        with pytest.raises(PoolTransportError):
+            pool.map(_ignore_sigterm_then_sleep, [60.0], timeout=1.0)
+        assert not first.is_alive()
+        assert pool.stats["restarts"] == 1
+        assert not any(proc.is_alive() for proc in pool._procs)
 
     def test_atexit_after_crash_heal_is_quiet(self):
         # A pool that healed a crashed worker mid-life and is then

@@ -404,16 +404,16 @@ class TestWorkerPool:
         # dispatch must stream through.
         payload = b"x" * 1024
         items = [(index, payload) for index in range(1000)]
-        with WorkerPool(workers=2, timeout=60) as pool:
-            assert pool.map(_echo, items) == items
+        with WorkerPool(workers=2) as pool:
+            assert pool.map(_echo, items, timeout=60) == items
 
     def test_oversized_payloads_do_not_deadlock(self):
         # Individual commands AND replies each exceed the 64 KiB pipe
         # buffer; they may only be in flight to an idle (draining) worker.
         payload = b"y" * (100 * 1024)
         items = [(index, payload) for index in range(12)]
-        with WorkerPool(workers=2, timeout=60) as pool:
-            assert pool.map(_echo, items) == items
+        with WorkerPool(workers=2) as pool:
+            assert pool.map(_echo, items, timeout=60) == items
 
     def test_windowed_staging_matches_serial(self, monkeypatch):
         # With the arena cap forced tiny, inference is staged in bounded
@@ -543,7 +543,7 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(_double, [1])
 
-    def test_dead_worker_heals_and_close_stays_quiet(self):
+    def test_dead_worker_heals_and_close_stays_quiet(self, monkeypatch):
         # A worker killed out-of-band no longer dooms the pool: the
         # dispatch respawns it, requeues its shards, and returns the
         # fault-free results.  close() afterwards must neither raise nor
@@ -551,10 +551,8 @@ class TestWorkerPool:
         # any exception becomes stderr noise the user cannot act on.
         import warnings
 
-        from repro.runtime import RestartPolicy
-
-        pool = WorkerPool(workers=2,
-                          restart_policy=RestartPolicy(backoff_s=0.01))
+        monkeypatch.setattr(WorkerPool, "_BACKOFF_S", 0.01)
+        pool = WorkerPool(workers=2)
         pool._procs[0].kill()
         pool._procs[0].join()
         assert pool.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]

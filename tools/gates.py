@@ -92,7 +92,7 @@ CANARY_TOLERANCE = 0.2
 
 #: Worker 0 dies on its first command, worker 1 stops answering on its
 #: second; the ``generation: 0`` scope keeps the respawned workers
-#: healthy so the supervisor's bounded retry converges.
+#: healthy so the pool's bounded heal converges.
 CRASH_HANG_RULES = (
     faults.FaultRule("pool.worker.crash", nth=(1,),
                      where={"worker": 0, "generation": 0}),
@@ -100,7 +100,7 @@ CRASH_HANG_RULES = (
                      where={"worker": 1, "generation": 0}, payload=60.0),
 )
 
-#: Seconds a dispatch may wait on a silent worker before the supervisor
+#: Seconds a dispatch may wait on a silent worker before the pool
 #: declares it hung — the wall-clock cost of the hang half of the pool
 #: run.
 HANG_TIMEOUT_S = 5.0

@@ -8,7 +8,7 @@ Three views over the same trace file:
   batched -> completed / expired / failed, with the degraded / retried
   rungs and the shadow divergence the scatter stamped on completion.
 * ``workers`` — the pool plane: dispatch spans plus per-worker respawn
-  (supervisor restarts, with generation) and retry events.
+  (heal restarts, with generation) and retry events.
 * ``timeline`` — every span as a proportional bar on the trace clock,
   indented by parent nesting, events as point markers.
 
