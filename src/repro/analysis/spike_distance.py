@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import ShapeError
-from ..core.filters import DoubleExponentialKernel
+from ..core.filters import DoubleExponentialKernel, decay_from_tau, exp_scan
 
 __all__ = [
     "van_rossum_distance",
@@ -122,15 +122,13 @@ def trace_correlation(a: np.ndarray, b: np.ndarray,
     filtered with an exponential kernel and correlated as flat vectors.
     Returns 0 when either trace is silent/constant.
     """
-    from ..core.filters import exponential_filter, decay_from_tau
-
     a = _as_time_major(a)
     b = _as_time_major(b)
     if a.shape != b.shape:
         raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
     alpha = decay_from_tau(tau)
-    ta = exponential_filter(a, alpha, time_axis=0).ravel()
-    tb = exponential_filter(b, alpha, time_axis=0).ravel()
+    ta = exp_scan(a[None], alpha).ravel()
+    tb = exp_scan(b[None], alpha).ravel()
     sa, sb = ta.std(), tb.std()
     if sa == 0.0 or sb == 0.0:
         return 0.0

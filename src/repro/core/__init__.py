@@ -5,20 +5,12 @@ from .backprop import GradientResult, backward
 from .engine import (
     PRECISIONS,
     StreamState,
-    exp_scan,
     fused_backward,
     fused_run,
     resolve_precision,
     run_streaming,
 )
-from .filters import (
-    DoubleExponentialKernel,
-    ExponentialFilter,
-    decay_from_tau,
-    exponential_filter,
-    exponential_filter_adjoint,
-    tau_from_decay,
-)
+from .filters import DoubleExponentialKernel, decay_from_tau, exp_scan, exp_scan_adjoint
 from .layers import SpikingLinear
 from .loss import CrossEntropyRateLoss, VanRossumLoss, softmax
 from .model_zoo import association_net, nmnist_mlp, shd_mlp
@@ -49,16 +41,13 @@ __all__ = [
     "PRECISIONS",
     "StreamState",
     "run_streaming",
-    "exp_scan",
     "fused_backward",
     "fused_run",
     "resolve_precision",
     "DoubleExponentialKernel",
-    "ExponentialFilter",
     "decay_from_tau",
-    "exponential_filter",
-    "exponential_filter_adjoint",
-    "tau_from_decay",
+    "exp_scan",
+    "exp_scan_adjoint",
     "SpikingLinear",
     "CrossEntropyRateLoss",
     "VanRossumLoss",

@@ -12,7 +12,8 @@ splits into
 
 * **linear scans** — the synapse filter ``k[t] = alpha k[t-1] + x[t]``
   (eq. 9) and its adjoint, evaluated in place over a preallocated buffer
-  (:func:`_scan`, :func:`_scan_reverse`) with no per-step allocation;
+  by the one pair of scans in :mod:`repro.core.filters` (``_scan``,
+  ``_scan_reverse``) with no per-step allocation;
 * **one sparse matmul** — the crossbar product ``g = k W^T`` (eq. 7) for
   *all* time steps at once, contracted over the input's spike events;
 * **a thin nonlinear scan** — the spike/threshold recurrence (eqs. 6, 8,
@@ -88,11 +89,11 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from ..common.errors import ShapeError
+from .filters import _scan, _scan_reverse
 
 __all__ = [
     "PRECISIONS",
     "resolve_precision",
-    "exp_scan",
     "fused_run",
     "fused_backward",
     "StreamState",
@@ -118,59 +119,6 @@ def resolve_precision(precision) -> np.dtype | None:
             )
         return np.dtype(PRECISIONS[precision])
     return np.dtype(precision)
-
-
-# -- scan kernels -----------------------------------------------------------
-
-def _scan(buf: np.ndarray, decay: float,
-          carry: np.ndarray | None = None) -> np.ndarray:
-    """In-place causal scan ``y[t] = decay*y[t-1] + x[t]`` along axis 0 of
-    a time-major ``(T, batch, n)`` buffer: two elementwise ops on one
-    contiguous ``(batch, n)`` slice per step.  ``carry`` seeds the step
-    before ``buf[0]`` (see :func:`exp_scan`)."""
-    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
-    if carry is not None and len(buf):
-        np.multiply(carry, decay, out=scratch)
-        buf[0] += scratch
-    for t in range(1, len(buf)):
-        np.multiply(buf[t - 1], decay, out=scratch)
-        buf[t] += scratch
-    return buf
-
-
-def _scan_reverse(buf: np.ndarray, decay: float) -> np.ndarray:
-    """In-place anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along
-    axis 0 of a time-major buffer — the adjoint of :func:`_scan`."""
-    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
-    for t in range(len(buf) - 2, -1, -1):
-        np.multiply(buf[t + 1], decay, out=scratch)
-        buf[t] += scratch
-    return buf
-
-
-def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
-             carry: np.ndarray | None = None) -> np.ndarray:
-    """Causal first-order scan ``y[t] = decay*y[t-1] + x[t]`` along axis 1.
-
-    ``xs`` has shape ``(batch, T, n)``; the engine's time-major kernel
-    (:func:`_scan`) runs over a ``swapaxes`` view of ``out`` (allocated
-    when omitted; it may alias ``xs``), so the values are bitwise those
-    of the engine's own scans.
-
-    ``carry`` is the scan value *preceding* ``xs[:, 0]`` — the final
-    scanned value of the previous chunk of a split sequence.  With it the
-    first step performs exactly the same two ops as every interior step
-    (``y[0] = decay*carry + x[0]``), so scanning a sequence in chunks and
-    threading the carry is bitwise-equal to one continuous scan.  ``None``
-    (the default) keeps the original behavior ``y[0] = x[0]``.
-    """
-    xs = np.asarray(xs)
-    if out is None:
-        out = np.empty_like(xs)
-    if out is not xs:
-        np.copyto(out, xs)
-    _scan(out.swapaxes(0, 1), decay, carry)
-    return out
 
 
 def _ws_empty(ws, shape, dtype) -> np.ndarray:
@@ -444,7 +392,7 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     events only and moves the scan to the narrow ``n_out`` axis.  Drive
     scan -> threshold scan, both in place.
 
-    The drive scan is seeded with the carried ``g`` (see :func:`_scan`)
+    The drive scan is seeded with the carried ``g`` (see ``filters._scan``)
     and the threshold loop with the carried ``h``/``o``; a zero state is
     the fresh start of a one-shot run.  ``lengths``/``ends`` (from
     :func:`_resolve_lengths`) capture each row's state at its own final

@@ -12,24 +12,26 @@ discrete time (eq. 5):
 
     h[t] = e^{-1/\\tau_r} h[t-1] + O[t-1]      \\qquad (5b)
 
-This module implements that primitive (:class:`ExponentialFilter`), its
-adjoint (needed by exact BPTT), and the double-exponential kernel
-``f[t] = e^{-t/\\tau_m} - e^{-t/\\tau_s}`` used by the van Rossum loss
-(eq. 15).
+This module holds the one pair of scans that evaluates that primitive
+everywhere: the in-place causal scan :func:`_scan` and its adjoint
+:func:`_scan_reverse` over time-major ``(T, ...)`` buffers (the fused
+engine, :mod:`repro.core.engine`, runs them for the synapse filter and its
+BPTT adjoint), their batch-major wrappers :func:`exp_scan` and
+:func:`exp_scan_adjoint`, and the double-exponential kernel
+``f[t] = e^{-t/\\tau_m} - e^{-t/\\tau_s}`` of the van Rossum loss (eq. 15),
+computed with the same scans.  The reference oracle for whole networks,
+the autograd tape (:func:`repro.autograd.reference.unroll`), states the
+recurrences again one step at a time; nothing else does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import ShapeError, StateError
-
 __all__ = [
     "decay_from_tau",
-    "tau_from_decay",
-    "ExponentialFilter",
-    "exponential_filter",
-    "exponential_filter_adjoint",
+    "exp_scan",
+    "exp_scan_adjoint",
     "DoubleExponentialKernel",
 ]
 
@@ -45,110 +47,73 @@ def decay_from_tau(tau: float) -> float:
     return float(np.exp(-1.0 / tau))
 
 
-def tau_from_decay(alpha: float) -> float:
-    """Inverse of :func:`decay_from_tau`."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"decay must be in (0, 1), got {alpha}")
-    return float(-1.0 / np.log(alpha))
+def _scan(buf: np.ndarray, decay: float,
+          carry: np.ndarray | None = None) -> np.ndarray:
+    """In-place causal scan ``y[t] = decay*y[t-1] + x[t]`` along axis 0 of
+    a time-major buffer: two elementwise ops on one slice per step (a
+    contiguous ``(batch, n)`` slice of an engine buffer).  ``carry``
+    seeds the step before ``buf[0]`` (see :func:`exp_scan`)."""
+    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
+    if carry is not None and len(buf):
+        np.multiply(carry, decay, out=scratch)
+        buf[0] += scratch
+    for t in range(1, len(buf)):
+        np.multiply(buf[t - 1], decay, out=scratch)
+        buf[t] += scratch
+    return buf
 
 
-class ExponentialFilter:
-    """Stateful first-order low-pass filter ``y[t] = alpha*y[t-1] + x[t]``.
+def _scan_reverse(buf: np.ndarray, decay: float) -> np.ndarray:
+    """In-place anti-causal scan ``a[t] = x[t] + decay*a[t+1]`` along
+    axis 0 of a time-major buffer — the adjoint of :func:`_scan`."""
+    scratch = np.empty(buf.shape[1:], dtype=buf.dtype)  # (batch, n)
+    for t in range(len(buf) - 2, -1, -1):
+        np.multiply(buf[t + 1], decay, out=scratch)
+        buf[t] += scratch
+    return buf
 
-    This is the digital counterpart of the RC filter in the paper's circuit
-    (Section II: ``tau = RC / dt``); the same class implements both the
-    synapse kernel ``k`` and the reset kernel ``h``.
 
-    The filter is *never reset by spikes* — that is the point of the paper's
-    model — but :meth:`reset_state` reinitialises it between input samples.
+def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
+             carry: np.ndarray | None = None) -> np.ndarray:
+    """Causal first-order scan ``y[t] = decay*y[t-1] + x[t]`` along axis 1.
 
-    Parameters
-    ----------
-    tau:
-        Time constant in steps.
-    shape:
-        State shape, typically ``(batch, channels)``.  May be deferred to
-        the first :meth:`reset_state` call.
+    ``xs`` has shape ``(batch, T, n)``; the engine's time-major kernel
+    (:func:`_scan`) runs over a ``swapaxes`` view of ``out`` (allocated
+    when omitted; it may alias ``xs``), so the values are bitwise those
+    of the engine's own scans.
+
+    ``carry`` is the scan value *preceding* ``xs[:, 0]`` — the final
+    scanned value of the previous chunk of a split sequence.  With it the
+    first step performs exactly the same two ops as every interior step
+    (``y[0] = decay*carry + x[0]``), so scanning a sequence in chunks and
+    threading the carry is bitwise-equal to one continuous scan.  ``None``
+    (the default) starts from ``y[0] = x[0]``.
     """
-
-    def __init__(self, tau: float, shape: tuple | None = None):
-        self.tau = float(tau)
-        self.alpha = decay_from_tau(tau)
-        self.state: np.ndarray | None = None
-        if shape is not None:
-            self.reset_state(shape)
-
-    def reset_state(self, shape: tuple, dtype=np.float64) -> None:
-        """Zero the filter state with the given shape."""
-        self.state = np.zeros(shape, dtype=dtype)
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """Advance one step; returns the new state (a copy-free view is kept)."""
-        if self.state is None:
-            raise StateError("ExponentialFilter.step called before reset_state")
-        if self.state.shape != np.shape(x):
-            raise ShapeError(
-                f"filter state {self.state.shape} vs input {np.shape(x)}"
-            )
-        self.state = self.alpha * self.state + x
-        return self.state
-
-    def run(self, xs: np.ndarray, time_axis: int = 0) -> np.ndarray:
-        """Filter a whole sequence; ``xs`` has time along ``time_axis``.
-
-        Does not use or modify the persistent state (starts from zero);
-        convenient for whole-trace computations such as loss kernels.
-        """
-        return exponential_filter(xs, self.alpha, time_axis=time_axis)
-
-    def impulse_response(self, length: int) -> np.ndarray:
-        """First ``length`` samples of the impulse response ``alpha**t``."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        return self.alpha ** np.arange(length, dtype=np.float64)
-
-    def __repr__(self) -> str:
-        return f"ExponentialFilter(tau={self.tau}, alpha={self.alpha:.6f})"
+    xs = np.asarray(xs)
+    if out is None:
+        out = np.empty_like(xs)
+    if out is not xs:
+        np.copyto(out, xs)
+    _scan(out.swapaxes(0, 1), decay, carry)
+    return out
 
 
-def exponential_filter(xs: np.ndarray, alpha: float, time_axis: int = 0,
-                       initial: np.ndarray | None = None) -> np.ndarray:
-    """Causal scan ``y[t] = alpha*y[t-1] + x[t]`` along ``time_axis``.
+def exp_scan_adjoint(grads: np.ndarray, decay: float) -> np.ndarray:
+    """Adjoint of :func:`exp_scan`: the anti-causal scan
+    ``a[t] = decay*a[t+1] + g[t]`` along axis 1 of a ``(batch, T, n)``
+    array, i.e. ``dE/dx[t] = sum_{s>=t} decay**(s-t) * dE/dy[s]``.
 
-    Parameters
-    ----------
-    xs:
-        Input array with time along ``time_axis``.
-    alpha:
-        Per-step decay in [0, 1).
-    initial:
-        Optional ``y[-1]`` state (shape of one time slice).
+    Returns a new array; the kernel is the engine's :func:`_scan_reverse`.
     """
-    data = np.moveaxis(np.asarray(xs, dtype=np.float64), time_axis, 0)
-    out = np.empty_like(data)
-    carry = np.zeros(data.shape[1:], dtype=np.float64) if initial is None \
-        else np.asarray(initial, dtype=np.float64)
-    for t in range(data.shape[0]):
-        carry = alpha * carry + data[t]
-        out[t] = carry
-    return np.moveaxis(out, 0, time_axis)
+    out = np.array(grads)
+    _scan_reverse(out.swapaxes(0, 1), decay)
+    return out
 
 
-def exponential_filter_adjoint(grad_ys: np.ndarray, alpha: float,
-                               time_axis: int = 0) -> np.ndarray:
-    """Adjoint (reverse-time) scan of :func:`exponential_filter`.
-
-    If ``y = exponential_filter(x)`` and ``g[t] = dE/dy[t]``, the returned
-    array is ``dE/dx[t] = sum_{s>=t} alpha**(s-t) * g[s]``, computed by the
-    anti-causal recursion ``a[t] = alpha*a[t+1] + g[t]``.
-    """
-    data = np.moveaxis(np.asarray(grad_ys, dtype=np.float64), time_axis, 0)
-    out = np.empty_like(data)
-    carry = np.zeros(data.shape[1:], dtype=np.float64)
-    for t in range(data.shape[0] - 1, -1, -1):
-        carry = alpha * carry + data[t]
-        out[t] = carry
-    return np.moveaxis(out, 0, time_axis)
+def _time_major(xs: np.ndarray, time_axis: int) -> np.ndarray:
+    """A float64 copy of ``xs`` with time moved to axis 0, for the
+    in-place scans."""
+    return np.moveaxis(np.array(xs, dtype=np.float64), time_axis, 0)
 
 
 class DoubleExponentialKernel:
@@ -179,15 +144,15 @@ class DoubleExponentialKernel:
 
     def convolve(self, spikes: np.ndarray, time_axis: int = 0) -> np.ndarray:
         """Causal convolution ``(f * S)[t]`` along ``time_axis`` (exact, O(T))."""
-        fast = exponential_filter(spikes, self.alpha_s, time_axis=time_axis)
-        slow = exponential_filter(spikes, self.alpha_m, time_axis=time_axis)
-        return slow - fast
+        fast = _scan(_time_major(spikes, time_axis), self.alpha_s)
+        slow = _scan(_time_major(spikes, time_axis), self.alpha_m)
+        return np.moveaxis(slow - fast, 0, time_axis)
 
     def adjoint_convolve(self, grad: np.ndarray, time_axis: int = 0) -> np.ndarray:
         """Adjoint of :meth:`convolve` (correlation with ``f``, reverse time)."""
-        fast = exponential_filter_adjoint(grad, self.alpha_s, time_axis=time_axis)
-        slow = exponential_filter_adjoint(grad, self.alpha_m, time_axis=time_axis)
-        return slow - fast
+        fast = _scan_reverse(_time_major(grad, time_axis), self.alpha_s)
+        slow = _scan_reverse(_time_major(grad, time_axis), self.alpha_m)
+        return np.moveaxis(slow - fast, 0, time_axis)
 
     def __repr__(self) -> str:
         return f"DoubleExponentialKernel(tau_m={self.tau_m}, tau_s={self.tau_s})"

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..common.errors import ShapeError
 from ..common.rng import RandomState, as_random_state
-from .filters import decay_from_tau
+from .filters import decay_from_tau, exp_scan
 from .neurons import NeuronParameters, make_neuron
 from .surrogate import ErfcSurrogate, SurrogateGradient
 
@@ -68,7 +68,6 @@ class LayerStepRecord:
     @property
     def k(self) -> np.ndarray | None:
         if self._k is None and self._alpha is not None:
-            from .engine import exp_scan   # local import: avoids a cycle
             self._k = exp_scan(self._inputs, self._alpha)
         return self._k
 

@@ -29,6 +29,14 @@ from .filters import DoubleExponentialKernel
 __all__ = ["CrossEntropyRateLoss", "VanRossumLoss", "softmax"]
 
 
+def _require_nonempty(outputs: np.ndarray) -> None:
+    """A loss needs at least one sample and one step: an empty batch or
+    sequence has no mean to take."""
+    if outputs.shape[0] == 0 or outputs.shape[1] == 0:
+        raise ShapeError(
+            f"expected at least one sample and one step, got {outputs.shape}")
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
@@ -75,6 +83,7 @@ class CrossEntropyRateLoss:
         labels = np.asarray(labels)
         if outputs.ndim != 3:
             raise ShapeError(f"outputs must be (batch, T, classes), got {outputs.shape}")
+        _require_nonempty(outputs)
         batch, steps, classes = outputs.shape
         if labels.shape != (batch,):
             raise ShapeError(f"labels must be ({batch},), got {labels.shape}")
@@ -138,6 +147,7 @@ class VanRossumLoss:
             )
         if outputs.ndim != 3:
             raise ShapeError(f"expected (batch, T, trains), got {outputs.shape}")
+        _require_nonempty(outputs)
         batch, steps, _ = outputs.shape
         # Linearity: f*O - f*S = f*(O - S).
         diff_trace = self.kernel.convolve(outputs - targets, time_axis=1)
@@ -154,6 +164,7 @@ class VanRossumLoss:
         b = np.atleast_3d(np.asarray(b, dtype=np.float64))
         if a.shape != b.shape:
             raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
+        _require_nonempty(a)
         steps = a.shape[1]
         diff = self.kernel.convolve(a - b, time_axis=1)
         return float(np.sum(diff ** 2) / (2.0 * steps * a.shape[0]))

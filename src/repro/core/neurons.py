@@ -16,21 +16,18 @@ Two models from Section II of the paper:
   behaviour the paper's ablation ("This work (HR)" in Table II) shows to be
   harmful on timing-rich data.
 
-Both neurons expose the same ``reset_state`` / ``step`` interface operating
-on ``(batch, n)`` arrays so that a trained network can be re-evaluated with
-either dynamic (the paper's Table II HR swap).
-
-``step`` advances one neuron bank by one time step and holds the
-incremental state (``h``/``last_output`` for adaptive, ``v`` for hard
-reset): the single-neuron view Fig. 1's dynamics plot steps through.
-The fused engine (:mod:`repro.core.engine`, behind ``SpikingNetwork.run``)
-evaluates the *same* recurrences as whole-sequence scans over
-``(T, batch, n)`` buffers; it bypasses ``step`` entirely for speed and
-never writes these objects' state (a network's run state lives in the
-caller's :class:`~repro.core.engine.StreamState`, or nowhere after a
-one-shot run).  The reference oracle for whole networks is the autograd
-tape (:func:`repro.autograd.reference.unroll`); ``step`` itself is
-pinned by ``tests/unit/test_neurons.py`` and
+A neuron object is stateless: it holds the parameters of one bank of
+``n`` neurons (``params``, the reset-filter decay ``beta_r`` of the
+adaptive kind, the membrane decay ``alpha`` and ``input_gain`` of the
+hard-reset kind) and nothing about a run.  The dynamics are stated in
+two places only: the fused engine's kernels (:mod:`repro.core.engine`,
+``_adaptive_forward`` and ``_hard_reset_forward``, behind
+``SpikingNetwork.run``), which every workload runs, and the autograd
+tape (:func:`repro.autograd.reference.unroll`), the reference oracle the
+engine is tested against.  A run's state lives in the caller's
+:class:`~repro.core.engine.StreamState`, or nowhere after a one-shot
+run.  The paper identities below are pinned on engine records by
+``tests/unit/test_neurons.py`` and
 ``tests/property/test_neuron_equivalence.py``.
 """
 
@@ -38,10 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ..common.config import BaseConfig
-from ..common.errors import StateError
 from .filters import decay_from_tau
 
 __all__ = [
@@ -96,8 +90,9 @@ class AdaptiveLIFNeuron:
         O[t] = U(v[t] - V_{th})                 \\qquad (10, 11)
 
     The equivalent adaptive-threshold reading (eq. 12) is
-    ``O[t] = 1  iff  g[t] > theta*h[t] + Vth``; :meth:`adaptive_threshold`
-    exposes ``Vth + theta*h`` for inspection and the circuit comparison.
+    ``O[t] = 1  iff  g[t] >= theta*h[t] + Vth``: the threshold
+    ``Vth + theta*h`` rises by ``theta`` the step after each output spike
+    and decays back to ``Vth`` (Fig. 1's runner plots it).
     """
 
     kind = "adaptive"
@@ -108,49 +103,6 @@ class AdaptiveLIFNeuron:
         self.n = int(n)
         self.params = params or NeuronParameters()
         self.beta_r = decay_from_tau(self.params.tau_r)
-        self.h: np.ndarray | None = None
-        self.last_output: np.ndarray | None = None
-
-    def reset_state(self, batch_size: int, dtype=np.float64) -> None:
-        """Zero the reset filter and the remembered previous output."""
-        self.h = np.zeros((batch_size, self.n), dtype=dtype)
-        self.last_output = np.zeros((batch_size, self.n), dtype=dtype)
-
-    def step(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance one step given the weighted PSP ``g`` (batch, n).
-
-        Returns
-        -------
-        (spikes, v):
-            ``spikes`` is a float 0/1 array; ``v`` is the membrane value
-            ``g - theta*h`` used for the threshold test (and whose centred
-            value feeds the surrogate gradient during training).
-        """
-        if self.h is None or self.last_output is None:
-            raise StateError("AdaptiveLIFNeuron.step called before reset_state")
-        self.h = self.beta_r * self.h + self.last_output
-        v = g - self.params.theta * self.h
-        spikes = (v >= self.params.v_th).astype(v.dtype)
-        self.last_output = spikes
-        return spikes, v
-
-    def adaptive_threshold(self) -> np.ndarray:
-        """Current effective threshold ``Vth + theta*h[t]`` (eq. 12 view)."""
-        if self.h is None:
-            raise StateError("neuron state not initialised")
-        return self.params.v_th + self.params.theta * self.h
-
-    def adaptive_threshold_preview(self) -> np.ndarray:
-        """The threshold the *next* :meth:`step` call will compare against.
-
-        ``step`` first advances ``h[t] = beta*h[t-1] + O[t-1]`` and then
-        tests ``g[t] >= Vth + theta*h[t]``; this previews that value so the
-        eq. 12 equivalence can be checked from outside.
-        """
-        if self.h is None or self.last_output is None:
-            raise StateError("neuron state not initialised")
-        h_next = self.beta_r * self.h + self.last_output
-        return self.params.v_th + self.params.theta * h_next
 
     def __repr__(self) -> str:
         return f"AdaptiveLIFNeuron(n={self.n}, params={self.params})"
@@ -208,26 +160,6 @@ class HardResetLIFNeuron:
         else:
             self.alpha = 1.0 - 1.0 / self.params.tau
             self.input_gain = 1.0 / self.params.tau
-        self.v: np.ndarray | None = None
-
-    def reset_state(self, batch_size: int, dtype=np.float64) -> None:
-        """Zero the membrane potential."""
-        self.v = np.zeros((batch_size, self.n), dtype=dtype)
-
-    def step(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance one step given raw weighted input ``j`` (batch, n).
-
-        Returns ``(spikes, v_pre)`` where ``v_pre`` is the membrane value
-        *before* the reset (the value compared against threshold, and the
-        value the surrogate gradient is evaluated at).
-        """
-        if self.v is None:
-            raise StateError("HardResetLIFNeuron.step called before reset_state")
-        v_pre = self.alpha * self.v + self.input_gain * j
-        spikes = (v_pre >= self.params.v_th).astype(v_pre.dtype)
-        # Hard reset to v_rest = 0 (paper eq. 1b): history is destroyed.
-        self.v = v_pre * (1.0 - spikes)
-        return spikes, v_pre
 
     def __repr__(self) -> str:
         return (f"HardResetLIFNeuron(n={self.n}, params={self.params}, "

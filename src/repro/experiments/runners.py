@@ -30,6 +30,7 @@ from ..core import (
     CrossEntropyRateLoss,
     ErfcSurrogate,
     NeuronParameters,
+    SpikingLinear,
     SpikingNetwork,
     Trainer,
     TrainerConfig,
@@ -37,9 +38,8 @@ from ..core import (
     get_surrogate,
 )
 from ..core.calibration import calibrate_firing
-from ..core.filters import ExponentialFilter
+from ..core.filters import exp_scan
 from ..core.model_zoo import association_net, nmnist_mlp, shd_mlp
-from ..core.neurons import AdaptiveLIFNeuron
 from ..data import (
     AssociationConfig,
     SyntheticNMNISTConfig,
@@ -258,35 +258,32 @@ def run_table2_shd(profile: str | None = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 def run_fig1(profile: str | None = None) -> ExperimentResult:
     """Regenerate the Fig. 1 traces: two synapse PSPs, their weighted sum,
-    and the adaptive threshold reacting to output spikes."""
+    and the adaptive threshold reacting to output spikes.
+
+    One 2 -> 1 adaptive layer runs on the engine.  The PSPs are the
+    weighted synapse traces ``w_i * k_i`` of the run's record, and the
+    threshold is the eq. 12 reading ``Vth + theta*h`` with ``h`` the
+    reset filter (eq. 8) of the run's output spikes, shifted by a step.
+    """
     params = NeuronParameters(tau=PAPER_CONFIG.tau, tau_r=PAPER_CONFIG.tau_r)
     steps = 80
-    spikes_1 = np.zeros(steps)
-    spikes_2 = np.zeros(steps)
-    spikes_1[[5, 9, 13, 30, 55]] = 1.0
-    spikes_2[[7, 11, 15, 33, 58]] = 1.0
-    weights = np.array([0.9, 0.7])
+    inputs = np.zeros((1, steps, 2))
+    inputs[0, [5, 9, 13, 30, 55], 0] = 1.0
+    inputs[0, [7, 11, 15, 33, 58], 1] = 1.0
+    weights = np.array([[0.9, 0.7]])
+    layer = SpikingLinear(2, 1, params=params, weight=weights)
+    _, record = SpikingNetwork.from_layers([layer]).run(inputs, record=True)
 
-    synapse_1 = ExponentialFilter(params.tau, shape=(1,))
-    synapse_2 = ExponentialFilter(params.tau, shape=(1,))
-    neuron = AdaptiveLIFNeuron(1, params)
-    neuron.reset_state(1)
-
-    psp_1 = np.zeros(steps)
-    psp_2 = np.zeros(steps)
-    summed = np.zeros(steps)
-    threshold = np.zeros(steps)
-    outputs = np.zeros(steps)
-    for t in range(steps):
-        k1 = synapse_1.step(np.array([spikes_1[t]]))
-        k2 = synapse_2.step(np.array([spikes_2[t]]))
-        psp_1[t] = weights[0] * k1[0]
-        psp_2[t] = weights[1] * k2[0]
-        g = np.array([[psp_1[t] + psp_2[t]]])
-        out, _ = neuron.step(g)
-        outputs[t] = out[0, 0]
-        summed[t] = g[0, 0]
-        threshold[t] = neuron.adaptive_threshold()[0, 0]
+    k = record.layers[0].k[0]                      # (T, 2)
+    psp_1 = weights[0, 0] * k[:, 0]
+    psp_2 = weights[0, 1] * k[:, 1]
+    summed = psp_1 + psp_2
+    outputs = record.outputs[0, :, 0]
+    # h[t] = beta*h[t-1] + O[t-1]: the reset filter of the shifted output.
+    previous = np.zeros((1, steps, 1))
+    previous[0, 1:, 0] = outputs[:-1]
+    h = exp_scan(previous, layer.neuron.beta_r)[0, :, 0]
+    threshold = params.v_th + params.theta * h
 
     plot = line_plot(
         {"sum PSP": summed, "threshold": threshold,

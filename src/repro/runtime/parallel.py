@@ -46,21 +46,21 @@ def resolve_workers(workers: int | None = None) -> int:
     """``workers`` argument > ``REPRO_WORKERS`` env var > 0 (serial).
 
     0 means "no pool, run in-process"; ``n > 0`` means a pool of ``n``
-    worker processes.
+    worker processes.  A negative count from either source raises
+    ``ValueError``.
     """
-    if workers is not None:
-        workers = int(workers)
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        return workers
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if not env:
-        return 0
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}")
-    return max(value, 0)
+    if workers is None:
+        env = os.environ.get("REPRO_WORKERS", "").strip()
+        if not env:
+            return 0
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}")
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers
 
 
 def shard_slices(n: int, n_shards: int) -> list[slice]:

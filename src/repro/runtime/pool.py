@@ -276,8 +276,17 @@ class _WorkerState:
 
 
 def _worker_main(spec: _PoolSpec, conn, index: int = 0,
-                 generation: int = 0) -> None:
-    """Command loop executed in each worker process."""
+                 generation: int = 0, master_ends=()) -> None:
+    """Command loop executed in each worker process.
+
+    ``master_ends`` are the master's ends of this worker's pipe and of
+    every live worker's, inherited through fork.  They are closed first:
+    otherwise this process holds a write end of its own pipe (and keeps
+    its siblings' open), so a master that dies without ``close()`` never
+    delivers EOF and the workers block in ``recv`` forever.
+    """
+    for end in master_ends:
+        end.close()
     # Fault injection is spec-driven, never inherited: a forked child
     # starts with the master's active plan (shared counters and all), so
     # it is replaced with a fresh per-process copy — or removed.  The
@@ -486,9 +495,16 @@ class WorkerPool:
     def _spawn_worker(self, index: int):
         """Start one worker process for slot ``index`` (current generation)."""
         parent_conn, child_conn = self._ctx.Pipe()
+        # A forked child inherits every master end open now; a spawned
+        # one inherits none (and passing them would duplicate them).
+        master_ends = ()
+        if self._ctx.get_start_method() == "fork":
+            master_ends = [parent_conn] + [
+                conn for conn in self._conns if not conn.closed]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._spec, child_conn, index, self._generations[index]),
+            args=(self._spec, child_conn, index, self._generations[index],
+                  master_ends),
             daemon=True, name=f"repro-worker-{index}")
         proc.start()
         child_conn.close()
@@ -891,8 +907,7 @@ class WorkerPool:
         windows of whole chunks.
 
         ``timeout`` overrides the pool-wide reply timeout for this call
-        only — latency-sensitive callers (serving ticks) should not
-        share a 600 s training default.
+        only.
         """
         from ..core.engine import resolve_precision
 

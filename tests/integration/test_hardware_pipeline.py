@@ -8,12 +8,12 @@ import pytest
 from repro.core import (
     CrossEntropyRateLoss,
     NeuronParameters,
+    SpikingLinear,
     SpikingNetwork,
     Trainer,
     TrainerConfig,
 )
 from repro.core.calibration import calibrate_firing
-from repro.core.neurons import AdaptiveLIFNeuron
 from repro.data import SyntheticSHDConfig, generate_shd
 from repro.hardware import (
     HardwareMappedNetwork,
@@ -77,7 +77,7 @@ class TestFig8Pipeline:
 
 class TestAlgorithmCircuitCorrespondence:
     """The codesign claim: the analog circuit implements the discrete
-    model.  A software AdaptiveLIFNeuron with parameters matched to the
+    model.  A software adaptive neuron with parameters matched to the
     circuit (same tau in steps, same per-spike PSP increment, same bias)
     must agree with the transistor-level simulation on which input
     patterns elicit an output spike."""
@@ -95,18 +95,14 @@ class TestAlgorithmCircuitCorrespondence:
             tau=config.tau_steps, tau_r=config.tau_steps,
             v_th=config.v_bias, theta=0.06,
         )
-        neuron = AdaptiveLIFNeuron(1, params)
-        neuron.reset_state(1)
-        # Synapse filter: k[t] = alpha*k[t-1] + psp_per_spike * spike[t].
-        alpha = np.exp(-1.0 / config.tau_steps)
-        k_val = 0.0
-        spikes = 0
-        for t in range(total_steps):
-            k_val = alpha * k_val + (
-                psp_per_spike if t in spike_steps else 0.0)
-            out, _ = neuron.step(np.array([[k_val]]))
-            spikes += int(out[0, 0])
-        return spikes
+        # One synapse of weight psp_per_spike into one neuron, on the
+        # engine: k[t] = alpha*k[t-1] + spike[t], g = psp_per_spike * k.
+        layer = SpikingLinear(1, 1, params=params,
+                              weight=np.array([[psp_per_spike]]))
+        inputs = np.zeros((1, total_steps, 1))
+        inputs[0, sorted(spike_steps), 0] = 1.0
+        outputs, _ = SpikingNetwork.from_layers([layer]).run(inputs)
+        return int(outputs.sum())
 
     @pytest.mark.parametrize("spike_steps,label", [
         ((5, 7, 9), "burst-of-3"),

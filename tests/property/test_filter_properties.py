@@ -1,8 +1,9 @@
-"""Property-based tests for the exponential filters (paper eq. 5).
+"""Property-based tests for the pair of scans (paper eq. 5).
 
 The filters are the paper's core modelling primitive; these properties
 (linearity, boundedness, adjointness, decay) must hold for *any* input,
-not just the cases unit tests picked.
+not just the cases unit tests picked.  The engine runs the same kernels
+(``repro.core.filters._scan`` and ``_scan_reverse``).
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core.filters import (
     DoubleExponentialKernel,
     decay_from_tau,
-    exponential_filter,
-    exponential_filter_adjoint,
+    exp_scan,
+    exp_scan_adjoint,
 )
 
 taus = st.floats(min_value=0.5, max_value=50.0, allow_nan=False)
@@ -25,6 +26,16 @@ signals = hnp.arrays(
 )
 
 
+def scan(signal, alpha):
+    """:func:`exp_scan` of a single ``(T,)`` train."""
+    return exp_scan(signal[None, :, None], alpha)[0, :, 0]
+
+
+def adjoint(signal, alpha):
+    """:func:`exp_scan_adjoint` of a single ``(T,)`` train."""
+    return exp_scan_adjoint(signal[None, :, None], alpha)[0, :, 0]
+
+
 @given(signal=signals, tau=taus)
 @settings(max_examples=60, deadline=None)
 def test_linearity_superposition(signal, tau):
@@ -33,8 +44,8 @@ def test_linearity_superposition(signal, tau):
     alpha = decay_from_tau(tau)
     rng = np.random.default_rng(0)
     other = rng.normal(size=signal.shape)
-    combined = exponential_filter(signal + other, alpha)
-    separate = exponential_filter(signal, alpha) + exponential_filter(other, alpha)
+    combined = scan(signal + other, alpha)
+    separate = scan(signal, alpha) + scan(other, alpha)
     np.testing.assert_allclose(combined, separate, atol=1e-9)
 
 
@@ -44,8 +55,8 @@ def test_linearity_superposition(signal, tau):
 def test_homogeneity(signal, tau, scale):
     alpha = decay_from_tau(tau)
     np.testing.assert_allclose(
-        exponential_filter(scale * signal, alpha),
-        scale * exponential_filter(signal, alpha),
+        scan(scale * signal, alpha),
+        scale * scan(signal, alpha),
         atol=1e-9,
     )
 
@@ -53,11 +64,12 @@ def test_homogeneity(signal, tau, scale):
 @given(signal=signals, tau=taus)
 @settings(max_examples=60, deadline=None)
 def test_bounded_by_dc_gain(signal, tau):
-    """|y[t]| <= max|x| / (1 - alpha) for any input."""
+    """|y[t]| <= max|x| / (1 - alpha) for any input, and so is the
+    adjoint's."""
     alpha = decay_from_tau(tau)
-    out = exponential_filter(signal, alpha)
     bound = np.max(np.abs(signal)) / (1.0 - alpha) + 1e-9
-    assert np.all(np.abs(out) <= bound)
+    assert np.all(np.abs(scan(signal, alpha)) <= bound)
+    assert np.all(np.abs(adjoint(signal, alpha)) <= bound)
 
 
 @given(tau=taus, length=st.integers(min_value=2, max_value=80))
@@ -66,7 +78,7 @@ def test_impulse_response_decays_monotonically(tau, length):
     alpha = decay_from_tau(tau)
     impulse = np.zeros(length)
     impulse[0] = 1.0
-    out = exponential_filter(impulse, alpha)
+    out = scan(impulse, alpha)
     assert np.all(np.diff(out) <= 0)
     assert out[0] == 1.0
 
@@ -80,8 +92,8 @@ def test_adjoint_identity_random(tau, length):
     rng = np.random.default_rng(length)
     x = rng.normal(size=length)
     y = rng.normal(size=length)
-    lhs = np.dot(exponential_filter(x, alpha), y)
-    rhs = np.dot(x, exponential_filter_adjoint(y, alpha))
+    lhs = np.dot(scan(x, alpha), y)
+    rhs = np.dot(x, adjoint(y, alpha))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 

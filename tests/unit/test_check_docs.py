@@ -1,4 +1,5 @@
-"""``tools/check_docs.py``: every ``make X`` the docs name is a target."""
+"""``tools/check_docs.py``: every ``make X`` the docs name is a target,
+and every symbol named after a source link in a docs table exists."""
 
 import importlib.util
 import pathlib
@@ -41,4 +42,28 @@ def test_every_documented_target_exists():
     assert not {"bench-json", "bench-serving", "bench-aware"} & DEFINED
     errors = [error for source in sources
               for error in check_docs.check_make_targets(source, DEFINED)]
+    assert errors == []
+
+
+def test_symbol_after_a_source_link_is_resolved_in_that_module():
+    row = ("| (7) | crossbar | [`core/layers.py`](../src/repro/core/layers.py)"
+           " `SpikingLinear.step`; [`core/engine.py`]"
+           "(../src/repro/core/engine.py) `_Events.matmul` | tests |\n"
+           "Prose: [`core/filters.py`](../src/repro/core/filters.py) "
+           "`Gone` is not a table row.\n")
+    refs = check_docs.source_symbols(row, REPO / "docs")
+    assert refs == [
+        ("../src/repro/core/layers.py", "repro.core.layers.SpikingLinear.step"),
+        ("../src/repro/core/engine.py", "repro.core.engine._Events.matmul"),
+    ]
+    cache = {}
+    assert not check_docs._reference_resolves(refs[0][1], cache)
+    assert check_docs._reference_resolves(refs[1][1], cache)
+
+
+def test_every_symbol_after_a_source_link_exists():
+    sources = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    cache = {}
+    errors = [error for source in sources
+              for error in check_docs.check_source_symbols(source, cache)]
     assert errors == []

@@ -22,14 +22,12 @@ from repro.core import (
     Trainer,
     TrainerConfig,
     backward,
-    exp_scan,
     make_optimizer,
     resolve_precision,
     run_in_batches,
 )
 from repro.core.calibration import layer_firing_rates
-from repro.core.engine import _scan_reverse, _spike_csr
-from repro.core.filters import exponential_filter, exponential_filter_adjoint
+from repro.core.engine import _spike_csr
 from repro.common.rng import RandomState
 from repro.runtime.parallel import shard_grads
 
@@ -44,36 +42,6 @@ def make_net_and_input(kind, sizes=(50, 40, 10), batch=8, steps=30, seed=0):
     rng = RandomState(seed + 1)
     x = (rng.random((batch, steps, sizes[0])) < 0.05).astype(np.float64)
     return net, x
-
-
-# -- scan kernels -----------------------------------------------------------
-
-def test_exp_scan_matches_exponential_filter():
-    rng = RandomState(0)
-    xs = rng.normal(0, 1, (4, 25, 7))
-    got = exp_scan(xs.copy(), 0.6)
-    want = exponential_filter(xs, 0.6, time_axis=1)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_exp_scan_in_place_aliasing():
-    rng = RandomState(1)
-    xs = rng.normal(0, 1, (3, 17, 5))
-    want = exp_scan(xs.copy(), 0.8)
-    buf = xs.copy()
-    out = exp_scan(buf, 0.8, out=buf)
-    assert out is buf
-    np.testing.assert_allclose(out, want, rtol=1e-12)
-
-
-def test_exp_scan_reverse_matches_filter_adjoint():
-    rng = RandomState(2)
-    xs = rng.normal(0, 1, (4, 25, 7))
-    want = exponential_filter_adjoint(xs, 0.6, time_axis=1)
-    buf = np.ascontiguousarray(xs.swapaxes(0, 1))   # time-major copy
-    out = _scan_reverse(buf, 0.6)
-    assert out is buf
-    np.testing.assert_allclose(out.swapaxes(0, 1), want, rtol=1e-12)
 
 
 # -- sparse kernels ---------------------------------------------------------

@@ -86,6 +86,33 @@ class TestCheapRunners:
         # Threshold jumps by ~theta when a spike is emitted.
         assert result.summary["mean_jump_after_spike"] > 0.3
 
+    def test_fig1_traces_are_one_engine_run(self):
+        """Fig. 1 is a 2 -> 1 adaptive layer run on the engine: its spikes
+        are the tape's for the same network and input, the PSPs sum to
+        the drive and the threshold follows eq. 8 from those spikes.  The
+        pins are the traces of the earlier step-by-step runner."""
+        from repro.autograd import unroll
+        from repro.core import SpikingLinear, SpikingNetwork
+        from repro.core.filters import decay_from_tau
+
+        data = run_experiment("fig1").data
+        outputs, threshold = data["outputs"], data["threshold"]
+        np.testing.assert_array_equal(np.flatnonzero(outputs),
+                                      [7, 11, 15, 33, 58])
+        assert threshold.max() == 2.503214724408055
+        x = np.zeros((1, 80, 2))
+        x[0, [5, 9, 13, 30, 55], 0] = 1.0
+        x[0, [7, 11, 15, 33, 58], 1] = 1.0
+        layer = SpikingLinear(2, 1, weight=np.array([[0.9, 0.7]]))
+        tape = unroll(SpikingNetwork.from_layers([layer]), x)
+        np.testing.assert_array_equal(tape.spikes()[0, :, 0], outputs)
+        np.testing.assert_array_equal(data["sum"],
+                                      data["psp_1"] + data["psp_2"])
+        beta = decay_from_tau(PAPER_CONFIG.tau_r)
+        h = threshold - 1.0                     # theta = 1, Vth = 1
+        np.testing.assert_allclose(h[1:], beta * h[:-1] + outputs[:-1],
+                                   atol=1e-12)
+
     def test_fig7_runner(self):
         result = run_experiment("fig7")
         assert result.summary["output_spikes"] == 1

@@ -97,6 +97,15 @@ class TestCrossEntropyRateLoss:
         with pytest.raises(ShapeError):
             loss.value_and_grad(np.zeros((2, 5)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("count_scale", [None, 0.5])
+    def test_empty_inputs_raise_shape_error(self, count_scale):
+        loss = CrossEntropyRateLoss(count_scale)
+        with pytest.raises(ShapeError, match="at least one sample"):
+            loss.value_and_grad(np.zeros((2, 0, 3)), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="at least one sample"):
+            loss.value_and_grad(np.zeros((0, 5, 3)),
+                                np.zeros(0, dtype=int))
+
 
 class TestVanRossumLoss:
     def test_zero_for_identical_trains(self):
@@ -151,6 +160,15 @@ class TestVanRossumLoss:
             loss.value_and_grad(np.zeros((1, 5, 2)), np.zeros((1, 5, 3)))
         with pytest.raises(ShapeError):
             loss.value_and_grad(np.zeros((5, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 5, 2), (2, 0, 2)])
+    def test_empty_inputs_raise_shape_error(self, shape):
+        loss = VanRossumLoss()
+        empty = np.zeros(shape)
+        with pytest.raises(ShapeError, match="at least one sample"):
+            loss.value_and_grad(empty, empty)
+        with pytest.raises(ShapeError, match="at least one sample"):
+            loss.distance(empty, empty)
 
     def test_metrics_key(self):
         loss = VanRossumLoss()

@@ -1,16 +1,53 @@
-"""Unit tests for repro.core.neurons (paper eqs. 1 and 6-12)."""
+"""Unit tests for repro.core.neurons (paper eqs. 1 and 6-12).
+
+A neuron object holds parameters only; the dynamics are read off engine
+records of one-layer networks.  The synapses here have no memory (``tau``
+so small that ``alpha = e^{-1/tau}`` underflows to 0.0), so with unit
+weights the drive ``g[t]`` is the input ``x[t]`` itself and a test sets
+the PSP step by step.  The adaptive threshold is read through eq. 6:
+``Vth + theta*h[t] = Vth + g[t] - v[t]``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.common.errors import StateError
-from repro.core.filters import decay_from_tau
+from repro.core import SpikingLinear, SpikingNetwork
+from repro.core.filters import decay_from_tau, exp_scan
 from repro.core.neurons import (
     AdaptiveLIFNeuron,
     HardResetLIFNeuron,
     NeuronParameters,
     make_neuron,
 )
+
+#: Synapse time constant whose decay underflows to exactly 0.0.
+MEMORYLESS = 1e-3
+
+
+def run_layer(drive, kind="adaptive", weight=None, **params):
+    """``(layer, record)`` of one ``kind`` layer over ``drive``.
+
+    ``drive`` is ``(T,)`` (one neuron, one sample) or ``(batch, T, n)``;
+    ``weight`` defaults to the identity, and the synapse is memoryless
+    unless ``params`` sets ``tau``.
+    """
+    drive = np.asarray(drive, dtype=np.float64)
+    if drive.ndim == 1:
+        drive = drive[None, :, None]
+    n = drive.shape[2]
+    weight = np.eye(n) if weight is None else np.asarray(weight, np.float64)
+    params.setdefault("tau", MEMORYLESS)
+    layer = SpikingLinear(n, weight.shape[0], params=NeuronParameters(**params),
+                          neuron_kind=kind, weight=weight)
+    _, record = SpikingNetwork.from_layers([layer]).run(drive, record=True)
+    return layer, record.layers[0]
+
+
+def threshold(layer, rec):
+    """The eq. 12 threshold ``Vth + theta*h`` of an adaptive record."""
+    assert layer.alpha == 0.0
+    g = rec.k @ layer.weight.T
+    return layer.params.v_th + (g - rec.v)
 
 
 class TestNeuronParameters:
@@ -31,114 +68,78 @@ class TestNeuronParameters:
 
 class TestAdaptiveLIFNeuron:
     def test_no_spike_below_threshold(self):
-        neuron = AdaptiveLIFNeuron(3)
-        neuron.reset_state(2)
-        spikes, v = neuron.step(np.full((2, 3), 0.5))
-        assert spikes.sum() == 0
-        np.testing.assert_allclose(v, 0.5)
+        _, rec = run_layer(np.full((2, 1, 3), 0.5))
+        assert rec.spikes.sum() == 0
+        np.testing.assert_allclose(rec.v, 0.5)
 
     def test_spikes_at_threshold(self):
-        neuron = AdaptiveLIFNeuron(1)
-        neuron.reset_state(1)
-        spikes, _ = neuron.step(np.array([[1.0]]))  # v_th = 1.0, >= fires
-        assert spikes[0, 0] == 1.0
+        _, rec = run_layer([1.0])               # v_th = 1.0, >= fires
+        assert rec.spikes[0, 0, 0] == 1.0
 
     def test_threshold_rises_after_spike(self):
         """Eq. 8: h jumps by the previous output, threshold = Vth + theta*h."""
-        neuron = AdaptiveLIFNeuron(1, NeuronParameters(theta=1.0, tau_r=4.0))
-        neuron.reset_state(1)
-        neuron.step(np.array([[2.0]]))          # fires
-        assert neuron.adaptive_threshold()[0, 0] == pytest.approx(1.0)
-        neuron.step(np.array([[0.0]]))          # h picks up O[t-1] = 1
-        beta = decay_from_tau(4.0)
-        assert neuron.adaptive_threshold()[0, 0] == pytest.approx(1.0 + 1.0)
-        neuron.step(np.array([[0.0]]))
-        assert neuron.adaptive_threshold()[0, 0] == pytest.approx(
-            1.0 + beta)
+        layer, rec = run_layer([2.0, 0.0, 0.0], theta=1.0, tau_r=4.0)
+        np.testing.assert_array_equal(rec.spikes[0, :, 0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(threshold(layer, rec)[0, :, 0],
+                                   [1.0, 2.0, 1.0 + decay_from_tau(4.0)])
 
     def test_threshold_decays_exponentially(self):
-        neuron = AdaptiveLIFNeuron(1)
-        neuron.reset_state(1)
-        neuron.step(np.array([[5.0]]))          # fire once
-        thresholds = []
-        for _ in range(6):
-            neuron.step(np.array([[0.0]]))
-            thresholds.append(neuron.adaptive_threshold()[0, 0] - 1.0)
-        ratios = np.array(thresholds[1:]) / np.array(thresholds[:-1])
-        np.testing.assert_allclose(ratios, decay_from_tau(4.0), rtol=1e-9)
+        layer, rec = run_layer([5.0] + [0.0] * 7)   # fire once
+        above = threshold(layer, rec)[0, 1:, 0] - 1.0
+        np.testing.assert_allclose(above[1:] / above[:-1],
+                                   decay_from_tau(4.0), rtol=1e-9)
 
     def test_refractory_suppression(self):
         """A PSP that would fire alone is suppressed right after a spike."""
-        neuron = AdaptiveLIFNeuron(1, NeuronParameters(theta=1.0))
-        neuron.reset_state(1)
-        s1, _ = neuron.step(np.array([[1.2]]))
-        assert s1[0, 0] == 1.0
-        s2, _ = neuron.step(np.array([[1.2]]))  # threshold now 2.0 > 1.2
-        assert s2[0, 0] == 0.0
+        _, rec = run_layer([1.2, 1.2], theta=1.0)  # threshold now 2.0 > 1.2
+        np.testing.assert_array_equal(rec.spikes[0, :, 0], [1.0, 0.0])
 
     def test_adaptive_threshold_form_equivalence(self):
-        """Eq. 6+10 (v = g - theta*h vs Vth) == eq. 12 (g vs Vth + theta*h)."""
-        rng = np.random.default_rng(0)
-        neuron = AdaptiveLIFNeuron(4, NeuronParameters(theta=0.7))
-        neuron.reset_state(2)
-        for _ in range(30):
-            g = rng.random((2, 4)) * 2.0
-            threshold_before = neuron.adaptive_threshold_preview()
-            spikes, v = neuron.step(g)
-            expected = (g >= threshold_before).astype(float)
-            np.testing.assert_array_equal(spikes, expected)
-
-    def test_step_before_reset_raises(self):
-        neuron = AdaptiveLIFNeuron(2)
-        with pytest.raises(StateError):
-            neuron.step(np.zeros((1, 2)))
+        """Eq. 6+10 (v = g - theta*h vs Vth) == eq. 12 (g vs Vth + theta*h),
+        with ``h`` stepped from the run's own spikes (eq. 8)."""
+        g = np.random.default_rng(0).random((2, 30, 4)) * 2.0
+        layer, rec = run_layer(g, theta=0.7)
+        beta = layer.neuron.beta_r
+        h = np.zeros((2, 4))
+        previous = np.zeros((2, 4))
+        for t in range(30):
+            h = beta * h + previous
+            expected = (g[:, t] >= 1.0 + 0.7 * h).astype(float)
+            np.testing.assert_array_equal(rec.spikes[:, t], expected)
+            previous = rec.spikes[:, t]
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             AdaptiveLIFNeuron(0)
 
     def test_state_isolated_between_batches(self):
-        neuron = AdaptiveLIFNeuron(1)
-        neuron.reset_state(2)
-        g = np.array([[2.0], [0.0]])
-        spikes, _ = neuron.step(g)
-        np.testing.assert_array_equal(spikes, [[1.0], [0.0]])
+        layer, rec = run_layer(np.array([[[2.0], [0.0]], [[0.0], [0.0]]]))
+        np.testing.assert_array_equal(rec.spikes[:, 0], [[1.0], [0.0]])
         # Only sample 0's threshold rises.
-        neuron.step(np.zeros((2, 1)))
-        thresholds = neuron.adaptive_threshold()
-        assert thresholds[0, 0] > thresholds[1, 0]
+        thresholds = threshold(layer, rec)[:, 1, 0]
+        assert thresholds[0] > thresholds[1]
 
 
 class TestHardResetLIFNeuron:
     def test_integrates_like_filter_without_reset(self):
         """With inputs too weak to fire, v equals the exponential filter of
         the drive — identical to the adaptive model's PSP (Section II)."""
-        rng = np.random.default_rng(1)
-        neuron = HardResetLIFNeuron(3, NeuronParameters(v_th=1e9))
-        neuron.reset_state(1)
-        alpha = neuron.alpha
-        carry = np.zeros((1, 3))
-        for _ in range(25):
-            j = rng.random((1, 3)) * 0.1
-            _, v = neuron.step(j)
-            carry = alpha * carry + j
-            np.testing.assert_allclose(v, carry, rtol=1e-12)
+        j = np.random.default_rng(1).random((1, 25, 3)) * 0.1
+        layer, rec = run_layer(j, kind="hard_reset", tau=4.0, v_th=1e9)
+        np.testing.assert_allclose(rec.v, exp_scan(j, layer.neuron.alpha),
+                                   rtol=1e-12)
+        _, psp = run_layer(j, tau=4.0)
+        np.testing.assert_allclose(rec.v, psp.k, rtol=1e-12)
 
     def test_reset_wipes_state(self):
-        neuron = HardResetLIFNeuron(1)
-        neuron.reset_state(1)
-        spikes, v = neuron.step(np.array([[1.5]]))
-        assert spikes[0, 0] == 1.0
+        _, rec = run_layer([1.5, 0.0], kind="hard_reset", tau=4.0)
+        assert rec.spikes[0, 0, 0] == 1.0
         # After reset the membrane restarts from zero.
-        _, v2 = neuron.step(np.array([[0.0]]))
-        assert v2[0, 0] == pytest.approx(0.0)
+        assert rec.v[0, 1, 0] == pytest.approx(0.0)
 
     def test_subthreshold_not_reset(self):
-        neuron = HardResetLIFNeuron(1)
-        neuron.reset_state(1)
-        _, v1 = neuron.step(np.array([[0.4]]))
-        _, v2 = neuron.step(np.array([[0.0]]))
-        assert v2[0, 0] == pytest.approx(0.4 * neuron.alpha)
+        layer, rec = run_layer([0.4, 0.0], kind="hard_reset", tau=4.0)
+        assert rec.v[0, 1, 0] == pytest.approx(0.4 * layer.neuron.alpha)
 
     def test_euler_discretization_gains(self):
         impulse = HardResetLIFNeuron(1, discretization="impulse")
@@ -147,15 +148,14 @@ class TestHardResetLIFNeuron:
         assert euler.input_gain == pytest.approx(0.25)     # 1/tau
         assert euler.alpha == pytest.approx(0.75)          # 1 - 1/tau
         assert impulse.alpha == pytest.approx(np.exp(-0.25))
+        # The engine steps v[t] = (1 - 1/tau) v[t-1] + (1/tau) j[t].
+        _, rec = run_layer([1.0, 0.0, 0.0], kind="hard_reset_euler",
+                           tau=4.0)
+        np.testing.assert_allclose(rec.v[0, :, 0], [0.25, 0.1875, 0.140625])
 
     def test_unknown_discretization(self):
         with pytest.raises(ValueError):
             HardResetLIFNeuron(1, discretization="rk4")
-
-    def test_step_before_reset_raises(self):
-        neuron = HardResetLIFNeuron(2)
-        with pytest.raises(StateError):
-            neuron.step(np.zeros((1, 2)))
 
 
 class TestFactory:
@@ -170,3 +170,13 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown neuron kind"):
             make_neuron("izhikevich", 3)
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("adaptive", {"n", "params", "beta_r"}),
+        ("hard_reset", {"n", "params", "discretization", "alpha",
+                        "input_gain"}),
+    ])
+    def test_neurons_hold_parameters_only(self, kind, fields):
+        """No run state: the engine and the tape read these and nothing
+        else."""
+        assert set(vars(make_neuron(kind, 3))) == fields

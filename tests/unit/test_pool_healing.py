@@ -10,9 +10,14 @@ leaves the pool usable; transport healing is bounded by
 closes itself and raises :class:`PoolTransportError`.
 """
 
+import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,15 @@ def faulty_pool(rules, seed=7, **kwargs):
     """
     with faults.active(FaultPlan(rules, seed=seed)):
         return WorkerPool(**kwargs)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestTransportHealing:
@@ -242,3 +256,40 @@ class TestCloseEscalation:
         assert result.returncode == 0, result.stderr
         assert "healed 1" in result.stdout
         assert result.stderr.strip() == "", result.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>")
+class TestMasterDeath:
+    def test_workers_exit_when_the_master_is_killed(self, tmp_path):
+        """A SIGKILLed master leaves no worker behind: each worker sees
+        EOF on its pipe and exits, so none holds the caller's stdout
+        open."""
+        code = textwrap.dedent("""
+            import os, signal
+            from repro.common.benchcfg import bench_network
+            from repro.runtime import WorkerPool
+
+            pool = WorkerPool(bench_network((8, 4, 2)), workers=2)
+            print(*(proc.pid for proc in pool._procs), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            result = subprocess.run(
+                [sys.executable, "-c", code], stdout=stdout, stderr=stderr,
+                timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == -signal.SIGKILL, err.read_text()
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            alive = pids
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = [pid for pid in pids if _running(pid)]
+            assert not alive, f"workers {alive} outlived their master"
+        finally:
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -225,8 +225,18 @@ class TestShardHelpers:
         assert resolve_workers(None) == 0
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert resolve_workers(None) == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 0"):
             resolve_workers(-1)
+        # The environment value is held to the same rule, not clamped.
+        monkeypatch.setenv("REPRO_WORKERS", "-1")
+        with pytest.raises(ValueError, match=">= 0"):
+            resolve_workers(None)
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        with pytest.raises(ValueError, match="integer"):
+            resolve_workers(None)
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert resolve_workers(None) == 0
+        assert resolve_workers(0) == 0
 
 
 class TestDataParallelSerial:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import (CrossEntropyRateLoss, SpikingNetwork, Trainer,
                         TrainerConfig)
-from repro.core.engine import exp_scan
+from repro.core.filters import exp_scan
 from repro.core.layers import LayerStepRecord
 
 # Distinct widths, so a (batch, T, n_in) buffer of layer 0 cannot be

@@ -15,6 +15,10 @@ Walks README.md and docs/*.md and fails if
   table must match ``repro.common.faults.KNOWN_SITES`` exactly, and
   the ``docs/experiments.md`` column reference must match the fixed
   run-table schema in both directions.
+* any backticked ``Name`` or ``Name.attr`` right after a link to a
+  source file in a table row (``[`core/filters.py`](../src/repro/core/
+  filters.py) `exp_scan```) is not defined in that module: the symbol
+  is imported and walked with ``getattr``, so a deleted method shows.
 * any ``make X`` command (an inline code span, or a line of a fenced
   code block) names a target the Makefile does not define.  README.md,
   docs/*.md and the verify skill notes (``.claude/skills/verify``) are
@@ -36,6 +40,8 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 MODULE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 BACKTICK = re.compile(r"`([^`]+)`")
 COLUMN_TOKEN = re.compile(r"^[a-z][a-z0-9_]*$")
+SOURCE_SYMBOL = re.compile(
+    r"\]\(([^)#\s]+\.py)\)\s*`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 MAKE_TARGET = re.compile(r"^([A-Za-z][\w.-]*):", re.M)
 INLINE_MAKE = re.compile(r"`make ([A-Za-z][\w.-]*)")
 FENCED_MAKE = re.compile(r"\bmake ([A-Za-z][\w.-]*)")
@@ -91,6 +97,35 @@ def check_module_refs(markdown: Path, cache: dict[str, bool]) -> list[str]:
     return [
         f"{markdown.relative_to(REPO)}: unresolvable module reference {ref}"
         for ref in sorted(set(MODULE.findall(text)))
+        if not _reference_resolves(ref, cache)
+    ]
+
+
+def source_symbols(text: str, base: Path) -> list[tuple[str, str]]:
+    """``(link target, dotted reference)`` of every backticked symbol
+    that follows a link to a ``src/`` module in a table row, the link
+    resolved from the directory ``base``."""
+    found = []
+    for line in text.splitlines():
+        if not line.lstrip().startswith("|"):
+            continue
+        for target, symbol in SOURCE_SYMBOL.findall(line):
+            try:
+                module = (base / target).resolve().relative_to(REPO / "src")
+            except ValueError:
+                continue
+            parts = [p for p in module.with_suffix("").parts
+                     if p != "__init__"]
+            found.append((target, ".".join([*parts, symbol])))
+    return found
+
+
+def check_source_symbols(markdown: Path, cache: dict[str, bool]) -> list[str]:
+    return [
+        f"{markdown.relative_to(REPO)}: {ref} (named after the link to "
+        f"{target}) does not resolve"
+        for target, ref in source_symbols(
+            markdown.read_text(encoding="utf-8"), markdown.parent)
         if not _reference_resolves(ref, cache)
     ]
 
@@ -213,7 +248,8 @@ def main() -> int:
         error
         for source in sources
         for error in (*check_links(source),
-                      *check_module_refs(source, cache))
+                      *check_module_refs(source, cache),
+                      *check_source_symbols(source, cache))
     ]
     defined = set(MAKE_TARGET.findall(
         (REPO / "Makefile").read_text(encoding="utf-8")))
