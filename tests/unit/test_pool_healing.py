@@ -80,6 +80,10 @@ def faulty_pool(rules, seed=7, **kwargs):
         return WorkerPool(**kwargs)
 
 
+#: The package source, for subprocesses run from any working directory.
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
 def _running(pid: int) -> bool:
     """Whether process ``pid`` exists and is not a zombie."""
     try:
@@ -251,7 +255,7 @@ class TestCloseEscalation:
         """)
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            timeout=120, env={**os.environ, "PYTHONPATH": "src"},
+            timeout=120, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert result.returncode == 0, result.stderr
         assert "healed 1" in result.stdout
@@ -273,12 +277,11 @@ class TestMasterDeath:
             print(*(proc.pid for proc in pool._procs), flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
         """)
-        src = Path(__file__).resolve().parents[2] / "src"
         out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
         with open(out, "w") as stdout, open(err, "w") as stderr:
             result = subprocess.run(
                 [sys.executable, "-c", code], stdout=stdout, stderr=stderr,
-                timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+                timeout=120, env={**os.environ, "PYTHONPATH": SRC})
         assert result.returncode == -signal.SIGKILL, err.read_text()
         pids = [int(pid) for pid in out.read_text().split()]
         assert len(pids) == 2

@@ -12,6 +12,8 @@ The load-bearing guarantees:
 * ``workers=0`` changes nothing (it is the plain serial path).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,9 @@ from repro.runtime import (
     resolve_workers,
     shard_slices,
 )
+
+#: The package source, for subprocesses run from any working directory.
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def make_task(n=48, steps=20, channels=10, classes=3, seed=0):
@@ -600,7 +605,7 @@ class TestWorkerPool:
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             timeout=120,
-            env={**__import__("os").environ, "PYTHONPATH": "src"},
+            env={**__import__("os").environ, "PYTHONPATH": SRC},
         )
         assert result.returncode == 0, result.stderr
         assert "exiting busy" in result.stdout
@@ -628,7 +633,7 @@ class TestWorkerPool:
             result = subprocess.run(
                 [sys.executable, "-c", code], capture_output=True,
                 text=True, timeout=120,
-                env={**__import__("os").environ, "PYTHONPATH": "src"},
+                env={**__import__("os").environ, "PYTHONPATH": SRC},
             )
             assert result.returncode == 0, result.stderr
             assert "exiting now" in result.stdout
