@@ -5,7 +5,8 @@ The package is organised as:
 
 * :mod:`repro.core` — the paper's contribution: filter-based
   adaptive-threshold LIF neurons, surrogate-gradient BPTT, the two task
-  losses, optimizers and trainer.
+  losses, optimizers and trainer, and the per-thread buffer arena every
+  engine call borrows (:func:`repro.core.workspace.arena`).
 * :mod:`repro.data` — synthetic stand-ins for N-MNIST and SHD (procedural
   digit glyphs + DVS camera simulator; formant speech + artificial cochlea)
   and the pattern-association task.
@@ -13,8 +14,7 @@ The package is organised as:
   quantization, crossbars, a behavioral analog circuit simulator (MNA),
   the paper's Fig. 6 neuron circuit, and power/energy/area estimation.
 * :mod:`repro.runtime` — the parallel runtime: a shared-memory worker
-  pool for data-parallel training / sharded inference / parallel sweeps,
-  and the workspace buffer arenas the fused engine recycles through.
+  pool for data-parallel training / sharded inference / parallel sweeps.
 * :mod:`repro.serve` — the serving layer: streaming stateful inference
   (``SpikingNetwork.run_stream`` + ``StreamState``), per-client sessions,
   a micro-batching scheduler, and a versioned model registry.
@@ -47,7 +47,7 @@ from .core import (
     VanRossumLoss,
     backward,
 )
-from .runtime import WorkerPool, Workspace
+from .runtime import WorkerPool
 from .serve import MicroBatcher, ModelRegistry, ModelServer
 
 __version__ = "1.2.0"
@@ -67,7 +67,6 @@ __all__ = [
     "backward",
     "StreamState",
     "WorkerPool",
-    "Workspace",
     "MicroBatcher",
     "ModelRegistry",
     "ModelServer",

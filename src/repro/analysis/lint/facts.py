@@ -44,12 +44,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 #: Layer of each ``repro`` subpackage.  A module-level import must target
-#: a *strictly lower* layer (or its own package); function-level imports
-#: are the sanctioned pattern for the few upward edges
-#: (``common.faults`` -> ``obs`` events, ``core.trainer`` -> ``runtime``,
-#: ``core.trainer`` -> ``hardware.crossbar`` for hardware-aware training,
-#: ``core.engine`` -> ``runtime.workspace`` for one-shot runs' arena,
-#: ``core.network`` -> ``autograd`` for ``run(engine="step")``'s tape).
+#: a *strictly lower* layer (or its own package); an upward edge is a
+#: function-level import listed in ``DEFAULT_LAZY_UPWARD``.
 DEFAULT_LAYERS = {
     "common": 0,
     "obs": 1,
@@ -62,6 +58,19 @@ DEFAULT_LAYERS = {
     "serve": 5,
     "experiments": 6,
 }
+
+#: The sanctioned lazy (function-level) upward edges, as ``(importing
+#: module, target package)`` with module names relative to ``repro``.
+#: Any other lazy import of a same-or-higher layer is a finding.
+DEFAULT_LAZY_UPWARD = frozenset({
+    ("common.benchcfg", "core"),          # the bench network it builds
+    ("common.faults", "obs"),             # fault events on the tracer
+    ("common.serialization", "core"),     # checkpoint -> network
+    ("common.serialization", "hardware"),  # checkpoint -> mapped network
+    ("core.network", "autograd"),         # run(engine="step")'s tape
+    ("core.trainer", "hardware"),         # hardware-aware training
+    ("core.trainer", "runtime"),          # the pool and shard math
+})
 
 #: Third-party imports allowed anywhere under ``src/repro``.
 DEFAULT_EXTERNAL_ALLOWED = frozenset({"numpy"})
@@ -137,6 +146,7 @@ class LintConfig:
     src_prefix: str = "src/repro/"
     layers: dict = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_LAYERS))
+    lazy_upward: frozenset = DEFAULT_LAZY_UPWARD
     external_allowed: frozenset = DEFAULT_EXTERNAL_ALLOWED
     external_per_package: dict = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_EXTERNAL_PER_PACKAGE))

@@ -178,6 +178,7 @@ def _private_name(imp) -> str | None:
 
 def _check_layers(rule: Rule, facts: ProjectFacts):
     layers = facts.config.layers
+    lazy_upward = facts.config.lazy_upward
     stdlib = _stdlib_roots()
     allowed = facts.config.external_allowed
     per_pkg = facts.config.external_per_package
@@ -189,8 +190,6 @@ def _check_layers(rule: Rule, facts: ProjectFacts):
         pkg_allowed = allowed | per_pkg.get(mod.package, frozenset())
         for imp in mod.imports:
             if imp.root == "repro":
-                if not imp.toplevel:
-                    continue  # lazy imports are the sanctioned upward edge
                 parts = imp.target.split(".")
                 if len(parts) > 1:
                     targets = [imp.target]
@@ -205,12 +204,24 @@ def _check_layers(rule: Rule, facts: ProjectFacts):
                     target_layer = layers.get(target_pkg)
                     if target_layer is None or pkg_layer is None:
                         continue
-                    if target_layer >= pkg_layer:
+                    if target_layer < pkg_layer:
+                        continue
+                    if imp.toplevel:
                         yield rule.finding(
                             mod.path, imp.line, imp.col,
                             f"layer violation: {mod.package} (layer "
                             f"{pkg_layer}) imports {target} (layer "
                             f"{target_layer}) at module level")
+                    elif (mod.module.partition(".")[2],
+                          target_pkg) not in lazy_upward:
+                        yield rule.finding(
+                            mod.path, imp.line, imp.col,
+                            f"unsanctioned upward import: {mod.module} "
+                            f"imports {target} (layer {target_layer}) "
+                            f"lazily",
+                            hint="import downward, or list the edge in "
+                                 "repro.analysis.lint.facts."
+                                 "DEFAULT_LAZY_UPWARD")
             elif imp.root not in stdlib and imp.toplevel:
                 if imp.root not in pkg_allowed:
                     yield rule.finding(

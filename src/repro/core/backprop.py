@@ -77,7 +77,6 @@ class GradientResult:
 def backward(network: SpikingNetwork, record: RunRecord,
              grad_outputs: np.ndarray, mode: str = "exact",
              precision: str | None = None,
-             workspace=None,
              need_input_grad: bool = True,
              weights=None) -> GradientResult:
     """BPTT through a recorded forward run.
@@ -97,9 +96,6 @@ def backward(network: SpikingNetwork, record: RunRecord,
         ``"exact"`` or ``"truncated"`` (see module docstring).
     precision:
         ``"float32"`` or ``"float64"`` (defaults to the record's dtype).
-    workspace:
-        Optional :class:`~repro.runtime.workspace.Workspace` the engine
-        recycles its adjoint buffers through.
     need_input_grad:
         ``False`` skips building the deferred ``input_grad`` closure
         entirely (training only reads ``weight_grads``); ``input_grad`` is
@@ -119,5 +115,5 @@ def backward(network: SpikingNetwork, record: RunRecord,
         the loss if a mean is wanted) and the input-spike gradient.
     """
     return fused_backward(network, record, grad_outputs, mode=mode,
-                          precision=precision, ws=workspace,
-                          need_input_grad=need_input_grad, weights=weights)
+                          precision=precision, need_input_grad=need_input_grad,
+                          weights=weights)

@@ -66,15 +66,14 @@ Precision: every entry point accepts ``precision="float32"|"float64"``
 spike-level equivalence with float64 (near-threshold membrane values may
 round across ``v_th``).
 
-Workspace reuse: every entry point also accepts an optional
-``ws``/``workspace`` (:class:`repro.runtime.workspace.Workspace`) serving
-the large buffers, crossbar products included, with identical results;
-the caller (a trainer, a pool worker, a server) recycles the returned
-tensors, and releasing a ``swapaxes`` view returns the buffer behind it.
-A one-shot :func:`fused_run` given neither a workspace nor ``record`` takes its
-temporaries from its thread's arena (:func:`_arena`, idle bytes capped
-by ``_ARENA_BYTES``): it returns a plain copy of its output and leaves
-nothing lent, even when it raises.
+Buffer reuse: every large buffer, crossbar products included, is
+checked out of the calling thread's arena
+(:func:`repro.core.workspace.arena`), the one owner of engine buffers.
+Intermediates go back as soon as the next layer has consumed them;
+outputs and record tensors stay lent to the caller, weakly: a caller
+that drops them frees them, and a hot loop (a training step, a server
+tick, a pool worker) releases them so its next call reuses the memory
+(releasing a ``swapaxes`` view returns the buffer behind it).
 
 Equivalence with the tape is tested in
 ``tests/unit/test_engine.py`` and ``tests/property/test_engine_properties.py``;
@@ -83,13 +82,12 @@ the speed is measured by ``perfbench/run.py`` (``docs/performance.md``).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy.sparse import _sparsetools
 
 from ..common.errors import ShapeError
 from .filters import _scan, _scan_reverse
+from .workspace import arena
 
 __all__ = [
     "PRECISIONS",
@@ -121,25 +119,13 @@ def resolve_precision(precision) -> np.dtype | None:
     return np.dtype(precision)
 
 
-def _ws_empty(ws, shape, dtype) -> np.ndarray:
-    """``np.empty`` routed through a workspace when one is supplied."""
-    if ws is None:
-        return np.empty(shape, dtype=dtype)
-    return ws.empty(shape, dtype)
-
-
-def _ws_release(ws, *arrays) -> None:
-    if ws is not None:
-        ws.release(*arrays)
-
-
 class _Events:
     """The spike events of an ``(m, n)`` matrix in CSR form: ``data``,
     ``indices`` (columns) and ``indptr`` (row bounds), rows in order.
     Its products run the kernels inside scipy's ``csr_matrix @ w`` and
     ``csr_matrix.T @ dv`` (``csr_matvecs``, ``csc_matvecs``) on the same
     arrays into a zeroed buffer: scipy's bits, with no matrix object
-    built per call."""
+    built per call, into a zeroed buffer from the thread's arena."""
 
     __slots__ = ("data", "indices", "indptr", "shape")
 
@@ -151,23 +137,21 @@ class _Events:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def matmul(self, w: np.ndarray, ws=None) -> np.ndarray:
-        """``x @ w`` for a dense ``(n, k)`` ``w``, into ``ws`` if given."""
-        return self._product(_sparsetools.csr_matvecs, *self.shape, w, ws)
+    def matmul(self, w: np.ndarray) -> np.ndarray:
+        """``x @ w`` for a dense ``(n, k)`` ``w``."""
+        return self._product(_sparsetools.csr_matvecs, *self.shape, w)
 
-    def t_matmul(self, dv: np.ndarray, ws=None) -> np.ndarray:
+    def t_matmul(self, dv: np.ndarray) -> np.ndarray:
         """``x.T @ dv`` (a weight gradient), as :meth:`matmul`."""
-        return self._product(_sparsetools.csc_matvecs, *self.shape[::-1],
-                             dv, ws)
+        return self._product(_sparsetools.csc_matvecs, *self.shape[::-1], dv)
 
-    def _product(self, kernel, rows, cols, dense, ws):
+    def _product(self, kernel, rows, cols, dense):
         # The kernels index raw memory: check the shape, fix the layout.
         if dense.ndim != 2 or dense.shape[0] != cols:
             raise ShapeError(f"cannot multiply events of shape {self.shape} "
                              f"with an operand of shape {dense.shape}")
         dense = np.ascontiguousarray(dense, dtype=self.dtype)
-        out = (np.zeros if ws is None else ws.zeros)((rows, dense.shape[1]),
-                                                     self.dtype)
+        out = arena().zeros((rows, dense.shape[1]), self.dtype)
         kernel(rows, cols, dense.shape[1], self.indptr, self.indices,
                self.data, dense.reshape(-1), out.reshape(-1))
         return out
@@ -181,21 +165,22 @@ def _csr(idx, data, columns, m: int, n: int) -> _Events:
     return _Events(data, columns, idx.searchsorted(bounds), (m, n))
 
 
-def _spike_csr(flat: np.ndarray, ws=None) -> _Events:
+def _spike_csr(flat: np.ndarray) -> _Events:
     """The :class:`_Events` of an ``(m, n)`` spike matrix, whatever its
     size or density: one ``nonzero`` scan (indices come out sorted,
     i.e. canonical CSR order) plus a ``searchsorted`` for the row
     pointers (``scipy.sparse.csr_matrix(dense)`` costs as much as the
-    GEMM it is meant to replace).  ``ws`` serves the boolean mask.
+    GEMM it is meant to replace).
     """
     m, n = flat.shape
     # Explicit bool compare first: nonzero on a float array pays an
     # extra full-size temporary and runs ~3x slower.
     raveled = np.ascontiguousarray(flat).reshape(-1)
-    mask = _ws_empty(ws, raveled.shape, np.bool_)
+    buffers = arena()
+    mask = buffers.empty(raveled.shape, np.bool_)
     np.not_equal(raveled, 0, out=mask)
     idx = mask.nonzero()[0]   # the method: no Python-level wrapper
-    _ws_release(ws, mask)
+    buffers.release(mask)
     return _csr(idx, raveled[idx], idx % n, m, n)
 
 
@@ -264,7 +249,7 @@ def _remember(slot: _InputMemo, memo: tuple) -> None:
     _input_memo = tuple(kept)
 
 
-def _spike_events(xs: np.ndarray, ws=None, dtype=None, remember=True):
+def _spike_events(xs: np.ndarray, dtype=None, remember=True):
     """:class:`_Events` of a time-major ``(T, batch, n)`` spike view, rows
     in ``(t, b)`` order.  An engine buffer is read as it lies.  A caller's
     batch-major array (seen through ``swapaxes``) is masked in its own
@@ -276,24 +261,25 @@ def _spike_events(xs: np.ndarray, ws=None, dtype=None, remember=True):
         xs = np.asarray(xs, dtype=dtype)
     steps, batch, n = xs.shape
     if xs.flags.c_contiguous:
-        return _spike_csr(xs.reshape(-1, n), ws)
+        return _spike_csr(xs.reshape(-1, n))
     shape = (batch, steps, n)
     raveled = np.ascontiguousarray(xs.swapaxes(0, 1)).reshape(-1)
     # A hit checks out both masks too, so hits and misses reuse one set.
-    mask = _ws_empty(ws, shape, np.bool_)
-    rows = _ws_empty(ws, (steps, batch, n), np.bool_)
+    buffers = arena()
+    mask = buffers.empty(shape, np.bool_)
+    rows = buffers.empty((steps, batch, n), np.bool_)
     np.not_equal(raveled.reshape(shape), 0, out=mask)
     if remember:
         memo = _input_memo
         count = np.count_nonzero(mask)
         for slot in memo:
             if slot.holds(shape, raveled, count):
-                _ws_release(ws, mask, rows)
+                buffers.release(mask, rows)
                 _remember(slot, memo)
                 return slot.csr
     np.copyto(rows, mask.swapaxes(0, 1))
     idx = rows.reshape(-1).nonzero()[0]
-    _ws_release(ws, mask, rows)
+    buffers.release(mask, rows)
     # Flat time-major index (t*batch + b)*n + c -> caller's (b*T + t)*n + c.
     row, columns = np.divmod(idx, n)
     source = (np.arange(batch) * steps + np.arange(steps)[:, None]).ravel()
@@ -305,21 +291,6 @@ def _spike_events(xs: np.ndarray, ws=None, dtype=None, remember=True):
 
 
 # -- forward ----------------------------------------------------------------
-
-#: Idle bytes a thread's one-shot arena keeps between runs (a Fig. 8
-#: draw, 64 x 100 steps through 700-128-128-20, checks out ~40 MB).
-_ARENA_BYTES = 64 << 20
-_arenas = threading.local()
-
-
-def _arena():
-    """The calling thread's one-shot :class:`~repro.runtime.workspace.
-    Workspace` (a workspace is single-threaded state)."""
-    if not hasattr(_arenas, "ws"):
-        from ..runtime.workspace import Workspace   # runtime sits above core
-        _arenas.ws = Workspace(_ARENA_BYTES)
-    return _arenas.ws
-
 
 def _resolve_weight_override(layer, weight) -> np.ndarray:
     """The crossbar weight matrix of ``layer``: its own (``weight=None``)
@@ -357,8 +328,8 @@ def _zero_layer_state(layer, batch: int, dtype) -> dict[str, np.ndarray]:
     return {key: np.zeros((batch, layer.n_out), dtype) for key in keys}
 
 
-def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
-                 lengths=None, ends=None):
+def _layer_chunk(layer, xs, st, events, weight=None, lengths=None,
+                 ends=None):
     """Advance ``st`` over one time-major chunk ``xs`` of ``layer``'s input.
 
     The crossbar product of ``events`` (:func:`_spike_events` of ``xs``,
@@ -378,12 +349,12 @@ def _layer_chunk(layer, xs, st, events, ws=None, weight=None,
     gain = 1.0 if adaptive else float(layer.neuron.input_gain)
     if gain != 1.0:
         w_t = w_t * xs.dtype.type(gain)
-    gv = events.matmul(w_t, ws).reshape(steps, batch, -1)
+    gv = events.matmul(w_t).reshape(steps, batch, -1)
     kernel = _adaptive_forward if adaptive else _hard_reset_forward
-    return kernel(layer, gv, st, ws, lengths, ends)
+    return kernel(layer, gv, st, lengths, ends)
 
 
-def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
+def _adaptive_forward(layer, gv, st, lengths=None, ends=None):
     """One chunk of an adaptive-threshold layer, advancing ``st`` in place.
 
     ``gv`` is the time-major crossbar product of the raw input spikes:
@@ -416,14 +387,15 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     else:
         np.copyto(st["g"], gv[lengths - 1, np.arange(batch)])
 
-    spikes = _ws_empty(ws, gv.shape, dtype)
-    mask = _ws_empty(ws, gv.shape, np.bool_)
+    buffers = arena()
+    spikes = buffers.empty(gv.shape, dtype)
+    mask = buffers.empty(gv.shape, np.bool_)
     h = st["h"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
+    scratch = buffers.empty((batch, n_out), dtype)
     h_final = o_final = None
     if ends is not None:
-        h_final = _ws_empty(ws, (batch, n_out), dtype)
-        o_final = _ws_empty(ws, (batch, n_out), dtype)
+        h_final = buffers.empty((batch, n_out), dtype)
+        o_final = buffers.empty((batch, n_out), dtype)
     o_prev = st["o"]
     for t in range(steps):
         # h[t] = beta*h[t-1] + O[t-1]   (eq. 8)
@@ -448,12 +420,11 @@ def _adaptive_forward(layer, gv, st, ws=None, lengths=None, ends=None):
         # end; restore every row from its own captured snapshot.
         np.copyto(st["h"], h_final)
         np.copyto(st["o"], o_final)
-        _ws_release(ws, h_final, o_final)
-    _ws_release(ws, scratch)
+    buffers.release(scratch, h_final, o_final)
     return spikes, gv, mask
 
 
-def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
+def _hard_reset_forward(layer, gv, st, lengths=None, ends=None):
     """One chunk of a hard-reset layer, advancing ``st`` (``{v}``) in place.
 
     The leaky-integrate/reset scan rewrites ``gv`` (the time-major product
@@ -467,13 +438,14 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
     alpha = neuron.alpha
     v_th = neuron.params.v_th
 
-    spikes = _ws_empty(ws, gv.shape, dtype)
-    mask = _ws_empty(ws, gv.shape, np.bool_)
+    buffers = arena()
+    spikes = buffers.empty(gv.shape, dtype)
+    mask = buffers.empty(gv.shape, np.bool_)
     v_post = st["v"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
+    scratch = buffers.empty((batch, n_out), dtype)
     v_final = None
     if ends is not None:
-        v_final = _ws_empty(ws, (batch, n_out), dtype)
+        v_final = buffers.empty((batch, n_out), dtype)
     for t in range(steps):
         v_t = gv[t]
         np.multiply(v_post, alpha, out=scratch)
@@ -489,12 +461,11 @@ def _hard_reset_forward(layer, gv, st, ws=None, lengths=None, ends=None):
                 v_final[rows] = v_post[rows]
     if ends is not None:
         np.copyto(st["v"], v_final)
-        _ws_release(ws, v_final)
-    _ws_release(ws, scratch)
+    buffers.release(scratch, v_final)
     return spikes, gv, mask
 
 
-def _advance(network, x, events, states, weights, ws=None, record=False,
+def _advance(network, x, events, states, weights, record=False,
              lengths=None, ends=None):
     """Advance every layer's carried state over the time-major input ``x``.
 
@@ -506,17 +477,18 @@ def _advance(network, x, events, states, weights, ws=None, record=False,
     ``lengths``/``ends`` as in :func:`_adaptive_forward`.  Returns the
     time-major output spikes and, with ``record``, per layer its input
     events and time-major ``(v, spikes)``; without, each intermediate
-    buffer goes back to ``ws`` once the next layer has consumed it.  An
-    empty input (no steps or no rows) advances nothing: every layer's
-    outputs are empty.
+    buffer goes back to the thread's arena once the next layer has
+    consumed it.  An empty input (no steps or no rows) advances nothing:
+    every layer's outputs are empty.
     """
     steps, batch, _ = x.shape
     last = len(network.layers) - 1
+    buffers = arena()
     recorded = []
     for index, (layer, st, weight) in enumerate(
             zip(network.layers, states, weights)):
         if steps and batch:
-            spikes, v, mask = _layer_chunk(layer, x, st, events, ws, weight,
+            spikes, v, mask = _layer_chunk(layer, x, st, events, weight,
                                            lengths, ends)
         else:
             spikes = np.zeros((steps, batch, layer.n_out), x.dtype)
@@ -525,28 +497,27 @@ def _advance(network, x, events, states, weights, ws=None, record=False,
             recorded.append((events, v, spikes))
         if index < last:
             events = _mask_events(mask, spikes.dtype)
-        _ws_release(ws, mask)
+        buffers.release(mask)
         if not record:
-            _ws_release(ws, v)
+            buffers.release(v)
             if index > 0:
-                _ws_release(ws, x)
+                buffers.release(x)
         x = spikes
     return x, recorded
 
 
-def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
+def fused_run(network, inputs: np.ndarray, record: bool = False,
               weights=None):
     """Fused forward pass over the whole stack.
 
     ``inputs`` must already be a validated ``(batch, T, n_input)`` array of
     the desired precision (``SpikingNetwork.run`` handles coercion).
     Returns ``(outputs, RunRecord | None)``; ``outputs`` and the record's
-    tensors are ``(batch, T, n)`` views of time-major buffers.  A record
-    holds the per-layer ``v``/``spikes`` the kernels materialise anyway,
-    never the ``k`` trace (derived on first read).  With a workspace and
-    ``record=False`` each intermediate tensor is recycled once the next
-    layer has consumed it; with neither, the temporaries come from the
-    thread's arena (:func:`_arena`) and ``outputs`` views a plain copy.
+    tensors are ``(batch, T, n)`` views of time-major buffers lent by the
+    thread's arena.  A record holds the per-layer ``v``/``spikes`` the
+    kernels materialise anyway, never the ``k`` trace (derived on first
+    read).  With ``record=False`` each intermediate tensor is recycled
+    once the next layer has consumed it.
     Every layer starts from a zero state, so the outputs equal a stream
     of the whole sequence as one chunk (the same loop, :func:`_advance`);
     the final state is dropped.
@@ -562,22 +533,12 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     from .layers import LayerStepRecord   # local import: avoids a cycle
     from .network import RunRecord
 
-    if ws is None and not record:
-        arena = _arena()
-        try:
-            outputs, _ = fused_run(network, inputs, ws=arena, weights=weights)
-        except BaseException:
-            arena.reclaim()   # forget this run's leases
-            raise
-        copy = outputs.copy(order="K")   # time-major memory, like x
-        arena.release(outputs)
-        return copy, None
     weights = _per_layer_weights(network, weights)
     x = inputs.swapaxes(0, 1)
     states = [_zero_layer_state(layer, inputs.shape[0], inputs.dtype)
               for layer in network.layers]
-    x, recorded = _advance(network, x, _spike_events(x, ws), states, weights,
-                           ws, record)
+    x, recorded = _advance(network, x, _spike_events(x), states, weights,
+                           record)
     outputs = x.swapaxes(0, 1)
     if not record:
         return outputs, None
@@ -720,7 +681,7 @@ def _resolve_lengths(lengths, batch: int, steps: int):
 
 
 def run_streaming(network, chunk: np.ndarray, state: StreamState,
-                  lengths=None, ws=None, weights=None) -> np.ndarray:
+                  lengths=None, weights=None) -> np.ndarray:
     """Advance a fused-engine stream by one chunk; returns output spikes.
 
     ``chunk`` is a validated ``(batch, T_chunk, n_in)`` array in the
@@ -735,7 +696,8 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     state is captured at their own final valid step, so a padded batched
     run leaves every stream exactly where its own data ended.  Output
     values beyond a row's length are unspecified.  The outputs are a
-    ``(batch, T_chunk, n_out)`` view of a time-major buffer.
+    ``(batch, T_chunk, n_out)`` view of a time-major buffer lent by the
+    thread's arena.
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
@@ -749,8 +711,8 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     lengths, ends = _resolve_lengths(lengths, batch, steps)
     weights = _per_layer_weights(network, weights)
     x = chunk.swapaxes(0, 1)
-    x, _ = _advance(network, x, _spike_events(x, ws, remember=False),
-                    state.layers, weights, ws, lengths=lengths, ends=ends)
+    x, _ = _advance(network, x, _spike_events(x, remember=False),
+                    state.layers, weights, lengths=lengths, ends=ends)
     state.steps += steps if lengths is None else lengths
     return x.swapaxes(0, 1)
 
@@ -758,7 +720,7 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
 # -- backward ---------------------------------------------------------------
 
 def fused_backward(network, record, grad_outputs: np.ndarray,
-                   mode: str = "exact", precision=None, ws=None,
+                   mode: str = "exact", precision=None,
                    need_input_grad: bool = True, weights=None):
     """Fused BPTT through a recorded run (what
     :func:`repro.core.backprop.backward` runs).
@@ -772,13 +734,13 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
     (exact mode's ``alpha``-carry).
 
     ``precision`` defaults to the record's dtype (so a float32 forward run
-    gets a float32 backward); pass ``"float64"`` to upcast.  ``ws`` serves
-    and recycles the adjoint buffers; only the buffer captured by the
-    deferred input-gradient closure survives the call, and it is
-    allocated outside the workspace.  Training never reads
+    gets a float32 backward); pass ``"float64"`` to upcast.  The adjoint
+    buffers come from the thread's arena and go back to it; only the
+    buffer captured by the deferred input-gradient closure survives the
+    call, and it is allocated outside the arena.  Training never reads
     ``GradientResult.input_grad``, so the trainer/pool path passes
     ``need_input_grad=False``: the closure is then skipped and every
-    adjoint buffer returns to the workspace.
+    adjoint buffer returns to the arena.
 
     ``weights`` substitutes the per-layer weight matrices of the adjoint
     matmuls — pass the same override list the forward
@@ -799,7 +761,11 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
     dtype = resolve_precision(precision) or outputs.dtype
     weights = _per_layer_weights(network, weights)
 
-    grad_spikes = _swap_time_batch(grad_outputs, dtype, ws)
+    buffers = arena()
+    # Time-major, in an arena copy the loop below releases once consumed.
+    grad_spikes = buffers.empty(grad_outputs.shape[1::-1]
+                                + grad_outputs.shape[2:], dtype)
+    np.copyto(grad_spikes, grad_outputs.swapaxes(0, 1))
     cached_events = getattr(record, "_input_events", None)
     weight_grads: list[np.ndarray] = [None] * len(network.layers)
     input_grad_fn = None
@@ -816,10 +782,10 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
                   else _fused_backward_hard_reset)
         w_grad, upstream, gain, retained = kernel(
             layer, record.layers[index], events, grad_spikes, mode, dtype,
-            defer, ws)
+            defer)
         weight_grads[index] = w_grad
         grad_inputs_fn = _input_grad_fn(layer, upstream, weights[index],
-                                        gain, dtype, ws, defer)
+                                        gain, dtype, defer)
         if index == 0:
             if need_input_grad:
                 # The network-input gradient is only consumed by
@@ -829,66 +795,62 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
                 input_grad_fn = grad_inputs_fn
             else:
                 # Closure discarded unused; its buffers recycle now.
-                _ws_release(ws, *retained)
+                buffers.release(*retained)
             # The last consumed adjoint is dead (a deferred closure
             # captures its own plain-allocated buffers, never this one).
-            _ws_release(ws, grad_spikes)
+            buffers.release(grad_spikes)
         else:
             consumed = grad_spikes
             grad_spikes = grad_inputs_fn()
             # The consumed adjoint and this layer's scan buffers are dead
             # once the next upstream gradient exists.
-            _ws_release(ws, consumed, *retained)
+            buffers.release(consumed, *retained)
     return GradientResult(weight_grads=weight_grads, input_grad=None,
                           input_grad_fn=input_grad_fn)
 
 
-def _swap_time_batch(tensor: np.ndarray, dtype, ws=None) -> np.ndarray:
+def _swap_time_batch(tensor: np.ndarray, dtype) -> np.ndarray:
     """``tensor`` with its ``(batch, T)`` axes swapped, as a contiguous
-    array of ``dtype`` — between the public and the time-major layout.
-    Without ``ws``, a view when the memory already has that layout (the
-    buffer behind a fused record's view), else a copy; with ``ws``,
-    always a fresh workspace copy the caller releases."""
-    if ws is None:
-        return np.ascontiguousarray(tensor.swapaxes(0, 1), dtype=dtype)
-    out = ws.empty(tensor.shape[1::-1] + tensor.shape[2:], dtype)
-    np.copyto(out, tensor.swapaxes(0, 1))
-    return out
+    array of ``dtype`` — between the public and the time-major layout:
+    a view when the memory already has that layout (the buffer behind a
+    fused record's view), else a copy."""
+    return np.ascontiguousarray(tensor.swapaxes(0, 1), dtype=dtype)
 
 
-def _weight_grad(adjoint: np.ndarray, events, ws=None) -> np.ndarray:
+def _weight_grad(adjoint: np.ndarray, events) -> np.ndarray:
     """``sum_{t,b} adjoint[t,b]^T x[t,b]`` over the layer input's events.
 
     ``adjoint`` and ``events`` (of the layer input) are both time-major,
     so the contraction reads the adjoint as it lies.
     """
     n_out = adjoint.shape[2]
-    product = events.t_matmul(adjoint.reshape(-1, n_out), ws)  # (n_in, n_out)
-    grad = np.ascontiguousarray(product.T)
-    _ws_release(ws, product)
+    product = events.t_matmul(adjoint.reshape(-1, n_out))   # (n_in, n_out)
+    # Always a copy: ``ascontiguousarray`` would return a view of the
+    # product when a side is 1, and the product goes back to the arena.
+    grad = product.T.copy()
+    arena().release(product)
     return grad
 
 
-def _input_grad_fn(layer, upstream, weight, gain, dtype, ws, defer):
+def _input_grad_fn(layer, upstream, weight, gain, dtype, defer):
     """The input-gradient closure ``gain * upstream @ W`` of one layer.
 
     ``upstream`` is the time-major adjoint the input gradient is read
     from.  The matmul traverses the weights the forward pass used: the
     layer's own or the caller's override.  The closure returns a
-    time-major ``ws`` buffer for the next layer's backward.  A ``defer``
+    time-major arena buffer for the next layer's backward.  A ``defer``
     closure (layer 0's, behind ``GradientResult.input_grad``) may run
     after an in-place optimizer step, so it reads a weight snapshot and
     returns the public ``(batch, T, n_in)`` view of a plain array.
     """
     weight = np.asarray(_resolve_weight_override(layer, weight), dtype=dtype)
-    if defer:
-        ws = None
-        if weight is layer.weight:
-            weight = weight.copy()
+    if defer and weight is layer.weight:
+        weight = weight.copy()
     steps, batch, n_out = upstream.shape
 
     def grad_inputs_fn() -> np.ndarray:
-        out = _ws_empty(ws, (steps, batch, layer.n_in), dtype)
+        shape = (steps, batch, layer.n_in)
+        out = np.empty(shape, dtype) if defer else arena().empty(shape, dtype)
         np.matmul(upstream.reshape(steps * batch, n_out), weight,
                   out=out.reshape(steps * batch, layer.n_in))
         if gain != 1.0:
@@ -898,27 +860,28 @@ def _input_grad_fn(layer, upstream, weight, gain, dtype, ws, defer):
     return grad_inputs_fn
 
 
-def _surrogate_eps(layer, v: np.ndarray, dtype, ws=None) -> np.ndarray:
-    """``eps = U'(v - v_th)`` (eq. 14) as a ``dtype`` array from ``ws``.
+def _surrogate_eps(layer, v: np.ndarray, dtype) -> np.ndarray:
+    """``eps = U'(v - v_th)`` (eq. 14) as a ``dtype`` arena buffer.
 
-    The derivative runs in place over one float64 workspace buffer holding
+    The derivative runs in place over one float64 arena buffer holding
     ``v - v_th`` (so float32 runs keep their float64-evaluated surrogate),
     which is then cast to ``dtype`` and released.  The caller releases the
     returned array.
     """
-    centred = _ws_empty(ws, v.shape, np.float64)
+    buffers = arena()
+    centred = buffers.empty(v.shape, np.float64)
     np.subtract(v, layer.params.v_th, out=centred)
     layer.surrogate.derivative(centred, out=centred)
     if dtype == np.float64:
         return centred
-    eps = _ws_empty(ws, v.shape, dtype)
+    eps = buffers.empty(v.shape, dtype)
     np.copyto(eps, centred)
-    _ws_release(ws, centred)
+    buffers.release(centred)
     return eps
 
 
 def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
-                             mode, dtype, defer=False, ws=None):
+                             mode, dtype, defer=False):
     """Adaptive-layer adjoints with the matmuls hoisted out of the time loop.
 
     Sequential part (elementwise, reverse time)::
@@ -939,18 +902,19 @@ def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
 
     which is why a record carries no ``k`` trace.  Returns
     ``(w_grad, upstream, gain, retained)``: the input gradient's adjoint
-    and gain, and the workspace buffers to release after it is read.
+    and gain, and the arena buffers to release after it is read.
     """
     theta = layer.params.theta
     beta = layer.neuron.beta_r
 
     v = _swap_time_batch(layer_record.v, dtype)
     steps, batch, n_out = v.shape
-    eps = _surrogate_eps(layer, v, dtype, ws)
+    buffers = arena()
+    eps = _surrogate_eps(layer, v, dtype)
     # The buffer a deferred (layer-0) closure captures must outlive this
-    # call indefinitely, so it is never taken from the workspace.
-    dv = np.empty(v.shape, dtype) if defer else _ws_empty(ws, v.shape, dtype)
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
+    # call indefinitely, so it is never taken from the arena.
+    dv = np.empty(v.shape, dtype) if defer else buffers.empty(v.shape, dtype)
+    scratch = buffers.empty((batch, n_out), dtype)
     if mode == "exact":
         a_h = np.zeros((batch, n_out), dtype=dtype)
         for t in range(steps - 1, -1, -1):
@@ -966,25 +930,25 @@ def _fused_backward_adaptive(layer, layer_record, events, grad_spikes,
             np.multiply(dv[t + 1], theta, out=scratch)
             np.subtract(grad_spikes[t], scratch, out=dv[t])
             dv[t] *= eps[t]
-    _ws_release(ws, scratch, eps)
+    buffers.release(scratch, eps)
 
     if mode == "exact":
         # Only the scanned adjoint is read from here on: scan in place.
         e = _scan_reverse(dv, layer.alpha)
-        w_grad = _weight_grad(e, events, ws)
+        w_grad = _weight_grad(e, events)
         return w_grad, e, 1.0, () if defer else (dv,)
     # Truncated mode still reads the pre-scan ``delta_v`` upstream.
-    e = _ws_empty(ws, dv.shape, dtype)
+    e = buffers.empty(dv.shape, dtype)
     np.copyto(e, dv)
-    w_grad = _weight_grad(_scan_reverse(e, layer.alpha), events, ws)
+    w_grad = _weight_grad(_scan_reverse(e, layer.alpha), events)
     if defer:
-        _ws_release(ws, e)
+        buffers.release(e)
         return w_grad, dv, 1.0, ()
     return w_grad, dv, 1.0, (dv, e)
 
 
 def _fused_backward_hard_reset(layer, layer_record, events, grad_spikes,
-                               mode, dtype, defer=False, ws=None):
+                               mode, dtype, defer=False):
     """Hard-reset adjoints with the matmuls hoisted (reset gate detached);
     ``mode`` is unused (one rule for both).  Returns what
     :func:`_fused_backward_adaptive` returns."""
@@ -994,13 +958,14 @@ def _fused_backward_hard_reset(layer, layer_record, events, grad_spikes,
     v_pre = _swap_time_batch(layer_record.v, dtype)
     spikes = _swap_time_batch(layer_record.spikes, dtype)
     steps, batch, n_out = v_pre.shape
-    eps = _surrogate_eps(layer, v_pre, dtype, ws)
+    buffers = arena()
+    eps = _surrogate_eps(layer, v_pre, dtype)
 
     # delta_v[t] = dE/dO[t]*eps[t] + alpha*(1 - O[t])*delta_v[t+1]
     # (``dv`` is what a deferred closure captures, so plain-allocated then).
     dv = (np.empty(v_pre.shape, dtype) if defer
-          else _ws_empty(ws, v_pre.shape, dtype))
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
+          else buffers.empty(v_pre.shape, dtype))
+    scratch = buffers.empty((batch, n_out), dtype)
     if steps:   # a zero-step record has no last step to seed
         np.multiply(grad_spikes[-1], eps[-1], out=dv[-1])
     for t in range(steps - 2, -1, -1):
@@ -1010,9 +975,9 @@ def _fused_backward_hard_reset(layer, layer_record, events, grad_spikes,
         scratch *= alpha
         np.multiply(grad_spikes[t], eps[t], out=dv_t)
         dv_t += scratch
-    _ws_release(ws, scratch, eps)
+    buffers.release(scratch, eps)
 
-    w_grad = _weight_grad(dv, events, ws)
+    w_grad = _weight_grad(dv, events)
     if input_gain != 1.0:
         w_grad *= input_gain
     return w_grad, dv, input_gain, () if defer else (dv,)

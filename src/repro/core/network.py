@@ -46,8 +46,11 @@ class RunRecord:
     one time step ``tensor[:, t, :]`` is a contiguous ``(batch, n)`` slice
     of the buffer (what the fused backward's per-step loops walk) and
     ``tensor.swapaxes(0, 1)`` recovers the buffer without a copy.
-    ``inputs`` is the caller's own (batch-major) array.  Releasing a view
-    to a workspace returns the buffer behind it.
+    ``inputs`` is the caller's own (batch-major) array.  The buffers are
+    lent by the running thread's arena
+    (:func:`repro.core.workspace.arena`): dropping the record frees them,
+    and releasing a view to that arena returns the buffer behind it for
+    reuse.
 
     Per layer the record holds ``v`` (membrane values, pre-reset for HR)
     and ``spikes`` (both ``(batch, T, n_out)``).  Its ``k``
@@ -153,8 +156,7 @@ class SpikingNetwork:
     # -- forward -------------------------------------------------------------
     def run(self, inputs: np.ndarray, record: bool = False,
             engine: str = "fused", precision: str | None = None,
-            workspace=None, weights=None
-            ) -> tuple[np.ndarray, RunRecord | None]:
+            weights=None) -> tuple[np.ndarray, RunRecord | None]:
         """Run a batch of spike sequences through the network.
 
         Parameters
@@ -169,15 +171,9 @@ class SpikingNetwork:
             the reference oracle, the autograd tape's step-by-step unroll
             (:func:`repro.autograd.reference.unroll`), whose output spikes
             the fused engine's match.  ``"step"`` returns outputs only: it
-            takes no ``record``, ``workspace`` or ``weights``.
+            takes no ``record`` or ``weights``.
         precision:
             ``"float32"`` or ``"float64"`` (default).
-        workspace:
-            Optional :class:`~repro.runtime.workspace.Workspace` the fused
-            engine checks its large buffers out of (identical results).
-            The returned tensors then belong to that workspace's owner —
-            only pass one from code that recycles them, like the
-            :class:`~repro.core.trainer.Trainer`.
         weights:
             Optional per-layer weight overrides (one ``(n_out, n_in)``
             array per layer) substituting the crossbar product's matrices
@@ -191,7 +187,10 @@ class SpikingNetwork:
         -------
         (outputs, record):
             ``outputs`` has shape (batch, T, n_output); ``record`` is a
-            :class:`RunRecord` or ``None``.
+            :class:`RunRecord` or ``None``.  The fused engine's tensors
+            are views of buffers lent by the calling thread's arena
+            (:func:`repro.core.workspace.arena`); a caller that is done
+            with them may release them there for the next run to reuse.
         """
         if engine not in ("fused", "step"):
             raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
@@ -204,11 +203,11 @@ class SpikingNetwork:
                 f"expected {self.sizes[0]} input channels, got {inputs.shape[2]}"
             )
         if engine == "step":
-            if record or workspace is not None or weights is not None:
+            if record or weights is not None:
                 raise ValueError(
                     "engine='step' runs the autograd tape and returns "
-                    "outputs only; record=, workspace= and weights= are "
-                    "fused-engine features")
+                    "outputs only; record= and weights= are fused-engine "
+                    "features")
             from ..autograd.reference import unroll   # autograd sits above core
             return unroll(self, inputs, precision=dtype).spikes(), None
         # timed_span is the shared null context unless a telemetry bundle
@@ -217,8 +216,7 @@ class SpikingNetwork:
         with _obs.timed_span("engine.run", metric="engine.run_ms",
                              engine=engine, batch=int(inputs.shape[0]),
                              steps=int(inputs.shape[1])):
-            return fused_run(self, inputs, record=record, ws=workspace,
-                             weights=weights)
+            return fused_run(self, inputs, record=record, weights=weights)
 
     # -- streaming -----------------------------------------------------------
     def new_stream_state(self, batch_size: int,
@@ -228,9 +226,8 @@ class SpikingNetwork:
         return StreamState.for_network(self, batch_size, precision=precision)
 
     def run_stream(self, chunk: np.ndarray, state: StreamState | None = None,
-                   precision: str | None = None, workspace=None,
-                   lengths=None, weights=None
-                   ) -> tuple[np.ndarray, StreamState]:
+                   precision: str | None = None, lengths=None,
+                   weights=None) -> tuple[np.ndarray, StreamState]:
         """Consume one chunk of a live spike stream; returns
         ``(outputs, state)``.
 
@@ -255,10 +252,6 @@ class SpikingNetwork:
         precision:
             Fix the stream's dtype when opening it; on an existing state it
             must match the state's dtype.
-        workspace:
-            Optional :class:`~repro.runtime.workspace.Workspace` the engine
-            checks chunk buffers out of; the returned outputs then belong
-            to the workspace's owner.
         lengths:
             Optional ``(batch,)`` ints marking each row's valid prefix of
             a padded chunk (the serving micro-batcher's gather format):
@@ -308,7 +301,7 @@ class SpikingNetwork:
                              engine="fused", batch=batch,
                              steps=int(chunk.shape[1])):
             outputs = run_streaming(self, chunk, state, lengths=lengths,
-                                    ws=workspace, weights=weights)
+                                    weights=weights)
         return outputs, state
 
     # -- parameters ------------------------------------------------------------

@@ -48,7 +48,7 @@ class SurrogateGradient:
     ``derivative(x, out=None)`` always computes in float64, as a sequence
     of ufuncs evaluated in place over one buffer: ``out`` when given (a
     float64 array of ``x``'s shape; it may be ``x`` itself), else a single
-    fresh array.  The fused backward passes a workspace buffer holding
+    fresh array.  The fused backward passes an arena buffer holding
     ``v - Vth`` as both ``x`` and ``out``.
     """
 

@@ -6,7 +6,7 @@ association).  It operates on in-memory arrays — every dataset in
 :mod:`repro.data` materialises to ``(inputs, targets)`` pairs — and records
 a per-epoch history of loss and task metrics.
 
-Two runtime knobs scale it beyond a single-core loop:
+Two runtime mechanisms scale it beyond a single-core loop:
 
 * ``TrainerConfig(workers=N)`` trains **data-parallel**: each mini-batch is
   split into ``N`` contiguous shards, a persistent
@@ -15,15 +15,16 @@ Two runtime knobs scale it beyond a single-core loop:
   are reduced in fixed order before the single optimizer step.  Evaluation
   passes shard the same way.  ``workers=0`` (default) is the serial
   in-process path, unchanged.
-* The serial path itself recycles the engine's ``(batch, T, n)`` buffers
-  through a per-trainer :class:`~repro.runtime.workspace.Workspace`, so
-  steady-state training performs no large per-batch allocations.
+* The serial path itself recycles the engine's ``(T, batch, n)`` buffers
+  through the calling thread's arena (:func:`repro.core.workspace.arena`,
+  the engine's one buffer owner): each step releases what it checked
+  out, so steady-state training performs no large per-batch allocations.
 
-Both knobs preserve results: the workspace is bitwise-transparent, and the
+Both preserve results: buffer reuse is bitwise-transparent, and the
 parallel reduction is bitwise-reproducible and pinned against the serial
 execution of the same shard split in ``tests/unit/test_runtime.py``.
 
-A third knob closes the paper's codesign loop:
+A config knob closes the paper's codesign loop:
 ``TrainerConfig(hardware=HardwareProfile(...))`` trains **hardware-aware**
 — every forward/backward pass runs through the k-bit quantized (and
 optionally variation-noisy) weights the profile's crossbars would realise,
@@ -49,6 +50,7 @@ from ..common.rng import RandomState, as_random_state
 from .engine import resolve_precision
 from .network import SpikingNetwork
 from .optim import clip_grad_norm, make_optimizer
+from .workspace import arena
 
 __all__ = ["TrainerConfig", "Trainer", "EpochStats"]
 
@@ -197,11 +199,6 @@ class Trainer:
             config.optimizer, network.weights, lr=config.learning_rate, **extra
         )
         self.history: list[EpochStats] = []
-        # core must not pull the runtime layer at import time (the pool
-        # workers themselves import core); runtime pieces load on use.
-        from ..runtime.workspace import Workspace
-
-        self._workspace = Workspace()
         self._pool = None
         # Hardware-aware training: the per-step programming-noise stream
         # is keyed by (profile seed, step counter), so a run is exactly
@@ -248,6 +245,8 @@ class Trainer:
     def _ensure_pool(self):
         """The trainer's persistent worker pool (created on first use)."""
         if self._pool is None:
+            # core must not pull the runtime layer at import time (the
+            # pool workers themselves import core): it loads on use.
             from ..runtime.pool import WorkerPool
 
             self._pool = WorkerPool(self.network, workers=self.config.workers,
@@ -255,14 +254,13 @@ class Trainer:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool and drop pooled buffers (idempotent).
+        """Shut down the worker pool (idempotent).
 
-        Training can resume afterwards — the pool and workspace are
-        re-created on demand."""
+        Training can resume afterwards — the pool is re-created on
+        demand."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._workspace.reclaim()
 
     def __enter__(self) -> "Trainer":
         return self
@@ -300,7 +298,7 @@ class Trainer:
             loss_value, _, grads = shard_grads(
                 self.network, self.loss, inputs, targets,
                 mode=cfg.gradient_mode, precision=cfg.precision,
-                ws=self._workspace, weights=override,
+                weights=override,
             )
         if self.config.grad_clip > 0:
             clip_grad_norm(grads, self.config.grad_clip)
@@ -364,8 +362,7 @@ class Trainer:
                 )
                 return self.loss.metrics(outputs, targets)
         outputs = run_in_batches(model, inputs, self.config.batch_size,
-                                 precision=self.config.precision,
-                                 workspace=self._workspace)
+                                 precision=self.config.precision)
         return self.loss.metrics(outputs, targets)
 
     # -- full loop ----------------------------------------------------------
@@ -404,8 +401,7 @@ class Trainer:
 
 def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
                    batch_size: int,
-                   precision: str | None = None, pool=None,
-                   workspace=None) -> np.ndarray:
+                   precision: str | None = None, pool=None) -> np.ndarray:
     """Forward-only run over a large array, batched to bound memory.
 
     Parameters
@@ -421,9 +417,10 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
         ``network`` distributes the chunks over its workers.  The chunk
         boundaries are identical to the serial path, so the outputs are
         bitwise equal.
-    workspace:
-        Optional :class:`~repro.runtime.workspace.Workspace` for the
-        serial path; chunk buffers are recycled after concatenation.
+
+    The serial path copies each chunk's outputs into the result and
+    releases them to the thread's arena, so every chunk of one shape
+    reuses the same engine buffers.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -436,13 +433,15 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
                 "pool was built for a different network object; build the "
                 "pool from this network so the shared-memory replicas match")
         return pool.run_sharded(inputs, batch_size, precision=resolved)
-    chunks = []
+    buffers = arena()
+    result = None
     # An empty set runs once, as one empty chunk: (0, T, n_out) out.
     for start in range(0, inputs.shape[0], batch_size) or [0]:
         outputs, _ = network.run(inputs[start:start + batch_size],
-                                 precision=resolved, workspace=workspace)
-        chunks.append(outputs)
-    result = np.concatenate(chunks, axis=0)
-    if workspace is not None:
-        workspace.release(*chunks)
+                                 precision=resolved)
+        if result is None:
+            result = np.empty(inputs.shape[:1] + outputs.shape[1:],
+                              outputs.dtype)
+        result[start:start + len(outputs)] = outputs
+        buffers.release(outputs)
     return result

@@ -188,7 +188,6 @@ class HardwareMappedNetwork:
     def run_stream(self, chunk: np.ndarray,
                    state: "HardwareStreamState | None" = None,
                    precision: str | None = None, lengths=None,
-                   workspace=None,
                    read_noise_rng: RandomState | int | None = None
                    ) -> tuple[np.ndarray, "HardwareStreamState"]:
         """Consume one chunk of a live spike stream on the crossbars.
@@ -222,7 +221,7 @@ class HardwareMappedNetwork:
                 "new stream to serve the new realization")
         outputs, _ = self.hardware_network.run_stream(
             chunk, state.state, precision=precision, lengths=lengths,
-            workspace=workspace, weights=state.weights)
+            weights=state.weights)
         return outputs, state
 
     def weight_errors(self) -> list[float]:

@@ -1,9 +1,9 @@
-"""Parallel runtime: worker pools, data-parallel training, buffer arenas.
+"""Parallel runtime: worker pools and data-parallel training.
 
-This package scales the fused simulation engine across processes:
+This package scales the fused simulation engine across processes (the
+engine's buffers stay with each thread's arena,
+:func:`repro.core.workspace.arena`, in every process):
 
-* :mod:`repro.runtime.workspace` — reusable buffer arenas that remove the
-  fused engine's per-batch allocations in steady-state training;
 * :mod:`repro.runtime.pool` — a persistent, self-healing worker pool
   holding the network weights in shared memory, executing forward
   chunks, gradient shards, Fig. 8 device-noise seeds and generic sweep
@@ -32,11 +32,9 @@ from .parallel import (
     shard_slices,
 )
 from .pool import PoolTransportError, WorkerError, WorkerPool
-from .workspace import Workspace
 
 __all__ = [
     "PoolTransportError",
-    "Workspace",
     "WorkerError",
     "WorkerPool",
     "combine_shard_results",

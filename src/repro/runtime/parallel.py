@@ -86,13 +86,14 @@ def shard_slices(n: int, n_shards: int) -> list[slice]:
 
 def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
                 mode: str = "exact", engine: str = "fused",
-                precision: str | None = None, ws=None, weights=None):
+                precision: str | None = None, weights=None):
     """Forward + loss + BPTT on one shard.
 
     Returns ``(loss_value, shard_size, weight_grads)``.  This is the unit
     of work a pool worker executes; the serial path calls it in-process so
-    both paths share every arithmetic operation.  When ``ws`` is given the
-    recorded traces are recycled into the workspace before returning.
+    both paths share every arithmetic operation.  The recorded traces go
+    back to the thread's arena before it returns, so the next shard of
+    the same shape reuses every buffer.
 
     ``weights`` (optional per-layer overrides) runs the forward **and**
     the backward through substituted weight matrices — the
@@ -103,14 +104,15 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
     ``engine="step"`` returns the reference oracle's loss and gradients
     instead: ``loss`` on the output spikes of the autograd tape
     (:func:`repro.autograd.reference.unroll`), its gradient seeding the
-    tape's backward.  It takes no ``ws`` or ``weights``.
+    tape's backward.  It takes no ``weights``.
     """
     from ..core.backprop import backward
+    from ..core.workspace import arena
 
     if engine == "step":
-        if ws is not None or weights is not None:
-            raise ValueError("engine='step' runs the autograd tape; ws= "
-                             "and weights= are fused-engine features")
+        if weights is not None:
+            raise ValueError("engine='step' runs the autograd tape; "
+                             "weights= is a fused-engine feature")
         from ..autograd.reference import unroll
 
         tape = unroll(network, inputs, precision=precision, mode=mode)
@@ -120,16 +122,16 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
     if engine != "fused":
         raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
     outputs, record = network.run(inputs, record=True, precision=precision,
-                                  workspace=ws, weights=weights)
+                                  weights=weights)
     loss_value, grad_outputs = loss.value_and_grad(outputs, targets)
     result = backward(network, record, grad_outputs, mode=mode,
-                      precision=precision, workspace=ws,
-                      need_input_grad=False, weights=weights)
-    if ws is not None:
-        # Never ``layer_record.k``: reading it would derive the trace only
-        # to drop it.
-        for layer_record in record.layers:
-            ws.release(layer_record.v, layer_record.spikes)
+                      precision=precision, need_input_grad=False,
+                      weights=weights)
+    buffers = arena()
+    # Never ``layer_record.k``: reading it would derive the trace only to
+    # drop it.
+    for layer_record in record.layers:
+        buffers.release(layer_record.v, layer_record.spikes)
     return float(loss_value), int(inputs.shape[0]), result.weight_grads
 
 
@@ -158,7 +160,7 @@ def combine_shard_results(shard_results, n_total: int):
 def data_parallel_grads(network, loss, inputs: np.ndarray,
                         targets: np.ndarray, n_shards: int,
                         mode: str = "exact",
-                        precision: str | None = None, pool=None, ws=None,
+                        precision: str | None = None, pool=None,
                         weights=None):
     """Mini-batch loss + weight gradients via ``n_shards`` data shards.
 
@@ -181,7 +183,7 @@ def data_parallel_grads(network, loss, inputs: np.ndarray,
     else:
         shard_results = [
             shard_grads(network, loss, inputs[sl], targets[sl], mode=mode,
-                        precision=precision, ws=ws, weights=weights)
+                        precision=precision, weights=weights)
             for sl in slices
         ]
     return combine_shard_results(shard_results, n)

@@ -34,9 +34,10 @@ Work units are deliberately identical to the serial path's:
   :func:`repro.hardware.mapped_network.seed_accuracy`;
 * ``task`` runs an arbitrary picklable callable (sweep grid points).
 
-Each worker owns a :class:`~repro.runtime.workspace.Workspace`, so
-steady-state training allocates nothing per batch on either side of the
-pipe.  Failures split into two kinds with opposite handling:
+Each worker's engine calls borrow its thread's arena
+(:func:`repro.core.workspace.arena`) and release what they checked out,
+so steady-state training allocates nothing per batch on either side of
+the pipe.  Failures split into two kinds with opposite handling:
 
 * a :class:`WorkerError` — user code raised *inside* a worker — is
   caught there, formatted, and re-raised in the master with the worker
@@ -201,15 +202,12 @@ class _PoolSpec:
 
 
 class _WorkerState:
-    """Per-process state: attached blocks, network replicas, workspace."""
+    """Per-process state: attached blocks and network replicas."""
 
     def __init__(self, spec: _PoolSpec):
-        from .workspace import Workspace
-
         self.spec = spec
         self.blocks: dict[str, shared_memory.SharedMemory] = {}
         self.networks: dict[str, object] = {}
-        self.ws = Workspace()
 
     #: Keep at most this many non-weight blocks attached; arena growth on
     #: the master side replaces segments (new names), and holding the old
@@ -352,10 +350,11 @@ def _handle(state: _WorkerState, msg: dict):
         network = state.network(msg.get("neuron_kind"))
         x = state.view(msg["in"])
         out_view = state.view(msg["out"])
-        outputs, _ = network.run(x, precision=msg["precision"],
-                                 workspace=state.ws)
+        from ..core.workspace import arena
+
+        outputs, _ = network.run(x, precision=msg["precision"])
         np.copyto(out_view, outputs)
-        state.ws.release(outputs)
+        arena().release(outputs)
         return None
     if cmd == "grad":
         from .parallel import shard_grads
@@ -365,7 +364,7 @@ def _handle(state: _WorkerState, msg: dict):
         targets = state.view(msg["targets"])
         loss_value, shard_n, grads = shard_grads(
             network, state.spec.loss, x, targets, mode=msg["mode"],
-            precision=msg["precision"], ws=state.ws)
+            precision=msg["precision"])
         for grad, ref in zip(grads, msg["grads"]):
             # casting="no": the master sized the arena for the dtype this
             # precision produces — a silent downcast here would diverge

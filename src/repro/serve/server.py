@@ -12,7 +12,7 @@ micro-batcher says one is due:
    :class:`~repro.core.engine.StreamState` slab (one row per session)
    into one batched state, one ``np.take`` per array
    (:meth:`~repro.core.engine.StreamState.gather`), and copy the chunks
-   into one padded time-major ``(T_max, B, n_in)`` workspace buffer (rows
+   into one padded time-major ``(T_max, B, n_in)`` arena buffer (rows
    shorter than ``T_max`` are zero-padded and tracked via ``lengths``,
    which a tick of equal-length chunks leaves out);
 3. **run** — a single :meth:`~repro.core.network.SpikingNetwork.run_stream`
@@ -68,8 +68,8 @@ from ..common import faults as _faults
 from ..common.errors import ShapeError, StateError
 from ..core.engine import StreamState, resolve_precision
 from ..core.network import SpikingNetwork
+from ..core.workspace import arena
 from ..hardware.mapped_network import HardwareMappedNetwork
-from ..runtime.workspace import Workspace
 from .batcher import MicroBatcher, StreamRequest, Ticket
 from .session import Session
 
@@ -216,7 +216,6 @@ class ModelServer:
         self.model_version: str | None = None
         self.model_profile: str | None = None
         self.model_meta: dict = {}
-        self._workspace = Workspace()
         # The served weights, programmed once (see _served_weights).
         self._programmed: dict = {}
         self._served_weights()
@@ -640,11 +639,10 @@ class ModelServer:
                     completed = self._advance(requests, weights, now,
                                               degraded, span=tick_span)
                 except Exception:
-                    # The batched attempt died mid-tick: its workspace
-                    # buffers are stranded mid-lend, and no session state
-                    # was advanced (the scatter never ran).  Reclaim and
-                    # retry each chunk in isolation.
-                    self._workspace.reclaim()
+                    # The batched attempt died mid-tick: no session state
+                    # was advanced (the scatter never ran), and its arena
+                    # buffers are freed once the exception is dropped.
+                    # Retry each chunk in isolation.
                     completed = self._isolate(requests, poisoned, weights,
                                               now, degraded)
         self._counters["ticks"].inc()
@@ -672,7 +670,7 @@ class ModelServer:
         if not retried:
             _faults.maybe_raise("serve.tick.raise")
         clock = self._trace_clock if span is not None else None
-        ws = self._workspace
+        buffers = arena()
         count = len(requests)
         lengths = [r.steps for r in requests]
         rows = np.fromiter((r.session.row for r in requests), np.intp, count)
@@ -680,7 +678,7 @@ class ModelServer:
         t0 = clock() if clock is not None else 0.0
         # Time-major, so layer 0's product lands in (t, b) order uncopied;
         # the engine reads the batch-major view.
-        xs = ws.empty((t_max, count, self.network.sizes[0]), self.dtype)
+        xs = buffers.empty((t_max, count, self.network.sizes[0]), self.dtype)
         for row, request in enumerate(requests):
             steps = request.steps
             xs[:steps, row] = request.chunk
@@ -691,13 +689,11 @@ class ModelServer:
         lengths = None if steps_served == count * t_max else lengths
         batched = self._slab.gather(rows)
         t1 = clock() if clock is not None else 0.0
-        outputs, _ = self.network.run_stream(xs, batched,
-                                             lengths=lengths,
-                                             workspace=ws,
+        outputs, _ = self.network.run_stream(xs, batched, lengths=lengths,
                                              weights=weights)
         t2 = clock() if clock is not None else 0.0
         divergences = self._shadow_divergences(requests, rows, xs, lengths,
-                                               outputs, ws)
+                                               outputs)
         self._slab.scatter(rows, batched)
         for row, request in enumerate(requests):
             session = request.session
@@ -714,7 +710,7 @@ class ModelServer:
                         session=session.session_id,
                         steps=request.steps, degraded=degraded,
                         retried=retried, divergence=ticket.divergence)
-        ws.release(xs, outputs)
+        buffers.release(xs, outputs)
         if clock is not None:
             end = clock()
             span.set(steps=t_max, degraded=degraded,
@@ -749,7 +745,6 @@ class ModelServer:
                                                degraded, retried=True)
                     continue
                 except Exception as exc:
-                    self._workspace.reclaim()
                     error = f"{type(exc).__name__}: {exc}"
             request.ticket.fail(error, now)
             self._counters["failed"].inc()
@@ -757,7 +752,7 @@ class ModelServer:
                         session=request.session.session_id, error=error)
         return completed
 
-    def _shadow_divergences(self, requests, rows, xs, lengths, outputs, ws):
+    def _shadow_divergences(self, requests, rows, xs, lengths, outputs):
         """Shadow pass behind a circuit breaker; ``None`` when disabled.
 
         A shadow failure (a real error, or the ``serve.shadow.raise``
@@ -770,7 +765,7 @@ class ModelServer:
             return None
         try:
             _faults.maybe_raise("serve.shadow.raise")
-            return self._run_shadow(requests, rows, xs, lengths, outputs, ws)
+            return self._run_shadow(requests, rows, xs, lengths, outputs)
         except Exception:
             self._counters["shadow_failures"].inc()
             self._event("serve.shadow_failure",
@@ -782,8 +777,8 @@ class ModelServer:
                             threshold=self.shadow_threshold)
             return None
 
-    def _run_shadow(self, requests, rows, xs, lengths, outputs,
-                    ws) -> list[float]:
+    def _run_shadow(self, requests, rows, xs, lengths,
+                    outputs) -> list[float]:
         """Advance the sessions' hardware shadow streams (their ``rows``
         of the shadow slab) on the same gathered chunk; returns the
         per-row output divergence.
@@ -797,14 +792,14 @@ class ModelServer:
         with self._span("serve.shadow", batch=count) as shadow_span:
             shadow_batched = self._shadow_slab.gather(rows)
             shadow_out, _ = self.network.run_stream(
-                xs, shadow_batched, lengths=lengths, workspace=ws,
+                xs, shadow_batched, lengths=lengths,
                 weights=self._served_weights(hardware=True))
             self._shadow_slab.scatter(rows, shadow_batched)
             divergences = [
                 float(np.mean(outputs[row, :request.steps]
                               != shadow_out[row, :request.steps]))
                 for row, request in enumerate(requests)]
-            ws.release(shadow_out)
+            arena().release(shadow_out)
             if shadow_span is not None:
                 shadow_span.set(divergence=float(sum(divergences)) / count)
         self._counters["shadow_chunks"].inc(count)
@@ -827,10 +822,10 @@ class ModelServer:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Fail any queued chunk, drop all sessions, pooled buffers and
-        programmed weights, and shrink the slabs back to one row
-        (idempotent).  A server used again programs its weights from its
-        network at its next tick."""
+        """Fail any queued chunk, drop all sessions and programmed
+        weights, and shrink the slabs back to one row (idempotent).  A
+        server used again programs its weights from its network at its
+        next tick."""
         if self.batcher.pending:
             self.fail_pending("server closed")
         for session in [*self._sessions.values(), *self._closing]:
@@ -843,7 +838,6 @@ class ModelServer:
                                                         self.dtype)
         self._free_rows = [0]
         self._programmed.clear()
-        self._workspace.reclaim()
 
     def __enter__(self) -> "ModelServer":
         return self

@@ -359,12 +359,25 @@ class TestLintRules:
         (finding,) = hits(result, "layer-dag")
         assert "repro.serve" in finding.message
 
-    def test_layer_dag_lazy_import_is_sanctioned(self):
+    def test_layer_dag_listed_lazy_import_is_sanctioned(self):
         good = ("def f():\n"
-                "    from repro.serve.server import ModelServer\n"
-                "    return ModelServer\n")
-        result = lint({"src/repro/common/good.py": good})
+                "    from repro.runtime.pool import WorkerPool\n"
+                "    return WorkerPool\n")
+        result = lint({"src/repro/core/trainer.py": good})
         assert hits(result, "layer-dag") == []
+
+    def test_layer_dag_unlisted_lazy_import_is_reported(self):
+        bad = ("def f():\n"
+               "    from repro.serve.server import ModelServer\n"
+               "    return ModelServer\n")
+        result = lint({"src/repro/common/bad.py": bad})
+        (finding,) = hits(result, "layer-dag")
+        assert (finding.path, finding.line) == ("src/repro/common/bad.py", 2)
+        assert "repro.serve.server" in finding.message
+        # The same edge from a listed importer of another package is
+        # reported too: the list names (module, package) pairs.
+        result = lint({"src/repro/core/trainer.py": bad})
+        assert len(hits(result, "layer-dag")) == 1
 
     def test_layer_dag_external_dependency(self):
         result = lint({"src/repro/core/bad.py": "import pandas\n"})

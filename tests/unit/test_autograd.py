@@ -251,10 +251,8 @@ class TestUnrollContract:
         with pytest.raises(ShapeError):
             unroll(net, x).backward(np.ones((2, 7, 4)))
 
-    @pytest.mark.parametrize("extra", ["ws", "weights"])
-    def test_step_shard_grads_takes_no_fused_options(self, extra):
+    def test_step_shard_grads_takes_no_weight_override(self):
         net, x = self._net_and_input()
-        options = {"ws": object(), "weights": net.weights}
         with pytest.raises(ValueError, match="fused-engine"):
             shard_grads(net, CrossEntropyRateLoss(), x, np.array([0, 2]),
-                        engine="step", **{extra: options[extra]})
+                        engine="step", weights=net.weights)

@@ -217,10 +217,10 @@ def test_invalid_engine_rejected():
         net.run(x, engine="warp")
 
 
-@pytest.mark.parametrize("extra", [dict(record=True), dict(workspace=object()),
+@pytest.mark.parametrize("extra", [dict(record=True),
                                    dict(weights=[None, None])])
 def test_step_engine_returns_outputs_only(extra):
-    """The tape run has no record, workspace or weight override."""
+    """The tape run has no record or weight override."""
     net, x = make_net_and_input("adaptive")
     with pytest.raises(ValueError, match="fused-engine"):
         net.run(x, engine="step", **extra)

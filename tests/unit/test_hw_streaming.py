@@ -24,7 +24,8 @@ from repro.hardware import (
     RRAMDeviceConfig,
     accuracy_under_variation,
 )
-from repro.runtime import WorkerPool, Workspace
+from repro.core.workspace import Workspace
+from repro.runtime import WorkerPool
 
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
@@ -54,9 +55,9 @@ def spy_products(monkeypatch) -> list:
     operands = []
     product = engine._Events.matmul
 
-    def matmul(events, w, ws=None):
+    def matmul(events, w):
         operands.append(w)
-        return product(events, w, ws)
+        return product(events, w)
 
     monkeypatch.setattr(engine._Events, "matmul", matmul)
     return operands
@@ -191,19 +192,20 @@ class TestWeightProvider:
     def test_crossbar_layout_override_is_read_in_place(self, monkeypatch,
                                                        precision):
         """The ``.T`` view of an ``(n_in, n_out)`` array in the run's
-        dtype reaches the crossbar product uncopied, and no workspace
-        buffer stands in for it."""
+        dtype reaches the crossbar product uncopied, and no arena buffer
+        stands in for it."""
         net = make_net()
         crossbar = [np.array(w.T, dtype=precision, order="C")
                     for w in net.weights]
-        ws = Workspace()
         lent = []
-        checkout = ws.empty
-        monkeypatch.setattr(ws, "empty", lambda shape, dtype=np.float64:
-                            lent.append(checkout(shape, dtype)) or lent[-1])
+        checkout = Workspace.empty
+        monkeypatch.setattr(Workspace, "empty",
+                            lambda self, shape, dtype=np.float64:
+                            lent.append(checkout(self, shape, dtype))
+                            or lent[-1])
         operands = spy_products(monkeypatch)
         x = make_inputs(batch=2, steps=6)
-        got, _ = net.run_stream(x, precision=precision, workspace=ws,
+        got, _ = net.run_stream(x, precision=precision,
                                 weights=[c.T for c in crossbar])
         assert len(operands) == len(crossbar) and lent
         for operand, array in zip(operands, crossbar):

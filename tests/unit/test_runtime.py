@@ -1,10 +1,11 @@
-"""Tests for the parallel runtime: workspace arenas, shard math, worker pool.
+"""Tests for the parallel runtime: the thread arena, shard math, worker pool.
 
 The load-bearing guarantees:
 
-* a :class:`~repro.runtime.workspace.Workspace` is bitwise-transparent —
-  fused runs/backwards through a (reused, shape-changing) workspace equal
-  fresh-allocation runs exactly;
+* the thread's arena (:func:`repro.core.workspace.arena`) is
+  bitwise-transparent — fused runs/backwards on a recycled,
+  shape-changing arena equal the same runs on a fresh thread's arena
+  exactly, and its weak leases forget what their holders drop;
 * the pooled execution of any sharded computation is bitwise-equal to the
   serial execution of the *same* shard split (gradients, inference chunks,
   Fig. 8 seeds), and ``workers=1`` is bitwise-equal to the plain serial
@@ -12,6 +13,7 @@ The load-bearing guarantees:
 * ``workers=0`` changes nothing (it is the plain serial path).
 """
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +28,11 @@ from repro.core import (
 )
 from repro.core.calibration import calibrate_firing
 from repro.core.trainer import run_in_batches
+from repro.core import workspace
+from repro.core.workspace import Workspace, arena
 from repro.hardware import accuracy_under_variation, seed_accuracy
 from repro.runtime import (
     WorkerPool,
-    Workspace,
     combine_shard_results,
     data_parallel_grads,
     parallel_map,
@@ -48,6 +51,16 @@ def make_task(n=48, steps=20, channels=10, classes=3, seed=0):
     return x, y
 
 
+def in_thread(fn):
+    """``fn()`` on a new thread, so on an arena of its own; its result."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert result, "the thread raised or hung"
+    return result[0]
+
+
 def make_net(sizes=(10, 14, 3), seed=0, x=None):
     net = SpikingNetwork(sizes, rng=seed)
     if x is not None:
@@ -59,7 +72,7 @@ def make_net(sizes=(10, 14, 3), seed=0, x=None):
 
 
 # ---------------------------------------------------------------------------
-# Workspace
+# The thread arena
 # ---------------------------------------------------------------------------
 class TestWorkspace:
     def test_release_then_reuse_returns_same_buffer(self):
@@ -96,8 +109,13 @@ class TestWorkspace:
         b = ws.zeros((8,))
         assert b is a and np.all(b == 0.0)
 
-    def test_eviction_cap(self):
-        ws = Workspace(max_bytes=1024)
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        """Pools made from here on keep at most 1 KiB idle."""
+        monkeypatch.setattr(workspace, "ARENA_BYTES", 1024)
+
+    def test_eviction_cap(self, small_cap):
+        ws = Workspace()
         big = [ws.empty((64,), np.float64) for _ in range(4)]  # 512 B each
         ws.release(*big)
         assert ws.idle_bytes <= 1024
@@ -114,8 +132,8 @@ class TestWorkspace:
         assert len(ws._idle) == 2
         assert ws.idle_bytes == a.nbytes + b.nbytes
 
-    def test_eviction_drops_the_oldest_idle_buffer(self):
-        ws = Workspace(max_bytes=1024)
+    def test_eviction_drops_the_oldest_idle_buffer(self, small_cap):
+        ws = Workspace()
         old, mid = ws.empty((64,)), ws.empty((32,))   # 512 B, 256 B
         ws.release(old, mid)
         ws.release(ws.empty((32,)))   # mid out and back: now newer than old
@@ -125,28 +143,60 @@ class TestWorkspace:
         assert ws.empty((64,)) is not old
         assert ws.empty((32,)) is mid and ws.empty((40,)) is new
         # Within one shape, too, the older of two idle buffers goes first.
-        ws = Workspace(max_bytes=1024)
+        ws = Workspace()
         first, second = ws.empty((48,)), ws.empty((48,))   # 384 B each
         ws.release(first, second)
         ws.release(ws.empty((40,)))   # 1088 B idle: over the cap
         assert ws.empty((48,)) is second
         assert ws.empty((48,)) is not first
 
-    def test_lent_buffers_are_kept_alive(self):
-        # The strong reference prevents id-reuse corruption: a checked-out
-        # buffer must never be collectable while the workspace thinks it
-        # is lent.
+    def test_a_dropped_lease_is_forgotten(self):
+        # Leases are weak: a lent buffer its holder drops is freed like
+        # any array, and the arena forgets it.
         ws = Workspace()
-        ws.empty((16,))
-        assert ws.lent_count == 1
-        ws.reclaim()
-        assert ws.lent_count == 0
+        a = ws.empty((16,))
+        view = a.swapaxes(0, 0)
+        del a
+        assert ws.lent_count == 1     # the view keeps the buffer alive
+        del view
+        assert ws.lent_count == 0 and ws.idle_bytes == 0
+
+    def test_plain_arrays_after_a_dropped_lease_pool_nothing(self):
+        # A dropped buffer's id may be reused by the next array of its
+        # size; releasing that foreign array must not pool it under the
+        # dead lease's key.
+        ws = Workspace()
+        reused = 0
+        for _ in range(200):
+            ident = id(ws.empty((64,)))   # lent and dropped at once
+            plain = np.empty(64)
+            reused += id(plain) == ident
+            ws.release(plain)
+            assert ws.lent_count == 0 and ws.idle_bytes == 0
+        assert reused > 0   # the hazard was exercised
+        assert ws.hits == 0
+
+    def test_a_lease_dropped_on_another_thread_is_forgotten(self):
+        net = make_net()
+        x, _ = make_task(n=6)
+        records = []
+
+        def run():
+            _, record = net.run(x, record=True)
+            records.append(record)
+            return arena()
+
+        owner = in_thread(run)
+        idle = owner.idle_bytes
+        assert owner.lent_count > 0   # the record's buffers, held here
+        records.clear()               # the last reference, on this thread
+        assert owner.lent_count == 0 and owner.idle_bytes == idle
 
 
 class TestWorkspaceEquivalence:
-    """With-workspace results must equal fresh-allocation results bitwise,
-    including across consecutive calls with differing shapes (the arena
-    then serves a mix of reused and new buffers)."""
+    """A run on a recycled arena equals the same run on a fresh thread's
+    arena bitwise, including across consecutive calls with differing
+    shapes (the arena then serves a mix of reused and new buffers)."""
 
     @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
     def test_forward_backward_across_differing_shapes(self, kind):
@@ -157,36 +207,101 @@ class TestWorkspaceEquivalence:
         shapes = [(6, 15), (9, 11), (6, 15)]   # third call reuses the first's
         batches = [(rng.random((b, t, 10)) < 0.2).astype(np.float64)
                    for b, t in shapes]
-        ws = Workspace()
-        for x in batches:
-            out_ws, rec_ws = net.run(x, record=True, workspace=ws)
-            out_ref, rec_ref = net.run(x, record=True)
-            np.testing.assert_array_equal(out_ws, out_ref)
-            grad_out = np.ones_like(out_ws) / out_ws.size
-            res_ws = backward(net, rec_ws, grad_out, workspace=ws)
-            res_ref = backward(net, rec_ref, grad_out)
-            for g_ws, g_ref in zip(res_ws.weight_grads, res_ref.weight_grads):
-                np.testing.assert_array_equal(g_ws, g_ref)
-            np.testing.assert_array_equal(res_ws.input_grad,
-                                          res_ref.input_grad)
-            for lr in rec_ws.layers:
-                ws.release(lr.k, lr.v, lr.spikes)
-            ws.release(out_ws)
-        assert ws.hits > 0  # the arena actually got reused
+
+        def run(x, recycle):
+            outputs, record = net.run(x, record=True)
+            grad_out = np.ones_like(outputs) / outputs.size
+            result = backward(net, record, grad_out)
+            got = [outputs.copy(), result.input_grad.copy(),
+                   *result.weight_grads]
+            if recycle:
+                buffers = arena()
+                for layer_record in record.layers:
+                    buffers.release(layer_record.v, layer_record.spikes)
+            return got
+
+        fresh = [in_thread(lambda x=x: run(x, recycle=False))
+                 for x in batches]
+
+        def recycled():
+            got = [run(x, recycle=True) for x in batches]
+            return got, arena().hits
+
+        got, hits = in_thread(recycled)
+        assert hits > 0   # the arena actually got reused
+        for got_arrays, want_arrays in zip(got, fresh):
+            for a, b in zip(got_arrays, want_arrays):
+                np.testing.assert_array_equal(a, b)
 
     def test_trainer_steady_state_reuses_buffers(self):
         x, y = make_task()
         net = make_net(x=x)
-        trainer = Trainer(net, CrossEntropyRateLoss(),
-                          TrainerConfig(epochs=1, batch_size=16,
-                                        learning_rate=1e-2), rng=1)
-        trainer.train_batch(x[:16], y[:16])
-        misses_after_warmup = trainer._workspace.misses
-        trainer.train_batch(x[16:32], y[16:32])
+
+        def steps():
+            trainer = Trainer(net, CrossEntropyRateLoss(),
+                              TrainerConfig(epochs=1, batch_size=16,
+                                            learning_rate=1e-2), rng=1)
+            buffers = arena()
+            trainer.train_batch(x[:16], y[:16])
+            misses_after_warmup = buffers.misses
+            trainer.train_batch(x[16:32], y[16:32])
+            return (buffers.misses - misses_after_warmup,
+                    buffers.lent_count)
+
         # Steady state: the second identical-shape batch allocates nothing
         # and every buffer has been handed back.
-        assert trainer._workspace.misses == misses_after_warmup
-        assert trainer._workspace.lent_count == 0
+        assert in_thread(steps) == (0, 0)
+
+    def test_fit_with_evaluation_reuses_buffers_across_epochs(self):
+        """Evaluations on the training thread share its arena without
+        evicting the step's buffers: after a first epoch, an epoch of
+        steps and evaluations allocates nothing."""
+        x, y = make_task()
+        net = make_net(x=x)
+
+        def epochs():
+            trainer = Trainer(net, CrossEntropyRateLoss(),
+                              TrainerConfig(epochs=1, batch_size=16,
+                                            learning_rate=1e-2,
+                                            eval_train=True), rng=1)
+            buffers = arena()
+            trainer.fit(x[:32], y[:32], x[32:], y[32:])
+            misses = buffers.misses
+            trainer.fit(x[:32], y[:32], x[32:], y[32:])
+            return buffers.misses - misses, buffers.lent_count
+
+        assert in_thread(epochs) == (0, 0)
+
+    def test_a_record_survives_an_interleaved_evaluate(self):
+        """A record kept alive while the same thread's arena serves a
+        whole evaluation stays bitwise what it was, and its backward
+        equals that of a record that saw no interleaving."""
+        x, y = make_task(n=32)
+        net = make_net(x=x)
+        grad_out = None
+
+        def interleaved():
+            nonlocal grad_out
+            trainer = Trainer(net, CrossEntropyRateLoss(),
+                              TrainerConfig(epochs=1, batch_size=8,
+                                            learning_rate=1e-2), rng=1)
+            outputs, record = net.run(x[:8], record=True)
+            before = [a.tobytes() for lr in record.layers
+                      for a in (lr.v, lr.spikes)]
+            trainer.evaluate(x, y)
+            trainer.evaluate(x[:8], y[:8])
+            after = [a.tobytes() for lr in record.layers
+                     for a in (lr.v, lr.spikes)]
+            grad_out = np.ones_like(outputs) / outputs.size
+            result = backward(net, record, grad_out)
+            return before == after, result.weight_grads
+
+        unchanged, grads = in_thread(interleaved)
+        assert unchanged
+        _, record = net.run(x[:8], record=True)
+        for got, want in zip(grads, backward(net, record,
+                                             grad_out).weight_grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_backward_without_input_grad_matches(self):
         x, y = make_task(n=16)
@@ -644,10 +759,20 @@ class TestWorkerPool:
 # run_in_batches parameter unification
 # ---------------------------------------------------------------------------
 class TestRunInBatchesUnified:
-    def test_workspace_serial_path_identical(self):
+    def test_serial_path_equals_its_chunks_and_reuses_buffers(self):
         x, _ = make_task(n=12)
         net = make_net(x=x)
-        ws = Workspace()
-        np.testing.assert_array_equal(
-            run_in_batches(net, x, 5),
-            run_in_batches(net, x, 5, workspace=ws))
+        chunks = np.concatenate([net.run(x[start:start + 5])[0]
+                                 for start in range(0, 12, 5)])
+
+        def twice():
+            buffers = arena()
+            first = run_in_batches(net, x, 5)
+            misses = buffers.misses
+            second = run_in_batches(net, x, 5)
+            return first, second, buffers.misses - misses, buffers.lent_count
+
+        first, second, misses, lent = in_thread(twice)
+        np.testing.assert_array_equal(first, chunks)
+        np.testing.assert_array_equal(second, chunks)
+        assert (misses, lent) == (0, 0)

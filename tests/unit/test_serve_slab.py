@@ -14,6 +14,7 @@ copies, and that serving ticks leave the engine's one-shot input memo
 alone.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,14 @@ def free_rows(server) -> set:
     return set(server._free_rows) | {
         session.row for session in server._closing
         if not pending(session.session_id)}
+
+
+def _record_errors(fn, errors):
+    """Run ``fn``, keeping what it raises for the caller's thread."""
+    try:
+        fn()
+    except BaseException as exc:
+        errors.append(exc)
 
 
 def held_rows(server) -> int:
@@ -176,38 +185,51 @@ class TestSlabBounds:
         seeded number of them stays open; the slab ends at the power of
         two at or above the peak number of row-holding sessions, and the
         second half of the run peaks no higher than the first."""
-        rng = np.random.default_rng(0)
-        server = make_server(max_batch=8, max_wait_ms=2.5, queue_limit=64)
-        chunk = make_chunk(steps=2)
-        live, peak, now = [], 0, 0.0
-        peaks = []
-        tracemalloc.start()
-        try:
-            for _ in range(2):
-                # The queue-wait histogram keeps every sample (a separate,
-                # known growth): each half starts it empty, so both carry
-                # the same share of it.
-                server._queue_wait._samples.clear()
-                tracemalloc.reset_peak()
-                for _ in range(5_000):
-                    now += 1e-3
-                    sid = server.open_session(now=now)
-                    peak = max(peak, held_rows(server))
-                    server.submit(sid, chunk, now=now)
-                    live.append(sid)
-                    while len(live) > rng.integers(1, 12):
-                        server.close_session(live.pop(0))
-                    server.poll(now=now)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        for sid in live:
-            server.close_session(sid)
-        server.flush(now=now)
-        assert held_rows(server) == 0
-        assert server._slab.batch == 1 << (peak - 1).bit_length()
-        assert server.check_invariants()["completed"] == 10_000
-        assert peaks[1] <= peaks[0] + (64 << 10), peaks
+        # On a thread of its own: the ticks borrow the thread's arena, and
+        # the test process's main thread carries every earlier test's
+        # idle buffers, whose books may grow once mid-run.
+        def churn():
+            rng = np.random.default_rng(0)
+            server = make_server(max_batch=8, max_wait_ms=2.5, queue_limit=64)
+            chunk = make_chunk(steps=2)
+            live, peak, now = [], 0, 0.0
+            peaks = []
+            tracemalloc.start()
+            try:
+                for _ in range(2):
+                    # The queue-wait histogram keeps every sample (a separate,
+                    # known growth): each half starts it empty, so both carry
+                    # the same share of it.
+                    server._queue_wait._samples.clear()
+                    tracemalloc.reset_peak()
+                    for _ in range(5_000):
+                        now += 1e-3
+                        sid = server.open_session(now=now)
+                        peak = max(peak, held_rows(server))
+                        server.submit(sid, chunk, now=now)
+                        live.append(sid)
+                        while len(live) > rng.integers(1, 12):
+                            server.close_session(live.pop(0))
+                        server.poll(now=now)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            for sid in live:
+                server.close_session(sid)
+            server.flush(now=now)
+            assert held_rows(server) == 0
+            assert server._slab.batch == 1 << (peak - 1).bit_length()
+            assert server.check_invariants()["completed"] == 10_000
+            assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+        errors = []
+        thread = threading.Thread(
+            target=lambda: _record_errors(churn, errors))
+        thread.start()
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+        if errors:
+            raise errors[0]
 
     def test_close_shrinks_the_slabs_and_fails_queued_chunks(self):
         from repro.hardware import HardwareMappedNetwork, RRAMDeviceConfig

@@ -20,7 +20,6 @@ import pytest
 
 from repro.common.errors import ShapeError
 from repro.core import SpikingNetwork, StreamState, exp_scan
-from repro.runtime.workspace import Workspace
 
 SIZES = (48, 44, 40)
 BATCH, STEPS = 8, 48
@@ -231,7 +230,6 @@ class TestStateContract:
         before = snapshot(net)
         net.run(x, record=True)                        # recorded
         net.run(x)                                     # arena-backed
-        net.run(x, workspace=Workspace())              # workspace-backed
         _, state = net.run_stream(x[:, :9])            # streamed
         net.run_stream(x[:, 9:], state)
         assert snapshot(net) == before

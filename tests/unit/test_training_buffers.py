@@ -2,11 +2,13 @@
 
 The fused backward moves the synapse filter onto the adjoint, so it never
 reads a record's ``k`` trace.  These tests pin that: training runs with
-``LayerStepRecord.k`` made to raise, the trainer's workspace never holds
-an input-wide ``(batch, T, n_in)`` float buffer (the input's boolean
-spike masks are the only input-wide scratch), and a ``k`` read on demand
-is bitwise the scan of the layer's input.
+``LayerStepRecord.k`` made to raise, the training thread's arena never
+holds an input-wide ``(batch, T, n_in)`` float buffer (the input's
+boolean spike masks are the only input-wide scratch), and a ``k`` read
+on demand is bitwise the scan of the layer's input.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.core import (CrossEntropyRateLoss, SpikingNetwork, Trainer,
                         TrainerConfig)
 from repro.core.filters import exp_scan
 from repro.core.layers import LayerStepRecord
+from repro.core.workspace import arena
 
 # Distinct widths, so a (batch, T, n_in) buffer of layer 0 cannot be
 # confused with any other layer's tensors.
@@ -43,11 +46,21 @@ def k_unreadable(monkeypatch):
     monkeypatch.setattr(LayerStepRecord, "k", property(read))
 
 
-def workspace_shapes(ws):
-    """Shapes of every idle and lent float buffer of a workspace."""
-    idle = [key for key, stack in ws._free.items() for _ in stack]
-    lent = [key for key, _ in ws._lent.values()]
+def arena_shapes(buffers):
+    """Shapes of every idle and lent float buffer of an arena."""
+    idle = [key for key, stack in buffers._free.items() for _ in stack]
+    lent = [key for key, _ in buffers._lent.values()]
     return [shape for shape, dtype in idle + lent if dtype.kind == "f"]
+
+
+def in_thread(fn):
+    """``fn()`` on a new thread, so on an arena of its own; its result."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert result, "the thread raised or hung"
+    return result[0]
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
@@ -55,14 +68,21 @@ def workspace_shapes(ws):
 class TestTrainingNeverReadsK:
     def test_serial_with_workspace(self, k_unreadable, kind, precision):
         x, y = make_batch()
-        with Trainer(make_net(kind), CrossEntropyRateLoss(), TrainerConfig(
-                epochs=1, batch_size=BATCH, learning_rate=1e-2,
-                precision=precision), rng=1) as trainer:
-            for _ in range(2):    # warm-up, then a steady-state step
-                assert np.isfinite(trainer.train_batch(x, y))
-            shapes = workspace_shapes(trainer._workspace)
-            assert shapes, "the trainer ran without its workspace"
-            assert (BATCH, STEPS, SIZES[0]) not in shapes
+
+        def train():
+            with Trainer(make_net(kind), CrossEntropyRateLoss(),
+                         TrainerConfig(epochs=1, batch_size=BATCH,
+                                       learning_rate=1e-2,
+                                       precision=precision),
+                         rng=1) as trainer:
+                for _ in range(2):   # warm-up, then a steady-state step
+                    assert np.isfinite(trainer.train_batch(x, y))
+            return arena_shapes(arena())
+
+        shapes = in_thread(train)
+        assert shapes, "the trainer ran without the thread's arena"
+        assert not {(BATCH, STEPS, SIZES[0]),
+                    (STEPS, BATCH, SIZES[0])} & set(shapes)
 
     def test_two_workers(self, k_unreadable, kind, precision):
         # Pool workers fork after the patch, so they inherit it.

@@ -1,24 +1,36 @@
-"""Workspace bookkeeping under the time-major engine.
+"""Arena bookkeeping under the time-major engine.
 
 Engine buffers are time-major ``(T, batch, n)`` and leave the engine as
 ``(batch, T, n)`` ``swapaxes`` views (outputs, record tensors), which the
-trainer, pool workers and servers hand back to their workspace.  A
-release must resolve a view to the buffer behind it; otherwise the
-buffer stays lent forever and every step allocates afresh.
+training step, pool workers and servers hand back to their thread's
+arena.  A release must resolve a view to the buffer behind it;
+otherwise the buffer stays lent until it is dropped and every step
+allocates afresh.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import (CrossEntropyRateLoss, SpikingNetwork, Trainer,
                         TrainerConfig)
-from repro.runtime import Workspace
+from repro.core.workspace import Workspace, arena
 
 SIZES = (30, 16, 12, 4)
 BATCH, STEPS = 8, 20
 TRAIN_STEPS = 20
+
+
+def in_thread(fn):
+    """``fn()`` on a new thread, so on an arena of its own; its result."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert result, "the thread raised or hung"
+    return result[0]
 
 
 def test_release_resolves_views_to_the_lent_buffer():
@@ -41,12 +53,20 @@ def test_engine_outputs_are_views_of_lent_buffers():
     net = SpikingNetwork(SIZES, rng=2)
     x = (np.random.default_rng(0).random((BATCH, STEPS, SIZES[0]))
          < 0.3).astype(np.float64)
-    ws = Workspace()
-    outputs, _ = net.run(x, workspace=ws)
-    assert outputs.shape == (BATCH, STEPS, SIZES[-1])
-    assert outputs.base is not None and ws.lent_count == 1
-    ws.release(outputs)
-    assert ws.lent_count == 0
+
+    def run():
+        buffers = arena()
+        outputs, _ = net.run(x)
+        books = [(outputs.shape, outputs.base is not None,
+                  buffers.lent_count)]
+        buffers.release(outputs)
+        books.append(buffers.lent_count)
+        return books
+
+    (shape, is_view, lent), after = in_thread(run)
+    assert shape == (BATCH, STEPS, SIZES[-1])
+    assert is_view and lent == 1
+    assert after == 0
 
 
 def make_trainer(precision, workers=0):
@@ -64,44 +84,54 @@ def make_batch():
     return x, np.arange(BATCH) % SIZES[-1]
 
 
-def books(ws):
-    """What a workspace holds between steps: lent buffers, parked bytes."""
-    return ws.lent_count, ws.idle_bytes
+def books(buffers):
+    """What an arena holds between steps: lent buffers, parked bytes."""
+    return buffers.lent_count, buffers.idle_bytes
 
 
-def assert_flat(history):
-    """Nothing stays lent, and the parked bytes never move after the
-    first step sized the arena."""
-    assert history, "no workspace was used"
-    assert all(lent == 0 for lent, _ in history), history
+def assert_flat(history, lent=0):
+    """Nothing more than ``lent`` stays lent, and the parked bytes never
+    move after the first step sized the arena."""
+    assert history, "no arena was used"
+    assert all(count == lent for count, _ in history), history
     assert len({idle for _, idle in history}) == 1, history
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_serial_training_keeps_the_workspace_flat(precision):
     x, y = make_batch()
-    with make_trainer(precision) as trainer:
+
+    def train():
         history = []
-        for _ in range(TRAIN_STEPS):
-            trainer.train_batch(x, y)
-            history.append(books(trainer._workspace))
-    assert_flat(history)
+        with make_trainer(precision) as trainer:
+            for _ in range(TRAIN_STEPS):
+                trainer.train_batch(x, y)
+                history.append(books(arena()))
+        return history
+
+    assert_flat(in_thread(train))
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_pool_workers_keep_their_workspaces_flat(precision, monkeypatch,
                                                  tmp_path):
     # Pool workers fork after the patch, so they inherit it and log their
-    # own workspace after every shard.
+    # own arena before and after every shard.  A forked worker inherits
+    # its parent thread's arena, leases and all, so its base is whatever
+    # it holds before the first shard.
     import repro.runtime.parallel as parallel
 
     log = tmp_path / "books.txt"
     shard_grads = parallel.shard_grads
 
-    def logged(*args, ws=None, **kwargs):
-        result = shard_grads(*args, ws=ws, **kwargs)
+    def logged(*args, **kwargs):
+        buffers = arena()
+        lent, misses = buffers.lent_count, buffers.misses
+        result = shard_grads(*args, **kwargs)
         with open(log, "a") as handle:
-            handle.write("%d %d %d\n" % (os.getpid(), *books(ws)))
+            handle.write("%d %d %d %d %d\n" % (
+                os.getpid(), lent, *books(buffers),
+                buffers.misses - misses))
         return result
 
     monkeypatch.setattr(parallel, "shard_grads", logged)
@@ -111,9 +141,12 @@ def test_pool_workers_keep_their_workspaces_flat(precision, monkeypatch,
             trainer.train_batch(x, y)
     per_worker = {}
     for line in log.read_text().splitlines():
-        pid, lent, idle = map(int, line.split())
-        per_worker.setdefault(pid, []).append((lent, idle))
+        pid, base, lent, idle, misses = map(int, line.split())
+        per_worker.setdefault(pid, []).append((base, lent, idle, misses))
     assert len(per_worker) == 2
     for history in per_worker.values():
         assert len(history) == TRAIN_STEPS
-        assert_flat(history)
+        base = history[0][0]
+        assert_flat([(lent, idle) for _, lent, idle, _ in history], base)
+        # Every shard after the first reuses every buffer.
+        assert all(misses == 0 for *_, misses in history[1:]), history
