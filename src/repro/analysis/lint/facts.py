@@ -45,7 +45,7 @@ __all__ = [
 
 #: Layer of each ``repro`` subpackage.  A module-level import must target
 #: a *strictly lower* layer (or its own package); an upward edge is a
-#: function-level import listed in ``DEFAULT_LAZY_UPWARD``.
+#: function-level import listed in ``LAZY_UPWARD_ALLOWED``.
 DEFAULT_LAYERS = {
     "common": 0,
     "obs": 1,
@@ -62,7 +62,7 @@ DEFAULT_LAYERS = {
 #: The sanctioned lazy (function-level) upward edges, as ``(importing
 #: module, target package)`` with module names relative to ``repro``.
 #: Any other lazy import of a same-or-higher layer is a finding.
-DEFAULT_LAZY_UPWARD = frozenset({
+LAZY_UPWARD_ALLOWED = frozenset({
     ("common.benchcfg", "core"),          # the bench network it builds
     ("common.faults", "obs"),             # fault events on the tracer
     ("common.serialization", "core"),     # checkpoint -> network
@@ -146,7 +146,6 @@ class LintConfig:
     src_prefix: str = "src/repro/"
     layers: dict = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_LAYERS))
-    lazy_upward: frozenset = DEFAULT_LAZY_UPWARD
     external_allowed: frozenset = DEFAULT_EXTERNAL_ALLOWED
     external_per_package: dict = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_EXTERNAL_PER_PACKAGE))

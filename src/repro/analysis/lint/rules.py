@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-from .facts import EXTERNAL_PRIVATE_ALLOWED, ProjectFacts
+from .facts import (EXTERNAL_PRIVATE_ALLOWED, LAZY_UPWARD_ALLOWED,
+                    ProjectFacts)
 
 __all__ = ["Finding", "RULES", "Rule", "run_rules"]
 
@@ -178,7 +179,6 @@ def _private_name(imp) -> str | None:
 
 def _check_layers(rule: Rule, facts: ProjectFacts):
     layers = facts.config.layers
-    lazy_upward = facts.config.lazy_upward
     stdlib = _stdlib_roots()
     allowed = facts.config.external_allowed
     per_pkg = facts.config.external_per_package
@@ -213,7 +213,7 @@ def _check_layers(rule: Rule, facts: ProjectFacts):
                             f"{pkg_layer}) imports {target} (layer "
                             f"{target_layer}) at module level")
                     elif (mod.module.partition(".")[2],
-                          target_pkg) not in lazy_upward:
+                          target_pkg) not in LAZY_UPWARD_ALLOWED:
                         yield rule.finding(
                             mod.path, imp.line, imp.col,
                             f"unsanctioned upward import: {mod.module} "
@@ -221,7 +221,7 @@ def _check_layers(rule: Rule, facts: ProjectFacts):
                             f"lazily",
                             hint="import downward, or list the edge in "
                                  "repro.analysis.lint.facts."
-                                 "DEFAULT_LAZY_UPWARD")
+                                 "LAZY_UPWARD_ALLOWED")
             elif imp.root not in stdlib and imp.toplevel:
                 if imp.root not in pkg_allowed:
                     yield rule.finding(

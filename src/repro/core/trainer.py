@@ -257,7 +257,9 @@ class Trainer:
         """Shut down the worker pool (idempotent).
 
         Training can resume afterwards — the pool is re-created on
-        demand."""
+        demand.  The step's idle buffers stay in the calling thread's
+        arena (:func:`repro.core.workspace.arena`) for the next engine
+        call on that thread."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None

@@ -48,9 +48,10 @@ __all__ = ["Workspace", "arena"]
 #: Idle bytes an arena keeps parked before it drops its oldest buffers.
 #: A bench training step (64 x 100 steps through 700-128-128-20, float64)
 #: leaves 59 MB idle, 76 MB with an interleaved evaluation of 100
-#: samples (chunks of 64 and 36); a Fig. 8 draw or a serving tick far
-#: less.  At 64 MB the step after each evaluation re-allocated 8 buffers.
-ARENA_BYTES = 128 << 20
+#: samples (chunks of 64 and 36); the full-profile SHD step (64 x 150
+#: steps through 700-400-400-20) 233 MB, 293 MB with an evaluation.  At
+#: 128 MB that step re-allocated 16 buffers every time; at 512 MB none.
+ARENA_BYTES = 512 << 20
 
 
 class Workspace:
@@ -88,12 +89,16 @@ class Workspace:
         stack = self._free.get(key)
         if stack:
             arr = stack.pop()
+            if not stack:
+                del self._free[key]
             self._free_bytes -= arr.nbytes
             del self._idle[id(arr)]
             self.hits += 1
         else:
             arr = np.empty(*key)
             self.misses += 1
+        # A closure per lease measured cheaper than a ``functools.partial``
+        # or a ``weakref.ref`` subclass that carries the id.
         ident, lent = id(arr), self._lent
         lent[ident] = (key, weakref.ref(
             arr, lambda _, ident=ident: lent.pop(ident, None)))
@@ -137,9 +142,11 @@ class Workspace:
         while self._free_bytes > self.max_bytes and self._idle:
             # A key's free list runs oldest release first, so the oldest
             # idle buffer heads its own list.
-            oldest = next(iter(self._idle))
-            dropped = self._free[self._idle.pop(oldest)].pop(0)
-            self._free_bytes -= dropped.nbytes
+            key = self._idle.pop(next(iter(self._idle)))
+            stack = self._free[key]
+            self._free_bytes -= stack.pop(0).nbytes
+            if not stack:
+                del self._free[key]
 
     # -- books --------------------------------------------------------------
     @property

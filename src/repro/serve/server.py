@@ -825,7 +825,9 @@ class ModelServer:
         """Fail any queued chunk, drop all sessions and programmed
         weights, and shrink the slabs back to one row (idempotent).  A
         server used again programs its weights from its network at its
-        next tick."""
+        next tick.  The ticks' idle buffers stay in the calling thread's
+        arena (:func:`repro.core.workspace.arena`) for the next engine
+        call on that thread."""
         if self.batcher.pending:
             self.fail_pending("server closed")
         for session in [*self._sessions.values(), *self._closing]:

@@ -150,6 +150,17 @@ class TestWorkspace:
         assert ws.empty((48,)) is second
         assert ws.empty((48,)) is not first
 
+    def test_emptied_free_lists_leave_the_books(self, small_cap):
+        # A thread's arena lives as long as the thread: shapes it stopped
+        # using must not keep a key each, whether checked out or evicted.
+        ws = Workspace()
+        for n in range(1, 50):
+            ws.release(ws.empty((n,)))
+            ws.empty((n,))
+        assert ws._free == {}
+        ws.release(*[ws.empty((32 + n,)) for n in range(8)])   # over the cap
+        assert len(ws._free) == len(ws._idle) < 8
+
     def test_a_dropped_lease_is_forgotten(self):
         # Leases are weak: a lent buffer its holder drops is freed like
         # any array, and the arena forgets it.
