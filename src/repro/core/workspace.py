@@ -16,7 +16,7 @@ Design rules that keep this safe:
 
 * An arena is **single-threaded state**: it belongs to its thread
   (``threading.local``) and is never shared; each worker process runs
-  on its own.
+  on its own, and a forked child starts on an empty one.
 * A lease is **weak**.  The arena tracks a lent buffer by a weak
   reference whose callback forgets it, so a buffer its holder drops
   unreleased (an output, a record, the buffers of a call that raised)
@@ -38,6 +38,7 @@ run on a fresh thread's arena (``tests/unit/test_runtime.py``).
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 
@@ -161,6 +162,17 @@ class Workspace:
 
 
 _threads = threading.local()
+
+
+def _forget_arenas() -> None:
+    """Start a forked child on empty arenas: the parent's idle buffers
+    and leases are not the child's to reuse or count."""
+    global _threads
+    _threads = threading.local()
+
+
+if hasattr(os, "register_at_fork"):   # POSIX only
+    os.register_at_fork(after_in_child=_forget_arenas)
 
 
 def arena() -> Workspace:

@@ -35,7 +35,7 @@ device-noise seed owns an independent rng stream keyed by ``(root seed,
 seed name)``, so :func:`accuracy_under_variation` can fan its seeds out to
 a caller's :class:`~repro.runtime.pool.WorkerPool` (``pool=``) and return
 exactly the numbers the serial loop returns — the per-seed unit of work is
-the shared :func:`seed_accuracy` either way.
+the shared :func:`seed_correct` either way.
 """
 
 from __future__ import annotations
@@ -385,6 +385,12 @@ def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
     return int(np.sum(predictions == np.asarray(labels)))
 
 
+def _pooled_draw(worker, inputs, labels, **draw) -> int:
+    """:func:`seed_correct` on a pool worker's replica: the pooled Fig. 8
+    draw (``seed_correct`` is looked up per call)."""
+    return seed_correct(worker.network(), inputs, labels, **draw)
+
+
 def seed_accuracy(network: SpikingNetwork, inputs: np.ndarray,
                   labels: np.ndarray, bits: int, variation: float,
                   seed: int, batch_size: int = 64,
@@ -449,15 +455,23 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     root = as_random_state(rng)
     seeds = [root.child(f"seed{s}").seed for s in range(n_seeds)]
-    tasks = [(bits, variation, seed) for seed in seeds]
     if pool is not None:
         if pool.network is not network:
             raise ValueError(
                 "pool was built for a different network object; build it "
                 "from this network so the workers map the same weights")
-        accuracies = pool.hw_eval(inputs, labels, tasks,
-                                  batch_size=batch_size,
-                                  precision=precision, device=device)
+        # One command per draw and staging window: each sees the whole
+        # window, and a draw's counts over the windows sum to its
+        # full-set count.
+        draws = [dict(bits=bits, variation=variation, seed=seed,
+                      batch_size=batch_size, precision=precision,
+                      device=device) for seed in seeds]
+        windows = pool._run(
+            _pooled_draw, {"inputs": np.asarray(inputs),
+                           "labels": np.asarray(labels)},
+            lambda count: [({}, draw) for draw in draws],
+            batch_size=batch_size)
+        accuracies = np.sum(windows, axis=0) / len(inputs)
     else:
         accuracies = [
             seed_accuracy(network, inputs, labels, bits=bits,

@@ -5,10 +5,12 @@ engine's buffers stay with each thread's arena,
 :func:`repro.core.workspace.arena`, in every process):
 
 * :mod:`repro.runtime.pool` — a persistent, self-healing worker pool
-  holding the network weights in shared memory, executing forward
-  chunks, gradient shards, Fig. 8 device-noise seeds and generic sweep
-  tasks; dead or hung workers are respawned from the original spec and
-  their in-flight shards requeued, bitwise-transparently;
+  holding the network weights in shared memory.  One call shape serves
+  forward chunks, gradient shards and Fig. 8 device-noise draws: named
+  arrays staged once in a shared-memory arena, and a module-level
+  function run on views of them per shard; ``map`` runs generic sweep
+  tasks.  Dead or hung workers are respawned from the original spec
+  and their in-flight shards requeued, bitwise-transparently;
 * :mod:`repro.runtime.parallel` — the deterministic shard split and
   fixed-order reduction shared by the serial and pooled paths (the basis
   of the bitwise parallel == serial equivalence tests).

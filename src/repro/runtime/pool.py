@@ -7,31 +7,36 @@ into one shared-memory block** — the master memcpys updated weights into
 that block once per dispatch (:meth:`WorkerPool.sync_weights`, ~100 µs for
 the paper-scale MLPs) and every worker reads them zero-copy.
 
-Large tensors never cross the command pipes.  Four shared-memory arenas
-carry them instead:
+Large tensors never cross the command pipes.  One master-owned
+shared-memory arena carries them instead: the staging step
+(:meth:`WorkerPool._stage`) copies a call's named arrays into it —
+whole, or in bounded windows of whole ``batch_size`` chunks — and the
+workers write any large result into a staged output view, which the
+master copies back.  Two commands cross the pipes:
 
-========  =======================================================
-arena     contents
-========  =======================================================
-inputs    the staged mini-batch / evaluation set (all workers read)
-targets   training targets (labels or spike targets)
-outputs   forward results, written at disjoint per-chunk offsets
-grads     per-worker weight-gradient regions (64-byte aligned)
-========  =======================================================
+========  ==========================================================
+command   runs
+========  ==========================================================
+call      a module-level function on views of staged arrays, plus small
+          keyword arguments (:meth:`WorkerPool._run`)
+task      an arbitrary picklable callable on one item (:meth:`~WorkerPool.map`)
+========  ==========================================================
 
 The pipes carry only small command dicts — arena references
-``{name, shape, dtype, offset}``, shard bounds, scalars — and small
-replies (loss values, accuracies, pickled task results).
+``{name, shape, dtype, offset}``, the function's importable name,
+scalars — and small replies (losses, counts, pickled task results).
 
-Work units are deliberately identical to the serial path's:
+Every pooled call runs the serial path's own work unit on the serial
+path's own boundaries:
 
-* ``grad`` runs :func:`repro.runtime.parallel.shard_grads` — the same
-  function the serial fallback calls in-process — so pooled gradients are
-  bitwise-equal to a serial execution of the same shard split;
-* ``forward`` runs one ``batch_size`` chunk of a sharded inference, the
-  same chunks ``run_in_batches`` would process serially;
-* ``hw_eval`` runs one device-noise seed of the Fig. 8 sweep via
-  :func:`repro.hardware.mapped_network.seed_accuracy`;
+* a forward chunk (:meth:`WorkerPool.run_sharded`) is one ``batch_size``
+  chunk of ``run_in_batches``;
+* a gradient shard (:meth:`WorkerPool.grad_shards`) runs
+  :func:`repro.runtime.parallel.shard_grads` — the function the serial
+  fallback calls in-process — so pooled gradients are bitwise-equal to a
+  serial execution of the same shard split;
+* a Fig. 8 draw (``accuracy_under_variation(pool=...)``) runs
+  :func:`repro.hardware.mapped_network.seed_correct` on one window;
 * ``task`` runs an arbitrary picklable callable (sweep grid points).
 
 Each worker's engine calls borrow its thread's arena
@@ -47,7 +52,7 @@ the pipe.  Failures split into two kinds with opposite handling:
   reply — triggers **self-healing**: the pool respawns the failed
   worker from the original spec (:meth:`WorkerPool._respawn`) and the
   dispatch requeues exactly its in-flight commands, with bounded heal
-  rounds and exponential backoff.  Because the arenas are master-owned
+  rounds and exponential backoff.  Because the arena is master-owned
   and replicas rebuild deterministically, a healed dispatch returns
   results bitwise-equal to a fault-free run.
 
@@ -139,10 +144,10 @@ def _aligned(nbytes: int) -> int:
 # Shared-memory plumbing
 # ---------------------------------------------------------------------------
 class _Arena:
-    """A master-owned, grow-on-demand shared-memory block."""
+    """The master-owned, grow-on-demand shared-memory block staged
+    arrays live in."""
 
-    def __init__(self, tag: str):
-        self.tag = tag
+    def __init__(self):
         self._shm: shared_memory.SharedMemory | None = None
         self.capacity = 0
 
@@ -157,7 +162,7 @@ class _Arena:
             old.close()
             old.unlink()
 
-    def ref(self, shape, dtype, offset: int = 0) -> dict:
+    def ref(self, shape, dtype, offset: int) -> dict:
         """A picklable handle a worker can attach and view."""
         return {
             "name": self._shm.name,
@@ -166,9 +171,9 @@ class _Arena:
             "offset": int(offset),
         }
 
-    def view(self, shape, dtype, offset: int = 0) -> np.ndarray:
-        return np.ndarray(tuple(int(s) for s in shape), dtype=np.dtype(dtype),
-                          buffer=self._shm.buf, offset=int(offset))
+    def view(self, ref: dict) -> np.ndarray:
+        return np.ndarray(ref["shape"], dtype=np.dtype(ref["dtype"]),
+                          buffer=self._shm.buf, offset=ref["offset"])
 
     def close(self) -> None:
         if self._shm is not None:
@@ -179,6 +184,22 @@ class _Arena:
                 pass
             self._shm = None
             self.capacity = 0
+
+
+def _rows(ref: dict, rows) -> dict:
+    """The ref of ``rows`` (a slice, or one index) of a staged array's
+    leading axis; ``None`` is the whole array."""
+    if rows is None:
+        return ref
+    shape = ref["shape"]
+    row_bytes = (int(np.prod(shape[1:], dtype=np.int64))
+                 * np.dtype(ref["dtype"]).itemsize)
+    if isinstance(rows, slice):
+        start, stop, _ = rows.indices(shape[0])
+        shape = (stop - start,) + shape[1:]
+    else:
+        start, shape = rows, shape[1:]
+    return dict(ref, shape=shape, offset=ref["offset"] + start * row_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -346,45 +367,39 @@ def _worker_main(spec: _PoolSpec, conn, index: int = 0,
 
 def _handle(state: _WorkerState, msg: dict):
     cmd = msg["cmd"]
-    if cmd == "forward":
-        network = state.network(msg.get("neuron_kind"))
-        x = state.view(msg["in"])
-        out_view = state.view(msg["out"])
-        from ..core.workspace import arena
-
-        outputs, _ = network.run(x, precision=msg["precision"])
-        np.copyto(out_view, outputs)
-        arena().release(outputs)
-        return None
-    if cmd == "grad":
-        from .parallel import shard_grads
-
-        network = state.network()
-        x = state.view(msg["in"])
-        targets = state.view(msg["targets"])
-        loss_value, shard_n, grads = shard_grads(
-            network, state.spec.loss, x, targets, mode=msg["mode"],
-            precision=msg["precision"])
-        for grad, ref in zip(grads, msg["grads"]):
-            # casting="no": the master sized the arena for the dtype this
-            # precision produces — a silent downcast here would diverge
-            # from the serial path.
-            np.copyto(state.view(ref), grad, casting="no")
-        return loss_value, shard_n
-    if cmd == "hw_eval":
-        from ..hardware.mapped_network import seed_correct
-
-        network = state.network()
-        inputs = state.view(msg["in"])
-        return seed_correct(
-            network, inputs, state.view(msg["labels"]), bits=msg["bits"],
-            variation=msg["variation"], seed=msg["seed"],
-            batch_size=msg["batch_size"], precision=msg["precision"],
-            device=msg.get("device"))
+    if cmd == "call":
+        views = {name: state.view(ref) for name, ref in msg["refs"].items()}
+        return msg["fn"](state, **views, **msg["kwargs"])
     if cmd == "task":
         fn, item = msg["payload"]
         return fn(item)
     raise ValueError(f"unknown pool command {cmd!r}")
+
+
+def _forward(worker: _WorkerState, x, out, precision, neuron_kind):
+    """One ``batch_size`` chunk of ``run_in_batches``, written to ``out``."""
+    from ..core.workspace import arena
+
+    outputs, _ = worker.network(neuron_kind).run(x, precision=precision)
+    np.copyto(out, outputs)
+    arena().release(outputs)
+
+
+def _grad(worker: _WorkerState, x, targets, mode, precision, **grads):
+    """One gradient shard; its weight gradients go to ``grads``' views."""
+    # Looked up per call, so a patched ``shard_grads`` reaches forked
+    # workers.
+    from .parallel import shard_grads
+
+    loss_value, shard_n, shard = shard_grads(
+        worker.network(), worker.spec.loss, x, targets, mode=mode,
+        precision=precision)
+    for out, grad in zip(grads.values(), shard):
+        # casting="no": the master sized the output for the dtype this
+        # precision produces — a silent downcast here would diverge from
+        # the serial path.
+        np.copyto(out, grad, casting="no")
+    return loss_value, shard_n
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +416,7 @@ class WorkerPool:
     workers:
         Number of worker processes (>= 1).
     loss:
-        Loss object shipped to the workers for ``grad`` dispatches (must be
+        Loss object shipped to the workers for gradient shards (must be
         picklable; both built-in losses are).
 
     Workers start by fork where the platform has it, else by spawn.
@@ -448,16 +463,12 @@ class WorkerPool:
         self._closed = False
         self._weights_shm: shared_memory.SharedMemory | None = None
         self._weight_views: list[np.ndarray] = []
-        self._arenas: dict[str, _Arena] = {}
+        self._arena = _Arena()
         self._conns = []
         self._procs = []
         self._generations = [0] * self.workers
         try:
             self._spec = self._build_spec(network, loss)
-            self._arenas = {
-                tag: _Arena(tag)
-                for tag in ("inputs", "targets", "outputs", "grads")
-            }
             self._ctx = mp.get_context(
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn")
             for index in range(self.workers):
@@ -587,9 +598,9 @@ class WorkerPool:
     def sync_weights(self, weights=None) -> None:
         """Memcpy the master network's current weights into shared memory.
 
-        Every network-dispatch (:meth:`run_sharded`, :meth:`grad_shards`,
-        :meth:`hw_eval`) calls this first — a ~100 µs memcpy for the paper
-        MLP — so a pool reused across optimizer steps (or handed to
+        Every network call (:meth:`_run`: forward chunks, gradient
+        shards, Fig. 8 draws) does this first — a ~100 µs memcpy for the
+        paper MLP — so a pool reused across optimizer steps (or handed to
         ``run_in_batches(pool=...)`` after further training) always
         computes with the master's current weights.  Workers observe the
         update on their next command (pipe delivery orders the accesses).
@@ -698,7 +709,7 @@ class WorkerPool:
         * :class:`PoolTransportError` (dead / hung / corrupt worker):
           the failed workers are respawned and their in-flight commands
           requeued — results stay bitwise-equal to a fault-free run
-          because the staged arenas, the command bytes and the rebuilt
+          because the staged arena, the command bytes and the rebuilt
           replicas are all identical.  After :attr:`_MAX_HEAL_ROUNDS`
           heal rounds the pool closes and the transport error
           propagates.
@@ -862,21 +873,13 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
 
-    def _stage(self, tag: str, array: np.ndarray):
-        arena = self._arenas[tag]
-        arena.ensure(array.nbytes)
-        view = arena.view(array.shape, array.dtype)
-        np.copyto(view, array)
-        return arena
-
-    # -- high-level dispatches ----------------------------------------------
-    #: Cap on shared memory staged per inference window (inputs +
-    #: outputs).  Bounds peak /dev/shm use for large evaluation sets —
-    #: run_in_batches exists to bound memory, and the pooled path must
-    #: honour that contract (a default Docker ``/dev/shm`` is 64 MB).
-    #: Windows are whole multiples of ``batch_size``, so the chunk
-    #: boundaries — and therefore the outputs — stay identical to the
-    #: serial path.
+    # -- the one pooled call ------------------------------------------------
+    #: Cap on shared memory staged per window (inputs + outputs).  Bounds
+    #: peak /dev/shm use for large evaluation sets — run_in_batches
+    #: exists to bound memory, and the pooled path must honour that
+    #: contract (a default Docker ``/dev/shm`` is 64 MB).  Windows are
+    #: whole multiples of ``batch_size``, so the chunk boundaries — and
+    #: therefore the outputs — stay identical to the serial path.
     ARENA_CAP_BYTES = 256 * 1024 * 1024
 
     def _window_samples(self, row_bytes: int, batch_size: int) -> int:
@@ -891,6 +894,72 @@ class WorkerPool:
             self.ARENA_CAP_BYTES // max(row_bytes, 1)
             // batch_size * batch_size,
         )
+
+    def _stage(self, arrays: dict, outputs: dict, batch_size=None):
+        """Copy named arrays into the arena; yield each window's refs.
+
+        ``arrays`` (read by the workers) and ``outputs`` (written by
+        them) map names to arrays.  Without ``batch_size`` they are
+        staged whole, as one window; with it, they share a leading
+        sample axis and are staged in bounded windows of whole
+        ``batch_size`` multiples (:meth:`_window_samples`).  Yields each
+        window's sample count and a ref per name; when the caller
+        resumes, the window's ``outputs`` rows are copied back.
+        """
+        named = {**arrays, **outputs}
+        if batch_size is None:
+            windows = [slice(None)]
+        else:
+            if batch_size < 1:
+                raise ValueError(
+                    f"batch_size must be >= 1, got {batch_size}")
+            n = len(next(iter(named.values())))
+            size = self._window_samples(
+                sum(array[:1].nbytes for array in named.values()),
+                batch_size)
+            windows = [slice(start, start + size)
+                       for start in range(0, n, size)]
+        for rows in windows:
+            parts = {name: array[rows] for name, array in named.items()}
+            self._arena.ensure(sum(_aligned(part.nbytes)
+                                   for part in parts.values()))
+            refs, offset = {}, 0
+            for name, part in parts.items():
+                refs[name] = self._arena.ref(part.shape, part.dtype, offset)
+                if name in arrays:
+                    np.copyto(self._arena.view(refs[name]), part)
+                offset += _aligned(part.nbytes)
+            yield len(next(iter(parts.values()))), refs
+            for name in outputs:
+                np.copyto(parts[name], self._arena.view(refs[name]))
+
+    def _run(self, fn, arrays: dict, commands, outputs: dict | None = None,
+             batch_size: int | None = None, weights=None,
+             timeout: float | None = None) -> list[list]:
+        """Stage ``arrays``/``outputs`` (:meth:`_stage`) and run ``fn``
+        once per command of each window; returns each window's replies.
+
+        ``commands(count)`` lists the commands of a window of ``count``
+        samples as ``(rows, kwargs)`` pairs: ``rows`` maps a staged name
+        to the rows of it the command sees (a slice, or one index; a
+        name it leaves out is seen whole), and a worker runs
+        ``fn(worker, **views, **kwargs)`` on them, ``worker`` being its
+        ``_WorkerState``.  ``fn`` must be a module-level function: it
+        crosses the pipe by name.  Commands go round-robin over the
+        workers, after :meth:`sync_weights` (``weights``).
+        """
+        self._check_open()
+        self.sync_weights(weights)
+        replies = []
+        for count, refs in self._stage(arrays, outputs or {}, batch_size):
+            replies.append(self._dispatch([
+                (index % self.workers, {
+                    "cmd": "call", "fn": fn, "kwargs": kwargs,
+                    "refs": {name: _rows(ref, rows.get(name))
+                             for name, ref in refs.items()}})
+                for index, (rows, kwargs) in enumerate(commands(count))],
+                timeout=timeout))
+        return replies
 
     def run_sharded(self, inputs: np.ndarray, batch_size: int,
                     precision=None,
@@ -910,57 +979,25 @@ class WorkerPool:
         """
         from ..core.engine import resolve_precision
 
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.sync_weights()
         dtype = resolve_precision(precision) or np.dtype(np.float64)
         inputs = np.asarray(inputs, dtype=dtype)
-        n, steps, n_in = inputs.shape
-        n_out = self.network.sizes[-1]
-        row_bytes = steps * n_in * dtype.itemsize
-        out_row_bytes = steps * n_out * dtype.itemsize
-        window = self._window_samples(row_bytes + out_row_bytes, batch_size)
-        outputs = np.empty((n, steps, n_out), dtype=dtype)
-        for window_start in range(0, n, window):
-            count = min(window, n - window_start)
-            self._run_window(inputs[window_start:window_start + count],
-                             outputs[window_start:window_start + count],
-                             batch_size, precision, neuron_kind, timeout)
+        outputs = np.empty(inputs.shape[:2] + (self.network.sizes[-1],),
+                           dtype=dtype)
+        kwargs = {"precision": precision, "neuron_kind": neuron_kind}
+        self._run(_forward, {"x": inputs}, lambda count: [
+            ({"x": rows, "out": rows}, kwargs)
+            for rows in (slice(start, start + batch_size)
+                         for start in range(0, count, batch_size))],
+            outputs={"out": outputs}, batch_size=batch_size, timeout=timeout)
         return outputs
-
-    def _run_window(self, inputs, outputs, batch_size, precision,
-                    neuron_kind, timeout=None) -> None:
-        """Stage one bounded window and dispatch its chunks round-robin."""
-        n, steps, _ = inputs.shape
-        n_out = outputs.shape[2]
-        dtype = inputs.dtype
-        in_arena = self._stage("inputs", inputs)
-        out_arena = self._arenas["outputs"]
-        out_arena.ensure(n * steps * n_out * dtype.itemsize)
-        row_bytes = steps * inputs.shape[2] * dtype.itemsize
-        out_row_bytes = steps * n_out * dtype.itemsize
-        assignments = []
-        for index, start in enumerate(range(0, n, batch_size)):
-            count = min(batch_size, n - start)
-            msg = {
-                "cmd": "forward",
-                "in": in_arena.ref((count, steps, inputs.shape[2]), dtype,
-                                   offset=start * row_bytes),
-                "out": out_arena.ref((count, steps, n_out), dtype,
-                                     offset=start * out_row_bytes),
-                "precision": precision,
-                "neuron_kind": neuron_kind,
-            }
-            assignments.append((index % self.workers, msg))
-        self._dispatch(assignments, timeout=timeout)
-        np.copyto(outputs, out_arena.view((n, steps, n_out), dtype))
 
     def grad_shards(self, inputs: np.ndarray, targets: np.ndarray,
                     slices: list[slice], mode: str = "exact",
                     precision=None, weights=None,
                     timeout: float | None = None):
         """Run one gradient shard per worker; returns per-shard
-        ``(loss, n, grads)`` in shard order (the fixed reduction order).
+        ``(loss, n, grads)`` in shard order (the fixed reduction order),
+        the gradients copied back into master-owned arrays.
 
         ``weights`` stages per-layer override arrays into the shared
         weight block for this dispatch (see :meth:`sync_weights`): the
@@ -974,106 +1011,21 @@ class WorkerPool:
         if len(slices) > self.workers:
             raise ValueError(
                 f"{len(slices)} shards for {self.workers} workers")
-        self.sync_weights(weights)
         dtype = resolve_precision(precision) or np.dtype(np.float64)
-        inputs = np.asarray(inputs, dtype=dtype)
-        targets = np.asarray(targets)
-        in_arena = self._stage("inputs", inputs)
-        t_arena = self._stage("targets", targets)
-
-        shapes = [layer.weight.shape for layer in self.network.layers]
-        layer_bytes = [_aligned(int(np.prod(s)) * dtype.itemsize)
-                       for s in shapes]
-        region = sum(layer_bytes)
-        g_arena = self._arenas["grads"]
-        g_arena.ensure(region * len(slices))
-
-        row_bytes = int(np.prod(inputs.shape[1:])) * inputs.dtype.itemsize
-        t_row_bytes = (int(np.prod(targets.shape[1:], dtype=np.int64))
-                       * targets.dtype.itemsize)
-        assignments = []
-        grad_refs_per_shard = []
-        for index, sl in enumerate(slices):
-            count = sl.stop - sl.start
-            base = index * region
-            grad_refs, cursor = [], base
-            for shape, nbytes in zip(shapes, layer_bytes):
-                grad_refs.append(g_arena.ref(shape, dtype,
-                                             offset=cursor))
-                cursor += nbytes
-            grad_refs_per_shard.append(grad_refs)
-            msg = {
-                "cmd": "grad",
-                "in": in_arena.ref((count,) + inputs.shape[1:], dtype,
-                                   offset=sl.start * row_bytes),
-                "targets": t_arena.ref((count,) + targets.shape[1:],
-                                       targets.dtype,
-                                       offset=sl.start * t_row_bytes),
-                "grads": grad_refs,
-                "mode": mode,
-                "precision": precision,
-            }
-            assignments.append((index, msg))
-        replies = self._dispatch(assignments, timeout=timeout)
-        results = []
-        for (loss_value, shard_n), grad_refs in zip(replies,
-                                                    grad_refs_per_shard):
-            grads = [g_arena.view(ref["shape"], ref["dtype"],
-                                  offset=ref["offset"])
-                     for ref in grad_refs]
-            results.append((loss_value, shard_n, grads))
-        return results
-
-    def hw_eval(self, inputs: np.ndarray, labels: np.ndarray, tasks,
-                batch_size: int = 64, precision=None, device=None,
-                timeout: float | None = None) -> list[float]:
-        """One Fig. 8 accuracy per ``(bits, variation, seed)`` task.
-
-        The evaluation set and labels are staged in shared memory for the
-        whole task list — in bounded sample windows when the set exceeds
-        :attr:`ARENA_CAP_BYTES` — and the pipes carry only the grid
-        coordinates.  Each window returns per-task correct *counts*
-        (exactly reproducible because the seed fully determines the
-        programming draw), so the summed accuracies equal the
-        full-set serial evaluation's.
-
-        ``device`` (a picklable
-        :class:`~repro.hardware.devices.RRAMDeviceConfig`, or ``None``)
-        rides the command dict to every task as the base device model the
-        grid coordinates override — how a served hardware profile's
-        window/read-noise parameters reach a pooled sweep.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.sync_weights()
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels)
-        tasks = list(tasks)
-        n = inputs.shape[0]
-        row_bytes = int(np.prod(inputs.shape[1:])) * inputs.dtype.itemsize
-        window = self._window_samples(row_bytes, batch_size)
-        counts = [0] * len(tasks)
-        for window_start in range(0, n, window):
-            stop = min(window_start + window, n)
-            in_window = inputs[window_start:stop]
-            labels_window = labels[window_start:stop]
-            in_ref = self._stage("inputs", in_window).ref(
-                in_window.shape, in_window.dtype)
-            labels_ref = self._stage("targets", labels_window).ref(
-                labels_window.shape, labels_window.dtype)
-            assignments = [
-                (index % self.workers, {
-                    "cmd": "hw_eval", "in": in_ref, "labels": labels_ref,
-                    "bits": int(bits), "variation": float(variation),
-                    "seed": int(seed), "batch_size": int(batch_size),
-                    "precision": precision, "device": device,
-                })
-                for index, (bits, variation, seed) in enumerate(tasks)
-            ]
-            for index, count in enumerate(
-                    self._dispatch(assignments, timeout=timeout)):
-                counts[index] += count
-        return [count / n for count in counts]
+        grads = {f"grad{index}": np.empty((len(slices),) + layer.weight.shape,
+                                          dtype=dtype)
+                 for index, layer in enumerate(self.network.layers)}
+        kwargs = {"mode": mode, "precision": precision}
+        [replies] = self._run(
+            _grad, {"x": np.asarray(inputs, dtype=dtype),
+                    "targets": np.asarray(targets)},
+            lambda count: [
+                ({"x": rows, "targets": rows, **dict.fromkeys(grads, index)},
+                 kwargs)
+                for index, rows in enumerate(slices)],
+            outputs=grads, weights=weights, timeout=timeout)
+        return [(loss_value, shard_n, [grad[index] for grad in grads.values()])
+                for index, (loss_value, shard_n) in enumerate(replies)]
 
     def map(self, fn, items, timeout: float | None = None) -> list:
         """``[fn(item) for item in items]`` over the workers, in order."""
@@ -1116,8 +1068,7 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
-        for arena in self._arenas.values():
-            arena.close()
+        self._arena.close()
         if self._weights_shm is not None:
             self._weight_views = []
             self._weights_shm.close()

@@ -27,7 +27,8 @@ from repro.common.faults import FaultPlan, FaultRule
 from repro.core import CrossEntropyRateLoss, SpikingNetwork
 from repro.core.calibration import calibrate_firing
 from repro.core.trainer import run_in_batches
-from repro.runtime import WorkerPool, shard_slices
+from repro.hardware.mapped_network import accuracy_under_variation
+from repro.runtime import WorkerPool, data_parallel_grads, shard_slices
 from repro.runtime.pool import PoolTransportError, WorkerError
 
 
@@ -174,24 +175,42 @@ class TestTransportHealing:
             assert pool.stats["restarts"] == 5001
 
 
+def pooled_call(kind, net, x, y, pool=None, bad=False):
+    """One forward, gradient or Fig. 8 call (serial when ``pool`` is
+    None); ``bad`` makes it raise inside the workers."""
+    if kind == "forward":
+        inputs = np.zeros(x.shape[:2] + (x.shape[2] + 2,)) if bad else x
+        return run_in_batches(net, inputs, 16, pool=pool)
+    if kind == "grad":
+        labels = y + 100 if bad else y   # out of range: the loss raises
+        loss_value, grads = data_parallel_grads(
+            net, CrossEntropyRateLoss(), x, labels, n_shards=2, pool=pool)
+        return [np.float64(loss_value)] + grads
+    return np.array(accuracy_under_variation(
+        net, x, y, bits=0 if bad else 4, variation=0.3, n_seeds=2, rng=7,
+        batch_size=16, pool=pool))
+
+
 class TestWorkerErrorStaysFailFast:
-    def test_worker_error_mid_run_sharded_leaves_pool_usable(self):
-        # Regression pin: a *task* failure (here a chunk whose channel
-        # count does not match the network) must raise WorkerError
-        # without healing, desyncing, or poisoning the pool — the very
-        # next dispatch is bitwise-correct.
-        x, _ = make_task()
+    @pytest.mark.parametrize("kind", ["forward", "grad", "draw"])
+    def test_worker_error_mid_run_sharded_leaves_pool_usable(self, kind):
+        # Regression pin: a *task* failure inside a worker (a chunk whose
+        # channel count does not match the network, out-of-range labels,
+        # a one-level device) must raise WorkerError without healing,
+        # desyncing, or poisoning the pool — the very next call is
+        # bitwise-correct.
+        x, y = make_task()
         net = make_net(x=x)
-        serial = run_in_batches(net, x, batch_size=16)
-        bad = np.zeros((8, 20, x.shape[2] + 2))
-        with WorkerPool(net, workers=2) as pool:
-            # Both workers get a shard of the bad input; which one's
-            # error surfaces first is a race, so match either.
+        serial = pooled_call(kind, net, x, y)
+        with WorkerPool(net, workers=2, loss=CrossEntropyRateLoss()) as pool:
+            # Both workers get a failing command; which one's error
+            # surfaces first is a race, so match either.
             with pytest.raises(WorkerError, match=r"worker \d+ raised"):
-                pool.run_sharded(bad, batch_size=4)
+                pooled_call(kind, net, x, y, pool=pool, bad=True)
             assert pool.stats["restarts"] == 0
-            np.testing.assert_array_equal(
-                pool.run_sharded(x, batch_size=16), serial)
+            for got, want in zip(pooled_call(kind, net, x, y, pool=pool),
+                                 serial, strict=True):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestCloseEscalation:

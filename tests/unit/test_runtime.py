@@ -684,6 +684,22 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(_double, [1])
 
+    def test_a_closed_pool_rejects_network_calls(self):
+        # Every network call goes through one path, which checks that
+        # the pool is open before it syncs weights or stages anything.
+        x, y = make_task(n=8)
+        net = make_net()
+        pool = WorkerPool(net, workers=1, loss=CrossEntropyRateLoss())
+        pool.close()
+        for call in (
+                lambda: pool.run_sharded(x, batch_size=4),
+                lambda: pool.grad_shards(x, y, shard_slices(8, 1)),
+                lambda: accuracy_under_variation(
+                    net, x, y, bits=4, variation=0.0, n_seeds=1,
+                    pool=pool)):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+
     def test_dead_worker_heals_and_close_stays_quiet(self, monkeypatch):
         # A worker killed out-of-band no longer dooms the pool: the
         # dispatch respawns it, requeues its shards, and returns the

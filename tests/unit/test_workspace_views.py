@@ -17,6 +17,7 @@ import pytest
 from repro.core import (CrossEntropyRateLoss, SpikingNetwork, Trainer,
                         TrainerConfig)
 from repro.core.workspace import Workspace, arena
+from repro.runtime import WorkerPool
 
 SIZES = (30, 16, 12, 4)
 BATCH, STEPS = 8, 20
@@ -116,9 +117,8 @@ def test_serial_training_keeps_the_workspace_flat(precision):
 def test_pool_workers_keep_their_workspaces_flat(precision, monkeypatch,
                                                  tmp_path):
     # Pool workers fork after the patch, so they inherit it and log their
-    # own arena before and after every shard.  A forked worker inherits
-    # its parent thread's arena, leases and all, so its base is whatever
-    # it holds before the first shard.
+    # own arena before and after every shard.  A forked worker starts on
+    # an empty arena, so nothing is lent before its first shard.
     import repro.runtime.parallel as parallel
 
     log = tmp_path / "books.txt"
@@ -146,7 +146,26 @@ def test_pool_workers_keep_their_workspaces_flat(precision, monkeypatch,
     assert len(per_worker) == 2
     for history in per_worker.values():
         assert len(history) == TRAIN_STEPS
-        base = history[0][0]
-        assert_flat([(lent, idle) for _, lent, idle, _ in history], base)
+        assert all(base == 0 for base, *_ in history), history
+        assert_flat([(lent, idle) for _, lent, idle, _ in history])
         # Every shard after the first reuses every buffer.
         assert all(misses == 0 for *_, misses in history[1:]), history
+
+
+def _worker_books(_):
+    return books(arena())
+
+
+def test_forked_workers_start_on_an_empty_arena():
+    # The building thread holds a lent record and parks idle buffers; a
+    # forked worker must see neither as its own.
+    net = SpikingNetwork(SIZES, rng=2)
+    x, _ = make_batch()
+    outputs, _ = net.run(x)
+    arena().release(outputs)
+    _, record = net.run(x, record=True)
+    lent, idle = books(arena())
+    assert lent > 0 and idle > 0
+    with WorkerPool(workers=2) as pool:
+        assert pool.map(_worker_books, [0, 1]) == [(0, 0), (0, 0)]
+    del record   # lent until the workers had forked

@@ -343,16 +343,10 @@ def pool_run() -> PoolRun:
     loss = CrossEntropyRateLoss()
     slices = shard_slices(16, 2)
 
-    def snapshot(shards):
-        # Gradient arrays are views into the pool's shared-memory arena;
-        # copy them out so they survive pool.close().
-        return [(lv, n, [g.copy() for g in grads])
-                for lv, n, grads in shards]
-
     clean = WorkerPool(net, workers=2, loss=loss)
     try:
         ref_outputs = clean.run_sharded(x, batch_size=4).copy()
-        ref_shards = snapshot(clean.grad_shards(x, labels, slices))
+        ref_shards = clean.grad_shards(x, labels, slices)
     finally:
         clean.close()
 
@@ -363,8 +357,8 @@ def pool_run() -> PoolRun:
         try:
             outputs = pool.run_sharded(x, batch_size=4,
                                        timeout=HANG_TIMEOUT_S).copy()
-            shards = snapshot(pool.grad_shards(x, labels, slices,
-                                               timeout=HANG_TIMEOUT_S))
+            shards = pool.grad_shards(x, labels, slices,
+                                      timeout=HANG_TIMEOUT_S)
             stats = pool.stats
         finally:
             pool.close()
